@@ -26,7 +26,14 @@ class LaurentScalar:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
+    def __init__(
+        self, terms: Mapping[tuple[int, int], int] | None = None, _canonical: bool = False
+    ):
+        if _canonical:
+            # private: this module's own results, built without zero
+            # coefficients on (int, int) keys, are stored as they are
+            self._terms = terms
+            return
         clean: dict[tuple[int, int], int] = {}
         if terms:
             for exps, coeff in terms.items():
@@ -95,6 +102,11 @@ class LaurentScalar:
     def __add__(self, other: "LaurentScalar") -> "LaurentScalar":
         if not isinstance(other, LaurentScalar):
             return NotImplemented
+        # scalars are immutable, so a sum with zero is the other operand
+        if not self._terms:
+            return other
+        if not other._terms:
+            return self
         out = dict(self._terms)
         for e, c in other._terms.items():
             s = out.get(e, 0) + c
@@ -102,19 +114,26 @@ class LaurentScalar:
                 out[e] = s
             elif e in out:
                 del out[e]
-        return LaurentScalar(out)
+        return LaurentScalar(out, True)
 
     def __neg__(self) -> "LaurentScalar":
-        return LaurentScalar({e: -c for e, c in self._terms.items()})
+        return LaurentScalar({e: -c for e, c in self._terms.items()}, True)
 
     def __sub__(self, other: "LaurentScalar") -> "LaurentScalar":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentScalar({e: c * other for e, c in self._terms.items()})
+            if not other:
+                return LaurentScalar()
+            return LaurentScalar({e: c * other for e, c in self._terms.items()}, True)
         if not isinstance(other, LaurentScalar):
             return NotImplemented
+        if len(self._terms) == 1 and len(other._terms) == 1:
+            # unit-monomial q-factors make this the common case
+            (((l1, m1), c1),) = self._terms.items()
+            (((l2, m2), c2),) = other._terms.items()
+            return LaurentScalar({(l1 + l2, m1 + m2): c1 * c2}, True)
         out: dict[tuple[int, int], int] = {}
         for (l1, m1), c1 in self._terms.items():
             for (l2, m2), c2 in other._terms.items():
@@ -124,7 +143,7 @@ class LaurentScalar:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        return LaurentScalar(out)
+        return LaurentScalar(out, True)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -149,11 +168,11 @@ class LaurentScalar:
         if not self.is_unit_monomial():
             raise ValueError("only unit monomials are invertible: %r" % self)
         ((e_l, e_m), c), = self._terms.items()
-        return LaurentScalar({(-e_l, -e_m): c})
+        return LaurentScalar({(-e_l, -e_m): c}, True)
 
     def star(self) -> "LaurentScalar":
         """Conjugation: exponents negate, integer coefficients stay."""
-        return LaurentScalar({(-l, -m): c for (l, m), c in self._terms.items()})
+        return LaurentScalar({(-l, -m): c for (l, m), c in self._terms.items()}, True)
 
     # -- protocol ----------------------------------------------------
 

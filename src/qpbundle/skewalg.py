@@ -17,6 +17,19 @@ order that is invariant under multiplication, which makes the
 rewriting terminate; confluence is certified empirically by
 ``check_local_confluence`` up to a degree bound.
 
+Every q_ij is a unit monomial +-L^l M^m, so the table is kept as a sign
+parity and two integer exponents per pair.  The factor of any q-sort is
+then a bilinear form in the two exponent vectors, built as one scalar.
+
+Rewriting follows the ordered reduction of Bergman's diamond lemma
+(G. M. Bergman, Adv. Math. 29 (1978)): pending reducible monomials are
+merged by monomial and expanded largest first.  An expansion only feeds
+monomials smaller than the one it expands, so when a monomial is the
+largest one pending, every contribution to it has already been merged
+and it is expanded exactly once.  ``b^k b*^k`` then takes k(k+1)/2
+rule firings, one per reducible a^i a*^i b^j b*^j below it, instead of
+following each of the 2^k rewrite paths that reach its normal form.
+
 The monomial order: compare total degree first, then the *reversed*
 exponent tuple lexicographically.  Reversal puts weight on the later
 generators, so with the order a < a* < b < b* the mixed pair b b*
@@ -25,7 +38,8 @@ outranks a a* and the sphere rule is a valid reduction.
 
 from __future__ import annotations
 
-import itertools
+from heapq import heappop, heappush
+from operator import neg
 from typing import Iterable, Mapping, Sequence
 
 from .scalar import LaurentScalar, ONE, render_scalar
@@ -38,8 +52,19 @@ def monomial_key(m: Monomial) -> tuple:
     return (sum(m), tuple(reversed(m)))
 
 
+def _max_first(m: Monomial) -> tuple:
+    """Heap key under which the largest monomial in the order pops first."""
+    return (-sum(m), tuple(map(neg, reversed(m))))
+
+
 def _divides(lhs: Monomial, m: Monomial) -> bool:
     return all(l <= e for l, e in zip(lhs, m))
+
+
+def _unit_exponents(q: LaurentScalar) -> tuple[int, int, int]:
+    """(sign parity, L exponent, M exponent) of a unit monomial."""
+    (((e_l, e_m), c),) = q.terms.items()
+    return (0 if c == 1 else 1, e_l, e_m)
 
 
 class PresentationError(ValueError):
@@ -101,6 +126,22 @@ class AlgebraPresentation:
             q[i][j] = val
             q[j][i] = val.inverse()
         self.q = tuple(tuple(row) for row in q)
+        # the entries q_ij != 1 with i > j as exponents (i, j, sign parity,
+        # L, M); sort_factor reads them by row i, _sort_word by column j
+        entries = [
+            (i, j) + _unit_exponents(q[i][j])
+            for i in range(k)
+            for j in range(i)
+            if not q[i][j].is_one()
+        ]
+        self._crossings = tuple(
+            tuple((j, s, e_l, e_m) for i, j, s, e_l, e_m in entries if i == row)
+            for row in range(k)
+        )
+        self._crossed = tuple(
+            tuple((i, s, e_l, e_m) for i, j, s, e_l, e_m in entries if j == col)
+            for col in range(k)
+        )
 
         # oriented rewrite rules
         rules: list[tuple[Monomial, dict[Monomial, LaurentScalar]]] = []
@@ -118,6 +159,10 @@ class AlgebraPresentation:
                     )
             rules.append((lhs, rhs_terms))
         self.reductions = tuple(rules)
+        # (generator index, exponent) pairs each rule left side needs
+        self._rule_supports = tuple(
+            tuple((i, e) for i, e in enumerate(lhs) if e) for lhs, _ in rules
+        )
         for lhs, rhs_terms in self.reductions:
             for m in rhs_terms:
                 if self._first_rule(m) is not None:
@@ -152,70 +197,112 @@ class AlgebraPresentation:
 
         Every letter g_j from the right block moves past every letter
         g_i of the left block with i > j, contributing q_ij once per
-        crossing pair.
+        crossing pair, so the sign parity and the L and M exponents of
+        the factor are sums over those pairs.
         """
-        f = ONE
-        for i in range(len(left)):
-            if not left[i]:
-                continue
-            for j in range(i):
-                if right[j]:
-                    f = f * (self.q[i][j] ** (left[i] * right[j]))
-        return f
+        parity = e_l = e_m = 0
+        crossings = self._crossings
+        for i, a in enumerate(left):
+            if a:
+                for j, s, l, m in crossings[i]:
+                    n = a * right[j]
+                    if n:
+                        parity += s * n
+                        e_l += l * n
+                        e_m += m * n
+        return LaurentScalar({(e_l, e_m): -1 if parity & 1 else 1}, True)
 
     def mono_mul(self, a: Monomial, b: Monomial) -> tuple[LaurentScalar, Monomial]:
         return self.sort_factor(a, b), tuple(x + y for x, y in zip(a, b))
 
     def _first_rule(self, m: Monomial):
-        for idx, (lhs, _) in enumerate(self.reductions):
-            if _divides(lhs, m):
+        for idx, support in enumerate(self._rule_supports):
+            for i, e in support:
+                if m[i] < e:
+                    break
+            else:
                 return idx
         return None
+
+    def _rewrite(self, ridx: int, m: Monomial, c: LaurentScalar):
+        """One firing of rule ``ridx`` on c*m: the (monomial, coefficient)
+        pairs that replace it."""
+        lhs, rhs = self.reductions[ridx]
+        rest = tuple(e - l for e, l in zip(m, lhs))
+        # m, as an ordered word, equals sort_factor(lhs, rest)^-1 times
+        # the concatenation lhs*rest, so rewriting lhs gives that inverse
+        # factor times rhs*rest.
+        base = c * self.sort_factor(lhs, rest).inverse()
+        out = []
+        for rm, rc in rhs.items():
+            f, prod = self.mono_mul(rm, rest)
+            out.append((prod, base * rc * f))
+        return out
 
     # -- normal forms ----------------------------------------------------
 
     def reduce_terms(self, terms: Mapping[Monomial, LaurentScalar]) -> dict[Monomial, LaurentScalar]:
-        """Exhaustively rewrite a map of q-sorted monomials to coefficients."""
-        out: dict[Monomial, LaurentScalar] = {}
-        stack = [(m, c) for m, c in terms.items() if not c.is_zero()]
-        while stack:
-            m, c = stack.pop()
-            ridx = self._first_rule(m)
-            if ridx is None:
-                s = out.get(m, LaurentScalar.zero()) + c
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-                continue
-            lhs, rhs = self.reductions[ridx]
-            rest = tuple(e - l for e, l in zip(m, lhs))
-            # m, as an ordered word, equals sort_factor(lhs, rest)^-1
-            # times the concatenation lhs*rest, so rewriting lhs gives
-            # that inverse factor times rhs*rest.
-            base = c * self.sort_factor(lhs, rest).inverse()
-            for rm, rc in rhs.items():
-                f, prod = self.mono_mul(rm, rest)
-                stack.append((prod, base * rc * f))
-        return out
+        """Exhaustively rewrite a map of q-sorted monomials to coefficients.
 
-    def normal_form(self, word: Sequence[str], coeff: LaurentScalar = ONE) -> "AlgebraElement":
-        """Normal form of a single coefficient*word product."""
+        Irreducible monomials go straight to the result.  Reducible ones
+        are merged by monomial in ``pending`` and expanded largest first
+        in the monomial order, popped from a heap.  The order is
+        multiplicative and every rule right side is smaller than its
+        left side, so an expansion only adds to monomials below the one
+        expanded; each reducible monomial is therefore expanded once,
+        with its fully merged coefficient, or dropped if that is zero.
+        Nothing outlives the call.
+        """
+        out: dict[Monomial, LaurentScalar] = {}
+        pending: dict[Monomial, LaurentScalar] = {}
+        heap: list[tuple[tuple, Monomial]] = []
+        first_rule = self._first_rule
+
+        def merge(items):
+            for m, c in items:
+                if first_rule(m) is None:
+                    acc = out
+                else:
+                    acc = pending
+                    if m not in pending:
+                        heappush(heap, (_max_first(m), m))
+                prev = acc.get(m)
+                acc[m] = c if prev is None else prev + c
+
+        merge(terms.items())
+        while heap:
+            m = heappop(heap)[1]
+            c = pending.pop(m)
+            if c:
+                merge(self._rewrite(first_rule(m), m, c))
+        return {m: c for m, c in out.items() if c}
+
+    def _sort_word(self, word: Sequence[str]) -> tuple[LaurentScalar, Monomial]:
+        """q-sort a word: (factor picked up, exponent vector)."""
         v = [0] * len(self.generators)
-        c = coeff
+        parity = e_l = e_m = 0
         # insert letters left to right; each new letter g_j crosses the
-        # tail of letters g_i already placed with i > j
+        # tail of letters g_i already placed with i > j, picking up q_ij
+        # once per letter crossed
         for g in word:
             if g not in self.index:
                 raise PresentationError(
                     "unknown generator %r (algebra %s)" % (g, self.name)
                 )
             j = self.index[g]
-            for i in range(j + 1, len(v)):
-                if v[i]:
-                    c = c * (self.q[i][j] ** v[i])
+            for i, s, l, m in self._crossed[j]:
+                n = v[i]
+                if n:
+                    parity += s * n
+                    e_l += l * n
+                    e_m += m * n
             v[j] += 1
-        return AlgebraElement(self, self.reduce_terms({tuple(v): c}))
+        return LaurentScalar({(e_l, e_m): -1 if parity & 1 else 1}, True), tuple(v)
+
+    def normal_form(self, word: Sequence[str], coeff: LaurentScalar = ONE) -> "AlgebraElement":
+        """Normal form of a single coefficient*word product."""
+        f, v = self._sort_word(word)
+        return AlgebraElement(self, self.reduce_terms({v: coeff * f}))
 
     # -- element constructors ---------------------------------------------
 
@@ -240,44 +327,25 @@ class AlgebraPresentation:
         for mx, cx in x.terms.items():
             for my, cy in y.terms.items():
                 f, prod = self.mono_mul(mx, my)
-                s = raw.get(prod, LaurentScalar.zero()) + cx * cy * f
-                if s.is_zero():
-                    raw.pop(prod, None)
-                else:
-                    raw[prod] = s
+                c = cx * cy * f
+                prev = raw.get(prod)
+                # zero sums are dropped by reduce_terms
+                raw[prod] = c if prev is None else prev + c
         return AlgebraElement(self, self.reduce_terms(raw))
 
     def star(self, x: "AlgebraElement") -> "AlgebraElement":
         if x.presentation is not self:
             raise PresentationError("element of a different presentation")
-        out = self.zero()
+        raw: dict[Monomial, LaurentScalar] = {}
         for m, c in x.terms.items():
             word: list[str] = []
             for i in range(len(m) - 1, -1, -1):
                 word.extend([self.generators[self._star_idx[i]]] * m[i])
-            out = out + self.normal_form(word, c.star())
-        return out
-
-    def star_monomial(self, m: Monomial) -> tuple[LaurentScalar, Monomial]:
-        """Star of a single monomial: (coefficient, normal monomial).
-
-        Star pairs of generators always commute up to a unit monomial
-        here, so the star of a monomial is again a single monomial.
-        """
-        word: list[str] = []
-        for i in range(len(m) - 1, -1, -1):
-            word.extend([self.generators[self._star_idx[i]]] * m[i])
-        el = self.normal_form(word)
-        if len(el.terms) != 1:
-            # possible when a rewrite rule fires; fall back to element form
-            raise PresentationError("monomial star is not a monomial")
-        ((mm, cc),) = el.terms.items()
-        return cc, mm
-
-    def equal(self, x: "AlgebraElement", y: "AlgebraElement") -> bool:
-        if x.presentation is not self or y.presentation is not self:
-            raise PresentationError("elements of a different presentation")
-        return x.terms == y.terms
+            f, v = self._sort_word(word)
+            t = c.star() * f
+            prev = raw.get(v)
+            raw[v] = t if prev is None else prev + t
+        return AlgebraElement(self, self.reduce_terms(raw))
 
     # -- enumeration --------------------------------------------------------
 
@@ -341,10 +409,6 @@ class AlgebraElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        """Maximal total degree of a monomial (zero element has -1)."""
-        return max((sum(m) for m in self.terms), default=-1)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if other.presentation is not self.presentation:
@@ -506,17 +570,10 @@ def check_local_confluence(p: AlgebraPresentation, degree_bound: int) -> Conflue
     for total in range(degree_bound + 1):
         for m in _compositions(total, k):
             results = []
-            for lhs, rhs in p.reductions:
-                if not _divides(lhs, m):
-                    continue
-                rest = tuple(e - l for e, l in zip(m, lhs))
-                base = p.sort_factor(lhs, rest).inverse()
-                raw: dict[Monomial, LaurentScalar] = {}
-                for rm, rc in rhs.items():
-                    f, prod = p.mono_mul(rm, rest)
-                    s = raw.get(prod, LaurentScalar.zero()) + base * rc * f
-                    raw[prod] = s
-                results.append(AlgebraElement(p, p.reduce_terms(raw)))
+            for ridx, (lhs, _) in enumerate(p.reductions):
+                if _divides(lhs, m):
+                    raw = dict(p._rewrite(ridx, m, ONE))
+                    results.append(AlgebraElement(p, p.reduce_terms(raw)))
             if results:
                 report.checked += 1
                 first = results[0]

@@ -85,3 +85,25 @@ def test_render_is_injective_on_samples(x):
     y = LaurentScalar(dict(x.terms))
     assert render_scalar(x) == render_scalar(y)
     assert x == y
+
+
+def assert_canonical(x):
+    # results built without re-canonicalizing must equal their
+    # canonical rebuild and store no zero coefficient
+    assert x == LaurentScalar(x.terms)
+    assert all(x.terms.values())
+    assert all(type(e) is int for exps in x.terms for e in exps)
+
+
+@given(scalars, scalars, st.integers(-4, 4))
+@settings(max_examples=80)
+def test_arithmetic_results_are_canonical(x, y, n):
+    for r in (x + y, x - y, x + (-x), x * y, x * n, n * x, x * 0, -x, x.star()):
+        assert_canonical(r)
+
+
+@given(st.sampled_from([1, -1]), st.integers(-5, 5), st.integers(-5, 5))
+def test_inverse_is_canonical(sign, i, j):
+    m = LaurentScalar.monomial(sign, i, j)
+    assert_canonical(m.inverse())
+    assert_canonical(m.inverse().star())

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import WordSphere, plain_element
+from oracles import WordSphere, plain_element, s_canon, s_mul
 from qpbundle.scalar import ONE, LaurentScalar as S
 from qpbundle.skewalg import (
+    AlgebraElement,
     AlgebraPresentation,
     PresentationError,
     check_local_confluence,
@@ -172,3 +173,134 @@ def test_elements_of_different_presentations_do_not_mix(sphere):
     other = sphere_presentation()
     with pytest.raises(PresentationError):
         sphere.one() * other.one()
+
+
+# -- q-sorting factors against the product-of-powers definition ---------------
+
+
+def reference_sort_factor(p, left, right):
+    """q_ij raised to left[i]*right[j], multiplied over all i > j."""
+    f = ONE
+    for i in range(len(left)):
+        for j in range(i):
+            f = f * (p.q[i][j] ** (left[i] * right[j]))
+    return f
+
+
+def reference_word_factor(p, word):
+    """Coefficient of q-sorting a word, inserting letters left to right."""
+    v = [0] * len(p.generators)
+    f = ONE
+    for g in word:
+        j = p.index[g]
+        for i in range(j + 1, len(v)):
+            f = f * (p.q[i][j] ** v[i])
+        v[j] += 1
+    return f, tuple(v)
+
+
+unit_monomials = st.builds(
+    S.monomial, st.sampled_from([1, -1]), st.integers(-2, 2), st.integers(-2, 2)
+)
+
+
+@st.composite
+def q_tables(draw):
+    """A rule-free presentation on 2 to 5 self-adjoint generators with a
+    random q-table of signed monomials in both symbols."""
+    k = draw(st.integers(2, 5))
+    gens = tuple("g%d" % i for i in range(k))
+    comm = {(gens[i], gens[j]): draw(unit_monomials) for i in range(k) for j in range(i)}
+    return AlgebraPresentation(gens, {g: g for g in gens}, comm)
+
+
+@given(q_tables(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_bilinear_sort_factor_matches_product_of_powers(p, data):
+    k = len(p.generators)
+    vectors = st.lists(st.integers(0, 3), min_size=k, max_size=k).map(tuple)
+    left, right = data.draw(vectors), data.draw(vectors)
+    assert p.sort_factor(left, right) == reference_sort_factor(p, left, right)
+
+
+@given(q_tables(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_normal_form_factor_matches_product_of_powers(p, data):
+    word = data.draw(st.lists(st.sampled_from(p.generators), max_size=8))
+    f, v = reference_word_factor(p, word)
+    assert p.normal_form(word).terms == {v: f}
+    # unit-monomial q satisfy q* = q^-1, so with self-adjoint generators
+    # the star of a word is the reversed word
+    assert p.normal_form(word).star() == p.normal_form(word[::-1])
+
+
+# -- the two-rule ambient presentation against one oracle per sphere -----------
+
+AMBIENT_SLOTS = (("a", "a'", "b", "b'"), ("x", "x'", "y", "y'"))
+ambient_words = st.lists(st.sampled_from(AMBIENT_SLOTS[0] + AMBIENT_SLOTS[1]), max_size=9)
+
+
+@given(ambient_words)
+@settings(max_examples=100, deadline=None)
+def test_ambient_normal_form_matches_oracles(ex2, w):
+    # generators of different slots commute, so the normal form of a
+    # mixed word is the product of the normal forms of its slot subwords
+    ambient = ex2.cot.ambient
+    assert ambient.generators == AMBIENT_SLOTS[0] + AMBIENT_SLOTS[1]
+    first, second = (
+        WordSphere(names, symbol=s).element({tuple(g for g in w if g in names): {(0, 0): 1}})
+        for s, names in enumerate(AMBIENT_SLOTS)
+    )
+    expected = {
+        v1 + v2: s_canon(s_mul(dict(c1), dict(c2)))
+        for v1, c1 in first.items()
+        for v2, c2 in second.items()
+    }
+    assert plain_element(ambient.normal_form(w)) == expected
+
+
+# -- cost of ordered reduction ---------------------------------------------------
+
+
+def test_ordered_reduction_fires_polynomially_many_rules(sphere, monkeypatch):
+    firings = []
+    mono_mul = AlgebraPresentation.mono_mul
+
+    def counting(self, a, b):
+        firings.append(a)
+        return mono_mul(self, a, b)
+
+    monkeypatch.setattr(AlgebraPresentation, "mono_mul", counting)
+    k = 16
+    el = sphere.normal_form(["b"] * k + ["b'"] * k)
+    # a firing makes one monomial product per right-side term; each of
+    # the k(k+1)/2 reducible a^i a'^i b^j b'^j is expanded once, where
+    # rewriting every path separately would fire about 2^k times
+    assert len(firings) <= (k + 1) ** 2
+    assert len(el.terms) == k + 1
+
+
+term_maps = st.dictionaries(
+    st.lists(st.integers(0, 3), min_size=4, max_size=4).map(tuple),
+    st.integers(-3, 3).map(S.integer),
+    max_size=6,
+)
+
+
+@given(term_maps)
+@settings(max_examples=80, deadline=None)
+def test_reduce_terms_is_linear_and_returns_reduced_terms(sphere, terms):
+    out = sphere.reduce_terms(terms)
+    assert all(not c.is_zero() for c in out.values())
+    assert sphere.reduce_terms(out) == out
+    total = sphere.zero()
+    for m, c in terms.items():
+        total = total + AlgebraElement(sphere, sphere.reduce_terms({m: c}))
+    assert AlgebraElement(sphere, out) == total
+
+
+def test_reduce_terms_drops_cancelled_terms(sphere):
+    # b b' = 1 - a a', so these cancel to 1 and to 0
+    bb, aa, one = (0, 0, 1, 1), (1, 1, 0, 0), (0, 0, 0, 0)
+    assert sphere.reduce_terms({bb: ONE, aa: ONE}) == {one: ONE}
+    assert sphere.reduce_terms({bb: ONE, aa: ONE, one: S.integer(-1)}) == {}

@@ -13,16 +13,24 @@ grouplike generator is unitary.
 
 ``TensorElement`` is the workhorse for everything tensor-shaped in the
 verification suites: P(x)P, P(x)C, H(x)P(x)P, (A(x)P)(x)(A(x)P) and so
-on.  Shapes are explicit and checked on every operation; algebra slots
-hold normal-form monomials of a named presentation, coalgebra slots
-hold grouplike indices.
+on.  Algebra slots hold normal-form monomials of a named presentation,
+coalgebra slots hold grouplike indices.  Shapes are explicit and
+checked where data enters: the public ``TensorElement`` constructor
+drops zero coefficients, merges equal keys and checks every key's
+arity, and each operation checks its operands' shapes on entry.  The
+results of those operations are canonical by construction (every sum
+goes through ``accumulate``, and Z[L^+-1, M^+-1] has no zero divisors),
+so they are stored through ``_trusted_tensor``, which assumes a tuple
+shape, full-arity tuple keys, no zero coefficient and a dict that no
+one else holds.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
-from .scalar import LaurentScalar, ONE, render_scalar
+from .scalar import LaurentScalar, ONE, accumulate, render_scalar
 from .skewalg import (
     AlgebraElement,
     AlgebraPresentation,
@@ -58,11 +66,7 @@ class GroupCoalgebraElement:
     def __add__(self, other: "GroupCoalgebraElement") -> "GroupCoalgebraElement":
         out = dict(self.terms)
         for n, c in other.terms.items():
-            s = out.get(n, LaurentScalar.zero()) + c
-            if s.is_zero():
-                out.pop(n, None)
-            else:
-                out[n] = s
+            accumulate(out, n, c)
         return GroupCoalgebraElement(out)
 
     def __mul__(self, other):
@@ -70,11 +74,7 @@ class GroupCoalgebraElement:
             out: dict[int, LaurentScalar] = {}
             for n, c in self.terms.items():
                 for m, d in other.terms.items():
-                    s = out.get(n + m, LaurentScalar.zero()) + c * d
-                    if s.is_zero():
-                        out.pop(n + m, None)
-                    else:
-                        out[n + m] = s
+                    accumulate(out, n + m, c * d)
             return GroupCoalgebraElement(out)
         if isinstance(other, (LaurentScalar, int)):
             if isinstance(other, int):
@@ -104,7 +104,7 @@ class GroupCoalgebraElement:
 def comultiply(x: GroupCoalgebraElement) -> "TensorElement":
     """Delta, landing in the coalgebra-coalgebra tensor square."""
     shape = (coalg_slot(), coalg_slot())
-    return TensorElement(shape, {(n, n): c for n, c in x.terms.items()})
+    return _trusted_tensor(shape, {(n, n): c for n, c in x.terms.items()})
 
 
 def counit(x: GroupCoalgebraElement) -> LaurentScalar:
@@ -129,12 +129,12 @@ def coseparability_retraction(t: "TensorElement") -> GroupCoalgebraElement:
     out: dict[int, LaurentScalar] = {}
     for (m, n), c in t.terms.items():
         if m == n:
-            s = out.get(n, LaurentScalar.zero()) + c
-            if s.is_zero():
-                out.pop(n, None)
-            else:
-                out[n] = s
+            accumulate(out, n, c)
     return GroupCoalgebraElement(out)
+
+
+def _vec_degree(vec: tuple[int, ...], m: Monomial) -> int:
+    return sum(map(mul, vec, m))
 
 
 class CoactionSpec:
@@ -169,8 +169,11 @@ class CoactionSpec:
         self.left = dict(left) if left is not None else None
         self.unit_left_degree = unit_left_degree
         self.unit_right_degree = unit_right_degree
+        # per-generator degree vectors in generator order, fixed here
+        vectors = {}
         for table, label in ((self.right, "right"), (self.left, "left")):
             if table is None:
+                vectors[label] = None
                 continue
             for g in presentation.generators:
                 if g not in table:
@@ -179,27 +182,27 @@ class CoactionSpec:
                     raise PresentationError(
                         "%s degrees of %r and its star are not opposite" % (label, g)
                     )
+            vec = vectors[label] = tuple(table[g] for g in presentation.generators)
             for lhs, rhs in presentation.reductions:
-                d = self._vec_degree(table, lhs)
+                d = _vec_degree(vec, lhs)
                 for m in rhs:
-                    if self._vec_degree(table, m) != d:
+                    if _vec_degree(vec, m) != d:
                         raise PresentationError(
                             "rewrite rule %s is not homogeneous for the %s grading"
                             % (presentation.render_monomial(lhs), label)
                         )
-
-    def _vec_degree(self, table: Mapping[str, int], m: Monomial) -> int:
-        return sum(e * table[g] for g, e in zip(self.presentation.generators, m) if e)
+        self._right_vec = vectors["right"]
+        self._left_vec = vectors["left"]
 
     def right_degree(self, m: Monomial) -> int:
-        if self.right is None:
+        if self._right_vec is None:
             raise PresentationError("no right coaction declared")
-        return self._vec_degree(self.right, m) + self.unit_right_degree
+        return _vec_degree(self._right_vec, m) + self.unit_right_degree
 
     def left_degree(self, m: Monomial) -> int:
-        if self.left is None:
+        if self._left_vec is None:
             raise PresentationError("no left coaction declared")
-        return self._vec_degree(self.left, m) + self.unit_left_degree
+        return _vec_degree(self._left_vec, m) + self.unit_left_degree
 
     def has_right(self) -> bool:
         return self.right is not None
@@ -248,11 +251,7 @@ class TensorElement:
                 k = tuple(key)
                 if len(k) != len(self.shape):
                     raise ShapeError("key arity does not match shape")
-                s = self.terms.get(k, LaurentScalar.zero()) + c
-                if s.is_zero():
-                    self.terms.pop(k, None)
-                else:
-                    self.terms[k] = s
+                accumulate(self.terms, k, c)
 
     @classmethod
     def zero(cls, shape) -> "TensorElement":
@@ -269,23 +268,20 @@ class TensorElement:
         self._require_same_shape(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, LaurentScalar.zero()) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return TensorElement(self.shape, out)
+            accumulate(out, k, c)
+        return _trusted_tensor(self.shape, out)
 
     def __neg__(self) -> "TensorElement":
-        return TensorElement(self.shape, {k: -c for k, c in self.terms.items()})
+        return _trusted_tensor(self.shape, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + (-other)
 
     def scale(self, c) -> "TensorElement":
-        if isinstance(c, int):
-            c = LaurentScalar.integer(c)
-        return TensorElement(self.shape, {k: x * c for k, x in self.terms.items()})
+        if not c:
+            return _trusted_tensor(self.shape, {})
+        # Z[L^+-1, M^+-1] has no zero divisors: no product is zero
+        return _trusted_tensor(self.shape, {k: x * c for k, x in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, TensorElement):
@@ -311,59 +307,61 @@ class TensorElement:
         return "<tensor %s>" % render_tensor(self)
 
 
+def _trusted_tensor(shape: tuple, terms: dict) -> TensorElement:
+    """Package-private constructor for a term map built canonical.
+
+    Stores ``terms`` as it is, without the public constructor's zero
+    filter, merge and arity check.  The caller guarantees that ``shape``
+    is a tuple, every key is a tuple with one entry per slot, no
+    coefficient is zero, and nothing else holds the dict.
+    """
+    t = object.__new__(TensorElement)
+    t.shape = shape
+    t.terms = terms
+    return t
+
+
 def tensor_of(factors: Sequence) -> TensorElement:
     """Tensor product of elements: AlgebraElement or GroupCoalgebraElement
-    per slot, fully expanded and canonicalized."""
+    per slot, fully expanded.
+
+    The Cartesian product is already canonical: distinct per-slot keys
+    give distinct key tuples, and Z[L^+-1, M^+-1] has no zero divisors,
+    so no product of nonzero coefficients is zero.
+    """
     shape = []
-    slot_terms = []
+    terms: dict[tuple, LaurentScalar] = {(): ONE}
     for f in factors:
         if isinstance(f, AlgebraElement):
-            shape.append(alg_slot(f.presentation))
-            slot_terms.append(list(f.terms.items()))
+            slot = alg_slot(f.presentation)
         elif isinstance(f, GroupCoalgebraElement):
-            shape.append(coalg_slot())
-            slot_terms.append(list(f.terms.items()))
+            slot = coalg_slot()
         else:
             raise ShapeError("cannot place %r in a tensor slot" % type(f))
-    out: dict[tuple, LaurentScalar] = {}
-    keys: list[tuple] = [()]
-    coeffs: list[LaurentScalar] = [ONE]
-    for entries in slot_terms:
-        keys, coeffs, old_k, old_c = [], [], keys, coeffs
-        for k, c in zip(old_k, old_c):
-            for key, cc in entries:
-                keys.append(k + (key,))
-                coeffs.append(c * cc)
-    for k, c in zip(keys, coeffs):
-        s = out.get(k, LaurentScalar.zero()) + c
-        if s.is_zero():
-            out.pop(k, None)
+        entries = f.terms.items()
+        # the first slot's coefficients are taken as they are, not times 1
+        if shape:
+            terms = {k + (key,): c * cc for k, c in terms.items() for key, cc in entries}
         else:
-            out[k] = s
-    return TensorElement(tuple(shape), out)
+            terms = {(key,): cc for key, cc in entries}
+        shape.append(slot)
+    return _trusted_tensor(tuple(shape), terms)
 
 
 def tensor_concat(x: TensorElement, y: TensorElement) -> TensorElement:
     """Side-by-side tensor product: shapes concatenate, coefficients
-    multiply pairwise."""
-    shape = x.shape + y.shape
-    out: dict[tuple, LaurentScalar] = {}
-    for kx, cx in x.terms.items():
-        for ky, cy in y.terms.items():
-            k = kx + ky
-            s = out.get(k, LaurentScalar.zero()) + cx * cy
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-    return TensorElement(shape, out)
+    multiply pairwise (canonical for the same reasons as ``tensor_of``)."""
+    return _trusted_tensor(
+        x.shape + y.shape,
+        {kx + ky: cx * cy for kx, cx in x.terms.items() for ky, cy in y.terms.items()},
+    )
 
 
 def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
     """Slot-wise product of two tensors of identical shape."""
     if x.shape != y.shape:
         raise ShapeError("tensor shapes differ")
-    out = TensorElement.zero(x.shape)
+    out: dict[tuple, LaurentScalar] = {}
     for kx, cx in x.terms.items():
         for ky, cy in y.terms.items():
             factors = []
@@ -374,9 +372,10 @@ def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
                     factors.append(pres.element({prod: f}))
                 else:
                     factors.append(GroupCoalgebraElement.grouplike(a + b))
-            piece = tensor_of(factors).scale(cx * cy)
-            out = out + piece
-    return out
+            c = cx * cy
+            for k, ck in tensor_of(factors).terms.items():
+                accumulate(out, k, ck * c)
+    return _trusted_tensor(x.shape, out)
 
 
 def tensor_apply(t: TensorElement, slot: int, f: Callable) -> TensorElement:
@@ -400,17 +399,13 @@ def tensor_apply(t: TensorElement, slot: int, f: Callable) -> TensorElement:
             out_shape = new_shape
         elif out_shape != new_shape:
             raise ShapeError("slot map is not shape-uniform")
+        head, tail = key[:slot], key[slot + 1 :]
         for ikey, ic in img.terms.items():
-            nk = key[:slot] + ikey + key[slot + 1 :]
-            s = out_terms.get(nk, LaurentScalar.zero()) + c * ic
-            if s.is_zero():
-                out_terms.pop(nk, None)
-            else:
-                out_terms[nk] = s
+            accumulate(out_terms, head + ikey + tail, c * ic)
     if out_shape is None:
         # empty input: the best shape guess is to drop the slot
         out_shape = t.shape[:slot] + t.shape[slot + 1 :]
-    return TensorElement(out_shape, out_terms)
+    return _trusted_tensor(out_shape, out_terms)
 
 
 # -- coactions ---------------------------------------------------------------
@@ -421,7 +416,7 @@ def right_coact(spec: CoactionSpec, x: AlgebraElement) -> TensorElement:
     if x.presentation is not spec.presentation:
         raise PresentationError("element does not belong to the coaction's algebra")
     shape = (alg_slot(spec.presentation), coalg_slot())
-    return TensorElement(
+    return _trusted_tensor(
         shape, {(m, spec.right_degree(m)): c for m, c in x.terms.items()}
     )
 
@@ -431,7 +426,7 @@ def left_coact(spec: CoactionSpec, x: AlgebraElement) -> TensorElement:
     if x.presentation is not spec.presentation:
         raise PresentationError("element does not belong to the coaction's algebra")
     shape = (coalg_slot(), alg_slot(spec.presentation))
-    return TensorElement(
+    return _trusted_tensor(
         shape, {(spec.left_degree(m), m): c for m, c in x.terms.items()}
     )
 

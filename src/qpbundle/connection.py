@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .scalar import LaurentScalar, ONE, binomial
+from .scalar import LaurentScalar, ONE, accumulate, binomial
 from .skewalg import (
     AlgebraElement,
     AlgebraPresentation,
@@ -29,6 +29,7 @@ from .comodule import (
     GroupCoalgebraElement,
     ShapeError,
     TensorElement,
+    _trusted_tensor,
     alg_slot,
     coalg_slot,
     right_coact,
@@ -326,13 +327,8 @@ def compose_connection(
         for (x, y), c in form_p(n).terms.items():
             d = left_degree(y)
             for (s, t), ca in form_a(d).terms.items():
-                key = (s + x, t + y)
-                v = out.get(key, LaurentScalar.zero()) + c * ca
-                if v.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = v
-        result = TensorElement(shape, out)
+                accumulate(out, (s + x, t + y), c * ca)
+        result = _trusted_tensor(shape, out)
         bad = [
             key
             for key in result.terms

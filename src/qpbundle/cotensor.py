@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .scalar import LaurentScalar, ONE
+from .scalar import ONE, accumulate
 from .skewalg import (
     AlgebraElement,
     AlgebraPresentation,
@@ -32,6 +32,7 @@ from .comodule import (
     GroupCoalgebraElement,
     ShapeError,
     TensorElement,
+    _trusted_tensor,
     alg_slot,
     coalg_slot,
     comultiply,
@@ -239,9 +240,8 @@ def entwine(emap: EntwiningMap, t: TensorElement) -> TensorElement:
         raise ShapeError("entwining expects a coalgebra (x) algebra tensor")
     out = {}
     for (idx, m), c in t.terms.items():
-        key = (m, idx + emap.shift_fn(m))
-        out[key] = out.get(key, LaurentScalar.zero()) + c
-    return TensorElement((alg_slot(emap.presentation), coalg_slot()), out)
+        accumulate(out, (m, idx + emap.shift_fn(m)), c)
+    return _trusted_tensor((alg_slot(emap.presentation), coalg_slot()), out)
 
 
 def entwine_inverse(emap: EntwiningMap, t: TensorElement) -> TensorElement:
@@ -251,9 +251,8 @@ def entwine_inverse(emap: EntwiningMap, t: TensorElement) -> TensorElement:
         raise ShapeError("inverse entwining expects an algebra (x) coalgebra tensor")
     out = {}
     for (m, idx), c in t.terms.items():
-        key = (idx + emap.inverse_shift_fn(m), m)
-        out[key] = out.get(key, LaurentScalar.zero()) + c
-    return TensorElement((coalg_slot(), alg_slot(emap.presentation)), out)
+        accumulate(out, (idx + emap.inverse_shift_fn(m), m), c)
+    return _trusted_tensor((coalg_slot(), alg_slot(emap.presentation)), out)
 
 
 def entwine_at(emap: EntwiningMap, t: TensorElement, slot: int) -> TensorElement:
@@ -269,9 +268,8 @@ def entwine_at(emap: EntwiningMap, t: TensorElement, slot: int) -> TensorElement
     out = {}
     for key, c in t.terms.items():
         idx, m = key[slot], key[slot + 1]
-        nk = key[:slot] + (m, idx + emap.shift_fn(m)) + key[slot + 2 :]
-        out[nk] = out.get(nk, LaurentScalar.zero()) + c
-    return TensorElement(shape, out)
+        accumulate(out, key[:slot] + (m, idx + emap.shift_fn(m)) + key[slot + 2 :], c)
+    return _trusted_tensor(shape, out)
 
 
 def multiply_adjacent(t: TensorElement, slot: int) -> TensorElement:
@@ -284,16 +282,13 @@ def multiply_adjacent(t: TensorElement, slot: int) -> TensorElement:
         raise ShapeError("no matching algebra pair at slot %d" % slot)
     pres = t.shape[slot][1]
     shape = t.shape[:slot] + (alg_slot(pres),) + t.shape[slot + 2 :]
-    out = TensorElement.zero(shape)
+    out = {}
     for key, c in t.terms.items():
         f, prod = pres.mono_mul(key[slot], key[slot + 1])
-        el = pres.element({prod: f})
-        piece = {}
-        for m, cc in el.terms.items():
-            nk = key[:slot] + (m,) + key[slot + 2 :]
-            piece[nk] = c * cc
-        out = out + TensorElement(shape, piece)
-    return out
+        head, tail = key[:slot], key[slot + 2 :]
+        for m, cc in pres.element({prod: f}).terms.items():
+            accumulate(out, head + (m,) + tail, c * cc)
+    return _trusted_tensor(shape, out)
 
 
 # -- axiom checkers ------------------------------------------------------------

@@ -220,6 +220,25 @@ ZERO = LaurentScalar.zero()
 ONE = LaurentScalar.one()
 
 
+def accumulate(out: dict, key, c: LaurentScalar) -> None:
+    """Add ``c`` to ``out[key]`` in place, keeping ``out`` free of zeros.
+
+    The one add-and-drop-zero step behind every sparse combination
+    (tensors, coalgebra and algebra elements): a missing key takes
+    ``c`` unless it is zero, and a sum that cancels deletes the key.
+    """
+    old = out.get(key)
+    if old is None:
+        if c._terms:
+            out[key] = c
+        return
+    s = old + c
+    if s._terms:
+        out[key] = s
+    else:
+        del out[key]
+
+
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient as an exact integer (0 outside range)."""
     if k < 0 or k > n:

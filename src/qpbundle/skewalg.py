@@ -42,7 +42,7 @@ from heapq import heappop, heappush
 from operator import neg
 from typing import Iterable, Mapping, Sequence
 
-from .scalar import LaurentScalar, ONE, render_scalar
+from .scalar import LaurentScalar, ONE, accumulate, render_scalar
 
 Monomial = tuple[int, ...]
 
@@ -415,11 +415,7 @@ class AlgebraElement:
             raise PresentationError("elements of different presentations")
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, LaurentScalar.zero()) + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
+            accumulate(out, m, c)
         return AlgebraElement(self.presentation, out)
 
     def __neg__(self) -> "AlgebraElement":

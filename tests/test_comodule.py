@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpbundle.comodule import (
+    CoactionSpec,
     GroupCoalgebraElement,
     ShapeError,
     TensorElement,
@@ -21,6 +22,14 @@ from qpbundle.comodule import (
     tensor_concat,
     tensor_mul,
     tensor_of,
+)
+from qpbundle.cotensor import (
+    canonical_entwining,
+    check_entwining_axioms,
+    entwine,
+    entwine_at,
+    entwine_inverse,
+    multiply_adjacent,
 )
 from qpbundle.scalar import ONE, ZERO, LaurentScalar as S
 
@@ -180,3 +189,126 @@ def test_render_tensor_spot_checks(ex2):
     assert "a" in render_tensor(t) and "u^2" in render_tensor(t)
     zero = tensor_of([p.zero(), u])
     assert render_tensor(zero) == "0"
+
+
+# -- results are canonical -----------------------------------------------------
+
+coeffs = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-3, 3), max_size=3
+).map(S)
+
+
+def _assert_canonical(t):
+    """Equal to its rebuild through the validating constructor, no zero
+    coefficient stored, one key entry per slot."""
+    assert isinstance(t.shape, tuple)
+    assert t == TensorElement(t.shape, t.terms)
+    assert not any(c.is_zero() for c in t.terms.values())
+    assert all(isinstance(k, tuple) and len(k) == len(t.shape) for k in t.terms)
+
+
+def _draw_tensor(data, p, kinds):
+    monos = p.monomials_up_to(2)
+    shape = tuple(alg_slot(p) if kind == "alg" else coalg_slot() for kind in kinds)
+    key = st.tuples(*(st.sampled_from(monos) if kind == "alg" else indices for kind in kinds))
+    return TensorElement(shape, data.draw(st.dictionaries(key, coeffs, max_size=4)))
+
+
+def _swap_cancelling(p, a, b):
+    """d with c a.b + (c d) b.a == 0 in the algebra (q-factors are units)."""
+    f_ab, _ = p.mono_mul(a, b)
+    f_ba, _ = p.mono_mul(b, a)
+    return -(f_ab * f_ba.inverse())
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_tensor_arithmetic_is_canonical(ex2, data):
+    p = ex2.p_spec.presentation
+    x = _draw_tensor(data, p, ("alg", "coalg"))
+    y = _draw_tensor(data, p, ("alg", "coalg"))
+    scaled = (x.scale(data.draw(coeffs)), x.scale(data.draw(st.integers(-2, 2))))
+    for t in (x + y, x - y, -x) + scaled:
+        _assert_canonical(t)
+    for t in (x + (-x), x - x, x.scale(0), x.scale(ZERO)):
+        _assert_canonical(t)
+        assert t.is_zero()
+
+    g = GroupCoalgebraElement(data.draw(st.dictionaries(indices, coeffs, max_size=3)))
+    monos = p.monomials_up_to(2)
+    el = p.element(data.draw(st.dictionaries(st.sampled_from(monos), coeffs, max_size=3)))
+    for t in (tensor_of([g, el]), tensor_of([el, g, el]), tensor_of([el - el, g])):
+        _assert_canonical(t)
+    _assert_canonical(tensor_mul(x, y))
+
+    # a.b and b.a pieces of the product cancel
+    a, b = data.draw(st.sampled_from(monos)), data.draw(st.sampled_from(monos))
+    one_slot = (alg_slot(p),)
+    left = TensorElement(one_slot, {(a,): ONE}) + TensorElement(
+        one_slot, {(b,): _swap_cancelling(p, a, b)}
+    )
+    right = TensorElement(one_slot, {(b,): ONE}) + TensorElement(one_slot, {(a,): ONE})
+    _assert_canonical(tensor_mul(left, right))
+
+    # the partner of every term lands on the same key with the opposite sign
+    partner = TensorElement(x.shape, {(m, n ^ 1): -c for (m, n), c in x.terms.items()})
+    halve = lambda n: GroupCoalgebraElement.grouplike(n // 2)
+    _assert_canonical(tensor_apply(x + y, 1, halve))
+    cancelled = tensor_apply(x + partner, 1, halve)
+    _assert_canonical(cancelled)
+    assert cancelled.is_zero()
+    _assert_canonical(tensor_apply(x, 0, lambda m: p.element({m: ONE}) * p.gen("x")))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_entwining_paths_are_canonical(ex2, data):
+    p = ex2.p_spec.presentation
+    emap = canonical_entwining(ex2.p_spec)
+    cp = _draw_tensor(data, p, ("coalg", "alg"))
+    pc = _draw_tensor(data, p, ("alg", "coalg"))
+    cpa = _draw_tensor(data, p, ("coalg", "alg", "alg"))
+    for t in (
+        entwine(emap, cp),
+        entwine(emap, cp - cp),
+        entwine_inverse(emap, pc),
+        entwine_inverse(emap, pc + (-pc)),
+        entwine_at(emap, cpa, 0),
+        entwine_at(emap, cpa - cpa, 0),
+    ):
+        _assert_canonical(t)
+
+    # opposite-sign pieces: (a, b, n) and (b, a, n) multiply to cancelling terms
+    monos = p.monomials_up_to(2)
+    a, b = data.draw(st.sampled_from(monos)), data.draw(st.sampled_from(monos))
+    n, c = data.draw(indices), data.draw(coeffs)
+    shape = (alg_slot(p), alg_slot(p), coalg_slot())
+    swapped = TensorElement(shape, {(a, b, n): c}) + TensorElement(
+        shape, {(b, a, n): c * _swap_cancelling(p, a, b)}
+    )
+    _assert_canonical(multiply_adjacent(swapped, 0))
+    assert multiply_adjacent(swapped, 0).is_zero()
+    aac = _draw_tensor(data, p, ("alg", "alg", "coalg"))
+    _assert_canonical(multiply_adjacent(aac + swapped, 0))
+
+
+# -- the fault-injection knobs are caught -------------------------------------
+
+
+def test_unit_right_degree_breaks_the_entwining(ex2):
+    spec = ex2.p_spec
+    shifted = CoactionSpec(spec.presentation, right=spec.right, left=spec.left, unit_right_degree=1)
+    results = check_entwining_axioms(canonical_entwining(shifted), degree_bound=2)
+    status = {res.check_id: res.status for res in results}
+    assert status["unit"] == "fail"
+    assert status["multiplicative"] == "fail"
+    # the shift is uniform, so the laws that see it on both sides still hold
+    assert status["comultiplicative"] == status["invertible"] == "pass"
+
+
+def test_unit_left_degree_breaks_unit_covariance(ex2):
+    spec = ex2.p_spec
+    shifted = CoactionSpec(spec.presentation, right=spec.right, left=spec.left, unit_left_degree=1)
+    status = {res.check_id: res.status for res in check_bicomodule(shifted, degree_bound=2)}
+    assert status["unit-covariant"] == "fail"
+    assert status["bicomodule-commute"] == "pass"

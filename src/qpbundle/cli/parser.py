@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from ..scalar import LaurentScalar, ONE
 from ..skewalg import AlgebraElement, AlgebraPresentation, PresentationError
-from ..comodule import CoactionSpec, TensorElement, alg_slot, tensor_concat, tensor_of
+from ..comodule import CoactionSpec, TensorElement, alg_slot, tensor_of
 from ..connection import ConnectionForm, compose_connection, matsumoto_connection
 from ..cotensor import CotensorAlgebra
 
@@ -246,15 +246,11 @@ class _ExprParser:
         while self.peek().kind == "tensor":
             op = self.next()
             rhs = self.term()
-            value = tensor_concat(
-                self._slot_tensor(value, op), self._slot_tensor(rhs, op)
-            )
+            value = tensor_of([self._tensor_factor(value, op), self._tensor_factor(rhs, op)])
         return value
 
-    def _slot_tensor(self, v, tok) -> TensorElement:
-        if isinstance(v, TensorElement):
-            return v
-        return tensor_of([self._as_element(v, tok)])
+    def _tensor_factor(self, v, tok):
+        return v if isinstance(v, TensorElement) else self._as_element(v, tok)
 
     def term(self):
         value = self.factor()
@@ -318,11 +314,7 @@ class _ExprParser:
                 raise _err(closing, "expected a closing parenthesis")
             if len(slots) == 1:
                 return slots[0]
-            parts = [self._slot_tensor(self._as_element(s, tok), tok) for s in slots]
-            out = parts[0]
-            for part in parts[1:]:
-                out = tensor_concat(out, part)
-            return out
+            return tensor_of([self._as_element(s, tok) for s in slots])
         raise _err(tok, "unexpected %r" % (tok.text or "end of input"))
 
 

@@ -24,14 +24,7 @@ from __future__ import annotations
 
 from ..scalar import LaurentScalar, ONE, binomial
 from ..skewalg import AlgebraElement, check_local_confluence
-from ..comodule import (
-    CoactionSpec,
-    TensorElement,
-    alg_slot,
-    check_bicomodule,
-    coalg_slot,
-    tensor_of,
-)
+from ..comodule import TensorElement, alg_slot, check_bicomodule, tensor_of
 from ..cotensor import (
     canonical_entwining,
     check_entwined_module,
@@ -39,6 +32,8 @@ from ..cotensor import (
     coinvariants_basis,
 )
 from ..connection import (
+    _radius,
+    _sphere_letters,
     check_h_balance,
     composed_closed_form,
     composed_generator_form,
@@ -46,7 +41,7 @@ from ..connection import (
     verify_strong_connection,
     verify_translation_identities,
 )
-from ..report import CheckResult, Report
+from ..report import CheckResult, Report, check, verdict
 from .parser import ExpressionContext, Tower, parse_expression
 
 SUITE_NAMES = ("algebra", "cotensor", "entwining", "connection", "examples")
@@ -91,12 +86,6 @@ def run_suites(tower: Tower, config: SuiteConfig) -> Report:
 # -- helpers --------------------------------------------------------------------
 
 
-def _result(suite, check_id, ok, detail="", anchor=None):
-    return CheckResult(
-        suite, check_id, anchor or check_id, "pass" if ok else "fail", detail
-    )
-
-
 def _reprefix(results, suite, prefix):
     """Re-home factor-level results under a suite with a leg prefix;
     the anchor keeps the unprefixed identity name."""
@@ -106,21 +95,17 @@ def _reprefix(results, suite, prefix):
     ]
 
 
-def _primary_pair(spec: CoactionSpec):
-    """The two degree +1 generators of a sphere-shaped presentation, or
-    None when the presentation is not of that shape."""
-    if not spec.has_right() or len(spec.presentation.generators) != 4:
-        return None
-    primaries = [g for g in spec.presentation.generators if spec.right.get(g) == 1]
-    if len(primaries) != 2:
-        return None
-    if any(spec.right[g] not in (1, -1) for g in spec.presentation.generators):
-        return None
-    return primaries[0], primaries[1]
-
-
 def _factors(tower: Tower):
     return (("first", tower.a_spec), ("second", tower.p_spec))
+
+
+def _checked(suite, check_id, cases, holds, describe, anchor=None):
+    """``check``, except that an exception raised on a case becomes a
+    failing row carrying its message."""
+    try:
+        return check(suite, check_id, cases, holds, describe, anchor)
+    except Exception as exc:
+        return verdict(suite, check_id, False, str(exc), anchor)
 
 
 # -- algebra suite ----------------------------------------------------------------
@@ -136,33 +121,29 @@ def _algebra_suite(tower: Tower, config: SuiteConfig, report: Report):
             m, clash = conf.divergences[0]
             detail = "diverges at %s: %s" % (p.render_monomial(m), clash)
         report.add(
-            _result(suite, "%s-confluence" % label, conf.ok, detail, anchor="confluence")
+            verdict(suite, "%s-confluence" % label, conf.ok, detail, anchor="confluence")
         )
 
-        pair = _primary_pair(spec)
-        if pair is not None:
-            ga, gb = pair
-            radius = (
-                p.gen(ga) * p.gen(p.star_map[ga]) + p.gen(gb) * p.gen(p.star_map[gb])
-            )
-            ok = radius == p.one()
+        letters = _sphere_letters(spec)
+        if letters is not None:
+            ga, gb = letters
             report.add(
-                _result(
+                verdict(
                     suite,
                     "%s-radius" % label,
-                    ok,
-                    "" if ok else "radius sum does not reduce to 1",
+                    _radius(p, ga, gb) == p.one(),
+                    "radius sum does not reduce to 1",
                     anchor="radius",
                 )
             )
             z = p.gen(ga) * p.gen(p.star_map[ga])
-            bad = [g for g in p.generators if z * p.gen(g) != p.gen(g) * z]
             report.add(
-                _result(
+                check(
                     suite,
                     "%s-radius-central" % label,
-                    not bad,
-                    "" if not bad else "fails against %s" % bad[0],
+                    zip(p.generators),
+                    lambda g: z * p.gen(g) == p.gen(g) * z,
+                    lambda g: "fails against %s" % g,
                     anchor="radius-central",
                 )
             )
@@ -170,31 +151,23 @@ def _algebra_suite(tower: Tower, config: SuiteConfig, report: Report):
         # star laws on a monomial sample
         sample = p.monomials_up_to(min(config.degree_bound, 3))
         elems = [p.element({m: ONE}) for m in sample]
-        bad = next((m for m, e in zip(sample, elems) if e.star().star() != e), None)
         report.add(
-            _result(
+            check(
                 suite,
                 "%s-star-involutive" % label,
-                bad is None,
-                "" if bad is None else "fails on %s" % p.render_monomial(bad),
+                zip(sample, elems),
+                lambda m, e: e.star().star() == e,
+                lambda m, e: "fails on %s" % p.render_monomial(m),
                 anchor="star-involutive",
             )
         )
-        ok, detail = True, ""
-        for x in elems:
-            for y in elems:
-                if (x * y).star() != y.star() * x.star():
-                    ok = False
-                    detail = "fails on a degree <= 3 pair"
-                    break
-            if not ok:
-                break
         report.add(
-            _result(
+            check(
                 suite,
                 "%s-star-antimultiplicative" % label,
-                ok,
-                detail,
+                ((x, y) for x in elems for y in elems),
+                lambda x, y: (x * y).star() == y.star() * x.star(),
+                lambda x, y: "fails on a degree <= 3 pair",
                 anchor="star-antimultiplicative",
             )
         )
@@ -213,53 +186,49 @@ def _cotensor_suite(tower: Tower, config: SuiteConfig, report: Report):
     A = cot.left_spec.presentation
     P = cot.right_spec.presentation
 
-    pa = _primary_pair(cot.left_spec)
+    pa = _sphere_letters(cot.left_spec)
     plus = [g for g in P.generators if cot.right_spec.left[g] == 1]
     minus = [g for g in P.generators if cot.right_spec.left[g] == -1]
     if pa and plus and minus:
         member = cot.pair(A.gen(pa[0]), P.gen(plus[0]))
-        ok = cot.membership(member)
         report.add(
-            _result(
+            verdict(
                 suite,
                 "membership-accepts",
-                ok,
-                "" if ok else "balanced pair rejected",
+                cot.membership(member),
+                "balanced pair rejected",
                 anchor="membership",
             )
         )
         stranger = cot.pair(A.gen(pa[0]), P.gen(minus[0]))
-        ok = (not cot.membership(stranger)) and bool(cot.violations(stranger))
         report.add(
-            _result(
+            verdict(
                 suite,
                 "membership-detects-imbalance",
-                ok,
-                "" if ok else "unbalanced pair accepted",
+                (not cot.membership(stranger)) and bool(cot.violations(stranger)),
+                "unbalanced pair accepted",
                 anchor="membership",
             )
         )
 
     # closure: products of balanced monomials stay balanced
     gens = cot.generators_up_to(2)
-    ok, detail = True, ""
-    for x in gens:
-        for y in gens:
-            if not cot.membership(x * y):
-                ok = False
-                detail = "product of two members leaves the subalgebra"
-                break
-        if not ok:
-            break
-    report.add(_result(suite, "closure-product", ok, detail, anchor="closure"))
-
-    ok = all(cot.membership(g) for g in gens)
     report.add(
-        _result(
+        check(
+            suite,
+            "closure-product",
+            ((x, y) for x in gens for y in gens),
+            lambda x, y: cot.membership(x * y),
+            lambda x, y: "product of two members leaves the subalgebra",
+            anchor="closure",
+        )
+    )
+    report.add(
+        verdict(
             suite,
             "generators-balanced",
-            ok,
-            "" if ok else "enumerator produced a non-member",
+            all(cot.membership(g) for g in gens),
+            "enumerator produced a non-member",
             anchor="membership",
         )
     )
@@ -285,15 +254,12 @@ def _cotensor_suite(tower: Tower, config: SuiteConfig, report: Report):
                 if cot.left_spec.right_degree(ma) == cot.right_spec.left_degree(mp):
                     built.append(ma + mp)
         built.sort()
-        ok = direct == built
         report.add(
-            _result(
+            verdict(
                 suite,
                 "coinvariants-match",
-                ok,
-                ""
-                if ok
-                else "induced-grading basis and factor-wise basis differ at degree <= %d"
+                direct == built,
+                "induced-grading basis and factor-wise basis differ at degree <= %d"
                 % bound,
                 anchor="coinvariants-lemma",
             )
@@ -306,35 +272,18 @@ def _cotensor_suite(tower: Tower, config: SuiteConfig, report: Report):
 def _entwining_suite(tower: Tower, config: SuiteConfig, report: Report):
     suite = "entwining"
     d = config.degree_bound
-    for label, spec in _factors(tower):
-        if not spec.has_right():
-            continue
-        emap = canonical_entwining(spec)
-        report.extend(
-            _reprefix(check_entwining_axioms(emap, d), suite, "%s-" % label)
-        )
-        report.extend(
-            _reprefix(check_entwined_module(emap, spec, d), suite, "%s-" % label)
-        )
-    if tower.cot.induced_right is not None:
-        lifted = tower.cot.entwining()
-        balanced = tower.cot.is_member_monomial
-        report.extend(
-            _reprefix(
-                check_entwining_axioms(lifted, d, monomial_filter=balanced),
-                suite,
-                "lifted-",
-            )
-        )
-        report.extend(
-            _reprefix(
-                check_entwined_module(
-                    lifted, tower.cot.induced_right, d, monomial_filter=balanced
-                ),
-                suite,
-                "lifted-",
-            )
-        )
+    # (row prefix, entwining, its module coaction, monomial filter)
+    runs = [
+        ("%s-" % label, canonical_entwining(spec), spec, None)
+        for label, spec in _factors(tower)
+        if spec.has_right()
+    ]
+    cot = tower.cot
+    if cot.induced_right is not None:
+        runs.append(("lifted-", cot.entwining(), cot.induced_right, cot.is_member_monomial))
+    for prefix, emap, spec, only in runs:
+        report.extend(_reprefix(check_entwining_axioms(emap, d, only), suite, prefix))
+        report.extend(_reprefix(check_entwined_module(emap, spec, d, only), suite, prefix))
 
 
 # -- connection suite ---------------------------------------------------------------
@@ -347,23 +296,15 @@ def _connection_suite(tower: Tower, config: SuiteConfig, report: Report):
     for label, form in (("first", tower.form_a), ("second", tower.form_p)):
         if form is None:
             continue
-        # explicit preset entries must reproduce the closed rule
-        ok, detail = True, ""
-        for idx in sorted(form.overrides):
-            try:
-                expected = form.closed(idx)
-            except Exception as exc:  # no closed rule to compare against
-                ok, detail = False, str(exc)
-                break
-            if form.overrides[idx] != expected:
-                ok, detail = False, "entry %d differs from the closed rule" % idx
-                break
+        # explicit preset entries must reproduce the closed rule; a rule
+        # that raises leaves nothing to compare against
         report.add(
-            _result(
+            _checked(
                 suite,
                 "%s-closed-form-match" % label,
-                ok,
-                detail,
+                zip(sorted(form.overrides)),
+                lambda idx: form.overrides[idx] == form.closed(idx),
+                lambda idx: "entry %d differs from the closed rule" % idx,
                 anchor="closed-form-match",
             )
         )
@@ -400,60 +341,45 @@ def _connection_suite(tower: Tower, config: SuiteConfig, report: Report):
     except Exception as exc:
         ok, detail = False, str(exc)
         composed = None
-    report.add(_result(suite, "compose-well-defined", ok, detail, anchor="compose"))
+    report.add(verdict(suite, "compose-well-defined", ok, detail, anchor="compose"))
     if composed is None:
         return
 
     report.extend(_reprefix(verify_strong_connection(composed, n), suite, "composed-"))
 
     if tower.variant == 2:
-        bound = min(n, 4)
-        ok, detail = True, ""
-        for idx in range(-bound, bound + 1):
-            if composed(idx) != composed_closed_form(tower.cot, idx):
-                ok, detail = False, "differs at index %d" % idx
-                break
-        report.add(
-            _result(
-                suite,
-                "composed-matches-direct",
-                ok,
-                detail,
-                anchor="composed-closed-form",
-            )
-        )
-        ok, detail = True, ""
-        for idx in range(-bound, bound + 1):
-            if composed(idx) != composed_generator_form(tower.cot, idx):
-                ok, detail = False, "differs at index %d" % idx
-                break
-        report.add(
-            _result(
-                suite,
+        indices = range(-min(n, 4), min(n, 4) + 1)
+        for check_id, expansion, anchor in (
+            ("composed-matches-direct", composed_closed_form, "composed-closed-form"),
+            (
                 "composed-matches-generator-form",
-                ok,
-                detail,
-                anchor="composed-generator-form",
+                composed_generator_form,
+                "composed-generator-form",
+            ),
+        ):
+            report.add(
+                check(
+                    suite,
+                    check_id,
+                    zip(indices),
+                    lambda idx: composed(idx) == expansion(tower.cot, idx),
+                    lambda idx: "differs at index %d" % idx,
+                    anchor=anchor,
+                )
             )
-        )
 
     samples = [tower.cot.ambient.one()]
     for name in ("alpha", "beta"):
         if name in tower.aliases:
             samples.append(tower.aliases[name])
     ok, detail = True, ""
-    for x in samples:
-        for idx in range(-min(n, 2), min(n, 2) + 1):
-            try:
+    try:
+        for x in samples:
+            for idx in range(-min(n, 2), min(n, 2) + 1):
                 inverse_canonical_representative(tower.cot, composed, x, idx)
-            except Exception as exc:
-                ok, detail = False, str(exc)
-                break
-        if not ok:
-            break
-    report.add(
-        _result(suite, "caninv-roundtrip", ok, detail, anchor="caninv-roundtrip")
-    )
+    except Exception as exc:
+        ok, detail = False, str(exc)
+    report.add(verdict(suite, "caninv-roundtrip", ok, detail))
 
 
 # -- examples suite ----------------------------------------------------------------
@@ -533,11 +459,10 @@ def _expr_rows(ctx: ExpressionContext, rows, suite, report: Report):
                 left = ctx.presentation.one().scale(left)
             if isinstance(right, LaurentScalar):
                 right = ctx.presentation.one().scale(right)
-            ok = left == right
-            detail = "" if ok else "%s differs from %s" % (lhs, rhs)
+            ok, detail = left == right, "%s differs from %s" % (lhs, rhs)
         except Exception as exc:
             ok, detail = False, str(exc)
-        report.add(_result(suite, check_id, ok, detail))
+        report.add(verdict(suite, check_id, ok, detail))
 
 
 def _coinvariant_generators(tower: Tower) -> dict[str, AlgebraElement]:
@@ -619,18 +544,15 @@ def _variant_one_translation(tower: Tower, config: SuiteConfig, report: Report):
                 total = total + tensor_of([left, left.star()]).scale(coeff)
         return total
 
-    try:
-        composed = tower.composed()
-        ok, detail = True, ""
-        for n in range(-min(config.n_bound, 3), min(config.n_bound, 3) + 1):
-            if build(n) != composed(n):
-                ok, detail = False, "differs at index %d" % n
-                break
-    except Exception as exc:
-        ok, detail = False, str(exc)
+    bound = min(config.n_bound, 3)
     report.add(
-        _result(
-            suite, "translation-closed-form", ok, detail, anchor="translation-closed-form"
+        _checked(
+            suite,
+            "translation-closed-form",
+            zip(range(-bound, bound + 1)),
+            lambda n: tower.composed()(n) == build(n),
+            lambda n: "differs at index %d" % n,
+            anchor="translation-closed-form",
         )
     )
 
@@ -644,28 +566,37 @@ def _variant_two_structure(tower: Tower, config: SuiteConfig, report: Report):
     one = amb.one()
     lam = LaurentScalar.lam
 
-    def rec(check_id, ok, detail=""):
-        report.add(_result(suite, check_id, ok, detail))
-
     # every named element is balanced and of degree zero
     cot = tower.cot
-    bad = None
-    for name, el in g.items():
-        if not cot.membership(el):
-            bad = "%s not balanced" % name
-            break
-        if any(cot.induced_right.right_degree(m) != 0 for m in el.terms):
-            bad = "%s not of degree zero" % name
-            break
-    rec("coinv-membership", bad is None, bad or "")
+    report.add(
+        check(
+            suite,
+            "coinv-membership",
+            g.items(),
+            lambda name, el: cot.membership(el)
+            and all(cot.induced_right.right_degree(m) == 0 for m in el.terms),
+            lambda name, el: "%s not balanced" % name
+            if not cot.membership(el)
+            else "%s not of degree zero" % name,
+        )
+    )
 
-    # the two dependent ladder elements
-    ok = g["xpab"] == g["xp1"] * g["xpa"] * lam(1) + g["xm1"] * g["xpb"]
-    rec("dependent-plus", ok, "" if ok else "ladder dependency fails")
-    ok = g["xmab"] == g["xma"] * g["xm1"] * lam(-1) + g["xmb"] * g["xp1"]
-    rec("dependent-minus", ok, "" if ok else "starred ladder dependency fails")
-
+    # the two dependent ladder elements, then (check id, holds, detail)
+    # rows for the commutation table, centrality and the quadrics
     rows = [
+        (
+            "dependent-plus",
+            g["xpab"] == g["xp1"] * g["xpa"] * lam(1) + g["xm1"] * g["xpb"],
+            "ladder dependency fails",
+        ),
+        (
+            "dependent-minus",
+            g["xmab"] == g["xma"] * g["xm1"] * lam(-1) + g["xmb"] * g["xp1"],
+            "starred ladder dependency fails",
+        ),
+    ]
+
+    table = [
         ("st-ladder-1", g["xp1"] * g["xm1"], g["xm1"] * g["xp1"]),
         ("st-ladder-a", g["xpa"] * g["xma"], g["xma"] * g["xpa"]),
         ("st-ladder-b", g["xpb"] * g["xmb"], g["xmb"] * g["xpb"]),
@@ -678,14 +609,13 @@ def _variant_two_structure(tower: Tower, config: SuiteConfig, report: Report):
         ("st-ab-plus", g["xpa"] * g["xpb"], g["xpb"] * g["xpa"] * lam(4)),
         ("st-ab-mixed", g["xpa"] * g["xmb"], g["xmb"] * g["xpa"] * lam(-4)),
     ]
-    for check_id, lhs, rhs in rows:
-        rec(check_id, lhs == rhs, "" if lhs == rhs else "table entry fails")
+    rows += [(check_id, lhs == rhs, "table entry fails") for check_id, lhs, rhs in table]
 
     ladder = [g[k] for k in ("xp1", "xm1", "xpa", "xma", "xpb", "xmb")]
     for zname in ("z1", "z2"):
         z = g[zname]
         ok = all(z * el == el * z for el in ladder) and g["z1"] * g["z2"] == g["z2"] * g["z1"]
-        rec("central-%s" % zname, ok, "" if ok else "%s is not central" % zname)
+        rows.append(("central-%s" % zname, ok, "%s is not central" % zname))
 
     quadrics = [
         ("sphere-eq-1", g["xp1"] * g["xm1"] + g["z1"] * g["z1"], g["z1"]),
@@ -701,5 +631,5 @@ def _variant_two_structure(tower: Tower, config: SuiteConfig, report: Report):
             g["xm1"] ** 2 * g["z2"] * (one - g["z2"]) * lam(-1),
         ),
     ]
-    for check_id, lhs, rhs in quadrics:
-        rec(check_id, lhs == rhs, "" if lhs == rhs else "quadric identity fails")
+    rows += [(check_id, lhs == rhs, "quadric identity fails") for check_id, lhs, rhs in quadrics]
+    report.extend(verdict(suite, *row) for row in rows)

@@ -11,6 +11,11 @@ monomials.  Right and left coactions are stored together in a
 ``CoactionSpec``; star generators must carry opposite degrees since the
 grouplike generator is unitary.
 
+An element of the coalgebra is a one-slot ``TensorElement`` of shape
+``(coalg_slot(),)``: ``grouplike(n)`` builds u^n, the tensor ``+`` adds
+coalgebra elements and ``tensor_mul`` multiplies them by adding
+grouplike indices.
+
 ``TensorElement`` is the workhorse for everything tensor-shaped in the
 verification suites: P(x)P, P(x)C, H(x)P(x)P, (A(x)P)(x)(A(x)P) and so
 on.  Algebra slots hold normal-form monomials of a named presentation,
@@ -30,6 +35,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Callable, Mapping, Sequence
 
+from .report import CheckResult, check, verdict
 from .scalar import LaurentScalar, ONE, accumulate, render_scalar
 from .skewalg import (
     AlgebraElement,
@@ -38,99 +44,6 @@ from .skewalg import (
     PresentationError,
     monomial_key,
 )
-
-
-class GroupCoalgebraElement:
-    """Linear combination of grouplikes u^n with scalar coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, LaurentScalar] | None = None):
-        self.terms: dict[int, LaurentScalar] = {}
-        if terms:
-            for n, c in terms.items():
-                if not c.is_zero():
-                    self.terms[int(n)] = c
-
-    @classmethod
-    def grouplike(cls, n: int) -> "GroupCoalgebraElement":
-        return cls({n: ONE})
-
-    @classmethod
-    def zero(cls) -> "GroupCoalgebraElement":
-        return cls()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "GroupCoalgebraElement") -> "GroupCoalgebraElement":
-        out = dict(self.terms)
-        for n, c in other.terms.items():
-            accumulate(out, n, c)
-        return GroupCoalgebraElement(out)
-
-    def __mul__(self, other):
-        if isinstance(other, GroupCoalgebraElement):
-            out: dict[int, LaurentScalar] = {}
-            for n, c in self.terms.items():
-                for m, d in other.terms.items():
-                    accumulate(out, n + m, c * d)
-            return GroupCoalgebraElement(out)
-        if isinstance(other, (LaurentScalar, int)):
-            if isinstance(other, int):
-                other = LaurentScalar.integer(other)
-            return GroupCoalgebraElement({n: c * other for n, c in self.terms.items()})
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupCoalgebraElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "<0>"
-        bits = []
-        for n in sorted(self.terms):
-            c = render_scalar(self.terms[n])
-            u = "u^%d" % n if n else "1"
-            bits.append("%s %s" % (c, u) if c != "1" else u)
-        return "<%s>" % " + ".join(bits)
-
-
-def comultiply(x: GroupCoalgebraElement) -> "TensorElement":
-    """Delta, landing in the coalgebra-coalgebra tensor square."""
-    shape = (coalg_slot(), coalg_slot())
-    return _trusted_tensor(shape, {(n, n): c for n, c in x.terms.items()})
-
-
-def counit(x: GroupCoalgebraElement) -> LaurentScalar:
-    total = LaurentScalar.zero()
-    for c in x.terms.values():
-        total = total + c
-    return total
-
-
-def antipode(x: GroupCoalgebraElement) -> GroupCoalgebraElement:
-    return GroupCoalgebraElement({-n: c for n, c in x.terms.items()})
-
-
-def coseparability_retraction(t: "TensorElement") -> GroupCoalgebraElement:
-    """The bicolinear retraction of comultiplication.
-
-    On grouplikes it keeps the diagonal, u^m (x) u^n -> delta_{m,n} u^n,
-    and kills everything off it.
-    """
-    if t.shape != (coalg_slot(), coalg_slot()):
-        raise ShapeError("retraction expects a coalgebra-coalgebra tensor")
-    out: dict[int, LaurentScalar] = {}
-    for (m, n), c in t.terms.items():
-        if m == n:
-            accumulate(out, n, c)
-    return GroupCoalgebraElement(out)
 
 
 def _vec_degree(vec: tuple[int, ...], m: Monomial) -> int:
@@ -321,40 +234,80 @@ def _trusted_tensor(shape: tuple, terms: dict) -> TensorElement:
     return t
 
 
+# -- the circle coalgebra ----------------------------------------------------
+
+
+def grouplike(n: int) -> TensorElement:
+    """The grouplike u^n as a one-slot coalgebra tensor."""
+    return _trusted_tensor((_COALG,), {(n,): ONE})
+
+
+def _require_coalgebra(x: TensorElement, arity: int = 1):
+    if x.shape != (_COALG,) * arity:
+        raise ShapeError("expected a tensor of %d coalgebra slot(s)" % arity)
+
+
+def comultiply(x: TensorElement) -> TensorElement:
+    """Delta, landing in the coalgebra-coalgebra tensor square."""
+    _require_coalgebra(x)
+    return _trusted_tensor((_COALG, _COALG), {(n, n): c for (n,), c in x.terms.items()})
+
+
+def counit(x: TensorElement) -> LaurentScalar:
+    _require_coalgebra(x)
+    total = LaurentScalar.zero()
+    for c in x.terms.values():
+        total = total + c
+    return total
+
+
+def antipode(x: TensorElement) -> TensorElement:
+    _require_coalgebra(x)
+    return _trusted_tensor((_COALG,), {(-n,): c for (n,), c in x.terms.items()})
+
+
+def coseparability_retraction(t: TensorElement) -> TensorElement:
+    """The bicolinear retraction of comultiplication.
+
+    On grouplikes it keeps the diagonal, u^m (x) u^n -> delta_{m,n} u^n,
+    and kills everything off it.
+    """
+    _require_coalgebra(t, 2)
+    out: dict[tuple, LaurentScalar] = {}
+    for (m, n), c in t.terms.items():
+        if m == n:
+            accumulate(out, (n,), c)
+    return _trusted_tensor((_COALG,), out)
+
+
+# -- tensor operations -------------------------------------------------------
+
+
 def tensor_of(factors: Sequence) -> TensorElement:
-    """Tensor product of elements: AlgebraElement or GroupCoalgebraElement
-    per slot, fully expanded.
+    """Tensor product of factors, fully expanded: an AlgebraElement
+    fills one slot, a TensorElement contributes all of its slots.
 
     The Cartesian product is already canonical: distinct per-slot keys
     give distinct key tuples, and Z[L^+-1, M^+-1] has no zero divisors,
     so no product of nonzero coefficients is zero.
     """
-    shape = []
-    terms: dict[tuple, LaurentScalar] = {(): ONE}
+    shape: tuple = ()
+    terms = None
     for f in factors:
         if isinstance(f, AlgebraElement):
-            slot = alg_slot(f.presentation)
-        elif isinstance(f, GroupCoalgebraElement):
-            slot = coalg_slot()
+            shape += (alg_slot(f.presentation),)
+            entries = {(m,): c for m, c in f.terms.items()}
+        elif isinstance(f, TensorElement):
+            shape += f.shape
+            entries = dict(f.terms)
         else:
             raise ShapeError("cannot place %r in a tensor slot" % type(f))
-        entries = f.terms.items()
-        # the first slot's coefficients are taken as they are, not times 1
-        if shape:
-            terms = {k + (key,): c * cc for k, c in terms.items() for key, cc in entries}
+        # the first factor's coefficients are taken as they are, not times 1
+        if terms is None:
+            terms = entries
         else:
-            terms = {(key,): cc for key, cc in entries}
-        shape.append(slot)
-    return _trusted_tensor(tuple(shape), terms)
-
-
-def tensor_concat(x: TensorElement, y: TensorElement) -> TensorElement:
-    """Side-by-side tensor product: shapes concatenate, coefficients
-    multiply pairwise (canonical for the same reasons as ``tensor_of``)."""
-    return _trusted_tensor(
-        x.shape + y.shape,
-        {kx + ky: cx * cy for kx, cx in x.terms.items() for ky, cy in y.terms.items()},
-    )
+            terms = {k + kk: c * cc for k, c in terms.items() for kk, cc in entries.items()}
+    return _trusted_tensor(shape, {(): ONE} if terms is None else terms)
 
 
 def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
@@ -371,7 +324,7 @@ def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
                     f, prod = pres.mono_mul(a, b)
                     factors.append(pres.element({prod: f}))
                 else:
-                    factors.append(GroupCoalgebraElement.grouplike(a + b))
+                    factors.append(grouplike(a + b))
             c = cx * cy
             for k, ck in tensor_of(factors).terms.items():
                 accumulate(out, k, ck * c)
@@ -382,18 +335,17 @@ def tensor_apply(t: TensorElement, slot: int, f: Callable) -> TensorElement:
     """Apply a linear slot map to one slot and splice the result.
 
     ``f`` receives the slot's key (monomial or grouplike index) and
-    must return an AlgebraElement, a GroupCoalgebraElement, or a
-    TensorElement; the returned shape replaces the chosen slot (the
-    same way for every term, which is checked).
+    must return an AlgebraElement or a TensorElement; the returned shape
+    replaces the chosen slot (the same way for every term, which is
+    checked).  A tensor without terms reads its shape from ``f`` at the
+    slot's unit key: the unit monomial or the index 0.
     """
     if not 0 <= slot < len(t.shape):
         raise ShapeError("slot index out of range")
     out_terms: dict[tuple, LaurentScalar] = {}
     out_shape = None
     for key, c in t.terms.items():
-        img = f(key[slot])
-        if isinstance(img, (AlgebraElement, GroupCoalgebraElement)):
-            img = tensor_of([img])
+        img = _as_tensor(f(key[slot]))
         new_shape = t.shape[:slot] + img.shape + t.shape[slot + 1 :]
         if out_shape is None:
             out_shape = new_shape
@@ -403,9 +355,14 @@ def tensor_apply(t: TensorElement, slot: int, f: Callable) -> TensorElement:
         for ikey, ic in img.terms.items():
             accumulate(out_terms, head + ikey + tail, c * ic)
     if out_shape is None:
-        # empty input: the best shape guess is to drop the slot
-        out_shape = t.shape[:slot] + t.shape[slot + 1 :]
+        kind, pres = t.shape[slot]
+        img = _as_tensor(f(pres.one_monomial() if kind == "alg" else 0))
+        out_shape = t.shape[:slot] + img.shape + t.shape[slot + 1 :]
     return _trusted_tensor(out_shape, out_terms)
+
+
+def _as_tensor(x) -> TensorElement:
+    return tensor_of([x]) if isinstance(x, AlgebraElement) else x
 
 
 # -- coactions ---------------------------------------------------------------
@@ -431,42 +388,38 @@ def left_coact(spec: CoactionSpec, x: AlgebraElement) -> TensorElement:
     )
 
 
-def check_bicomodule(spec: CoactionSpec, degree_bound: int = 3):
+def check_bicomodule(spec: CoactionSpec, degree_bound: int = 3) -> list[CheckResult]:
     """Both coactions commute and the unit is trivially covariant.
 
     Verifies (H (x) rho) o lrho = (lrho (x) C) o rho on all monomials
     up to the bound, and that the left coaction of 1 is u^0 (x) 1.
-    Returns a list of CheckResult entries.
     """
-    from .report import CheckResult
-
     p = spec.presentation
-    results = []
-    ok = True
-    detail = ""
-    for m in p.monomials_up_to(degree_bound):
+    right = lambda m: right_coact(spec, p.element({m: ONE}))
+    left = lambda m: left_coact(spec, p.element({m: ONE}))
+
+    def commute(m):
         el = p.element({m: ONE})
-        lhs = tensor_apply(left_coact(spec, el), 1, lambda mm: right_coact(spec, p.element({mm: ONE})))
-        rhs = tensor_apply(right_coact(spec, el), 0, lambda mm: left_coact(spec, p.element({mm: ONE})))
-        if lhs != rhs:
-            ok = False
-            detail = "coactions do not commute on %s" % p.render_monomial(m)
-            break
-    results.append(
-        CheckResult("comodule", "bicomodule-commute", "bicomodule-commute",
-                    "pass" if ok else "fail", detail)
-    )
-    unit = left_coact(spec, p.one())
-    expected = TensorElement((coalg_slot(), alg_slot(p)), {(0, p.one_monomial()): ONE})
-    ok = unit == expected
-    results.append(
-        CheckResult(
-            "comodule", "unit-covariant", "unit-covariant",
-            "pass" if ok else "fail",
-            "" if ok else "left coaction of 1 is not u^0 (x) 1",
+        return tensor_apply(left_coact(spec, el), 1, right) == tensor_apply(
+            right_coact(spec, el), 0, left
         )
-    )
-    return results
+
+    unit = TensorElement((coalg_slot(), alg_slot(p)), {(0, p.one_monomial()): ONE})
+    return [
+        check(
+            "comodule",
+            "bicomodule-commute",
+            zip(p.monomials_up_to(degree_bound)),
+            commute,
+            lambda m: "coactions do not commute on %s" % p.render_monomial(m),
+        ),
+        verdict(
+            "comodule",
+            "unit-covariant",
+            left_coact(spec, p.one()) == unit,
+            "left coaction of 1 is not u^0 (x) 1",
+        ),
+    ]
 
 
 def render_tensor(t: TensorElement) -> str:

@@ -26,7 +26,6 @@ from .skewalg import (
 )
 from .comodule import (
     CoactionSpec,
-    GroupCoalgebraElement,
     ShapeError,
     TensorElement,
     _trusted_tensor,
@@ -37,7 +36,7 @@ from .comodule import (
     tensor_of,
 )
 from .cotensor import CotensorAlgebra, multiply_adjacent
-from .report import CheckResult
+from .report import CheckResult, check, verdict
 
 
 class ConnectionForm:
@@ -85,25 +84,38 @@ class ConnectionForm:
         return "<connection %s on %s>" % (self.name or "form", self.presentation.name)
 
 
-def _sphere_letters(spec: CoactionSpec) -> tuple[str, str]:
+def _sphere_letters(spec: CoactionSpec) -> tuple[str, str] | None:
     """The two degree +1 generators of a deformed-sphere presentation,
-    in declaration order, after validating the expected shape."""
+    in declaration order, or None when the presentation is not of that
+    shape: four generators of right degree +1 or -1, two of each.
+    ``CoactionSpec`` gives star partners opposite degrees, so the degree
+    -1 generators are the stars of the other two."""
     p = spec.presentation
-    if not spec.has_right():
-        raise PresentationError("sphere connection needs a right grading")
-    if len(p.generators) != 4:
-        raise PresentationError("expected four generators")
-    primaries = [g for g in p.generators if spec.right[g] == 1]
-    if len(primaries) != 2 or any(spec.right[g] not in (1, -1) for g in p.generators):
-        raise PresentationError("expected degrees +1/-1 with two +1 generators")
-    ga, gb = primaries
-    if p.star_map[ga] == ga or p.star_map[gb] == gb:
-        raise PresentationError("generators must come in star pairs")
-    # the defining sphere identity must actually hold in the quotient
-    lhs = p.mul(p.gen(ga), p.gen(p.star_map[ga])) + p.mul(p.gen(gb), p.gen(p.star_map[gb]))
-    if lhs != p.one():
+    if not spec.has_right() or len(p.generators) != 4:
+        return None
+    if any(spec.right[g] not in (1, -1) for g in p.generators):
+        return None
+    primaries = tuple(g for g in p.generators if spec.right[g] == 1)
+    return primaries if len(primaries) == 2 else None
+
+
+def _radius(p: AlgebraPresentation, ga: str, gb: str) -> AlgebraElement:
+    """a a* + b b*, which the defining sphere identity sets to 1."""
+    return p.gen(ga) * p.gen(p.star_map[ga]) + p.gen(gb) * p.gen(p.star_map[gb])
+
+
+def _sphere_pair(spec: CoactionSpec) -> tuple[str, str]:
+    """The sphere letters of a presentation that must be a deformed
+    3-sphere, whose radius relation must hold in the quotient."""
+    letters = _sphere_letters(spec)
+    if letters is None:
+        raise PresentationError(
+            "expected a deformed sphere: four generators of right degree +1/-1, "
+            "two of them +1"
+        )
+    if _radius(spec.presentation, *letters) != spec.presentation.one():
         raise PresentationError("radius relation does not reduce to 1")
-    return ga, gb
+    return letters
 
 
 def matsumoto_connection(spec: CoactionSpec, name: str = "") -> ConnectionForm:
@@ -111,22 +123,20 @@ def matsumoto_connection(spec: CoactionSpec, name: str = "") -> ConnectionForm:
 
     For n >= 0 the image of u^n is the sum over m of C(n, m) times
     (b* to the m)(a* to the n-m) tensored with (a to the n-m)(b to the
-    m); negative indices use the starred mirror of the same sum.
+    m); negative indices use the same words with every letter swapped
+    for its star partner.
     """
-    ga, gb = _sphere_letters(spec)
+    ga, gb = _sphere_pair(spec)
     p = spec.presentation
-    gas, gbs = p.star_map[ga], p.star_map[gb]
 
     def rule(n: int) -> TensorElement:
+        a, b = (ga, gb) if n >= 0 else (p.star_map[ga], p.star_map[gb])
+        a_s, b_s = p.star_map[a], p.star_map[b]
         k = abs(n)
         total = TensorElement.zero((alg_slot(p), alg_slot(p)))
         for m in range(k + 1):
-            if n >= 0:
-                first = p.normal_form([gbs] * m + [gas] * (k - m))
-                second = p.normal_form([ga] * (k - m) + [gb] * m)
-            else:
-                first = p.normal_form([gb] * m + [ga] * (k - m))
-                second = p.normal_form([gas] * (k - m) + [gbs] * m)
+            first = p.normal_form([b_s] * m + [a_s] * (k - m))
+            second = p.normal_form([a] * (k - m) + [b] * m)
             total = total + tensor_of([first, second]).scale(binomial(k, m))
         return total
 
@@ -151,6 +161,11 @@ def _unit_square(p: AlgebraPresentation) -> TensorElement:
     return tensor_of([p.one(), p.one()])
 
 
+def _colift_target(p: AlgebraPresentation, n: int) -> TensorElement:
+    """1 (x) u^n, the lifted canonical image of a connection's u^n."""
+    return TensorElement((alg_slot(p), coalg_slot()), {(p.one_monomial(), n): ONE})
+
+
 def verify_strong_connection(form: ConnectionForm, n_bound: int) -> list[CheckResult]:
     """All connection-form axioms for grouplike indices |n| <= n_bound.
 
@@ -163,62 +178,45 @@ def verify_strong_connection(form: ConnectionForm, n_bound: int) -> list[CheckRe
     if n_bound < 0:
         raise ValueError("n_bound must be nonnegative")
     spec, p = form.spec, form.presentation
-    results = []
+    indices = list(zip(range(-n_bound, n_bound + 1)))
+    coact = lambda m: right_coact(spec, p.element({m: ONE}))
 
-    def record(check_id, ok, detail=""):
-        results.append(
-            CheckResult("connection", check_id, check_id, "pass" if ok else "fail", detail)
-        )
-
-    ok = form(0) == _unit_square(p)
-    record("unit", ok, "" if ok else "index 0 image is not 1 (x) 1")
-
-    indices = [n for n in range(-n_bound, n_bound + 1)]
-
-    ok, detail = True, ""
-    for n in indices:
-        img = lifted_canonical_map(spec, form(n))
-        want = TensorElement((alg_slot(p), coalg_slot()), {(p.one_monomial(), n): ONE})
-        if img != want:
-            ok, detail = False, "colifting fails at index %d" % n
-            break
-    record("colift", ok, detail)
-
-    ok, detail = True, ""
-    for n in indices:
+    def right_colinear(n):
         t = form(n)
         lhs = TensorElement(
             (alg_slot(p), alg_slot(p), coalg_slot()),
             {(x, y, n): c for (x, y), c in t.terms.items()},
         )
-        rhs = tensor_apply(t, 1, lambda m: right_coact(spec, p.element({m: ONE})))
-        if lhs != rhs:
-            ok, detail = False, "second leg not colinear at index %d" % n
-            break
-    record("right-colinear", ok, detail)
+        return lhs == tensor_apply(t, 1, coact)
 
-    ok, detail = True, ""
-    for n in indices:
+    def left_colinear(n):
         t = form(n)
-        lhs = tensor_apply(t, 0, lambda m: right_coact(spec, p.element({m: ONE})))
         rhs = TensorElement(
             (alg_slot(p), coalg_slot(), alg_slot(p)),
             {(x, -n, y): c for (x, y), c in t.terms.items()},
         )
-        if lhs != rhs:
-            ok, detail = False, "first leg degree is not the negated index at %d" % n
-            break
-    record("left-colinear", ok, detail)
+        return tensor_apply(t, 0, coact) == rhs
 
-    ok, detail = True, ""
-    for n in indices:
-        prod = multiply_adjacent(form(n), 0)
-        if prod != tensor_of([p.one()]):
-            ok, detail = False, "legs do not multiply to 1 at index %d" % n
-            break
-    record("mul-counit", ok, detail)
+    def row(check_id, holds, detail):
+        return check("connection", check_id, indices, holds, lambda n: detail % n)
 
-    return results
+    return [
+        verdict(
+            "connection", "unit", form(0) == _unit_square(p), "index 0 image is not 1 (x) 1"
+        ),
+        row(
+            "colift",
+            lambda n: lifted_canonical_map(spec, form(n)) == _colift_target(p, n),
+            "colifting fails at index %d",
+        ),
+        row("right-colinear", right_colinear, "second leg not colinear at index %d"),
+        row("left-colinear", left_colinear, "first leg degree is not the negated index at %d"),
+        row(
+            "mul-counit",
+            lambda n: multiply_adjacent(form(n), 0) == tensor_of([p.one()]),
+            "legs do not multiply to 1 at index %d",
+        ),
+    ]
 
 
 # -- balance of a left grading across the two legs ---------------------------
@@ -284,14 +282,8 @@ def check_h_balance(
                 which = "combined" if not total else "per-leg"
                 detail = "%s balance fails at index %d" % (which, n)
     return [
-        CheckResult("connection", "h-balance", "h-balance", "pass" if ok else "fail", detail),
-        CheckResult(
-            "connection",
-            "h-balance-equivalence",
-            "h-balance-equivalence",
-            "pass" if agree else "fail",
-            agree_detail,
-        ),
+        verdict("connection", "h-balance", ok, detail),
+        verdict("connection", "h-balance-equivalence", agree, agree_detail),
     ]
 
 
@@ -353,11 +345,11 @@ def _mixed_letters(cot: CotensorAlgebra) -> tuple[str, str, str, str]:
     degree-one generators have left degrees -1 and +1 in declaration
     order.
     """
-    ga, gb = _sphere_letters(cot.left_spec)
+    ga, gb = _sphere_pair(cot.left_spec)
     pspec = cot.right_spec
     if not pspec.has_right():
         raise PresentationError("second factor needs a right grading")
-    pa, pb = _sphere_letters(pspec)
+    pa, pb = _sphere_pair(pspec)
     if pspec.left is None or pspec.left[pa] != -1 or pspec.left[pb] != 1:
         raise PresentationError("second factor must carry the mixed left grading")
     return ga, gb, pa, pb
@@ -368,13 +360,16 @@ def composed_closed_form(cot: CotensorAlgebra, n: int) -> TensorElement:
 
     Independent of compose_connection: evaluates the binomial double
     sums directly, with each leg assembled as (first-factor word)
-    paired with (second-factor word).
+    paired with (second-factor word).  Negative indices use the same
+    words with every letter swapped for its star partner.
     """
     ga, gb, pa, pb = _mixed_letters(cot)
     A = cot.left_spec.presentation
     P = cot.right_spec.presentation
     gas, gbs = A.star_map[ga], A.star_map[gb]
     pas, pbs = P.star_map[pa], P.star_map[pb]
+    if n < 0:
+        ga, gas, gb, gbs, pa, pas, pb, pbs = gas, ga, gbs, gb, pas, pa, pbs, pb
     shape = (alg_slot(cot.ambient), alg_slot(cot.ambient))
     total = TensorElement.zero(shape)
 
@@ -385,38 +380,14 @@ def composed_closed_form(cot: CotensorAlgebra, n: int) -> TensorElement:
     for m in range(nn // 2 + 1):
         for k in range(nn - 2 * m + 1):
             coeff = binomial(nn, m) * binomial(nn - 2 * m, k)
-            if n >= 0:
-                first = leg(
-                    [gb] * k + [ga] * (nn - 2 * m - k), [pbs] * m + [pas] * (nn - m)
-                )
-                second = leg(
-                    [gas] * (nn - 2 * m - k) + [gbs] * k, [pa] * (nn - m) + [pb] * m
-                )
-            else:
-                first = leg(
-                    [gbs] * k + [gas] * (nn - 2 * m - k), [pb] * m + [pa] * (nn - m)
-                )
-                second = leg(
-                    [ga] * (nn - 2 * m - k) + [gb] * k, [pas] * (nn - m) + [pbs] * m
-                )
+            first = leg([gb] * k + [ga] * (nn - 2 * m - k), [pbs] * m + [pas] * (nn - m))
+            second = leg([gas] * (nn - 2 * m - k) + [gbs] * k, [pa] * (nn - m) + [pb] * m)
             total = total + tensor_of([first, second]).scale(coeff)
     for m in range(nn // 2 + 1, nn + 1):
         for k in range(2 * m - nn + 1):
             coeff = binomial(nn, m) * binomial(2 * m - nn, k)
-            if n >= 0:
-                first = leg(
-                    [gbs] * k + [gas] * (2 * m - nn - k), [pbs] * m + [pas] * (nn - m)
-                )
-                second = leg(
-                    [ga] * (2 * m - nn - k) + [gb] * k, [pa] * (nn - m) + [pb] * m
-                )
-            else:
-                first = leg(
-                    [gb] * k + [ga] * (2 * m - nn - k), [pb] * m + [pa] * (nn - m)
-                )
-                second = leg(
-                    [gas] * (2 * m - nn - k) + [gbs] * k, [pas] * (nn - m) + [pbs] * m
-                )
+            first = leg([gbs] * k + [gas] * (2 * m - nn - k), [pbs] * m + [pas] * (nn - m))
+            second = leg([ga] * (2 * m - nn - k) + [gb] * k, [pa] * (nn - m) + [pb] * m)
             total = total + tensor_of([first, second]).scale(coeff)
     return total
 
@@ -522,113 +493,66 @@ def verify_translation_identities(
     Equality over the coinvariant subalgebra is tested through images
     of the lifted canonical map, which detect it faithfully for a
     Galois extension.  Element arguments range over normal monomials up
-    to degree_bound; grouplike indices over |n| <= n_bound.
+    to degree_bound; grouplike indices over |n| <= n_bound.  Colifting
+    and colinearity are the connection axioms' rows.
     """
     spec, p = form.spec, form.presentation
-    results = []
-
-    def record(check_id, ok, detail=""):
-        results.append(
-            CheckResult("connection", check_id, check_id, "pass" if ok else "fail", detail)
-        )
-
-    indices = list(range(-n_bound, n_bound + 1))
+    results = [r for r in verify_strong_connection(form, n_bound) if r.check_id != "unit"]
+    indices = range(-n_bound, n_bound + 1)
     can = lambda t: lifted_canonical_map(spec, t)
 
-    # colifting and colinearity, shared with the connection axioms
-    ok, detail = True, ""
-    for n in indices:
-        if can(form(n)) != TensorElement(
-            (alg_slot(p), coalg_slot()), {(p.one_monomial(), n): ONE}
-        ):
-            ok, detail = False, "fails at index %d" % n
-            break
-    record("colift", ok, detail)
-
-    ok, detail = True, ""
-    for n in indices:
-        t = form(n)
-        lhs = TensorElement(
-            (alg_slot(p), alg_slot(p), coalg_slot()),
-            {(x, y, n): c for (x, y), c in t.terms.items()},
-        )
-        rhs = tensor_apply(t, 1, lambda m: right_coact(spec, p.element({m: ONE})))
-        if lhs != rhs:
-            ok, detail = False, "fails at index %d" % n
-            break
-    record("right-colinear", ok, detail)
-
-    ok, detail = True, ""
-    for n in indices:
-        t = form(n)
-        lhs = tensor_apply(t, 0, lambda m: right_coact(spec, p.element({m: ONE})))
-        rhs = TensorElement(
-            (alg_slot(p), coalg_slot(), alg_slot(p)),
-            {(x, -n, y): c for (x, y), c in t.terms.items()},
-        )
-        if lhs != rhs:
-            ok, detail = False, "fails at index %d" % n
-            break
-    record("left-colinear", ok, detail)
-
-    ok, detail = True, ""
-    for n in indices:
-        if multiply_adjacent(form(n), 0) != tensor_of([p.one()]):
-            ok, detail = False, "fails at index %d" % n
-            break
-    record("mul-counit", ok, detail)
+    monos = p.monomials_up_to(degree_bound)
 
     # coaction followed by translation reproduces 1 (x) p over the base
-    ok, detail = True, ""
-    for m in p.monomials_up_to(degree_bound):
+    def reproduces(m):
         el = p.element({m: ONE})
-        n = spec.right_degree(m)
-        moved = tensor_of([el, p.one()]) * form(n)
-        if can(moved) != can(tensor_of([p.one(), el])):
-            ok, detail = False, "fails on %s" % p.render_monomial(m)
-            break
-    record("reproduce-coaction", ok, detail)
+        moved = tensor_of([el, p.one()]) * form(spec.right_degree(m))
+        return can(moved) == can(tensor_of([p.one(), el]))
 
     # coinvariant elements slide across the two legs, over the base
-    ok, detail = True, ""
-    coinv = [m for m in p.monomials_up_to(degree_bound) if spec.right_degree(m) == 0]
-    for n in indices:
-        t = form(n)
-        for m in coinv:
-            el = p.element({m: ONE})
-            left = tensor_of([el, p.one()]) * t
-            right = t * tensor_of([p.one(), el])
-            if can(left) != can(right):
-                ok, detail = False, "fails on %s at index %d" % (p.render_monomial(m), n)
-                break
-        if not ok:
-            break
-    record("coinvariant-commute", ok, detail)
+    coinv = [m for m in monos if spec.right_degree(m) == 0]
+
+    def commutes(n, m):
+        t, el = form(n), p.element({m: ONE})
+        return can(tensor_of([el, p.one()]) * t) == can(t * tensor_of([p.one(), el]))
 
     # images multiply: the inner legs collapse over the base
-    ok, detail = True, ""
-    for n1 in indices:
-        for n2 in indices:
-            t1, t2 = form(n1), form(n2)
-            out = TensorElement.zero(t1.shape)
-            for (s1, t1m), c1 in t1.terms.items():
-                for (s2, t2m), c2 in t2.terms.items():
-                    f1, sm = p.mono_mul(s1, s2)
-                    f2, tm = p.mono_mul(t2m, t1m)
-                    piece = tensor_of(
-                        [p.element({sm: f1}), p.element({tm: f2})]
-                    ).scale(c1 * c2)
-                    out = out + piece
-            if can(out) != TensorElement(
-                (alg_slot(p), coalg_slot()), {(p.one_monomial(), n1 + n2): ONE}
-            ):
-                ok, detail = False, "fails at indices %d, %d" % (n1, n2)
-                break
-        if not ok:
-            break
-    record("multiplicative", ok, detail)
+    def multiplicative(n1, n2):
+        t1, t2 = form(n1), form(n2)
+        out: dict[tuple, LaurentScalar] = {}
+        for (s1, t1m), c1 in t1.terms.items():
+            for (s2, t2m), c2 in t2.terms.items():
+                f1, sm = p.mono_mul(s1, s2)
+                f2, tm = p.mono_mul(t2m, t1m)
+                c = c1 * c2
+                piece = tensor_of([p.element({sm: f1}), p.element({tm: f2})])
+                for k, ck in piece.terms.items():
+                    accumulate(out, k, ck * c)
+        return can(_trusted_tensor(t1.shape, out)) == _colift_target(p, n1 + n2)
 
-    return results
+    return results + [
+        check(
+            "connection",
+            "reproduce-coaction",
+            zip(monos),
+            reproduces,
+            lambda m: "fails on %s" % p.render_monomial(m),
+        ),
+        check(
+            "connection",
+            "coinvariant-commute",
+            ((n, m) for n in indices for m in coinv),
+            commutes,
+            lambda n, m: "fails on %s at index %d" % (p.render_monomial(m), n),
+        ),
+        check(
+            "connection",
+            "multiplicative",
+            ((n1, n2) for n1 in indices for n2 in indices),
+            multiplicative,
+            lambda n1, n2: "fails at indices %d, %d" % (n1, n2),
+        ),
+    ]
 
 
 def inverse_canonical_representative(

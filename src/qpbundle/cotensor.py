@@ -29,7 +29,6 @@ from .skewalg import (
 )
 from .comodule import (
     CoactionSpec,
-    GroupCoalgebraElement,
     ShapeError,
     TensorElement,
     _trusted_tensor,
@@ -37,12 +36,12 @@ from .comodule import (
     coalg_slot,
     comultiply,
     counit,
-    left_coact,
+    grouplike,
     right_coact,
     tensor_apply,
     tensor_of,
 )
-from .report import CheckResult
+from .report import CheckResult, check
 
 
 class CotensorAlgebra:
@@ -326,144 +325,94 @@ def check_entwining_axioms(
     """
     p = emap.presentation
     suite = "entwining"
-    results = []
+    sample = _monomial_sample(p, degree_bound, monomial_filter)
+    ent = lambda t: entwine(emap, t)
 
-    def record(check_id, ok, detail=""):
-        results.append(
-            CheckResult(suite, check_id, check_id, "pass" if ok else "fail", detail)
-        )
+    def pair_cases():
+        for x, y in _monomial_pairs(p, degree_bound, monomial_filter):
+            xel, yel = p.element({x: ONE}), p.element({y: ONE})
+            prod = p.mul(xel, yel)
+            for n in _GROUPLIKE_WINDOW:
+                yield x, y, n, xel, yel, prod
+
+    def cases():
+        for m in sample:
+            el = p.element({m: ONE})
+            for n in _GROUPLIKE_WINDOW:
+                yield m, n, el
 
     # multiplicativity: entwine after multiplying equals entwining past
     # each factor in turn
-    ok, detail = True, ""
-    for x, y in _monomial_pairs(p, degree_bound, monomial_filter):
-        xel = p.element({x: ONE})
-        yel = p.element({y: ONE})
-        prod = p.mul(xel, yel)
-        for n in _GROUPLIKE_WINDOW:
-            u = GroupCoalgebraElement.grouplike(n)
-            lhs = entwine(emap, tensor_of([u, prod]))
-            step = entwine(emap, tensor_of([u, xel]))  # x (x) u^{n+s(x)}
-            rhs = tensor_apply(
-                step, 1, lambda k: entwine(emap, tensor_of([GroupCoalgebraElement.grouplike(k), yel]))
-            )
-            rhs = multiply_adjacent(rhs, 0)
-            if lhs != rhs:
-                ok = False
-                detail = "fails on %s, %s at u^%d" % (
-                    p.render_monomial(x),
-                    p.render_monomial(y),
-                    n,
-                )
-                break
-        if not ok:
-            break
-    record("multiplicative", ok, detail)
+    def multiplicative(x, y, n, xel, yel, prod):
+        u = grouplike(n)
+        step = ent(tensor_of([u, xel]))  # x (x) u^{n+s(x)}
+        rhs = tensor_apply(step, 1, lambda k: ent(tensor_of([grouplike(k), yel])))
+        return ent(tensor_of([u, prod])) == multiply_adjacent(rhs, 0)
 
     # unit: entwining past 1 only moves the grouplike across
-    ok, detail = True, ""
-    for n in _GROUPLIKE_WINDOW:
-        u = GroupCoalgebraElement.grouplike(n)
-        img = entwine(emap, tensor_of([u, p.one()]))
-        if img != tensor_of([p.one(), u]):
-            ok = False
-            detail = "unit fails at u^%d" % n
-            break
-    record("unit", ok, detail)
+    def unital(n):
+        return ent(tensor_of([grouplike(n), p.one()])) == tensor_of([p.one(), grouplike(n)])
 
     # comultiplicativity: comultiply before or after entwining
-    ok, detail = True, ""
-    for m in _monomial_sample(p, degree_bound, monomial_filter):
-        el = p.element({m: ONE})
-        for n in _GROUPLIKE_WINDOW:
-            u = GroupCoalgebraElement.grouplike(n)
-            lhs = tensor_apply(
-                entwine(emap, tensor_of([u, el])),
-                1,
-                lambda k: comultiply(GroupCoalgebraElement.grouplike(k)),
-            )
-            both = tensor_of([u, u, el])
-            both = entwine_at(emap, both, 1)
-            both = entwine_at(emap, both, 0)
-            if lhs != both:
-                ok = False
-                detail = "fails on %s at u^%d" % (p.render_monomial(m), n)
-                break
-        if not ok:
-            break
-    record("comultiplicative", ok, detail)
+    def comultiplicative(m, n, el):
+        u = grouplike(n)
+        lhs = tensor_apply(ent(tensor_of([u, el])), 1, lambda k: comultiply(grouplike(k)))
+        return lhs == entwine_at(emap, entwine_at(emap, tensor_of([u, u, el]), 1), 0)
 
-    # counit: collapsing the coalgebra leg recovers the algebra element
-    ok, detail = True, ""
-    for m in _monomial_sample(p, degree_bound, monomial_filter):
-        el = p.element({m: ONE})
-        for n in _GROUPLIKE_WINDOW:
-            u = GroupCoalgebraElement.grouplike(n)
-            img = entwine(emap, tensor_of([u, el]))
-            # the slot map returns an empty-shape tensor so the coalgebra
-            # leg is dropped instead of replaced
-            collapsed = tensor_apply(
-                img,
-                1,
-                lambda k: TensorElement((), {(): counit(GroupCoalgebraElement.grouplike(k))}),
-            )
-            if collapsed != tensor_of([el]):
-                ok = False
-                detail = "fails on %s at u^%d" % (p.render_monomial(m), n)
-                break
-        if not ok:
-            break
-    record("counit", ok, detail)
+    # counit: collapsing the coalgebra leg recovers the algebra element;
+    # the slot map returns an empty-shape tensor so the coalgebra leg is
+    # dropped instead of replaced
+    def counital(m, n, el):
+        img = ent(tensor_of([grouplike(n), el]))
+        collapsed = tensor_apply(
+            img, 1, lambda k: TensorElement((), {(): counit(grouplike(k))})
+        )
+        return collapsed == tensor_of([el])
 
-    # round trips
-    ok, detail = True, ""
-    for m in _monomial_sample(p, degree_bound, monomial_filter):
-        el = p.element({m: ONE})
-        for n in _GROUPLIKE_WINDOW:
-            u = GroupCoalgebraElement.grouplike(n)
+    # round trips, the inverse one first at each case
+    trips = ((*case, which) for case in cases() for which in ("inverse", "forward"))
+
+    def round_trip(m, n, el, which):
+        u = grouplike(n)
+        if which == "inverse":
             cp = tensor_of([u, el])
-            if entwine_inverse(emap, entwine(emap, cp)) != cp:
-                ok = False
-                detail = "inverse round trip fails on %s" % p.render_monomial(m)
-                break
-            pc = tensor_of([el, u])
-            if entwine(emap, entwine_inverse(emap, pc)) != pc:
-                ok = False
-                detail = "forward round trip fails on %s" % p.render_monomial(m)
-                break
-        if not ok:
-            break
-    record("invertible", ok, detail)
+            return entwine_inverse(emap, ent(cp)) == cp
+        pc = tensor_of([el, u])
+        return ent(entwine_inverse(emap, pc)) == pc
+
+    on_pair = lambda x, y, n, *_: "fails on %s, %s at u^%d" % (
+        p.render_monomial(x), p.render_monomial(y), n
+    )
+    on_monomial = lambda m, n, el: "fails on %s at u^%d" % (p.render_monomial(m), n)
+    on_trip = lambda m, n, el, which: "%s round trip fails on %s" % (
+        which, p.render_monomial(m)
+    )
+    results = [
+        check(suite, "multiplicative", pair_cases(), multiplicative, on_pair),
+        check(suite, "unit", zip(_GROUPLIKE_WINDOW), unital, lambda n: "unit fails at u^%d" % n),
+        check(suite, "comultiplicative", cases(), comultiplicative, on_monomial),
+        check(suite, "counit", cases(), counital, on_monomial),
+        check(suite, "invertible", trips, round_trip, on_trip),
+    ]
 
     # colinearity over the left coaction, when there is one: entwining
     # first or coacting first give the same picture in H (x) P (x) C
     if emap.left_degree_fn is not None:
-        ok, detail = True, ""
-        for m in _monomial_sample(p, degree_bound, monomial_filter):
-            el = p.element({m: ONE})
-            for n in _GROUPLIKE_WINDOW:
-                u = GroupCoalgebraElement.grouplike(n)
-                coact_first = TensorElement(
-                    (coalg_slot(), coalg_slot(), alg_slot(p)),
-                    {(emap.left_degree_fn(mm), n, mm): c for mm, c in el.terms.items()},
-                )
-                coact_first = entwine_at(emap, coact_first, 1)
-                entwine_first = tensor_apply(
-                    entwine(emap, tensor_of([u, el])),
-                    0,
-                    lambda mm: TensorElement(
-                        (coalg_slot(), alg_slot(p)),
-                        {(emap.left_degree_fn(mm), mm): ONE},
-                    ),
-                )
-                if coact_first != entwine_first:
-                    ok = False
-                    detail = "fails on %s at u^%d" % (p.render_monomial(m), n)
-                    break
-            if not ok:
-                break
-        record("h-colinear", ok, detail)
+        ldeg = emap.left_degree_fn
 
+        def colinear(m, n, el):
+            coact_first = TensorElement(
+                (coalg_slot(), coalg_slot(), alg_slot(p)),
+                {(ldeg(mm), n, mm): c for mm, c in el.terms.items()},
+            )
+            entwine_first = tensor_apply(
+                ent(tensor_of([grouplike(n), el])),
+                0,
+                lambda mm: TensorElement((coalg_slot(), alg_slot(p)), {(ldeg(mm), mm): ONE}),
+            )
+            return entwine_at(emap, coact_first, 1) == entwine_first
+
+        results.append(check(suite, "h-colinear", cases(), colinear, on_monomial))
     return results
 
 
@@ -478,36 +427,34 @@ def check_entwined_module(
     if spec.presentation is not emap.presentation:
         raise PresentationError("coaction and entwining live on different algebras")
     p = spec.presentation
-    results = []
 
-    ok, detail = True, ""
-    for x, y in _monomial_pairs(p, degree_bound, monomial_filter):
-        xel = p.element({x: ONE})
-        yel = p.element({y: ONE})
+    def module_law(x, y):
+        xel, yel = p.element({x: ONE}), p.element({y: ONE})
         lhs = right_coact(spec, p.mul(xel, yel))
         rhs = tensor_apply(
-            right_coact(spec, xel),
-            1,
-            lambda k: entwine(emap, tensor_of([GroupCoalgebraElement.grouplike(k), yel])),
+            right_coact(spec, xel), 1, lambda k: entwine(emap, tensor_of([grouplike(k), yel]))
         )
-        rhs = multiply_adjacent(rhs, 0)
-        if lhs != rhs:
-            ok = False
-            detail = "fails on %s, %s" % (p.render_monomial(x), p.render_monomial(y))
-            break
-    results.append(
-        CheckResult("entwining", "module-law", "module-law", "pass" if ok else "fail", detail)
-    )
+        return lhs == multiply_adjacent(rhs, 0)
 
-    ok, detail = True, ""
-    for m in _monomial_sample(p, degree_bound, monomial_filter):
+    def copointed(m):
         el = p.element({m: ONE})
-        base = entwine(emap, tensor_of([GroupCoalgebraElement.grouplike(0), el]))
-        if base != right_coact(spec, el):
-            ok = False
-            detail = "fails on %s" % p.render_monomial(m)
-            break
-    results.append(
-        CheckResult("entwining", "copointed", "copointed", "pass" if ok else "fail", detail)
-    )
-    return results
+        return entwine(emap, tensor_of([grouplike(0), el])) == right_coact(spec, el)
+
+    pairs = _monomial_pairs(p, degree_bound, monomial_filter)
+    sample = _monomial_sample(p, degree_bound, monomial_filter)
+    return [
+        check(
+            "entwining",
+            "module-law",
+            pairs,
+            module_law,
+            lambda x, y: "fails on %s, %s" % (p.render_monomial(x), p.render_monomial(y)),
+        ),
+        check(
+            "entwining",
+            "copointed",
+            zip(sample),
+            copointed,
+            lambda m: "fails on %s" % p.render_monomial(m),
+        ),
+    ]

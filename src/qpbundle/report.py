@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 class CheckResult:
@@ -45,6 +45,32 @@ class CheckResult:
             self.check_id,
             ": " + self.detail if self.detail else "",
         )
+
+
+def verdict(
+    suite: str, check_id: str, ok: bool, detail: str = "", anchor: str | None = None
+) -> CheckResult:
+    """A pass or fail row; ``detail`` is kept only on failure and the
+    anchor defaults to the check id."""
+    if ok:
+        return CheckResult(suite, check_id, anchor or check_id, "pass")
+    return CheckResult(suite, check_id, anchor or check_id, "fail", detail)
+
+
+def check(
+    suite: str,
+    check_id: str,
+    cases: Iterable[tuple],
+    holds: Callable[..., bool],
+    describe: Callable[..., str],
+    anchor: str | None = None,
+) -> CheckResult:
+    """Run ``holds(*case)`` over the cases in order and stop at the
+    first that fails, whose ``describe(*case)`` becomes the detail."""
+    for case in cases:
+        if not holds(*case):
+            return verdict(suite, check_id, False, describe(*case), anchor)
+    return verdict(suite, check_id, True, anchor=anchor)
 
 
 class Report:

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from qpbundle.comodule import (
     CoactionSpec,
-    GroupCoalgebraElement,
     ShapeError,
     TensorElement,
     alg_slot,
@@ -15,11 +14,11 @@ from qpbundle.comodule import (
     comultiply,
     coseparability_retraction,
     counit,
+    grouplike,
     left_coact,
     render_tensor,
     right_coact,
     tensor_apply,
-    tensor_concat,
     tensor_mul,
     tensor_of,
 )
@@ -38,29 +37,27 @@ indices = st.integers(-6, 6)
 
 @given(indices)
 def test_grouplike_laws(n):
-    u = GroupCoalgebraElement.grouplike(n)
+    u = grouplike(n)
     # comultiplication is diagonal and the counit picks coefficient 1
     assert comultiply(u) == tensor_of([u, u])
     assert counit(u) == ONE
-    assert antipode(u) == GroupCoalgebraElement.grouplike(-n)
+    assert antipode(u) == grouplike(-n)
     assert antipode(antipode(u)) == u
 
 
 @given(indices, indices)
 def test_coseparability_retraction(m, n):
-    t = tensor_of(
-        [GroupCoalgebraElement.grouplike(m), GroupCoalgebraElement.grouplike(n)]
-    )
+    t = tensor_of([grouplike(m), grouplike(n)])
     got = coseparability_retraction(t)
     if m == n:
-        assert got == GroupCoalgebraElement.grouplike(n)
+        assert got == grouplike(n)
     else:
         assert got.is_zero()
 
 
 @given(indices)
 def test_retraction_splits_comultiplication(n):
-    u = GroupCoalgebraElement.grouplike(n)
+    u = grouplike(n)
     assert coseparability_retraction(comultiply(u)) == u
 
 
@@ -81,11 +78,11 @@ def test_right_coaction_is_coassociative(ex2):
         # coacting again on the algebra leg equals comultiplying the
         # coalgebra leg
         again = tensor_apply(t, 0, lambda m: right_coact(spec, spec.presentation.element({m: ONE})))
-        doubled = tensor_apply(t, 1, lambda n: comultiply(GroupCoalgebraElement.grouplike(n)))
+        doubled = tensor_apply(t, 1, lambda n: comultiply(grouplike(n)))
         assert again == doubled
         # counit collapse returns the element
         collapsed = tensor_apply(
-            t, 1, lambda n: TensorElement((), {(): counit(GroupCoalgebraElement.grouplike(n))})
+            t, 1, lambda n: TensorElement((), {(): counit(grouplike(n))})
         )
         assert collapsed == tensor_of([el])
 
@@ -95,7 +92,7 @@ def test_left_coaction_is_coassociative(ex2):
     for el in _sample_elements(spec, 3):
         t = left_coact(spec, el)
         again = tensor_apply(t, 1, lambda m: left_coact(spec, spec.presentation.element({m: ONE})))
-        doubled = tensor_apply(t, 0, lambda n: comultiply(GroupCoalgebraElement.grouplike(n)))
+        doubled = tensor_apply(t, 0, lambda n: comultiply(grouplike(n)))
         assert again == doubled
 
 
@@ -122,7 +119,7 @@ def test_bicomodule_checks_pass(ex1, ex2):
 
 def test_tensor_shapes_are_enforced(ex2):
     p = ex2.a_spec.presentation
-    u = GroupCoalgebraElement.grouplike(1)
+    u = grouplike(1)
     el = p.gen("a")
     t = tensor_of([el, u])
     assert t.shape == (alg_slot(p), coalg_slot())
@@ -144,29 +141,56 @@ def test_tensor_mul_is_slotwise(ex2):
     assert z == tensor_of([a * b, a * b]).scale(S.lam(-1))
 
 
-def test_tensor_concat_concatenates(ex2):
+def test_tensor_of_concatenates_tensor_factors(ex2):
     p = ex2.a_spec.presentation
     a, b = p.gen("a"), p.gen("b")
     x = tensor_of([a])
     y = tensor_of([b, b])
-    z = tensor_concat(x, y)
+    z = tensor_of([x, y])
     assert z.shape == (alg_slot(p),) * 3
     assert z == tensor_of([a, b, b])
+    # a tensor factor and an algebra element mix slot by slot
+    assert tensor_of([a, y]) == z
+    assert tensor_of([x, b, grouplike(2)]) == tensor_of([a, b, grouplike(2)])
     # concatenation with an empty tensor is the identity
     unit = TensorElement((), {(): ONE})
-    assert tensor_concat(unit, x) == x
-    assert tensor_concat(x, unit) == x
+    assert tensor_of([unit, x]) == x
+    assert tensor_of([x, unit]) == x
+
+
+def test_grouplike_is_a_one_slot_tensor():
+    u = grouplike(3)
+    assert u == TensorElement((coalg_slot(),), {(3,): ONE})
+    # the tensor product adds indices and the sum is the tensor sum
+    assert tensor_mul(u, grouplike(-5)) == grouplike(-2)
+    assert (u + u).terms == {(3,): S.integer(2)}
+    with pytest.raises(ShapeError):
+        counit(tensor_of([u, u]))
+
+
+def test_tensor_apply_reads_the_shape_of_an_empty_input(ex2):
+    p = ex2.p_spec.presentation
+    halve = lambda n: grouplike(n // 2)
+    empty = TensorElement((alg_slot(p), coalg_slot()))
+    out = tensor_apply(empty, 1, halve)
+    assert out.shape == (alg_slot(p), coalg_slot())
+    assert out.is_zero()
+    nonzero = tensor_apply(tensor_of([p.gen("x"), grouplike(4)]), 1, halve)
+    assert out + nonzero == nonzero
+    # an algebra slot is probed at the unit monomial
+    split = tensor_apply(empty, 0, lambda m: right_coact(ex2.p_spec, p.element({m: ONE})))
+    assert split.shape == (alg_slot(p), coalg_slot(), coalg_slot())
 
 
 def test_tensor_apply_can_drop_and_split_slots(ex2):
     p = ex2.a_spec.presentation
-    u1 = GroupCoalgebraElement.grouplike(1)
+    u1 = grouplike(1)
     t = tensor_of([p.gen("a"), u1])
     # dropping the coalgebra slot leaves a bare algebra tensor
     dropped = tensor_apply(t, 1, lambda n: TensorElement((), {(): ONE}))
     assert dropped == tensor_of([p.gen("a")])
     # splitting one slot into two grows the shape
-    split = tensor_apply(t, 1, lambda n: comultiply(GroupCoalgebraElement.grouplike(n)))
+    split = tensor_apply(t, 1, lambda n: comultiply(grouplike(n)))
     assert split.shape == (alg_slot(p), coalg_slot(), coalg_slot())
 
 
@@ -184,7 +208,7 @@ def test_coactions_respect_declared_degrees(ex2):
 
 def test_render_tensor_spot_checks(ex2):
     p = ex2.a_spec.presentation
-    u = GroupCoalgebraElement.grouplike(2)
+    u = grouplike(2)
     t = tensor_of([p.gen("a"), u])
     assert "a" in render_tensor(t) and "u^2" in render_tensor(t)
     zero = tensor_of([p.zero(), u])
@@ -234,10 +258,18 @@ def test_tensor_arithmetic_is_canonical(ex2, data):
         _assert_canonical(t)
         assert t.is_zero()
 
-    g = GroupCoalgebraElement(data.draw(st.dictionaries(indices, coeffs, max_size=3)))
+    g = _draw_tensor(data, p, ("coalg",))
     monos = p.monomials_up_to(2)
     el = p.element(data.draw(st.dictionaries(st.sampled_from(monos), coeffs, max_size=3)))
-    for t in (tensor_of([g, el]), tensor_of([el, g, el]), tensor_of([el - el, g])):
+    for t in (
+        tensor_of([g, el]),
+        tensor_of([el, g, el]),
+        tensor_of([el - el, g]),
+        # tensor factors of several slots, mixed with algebra elements
+        tensor_of([x, el]),
+        tensor_of([el, y, g]),
+        tensor_of([x - x, el]),
+    ):
         _assert_canonical(t)
     _assert_canonical(tensor_mul(x, y))
 
@@ -252,11 +284,12 @@ def test_tensor_arithmetic_is_canonical(ex2, data):
 
     # the partner of every term lands on the same key with the opposite sign
     partner = TensorElement(x.shape, {(m, n ^ 1): -c for (m, n), c in x.terms.items()})
-    halve = lambda n: GroupCoalgebraElement.grouplike(n // 2)
+    halve = lambda n: grouplike(n // 2)
     _assert_canonical(tensor_apply(x + y, 1, halve))
     cancelled = tensor_apply(x + partner, 1, halve)
     _assert_canonical(cancelled)
     assert cancelled.is_zero()
+    assert cancelled.shape == x.shape
     _assert_canonical(tensor_apply(x, 0, lambda m: p.element({m: ONE}) * p.gen("x")))
 
 

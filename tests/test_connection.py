@@ -4,7 +4,6 @@ import pytest
 
 from oracles import WordSphere, plain_tensor2
 from qpbundle.comodule import (
-    GroupCoalgebraElement,
     TensorElement,
     alg_slot,
     coalg_slot,

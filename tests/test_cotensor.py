@@ -3,11 +3,11 @@
 import pytest
 
 from qpbundle.comodule import (
-    GroupCoalgebraElement,
     ShapeError,
     TensorElement,
     alg_slot,
     coalg_slot,
+    grouplike,
     right_coact,
     tensor_of,
 )
@@ -110,9 +110,9 @@ def test_entwining_is_a_degree_shift(ex2):
         el = p.element({m: ONE})
         d = spec.right_degree(m)
         for n in (-2, 0, 3):
-            u = GroupCoalgebraElement.grouplike(n)
+            u = grouplike(n)
             got = entwine(emap, tensor_of([u, el]))
-            assert got == tensor_of([el, GroupCoalgebraElement.grouplike(n + d)])
+            assert got == tensor_of([el, grouplike(n + d)])
             # the inverse undoes the shift
             back = entwine_inverse(emap, got)
             assert back == tensor_of([u, el])
@@ -124,7 +124,7 @@ def test_entwining_reproduces_the_coaction(ex2):
     spec = ex2.p_spec
     emap = canonical_entwining(spec)
     p = spec.presentation
-    e = GroupCoalgebraElement.grouplike(0)
+    e = grouplike(0)
     for m in p.monomials_up_to(3):
         el = p.element({m: ONE})
         assert entwine(emap, tensor_of([e, el])) == right_coact(spec, el)
@@ -170,15 +170,15 @@ def test_entwine_at_and_multiply_adjacent(ex2):
     spec = ex2.p_spec
     p = spec.presentation
     emap = canonical_entwining(spec)
-    u = GroupCoalgebraElement.grouplike(1)
+    u = grouplike(1)
     x = p.gen("x")
     t = tensor_of([x, u, x])
     moved = entwine_at(emap, t, 1)
     assert moved.shape == (alg_slot(p), alg_slot(p), coalg_slot())
     # x has right degree 1, so the index shifts from 1 to 2
-    assert moved == tensor_of([x, x, GroupCoalgebraElement.grouplike(2)])
+    assert moved == tensor_of([x, x, grouplike(2)])
     squashed = multiply_adjacent(moved, 0)
-    assert squashed == tensor_of([x * x, GroupCoalgebraElement.grouplike(2)])
+    assert squashed == tensor_of([x * x, grouplike(2)])
     with pytest.raises(ShapeError):
         entwine_at(emap, t, 0)
     with pytest.raises(ShapeError):
@@ -190,6 +190,6 @@ def test_entwine_rejects_wrong_shapes(ex2):
     emap = canonical_entwining(spec)
     el = spec.presentation.gen("x")
     with pytest.raises(ShapeError):
-        entwine(emap, tensor_of([el, GroupCoalgebraElement.grouplike(0)]))
+        entwine(emap, tensor_of([el, grouplike(0)]))
     with pytest.raises(ShapeError):
-        entwine_inverse(emap, tensor_of([GroupCoalgebraElement.grouplike(0), el]))
+        entwine_inverse(emap, tensor_of([grouplike(0), el]))

@@ -1,13 +1,19 @@
 """Golden reports: `qpb verify --format json` must not change byte for byte.
 
-The files under ``golden/`` were captured before the rewriting engine
-moved to ordered reduction.  A change that alters a report on purpose
-regenerates them with
+The passing goldens under ``golden/`` were captured before the rewriting
+engine moved to ordered reduction.  A change that alters a report on
+purpose regenerates them with
 
     qpb verify --preset <name> --format json --n-bound 3 --degree-bound 4 \
         > tests/golden/<name>.json
 
 and says why in CHANGES.md.
+
+The failing goldens pin whole reports that exit 1, on two variants of
+the bundled ex2 preset, each made by one text replacement (see
+``FAILING``).  Regenerate one by writing the variant text to a file and
+running the same command with ``--file <that file>`` in place of
+``--preset``.
 """
 
 from pathlib import Path
@@ -17,16 +23,41 @@ from click.testing import CliRunner
 
 from qpbundle.cli.main import main
 
+from conftest import preset_text
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BOUNDS = ("--n-bound", "3", "--degree-bound", "4")
+
+# golden name -> (text in the ex2 preset, its replacement)
+FAILING = {
+    # a q-table that breaks associativity: algebra, connection and
+    # examples rows fail
+    "matsumoto-ex2-doctored-q": ("q b' a = L\n", "q b' a = L^-1\n"),
+    # one wrong coefficient in an explicit connection entry
+    "matsumoto-ex2-entry-mutant": ("+ 2 (b' a' | a b)", "+ 3 (b' a' | a b)"),
+}
+
+
+def _verify(args):
+    return CliRunner().invoke(
+        main, ["verify", *args, "--format", "json", *BOUNDS], catch_exceptions=False
+    )
 
 
 @pytest.mark.parametrize("preset", ["matsumoto-ex1", "matsumoto-ex2"])
 def test_verify_json_matches_golden(preset):
-    res = CliRunner().invoke(
-        main,
-        ["verify", "--preset", preset, "--format", "json", *BOUNDS],
-        catch_exceptions=False,
-    )
+    res = _verify(["--preset", preset])
     assert res.exit_code == 0
     assert res.stdout == (GOLDEN / ("%s.json" % preset)).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_failing_verify_json_matches_golden(name, tmp_path):
+    old, new = FAILING[name]
+    text = preset_text("matsumoto-ex2")
+    assert text.count(old) == 1
+    path = tmp_path / "variant.preset"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    res = _verify(["--file", str(path)])
+    assert res.exit_code == 1
+    assert res.stdout == (GOLDEN / ("%s.json" % name)).read_text(encoding="utf-8")

@@ -50,6 +50,22 @@ def _vec_degree(vec: tuple[int, ...], m: Monomial) -> int:
     return sum(map(mul, vec, m))
 
 
+def _require_homogeneous(p: AlgebraPresentation, vec: tuple[int, ...], label: str):
+    """Raise unless ``vec`` grades every generator of ``p`` and every
+    rewrite rule of ``p`` is homogeneous for it."""
+    if len(vec) != len(p.generators):
+        raise PresentationError(
+            "%s grading has %d entries for %d generators" % (label, len(vec), len(p.generators))
+        )
+    for lhs, rhs in p.reductions:
+        d = _vec_degree(vec, lhs)
+        if any(_vec_degree(vec, m) != d for m in rhs):
+            raise PresentationError(
+                "rewrite rule %s is not homogeneous for the %s grading"
+                % (p.render_monomial(lhs), label)
+            )
+
+
 class CoactionSpec:
     """Integer gradings on the generators of one presented algebra.
 
@@ -62,11 +78,6 @@ class CoactionSpec:
     * star partners carry opposite degrees (unitarity of u);
     * every rewrite rule is homogeneous, otherwise the grading would
       not descend to the quotient.
-
-    ``unit_left_degree`` and ``unit_right_degree`` shift the degree of
-    every monomial on the given side and exist purely as
-    fault-injection knobs: any nonzero value breaks the comodule unit
-    law (and multiplicativity) and must be flagged by the checkers.
     """
 
     def __init__(
@@ -74,14 +85,10 @@ class CoactionSpec:
         presentation: AlgebraPresentation,
         right: Mapping[str, int] | None = None,
         left: Mapping[str, int] | None = None,
-        unit_left_degree: int = 0,
-        unit_right_degree: int = 0,
     ):
         self.presentation = presentation
         self.right = dict(right) if right is not None else None
         self.left = dict(left) if left is not None else None
-        self.unit_left_degree = unit_left_degree
-        self.unit_right_degree = unit_right_degree
         # per-generator degree vectors in generator order, fixed here
         vectors = {}
         for table, label in ((self.right, "right"), (self.left, "left")):
@@ -96,26 +103,19 @@ class CoactionSpec:
                         "%s degrees of %r and its star are not opposite" % (label, g)
                     )
             vec = vectors[label] = tuple(table[g] for g in presentation.generators)
-            for lhs, rhs in presentation.reductions:
-                d = _vec_degree(vec, lhs)
-                for m in rhs:
-                    if _vec_degree(vec, m) != d:
-                        raise PresentationError(
-                            "rewrite rule %s is not homogeneous for the %s grading"
-                            % (presentation.render_monomial(lhs), label)
-                        )
+            _require_homogeneous(presentation, vec, label)
         self._right_vec = vectors["right"]
         self._left_vec = vectors["left"]
 
     def right_degree(self, m: Monomial) -> int:
         if self._right_vec is None:
             raise PresentationError("no right coaction declared")
-        return _vec_degree(self._right_vec, m) + self.unit_right_degree
+        return _vec_degree(self._right_vec, m)
 
     def left_degree(self, m: Monomial) -> int:
         if self._left_vec is None:
             raise PresentationError("no left coaction declared")
-        return _vec_degree(self._left_vec, m) + self.unit_left_degree
+        return _vec_degree(self._left_vec, m)
 
     def has_right(self) -> bool:
         return self.right is not None
@@ -165,10 +165,6 @@ class TensorElement:
                 if len(k) != len(self.shape):
                     raise ShapeError("key arity does not match shape")
                 accumulate(self.terms, k, c)
-
-    @classmethod
-    def zero(cls, shape) -> "TensorElement":
-        return cls(shape, {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -325,10 +321,14 @@ def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
                     factors.append(pres.element({prod: f}))
                 else:
                     factors.append(grouplike(a + b))
-            c = cx * cy
-            for k, ck in tensor_of(factors).terms.items():
-                accumulate(out, k, ck * c)
+            _add_scaled(out, tensor_of(factors), cx * cy)
     return _trusted_tensor(x.shape, out)
+
+
+def _add_scaled(out: dict, t: TensorElement, c) -> None:
+    """Accumulate c times the terms of t into the term map ``out``."""
+    for k, x in t.terms.items():
+        accumulate(out, k, x * c)
 
 
 def tensor_apply(t: TensorElement, slot: int, f: Callable) -> TensorElement:

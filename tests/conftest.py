@@ -3,6 +3,7 @@ from importlib import resources
 import pytest
 
 from qpbundle.cli.parser import load_preset
+from qpbundle.comodule import CoactionSpec
 
 
 def preset_text(name):
@@ -25,3 +26,20 @@ def ex1():
 @pytest.fixture(scope="session")
 def ex2():
     return load_bundled("matsumoto-ex2")
+
+
+class OffsetCoaction(CoactionSpec):
+    """A coaction whose right and left degrees are off by a constant on
+    every monomial, the unit included: a comodule that breaks the unit
+    law, for tests that the checkers catch it."""
+
+    def __init__(self, presentation, right=None, left=None, right_offset=0, left_offset=0):
+        super().__init__(presentation, right=right, left=left)
+        self.right_offset = right_offset
+        self.left_offset = left_offset
+
+    def right_degree(self, m):
+        return super().right_degree(m) + self.right_offset
+
+    def left_degree(self, m):
+        return super().left_degree(m) + self.left_offset

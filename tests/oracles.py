@@ -8,12 +8,36 @@ pass and then applies oriented rules, so agreement between the two is
 a meaningful consistency check rather than a tautology.
 
 The only engine types these helpers touch are the public term maps, in
-the converters at the bottom, which exist so tests can compare results.
+the converters near the end, which exist so tests can compare results.
+
+The entwining scans at the end are the one exception.  They judge the
+grading certificates of ``qpbundle.cotensor`` by brute force: each
+entwining axiom is evaluated, through the package's own tensor
+operations, on every normal monomial (or pair) up to a degree bound and
+on a window of grouplike indices.  What they check independently is the
+axiom itself, monomial by monomial, instead of the integer argument the
+certificates rest on.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
+
+from qpbundle.comodule import (
+    TensorElement,
+    alg_slot,
+    coalg_slot,
+    comultiply,
+    counit,
+    grouplike,
+    right_coact,
+    tensor_apply,
+    tensor_of,
+)
+from qpbundle.cotensor import entwine, entwine_at, entwine_inverse, multiply_adjacent
+from qpbundle.report import check
+from qpbundle.scalar import ONE
 
 # scalars: {(L_exponent, M_exponent): integer coefficient}, no zeros
 
@@ -232,3 +256,160 @@ def plain_tensor2(t):
     if len(t.shape) != 2:
         raise ValueError("expected a two-slot tensor")
     return {k: plain_scalar(c) for k, c in t.terms.items()}
+
+
+# -- entwining scans -------------------------------------------------------------
+
+
+GROUPLIKE_WINDOW = (-2, -1, 0, 1, 2)
+
+
+def _monomial_sample(p, degree_bound, monomial_filter):
+    monos = p.monomials_up_to(degree_bound)
+    if monomial_filter is not None:
+        monos = [m for m in monos if monomial_filter(m)]
+    return monos
+
+
+def _monomial_pairs(p, degree_bound, monomial_filter=None):
+    monos = _monomial_sample(p, degree_bound, monomial_filter)
+    for x in monos:
+        dx = sum(x)
+        for y in monos:
+            if dx + sum(y) <= degree_bound:
+                yield x, y
+
+
+def scan_entwining_axioms(emap, degree_bound, monomial_filter=None):
+    """The rows of ``check_entwining_axioms``, decided by scanning.
+
+    Product-type axioms run over monomial pairs of combined degree up
+    to the bound and the grouplike window.  ``monomial_filter``
+    restricts the sample to a subalgebra's monomial basis (for the
+    lifted map, the balanced monomials).
+    """
+    p = emap.presentation
+    suite = "entwining"
+    sample = _monomial_sample(p, degree_bound, monomial_filter)
+    ent = lambda t: entwine(emap, t)
+
+    def pair_cases():
+        for x, y in _monomial_pairs(p, degree_bound, monomial_filter):
+            xel, yel = p.element({x: ONE}), p.element({y: ONE})
+            prod = p.mul(xel, yel)
+            for n in GROUPLIKE_WINDOW:
+                yield x, y, n, xel, yel, prod
+
+    def cases():
+        for m in sample:
+            el = p.element({m: ONE})
+            for n in GROUPLIKE_WINDOW:
+                yield m, n, el
+
+    # entwining after multiplying equals entwining past each factor in turn
+    def multiplicative(x, y, n, xel, yel, prod):
+        u = grouplike(n)
+        step = ent(tensor_of([u, xel]))
+        rhs = tensor_apply(step, 1, lambda k: ent(tensor_of([grouplike(k), yel])))
+        return ent(tensor_of([u, prod])) == multiply_adjacent(rhs, 0)
+
+    def unital(n):
+        return ent(tensor_of([grouplike(n), p.one()])) == tensor_of([p.one(), grouplike(n)])
+
+    def comultiplicative(m, n, el):
+        u = grouplike(n)
+        lhs = tensor_apply(ent(tensor_of([u, el])), 1, lambda k: comultiply(grouplike(k)))
+        return lhs == entwine_at(emap, entwine_at(emap, tensor_of([u, u, el]), 1), 0)
+
+    # the slot map returns an empty-shape tensor, so the coalgebra leg is
+    # dropped instead of replaced
+    def counital(m, n, el):
+        img = ent(tensor_of([grouplike(n), el]))
+        collapsed = tensor_apply(
+            img, 1, lambda k: TensorElement((), {(): counit(grouplike(k))})
+        )
+        return collapsed == tensor_of([el])
+
+    # round trips, the inverse one first at each case
+    trips = ((*case, which) for case in cases() for which in ("inverse", "forward"))
+
+    def round_trip(m, n, el, which):
+        u = grouplike(n)
+        if which == "inverse":
+            cp = tensor_of([u, el])
+            return entwine_inverse(emap, ent(cp)) == cp
+        pc = tensor_of([el, u])
+        return ent(entwine_inverse(emap, pc)) == pc
+
+    on_pair = lambda x, y, n, *_: "fails on %s, %s at u^%d" % (
+        p.render_monomial(x), p.render_monomial(y), n
+    )
+    on_monomial = lambda m, n, el: "fails on %s at u^%d" % (p.render_monomial(m), n)
+    on_trip = lambda m, n, el, which: "%s round trip fails on %s at u^%d" % (
+        which, p.render_monomial(m), n
+    )
+    results = [
+        check(suite, "multiplicative", pair_cases(), multiplicative, on_pair),
+        check(suite, "unit", zip(GROUPLIKE_WINDOW), unital, lambda n: "fails on 1 at u^%d" % n),
+        check(suite, "comultiplicative", cases(), comultiplicative, on_monomial),
+        check(suite, "counit", cases(), counital, on_monomial),
+        check(suite, "invertible", trips, round_trip, on_trip),
+    ]
+
+    # entwining first or coacting on the left first give the same
+    # picture in H (x) P (x) C
+    if emap.left is not None:
+        ldeg = lambda m: sum(map(mul, emap.left, m))
+
+        def colinear(m, n, el):
+            coact_first = TensorElement(
+                (coalg_slot(), coalg_slot(), alg_slot(p)),
+                {(ldeg(mm), n, mm): c for mm, c in el.terms.items()},
+            )
+            entwine_first = tensor_apply(
+                ent(tensor_of([grouplike(n), el])),
+                0,
+                lambda mm: TensorElement((coalg_slot(), alg_slot(p)), {(ldeg(mm), mm): ONE}),
+            )
+            return entwine_at(emap, coact_first, 1) == entwine_first
+
+        results.append(check(suite, "h-colinear", cases(), colinear, on_monomial))
+    return results
+
+
+def scan_entwined_module(emap, spec, degree_bound, monomial_filter=None):
+    """The rows of ``check_entwined_module``, decided by scanning: the
+    product law rho(xy) = x_(0) psi(x_(1) (x) y) on monomial pairs and
+    the base-point condition rho(p) = psi(u^0 (x) p)."""
+    p = spec.presentation
+
+    def module_law(x, y):
+        xel, yel = p.element({x: ONE}), p.element({y: ONE})
+        lhs = right_coact(spec, p.mul(xel, yel))
+        rhs = tensor_apply(
+            right_coact(spec, xel), 1, lambda k: entwine(emap, tensor_of([grouplike(k), yel]))
+        )
+        return lhs == multiply_adjacent(rhs, 0)
+
+    def copointed(m):
+        el = p.element({m: ONE})
+        return entwine(emap, tensor_of([grouplike(0), el])) == right_coact(spec, el)
+
+    pairs = _monomial_pairs(p, degree_bound, monomial_filter)
+    sample = _monomial_sample(p, degree_bound, monomial_filter)
+    return [
+        check(
+            "entwining",
+            "module-law",
+            pairs,
+            module_law,
+            lambda x, y: "fails on %s, %s" % (p.render_monomial(x), p.render_monomial(y)),
+        ),
+        check(
+            "entwining",
+            "copointed",
+            zip(sample),
+            copointed,
+            lambda m: "fails on %s at u^0" % p.render_monomial(m),
+        ),
+    ]

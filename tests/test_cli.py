@@ -45,6 +45,16 @@ def test_verify_is_deterministic(runner):
     assert first.output == second.output
 
 
+@pytest.mark.parametrize("preset", ["matsumoto-ex1", "matsumoto-ex2"])
+def test_entwining_suite_ignores_the_degree_bound(runner, preset):
+    # its rows are certified for all degrees, so the bound has nothing to cap
+    args = ("verify", "--preset", preset, "--suite", "entwining", "--format", "json")
+    low = invoke(runner, *args, "--degree-bound", "2")
+    high = invoke(runner, *args, "--degree-bound", "12")
+    assert low.exit_code == high.exit_code == 0
+    assert low.output == high.output
+
+
 def test_suite_selection(runner):
     res = invoke(runner, "verify", "--suite", "algebra", "--suite", "cotensor", *FAST)
     assert res.exit_code == 0

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpbundle.comodule import (
-    CoactionSpec,
     ShapeError,
     TensorElement,
     alg_slot,
@@ -22,7 +21,10 @@ from qpbundle.comodule import (
     tensor_mul,
     tensor_of,
 )
+from conftest import OffsetCoaction
+from oracles import scan_entwining_axioms
 from qpbundle.cotensor import (
+    EntwiningMap,
     canonical_entwining,
     check_entwining_axioms,
     entwine,
@@ -325,23 +327,24 @@ def test_entwining_paths_are_canonical(ex2, data):
     _assert_canonical(multiply_adjacent(aac + swapped, 0))
 
 
-# -- the fault-injection knobs are caught -------------------------------------
+# -- broken unit degrees are caught ---------------------------------------------
 
 
 def test_unit_right_degree_breaks_the_entwining(ex2):
     spec = ex2.p_spec
-    shifted = CoactionSpec(spec.presentation, right=spec.right, left=spec.left, unit_right_degree=1)
-    results = check_entwining_axioms(canonical_entwining(shifted), degree_bound=2)
-    status = {res.check_id: res.status for res in results}
-    assert status["unit"] == "fail"
-    assert status["multiplicative"] == "fail"
-    # the shift is uniform, so the laws that see it on both sides still hold
-    assert status["comultiplicative"] == status["invertible"] == "pass"
+    # the canonical shift plus 1 on every monomial, the unit included
+    shifted = EntwiningMap(spec.presentation, canonical_entwining(spec).shift, offset=1)
+    for results in (check_entwining_axioms(shifted), scan_entwining_axioms(shifted, 2)):
+        status = {res.check_id: res.status for res in results}
+        assert status["unit"] == "fail"
+        assert status["multiplicative"] == "fail"
+        # the shift is uniform, so the laws that see it on both sides still hold
+        assert status["comultiplicative"] == status["invertible"] == "pass"
 
 
 def test_unit_left_degree_breaks_unit_covariance(ex2):
     spec = ex2.p_spec
-    shifted = CoactionSpec(spec.presentation, right=spec.right, left=spec.left, unit_left_degree=1)
+    shifted = OffsetCoaction(spec.presentation, right=spec.right, left=spec.left, left_offset=1)
     status = {res.check_id: res.status for res in check_bicomodule(shifted, degree_bound=2)}
     assert status["unit-covariant"] == "fail"
     assert status["bicomodule-commute"] == "pass"

@@ -1,7 +1,12 @@
 """Balanced subalgebras and circle entwining maps."""
 
-import pytest
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import OffsetCoaction
+from oracles import scan_entwined_module, scan_entwining_axioms
 from qpbundle.comodule import (
     ShapeError,
     TensorElement,
@@ -133,37 +138,117 @@ def test_entwining_reproduces_the_coaction(ex2):
 def test_entwining_axioms_pass(ex2):
     for spec in (ex2.a_spec, ex2.p_spec):
         emap = canonical_entwining(spec)
-        for res in check_entwining_axioms(emap, degree_bound=3):
+        certified = check_entwining_axioms(emap) + check_entwined_module(emap, spec)
+        for res in certified:
             assert res.status == "pass", (res.check_id, res.detail)
-        for res in check_entwined_module(emap, spec, degree_bound=3):
-            assert res.status == "pass", (res.check_id, res.detail)
+        # the same rows, in the same order, as the scans that judge them
+        scanned = scan_entwining_axioms(emap, 2) + scan_entwined_module(emap, spec, 2)
+        assert [r.check_id for r in certified] == [r.check_id for r in scanned]
 
 
 def test_lifted_entwining_axioms_pass(ex2):
     cot = ex2.cot
     emap = cot.entwining()
-    results = check_entwining_axioms(
-        emap, degree_bound=4, monomial_filter=cot.is_member_monomial
-    )
+    results = scan_entwining_axioms(emap, 4, monomial_filter=cot.is_member_monomial)
+    results += check_entwining_axioms(emap) + check_entwined_module(emap, cot.induced_right)
     for res in results:
         assert res.status == "pass", (res.check_id, res.detail)
 
 
 def test_broken_entwining_is_caught(ex2):
     spec = ex2.p_spec
+    p = spec.presentation
+    v = canonical_entwining(spec).shift
     # a shift that ignores the monomial breaks multiplicativity
-    broken = EntwiningMap(spec.presentation, lambda m: 1, name="broken")
-    results = check_entwining_axioms(broken, degree_bound=2)
-    assert any(res.status == "fail" for res in results)
+    broken = EntwiningMap(p, (0,) * len(v), offset=1, name="broken")
+    for results in (check_entwining_axioms(broken), scan_entwining_axioms(broken, 2)):
+        assert any(res.status == "fail" for res in results)
     # an inconsistent inverse breaks the round trip only
-    lopsided = EntwiningMap(
-        spec.presentation,
-        spec.right_degree,
-        inverse_shift_fn=lambda m: -spec.right_degree(m) + 1,
-    )
-    results = check_entwining_axioms(lopsided, degree_bound=2)
-    failing = {res.check_id for res in results if res.status == "fail"}
-    assert failing == {"invertible"}
+    lopsided = EntwiningMap(p, v, inverse=([-d for d in v], 1))
+    for results in (check_entwining_axioms(lopsided), scan_entwining_axioms(lopsided, 2)):
+        failing = {res.check_id for res in results if res.status == "fail"}
+        assert failing == {"invertible"}
+
+
+# -- the grading certificate against the scan -----------------------------------
+
+NUDGES = st.sampled_from((0, 0, 0, 1, -1))
+WITNESS = re.compile(r"fails on (.*?)(?: at u\^-?\d+)?$")
+
+
+def _factors(ex1, ex2):
+    return [ex1.a_spec, ex1.p_spec, ex2.a_spec, ex2.p_spec]
+
+
+def _graded(data, p, values):
+    """A vector with star partners opposite, which is what homogeneity
+    for the sphere rule g g* -> 1 - h h* asks of every bundled factor."""
+    vec = [0] * len(p.generators)
+    for i, g in enumerate(p.generators):
+        j = p.index[p.star_map[g]]
+        if i < j:
+            vec[i] = data.draw(values)
+            vec[j] = -vec[i]
+    return vec
+
+
+def _nudged(base, data, p):
+    return [b + d for b, d in zip(base, _graded(data, p, NUDGES))]
+
+
+def _rows(results):
+    return [(r.check_id, r.status) for r in results]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_certificate_matches_the_scan(ex1, ex2, data):
+    p = data.draw(st.sampled_from(_factors(ex1, ex2))).presentation
+    v = _graded(data, p, st.integers(-2, 2))
+    c = data.draw(NUDGES)
+    inverse = None
+    if data.draw(st.booleans()):
+        inverse = (_nudged([-a for a in v], data, p), -c + data.draw(NUDGES))
+    left = _graded(data, p, st.integers(-2, 2)) if data.draw(st.booleans()) else None
+    rho = dict(zip(p.generators, _nudged(v, data, p)))
+    module = OffsetCoaction(p, right=rho, right_offset=c + data.draw(NUDGES))
+    emap = EntwiningMap(p, v, c, inverse, left)
+
+    def scan(degree_bound, only=None):
+        return scan_entwining_axioms(emap, degree_bound, only) + scan_entwined_module(
+            emap, module, degree_bound, only
+        )
+
+    certified = check_entwining_axioms(emap) + check_entwined_module(emap, module)
+    assert _rows(certified) == _rows(scan(2))
+    # a failing row names 1 or a letter on which the scan fails as well
+    by_name = {p.render_monomial(m): m for m in p.monomials_up_to(1)}
+    for r in certified:
+        if r.status == "fail":
+            witness = {by_name[name] for name in WITNESS.search(r.detail).group(1).split(", ")}
+            assert dict(_rows(scan(2, witness.__contains__)))[r.check_id] == "fail"
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_entwining_data_must_be_homogeneous(ex1, ex2, data):
+    p = data.draw(st.sampled_from(_factors(ex1, ex2))).presentation
+    k = len(p.generators)
+    vec = data.draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+    homogeneous = all(vec[i] == -vec[p.index[p.star_map[g]]] for i, g in enumerate(p.generators))
+    slot = data.draw(st.sampled_from(("shift", "inverse", "left")))
+    kwargs = {"shift": _graded(data, p, st.integers(-2, 2))}
+    kwargs[slot] = (vec, 0) if slot == "inverse" else vec
+    if homogeneous:
+        EntwiningMap(p, **kwargs)
+    else:
+        with pytest.raises(PresentationError, match="not homogeneous"):
+            EntwiningMap(p, **kwargs)
+
+
+def test_entwining_vectors_grade_every_generator(ex2):
+    with pytest.raises(PresentationError, match="3 entries for 4 generators"):
+        EntwiningMap(ex2.p_spec.presentation, (1, -1, 0))
 
 
 def test_entwine_at_and_multiply_adjacent(ex2):

@@ -7,7 +7,10 @@ purpose regenerates them with
     qpb verify --preset <name> --format json --n-bound 3 --degree-bound 4 \
         > tests/golden/<name>.json
 
-and says why in CHANGES.md.
+and says why in CHANGES.md.  The ``<name>-default.json`` goldens are the
+same reports at the default bounds (``--n-bound 4 --degree-bound 6``),
+captured before the entwining rows became grading certificates; they are
+regenerated the same way, without the bound options.
 
 The failing goldens pin whole reports that exit 1, on two variants of
 the bundled ex2 preset, each made by one text replacement (see
@@ -49,6 +52,16 @@ def test_verify_json_matches_golden(preset):
     res = _verify(["--preset", preset])
     assert res.exit_code == 0
     assert res.stdout == (GOLDEN / ("%s.json" % preset)).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("preset", ["matsumoto-ex1", "matsumoto-ex2"])
+def test_default_bounds_verify_json_matches_golden(preset):
+    res = CliRunner().invoke(
+        main, ["verify", "--preset", preset, "--format", "json"], catch_exceptions=False
+    )
+    assert res.exit_code == 0
+    golden = GOLDEN / ("%s-default.json" % preset)
+    assert res.stdout == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", sorted(FAILING))

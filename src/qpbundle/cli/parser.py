@@ -292,9 +292,7 @@ class _ExprParser:
         return sign * int(tok.text)
 
     def _pow(self, v, k, tok):
-        if _is_scalar(v):
-            return v**k
-        if k < 0:
+        if k < 0 and not _is_scalar(v):
             raise _err(tok, "negative powers only apply to scalars")
         return v**k
 
@@ -389,6 +387,7 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
     q_lines: list[tuple[int, str, str, str]] = []
     reduce_lines: list[tuple[int, str, str]] = []
     gradings: dict[str, dict[str, int]] = {"right": {}, "left": {}}
+    at = lines[0][0] if lines else 1  # section-level errors point at its first line
 
     for lineno, line in lines:
         head = line.split()[0]
@@ -421,7 +420,7 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
             raise ParseError("unknown directive %r" % head, lineno, 1)
 
     if not generators and (star_pairs or q_lines or reduce_lines):
-        raise ParseError("generators line missing in [algebra %s]" % label, lines[0][0], 1)
+        raise ParseError("generators line missing in [algebra %s]" % label, at, 1)
 
     index = {g: i for i, g in enumerate(generators)}
     scalar_ctx = ExpressionContext(None)
@@ -439,17 +438,13 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
         else:
             raise ParseError("q entry for a generator with itself", lineno, 1)
         if key in commutation and commutation[key] != val:
-            raise ParseError(
-                "conflicting q entries for %s, %s" % key, lineno, 1
-            )
+            raise ParseError("conflicting q entries for %s, %s" % key, lineno, 1)
         commutation[key] = val
 
     try:
         bare = AlgebraPresentation(generators, star_pairs, commutation, (), name=label)
     except PresentationError as exc:
-        raise ParseError(
-            "invalid presentation: %s" % exc, lines[0][0] if lines else 1, 1
-        )
+        raise ParseError("invalid presentation: %s" % exc, at, 1)
     reductions = []
     bare_ctx = ExpressionContext(bare)
     for lineno, lhs, value in reduce_lines:
@@ -466,7 +461,7 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
             generators, star_pairs, commutation, reductions, name=label
         )
     except PresentationError as exc:
-        raise ParseError("invalid presentation: %s" % exc, lines[0][0] if lines else 1, 1)
+        raise ParseError("invalid presentation: %s" % exc, at, 1)
 
     tables: dict[str, dict[str, int] | None] = {}
     for side in ("right", "left"):
@@ -476,11 +471,7 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
             continue
         for g in declared:
             if g not in index:
-                raise ParseError(
-                    "unknown generator %r in %s grading" % (g, side),
-                    lines[0][0] if lines else 1,
-                    1,
-                )
+                raise ParseError("unknown generator %r in %s grading" % (g, side), at, 1)
         table = dict(declared)
         for g in generators:
             if g in table:
@@ -489,17 +480,13 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
             if partner in table:
                 table[g] = -table[partner]
             else:
-                raise ParseError(
-                    "no %s grading for %r or its star partner" % (side, g),
-                    lines[0][0],
-                    1,
-                )
+                raise ParseError("no %s grading for %r or its star partner" % (side, g), at, 1)
         tables[side] = table
 
     try:
         return CoactionSpec(presentation, right=tables["right"], left=tables["left"])
     except PresentationError as exc:
-        raise ParseError("invalid gradings: %s" % exc, lines[0][0] if lines else 1, 1)
+        raise ParseError("invalid gradings: %s" % exc, at, 1)
 
 
 def parse_connection_section(lines, spec: CoactionSpec, label: str) -> ConnectionForm:
@@ -538,9 +525,7 @@ def parse_connection_section(lines, spec: CoactionSpec, label: str) -> Connectio
             )
 
         return ConnectionForm(spec, missing, overrides=entries, name=label)
-    raise ParseError(
-        "unknown connection rule %r" % rule_name, lines[0][0] if lines else 1, 1
-    )
+    raise ParseError("unknown connection rule %r" % rule_name, lines[0][0], 1)
 
 
 class Tower:

@@ -388,6 +388,15 @@ def left_coact(spec: CoactionSpec, x: AlgebraElement) -> TensorElement:
     )
 
 
+def _coact_monomial(spec: CoactionSpec, m: Monomial, left: bool = False) -> TensorElement:
+    """Coaction of a normal monomial, m (x) u^deg or (left) u^deg (x) m, without reducing m."""
+    if left:
+        shape, key = (_COALG, alg_slot(spec.presentation)), (spec.left_degree(m), m)
+    else:
+        shape, key = (alg_slot(spec.presentation), _COALG), (m, spec.right_degree(m))
+    return _trusted_tensor(shape, {key: ONE})
+
+
 def check_bicomodule(spec: CoactionSpec, degree_bound: int = 3) -> list[CheckResult]:
     """Both coactions commute and the unit is trivially covariant.
 
@@ -395,14 +404,11 @@ def check_bicomodule(spec: CoactionSpec, degree_bound: int = 3) -> list[CheckRes
     up to the bound, and that the left coaction of 1 is u^0 (x) 1.
     """
     p = spec.presentation
-    right = lambda m: right_coact(spec, p.element({m: ONE}))
-    left = lambda m: left_coact(spec, p.element({m: ONE}))
+    right = lambda m: _coact_monomial(spec, m)
+    left = lambda m: _coact_monomial(spec, m, left=True)
 
     def commute(m):
-        el = p.element({m: ONE})
-        return tensor_apply(left_coact(spec, el), 1, right) == tensor_apply(
-            right_coact(spec, el), 0, left
-        )
+        return tensor_apply(left(m), 1, right) == tensor_apply(right(m), 0, left)
 
     unit = TensorElement((coalg_slot(), alg_slot(p)), {(0, p.one_monomial()): ONE})
     return [

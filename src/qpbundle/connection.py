@@ -15,6 +15,7 @@ ways of computing the same element can be compared exactly.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable
 
 from .scalar import LaurentScalar, ONE, accumulate, binomial
@@ -29,10 +30,10 @@ from .comodule import (
     ShapeError,
     TensorElement,
     _add_scaled,
+    _coact_monomial,
     _trusted_tensor,
     alg_slot,
     coalg_slot,
-    right_coact,
     tensor_apply,
     tensor_of,
 )
@@ -154,7 +155,7 @@ def lifted_canonical_map(spec: CoactionSpec, t: TensorElement) -> TensorElement:
     p = spec.presentation
     if t.shape != (alg_slot(p), alg_slot(p)):
         raise ShapeError("expected a tensor square of the graded algebra")
-    step = tensor_apply(t, 1, lambda m: right_coact(spec, p.element({m: ONE})))
+    step = tensor_apply(t, 1, lambda m: _coact_monomial(spec, m))
     return multiply_adjacent(step, 0)
 
 
@@ -180,7 +181,7 @@ def verify_strong_connection(form: ConnectionForm, n_bound: int) -> list[CheckRe
         raise ValueError("n_bound must be nonnegative")
     spec, p = form.spec, form.presentation
     indices = list(zip(range(-n_bound, n_bound + 1)))
-    coact = lambda m: right_coact(spec, p.element({m: ONE}))
+    coact = lambda m: _coact_monomial(spec, m)
 
     def right_colinear(n):
         t = form(n)
@@ -223,19 +224,25 @@ def verify_strong_connection(form: ConnectionForm, n_bound: int) -> list[CheckRe
 # -- balance of a left grading across the two legs ---------------------------
 
 
+def _graded_legs_agree(t: TensorElement, lhs, rhs) -> bool:
+    """u^lhs(x, y) (x) x (x) y against u^rhs(x, y) (x) x (x) y, summed
+    over the terms x (x) y of a tensor square."""
+    if len(t.shape) != 2 or t.shape[0][0] != "alg" or t.shape[1][0] != "alg":
+        raise ShapeError("expected a tensor square")
+    shape = (coalg_slot(),) + t.shape
+    left, right = (
+        TensorElement(shape, {(side(x, y), x, y): c for (x, y), c in t.terms.items()})
+        for side in (lhs, rhs)
+    )
+    return left == right
+
+
 def balance_total_holds(left_degree: Callable[[Monomial], int], t: TensorElement) -> bool:
     """Combined form: the total left degree of each term vanishes.
 
     Compares u^(L(x)+L(y)) (x) x (x) y against u^0 (x) x (x) y.
     """
-    if len(t.shape) != 2 or t.shape[0][0] != "alg" or t.shape[1][0] != "alg":
-        raise ShapeError("expected a tensor square")
-    shape = (coalg_slot(),) + t.shape
-    lhs = TensorElement(
-        shape, {(left_degree(x) + left_degree(y), x, y): c for (x, y), c in t.terms.items()}
-    )
-    rhs = TensorElement(shape, {(0, x, y): c for (x, y), c in t.terms.items()})
-    return lhs == rhs
+    return _graded_legs_agree(t, lambda x, y: left_degree(x) + left_degree(y), lambda x, y: 0)
 
 
 def balance_split_holds(left_degree: Callable[[Monomial], int], t: TensorElement) -> bool:
@@ -244,16 +251,7 @@ def balance_split_holds(left_degree: Callable[[Monomial], int], t: TensorElement
 
     Compares u^L(x) (x) x (x) y against u^(-L(y)) (x) x (x) y.
     """
-    if len(t.shape) != 2 or t.shape[0][0] != "alg" or t.shape[1][0] != "alg":
-        raise ShapeError("expected a tensor square")
-    shape = (coalg_slot(),) + t.shape
-    lhs = TensorElement(
-        shape, {(left_degree(x), x, y): c for (x, y), c in t.terms.items()}
-    )
-    rhs = TensorElement(
-        shape, {(-left_degree(y), x, y): c for (x, y), c in t.terms.items()}
-    )
-    return lhs == rhs
+    return _graded_legs_agree(t, lambda x, y: left_degree(x), lambda x, y: -left_degree(y))
 
 
 def check_h_balance(
@@ -261,17 +259,18 @@ def check_h_balance(
 ) -> list[CheckResult]:
     """Left-degree balance of the form's legs, both formulations.
 
-    Runs the combined and the per-leg checker on every image and
-    reports the outcome exactly as computed; the two formulations must
-    agree on every input, which is recorded as its own check.
+    Runs the combined and the per-leg checker on every image, both
+    reading the left degrees of one pass over its legs, and reports the
+    outcome exactly as computed; the two formulations must agree on
+    every input, which is recorded as its own check.
     """
     if left_spec.presentation is not form.presentation:
         raise PresentationError("left grading belongs to a different algebra")
-    ldeg = left_spec.left_degree
     ok, detail = True, ""
     agree, agree_detail = True, ""
     for n in range(-n_bound, n_bound + 1):
         t = form(n)
+        ldeg = {m: left_spec.left_degree(m) for key in t.terms for m in key}.__getitem__
         total = balance_total_holds(ldeg, t)
         split = balance_split_holds(ldeg, t)
         if total != split:
@@ -491,41 +490,41 @@ def verify_translation_identities(
 
     Equality over the coinvariant subalgebra is tested through images
     of the lifted canonical map, which detect it faithfully for a
-    Galois extension.  Element arguments range over normal monomials up
-    to degree_bound; grouplike indices over |n| <= n_bound.  Colifting,
-    colinearity and mul-counit of the translation map are the
-    connection axioms, which ``verify_strong_connection`` checks.
+    Galois extension.  Each case is read off the images C(n) = can(l(u^n))
+    through the bimodule law of ``can`` (left P-linear, multiplicative
+    in the coaction on the right), with products taken in P (x) C:
+
+        can((x (x) 1) T (1 (x) y)) = (x (x) u^0) can(T) (y (x) u^deg y).
+
+    Element arguments range over normal monomials up to degree_bound;
+    grouplike indices over |n| <= n_bound.  Colifting, colinearity and
+    mul-counit of the translation map are the connection axioms, which
+    ``verify_strong_connection`` checks.
     """
     spec, p = form.spec, form.presentation
     indices = range(-n_bound, n_bound + 1)
-    can = lambda t: lifted_canonical_map(spec, t)
-
+    shape = (alg_slot(p), coalg_slot())
+    can = cache(lambda n: lifted_canonical_map(spec, form(n)))
+    base = lambda m: _trusted_tensor(shape, {(m, 0): ONE})  # m (x) u^0
     monos = p.monomials_up_to(degree_bound)
 
-    # coaction followed by translation reproduces 1 (x) p over the base
+    # coaction followed by translation reproduces 1 (x) p over the base:
+    # can((m (x) 1) l(u^deg m)) = can(1 (x) m)
     def reproduces(m):
-        el = p.element({m: ONE})
-        moved = tensor_of([el, p.one()]) * form(spec.right_degree(m))
-        return can(moved) == can(tensor_of([p.one(), el]))
+        return base(m) * can(spec.right_degree(m)) == _coact_monomial(spec, m)
 
     # coinvariant elements slide across the two legs, over the base
     coinv = [m for m in monos if spec.right_degree(m) == 0]
 
     def commutes(n, m):
-        t, el = form(n), p.element({m: ONE})
-        return can(tensor_of([el, p.one()]) * t) == can(t * tensor_of([p.one(), el]))
+        return base(m) * can(n) == can(n) * base(m)
 
-    # images multiply: the inner legs collapse over the base
+    # images multiply in P^op (x) P: the inner legs collapse over the base
     def multiplicative(n1, n2):
-        t1, t2 = form(n1), form(n2)
         out: dict[tuple, LaurentScalar] = {}
-        for (s1, t1m), c1 in t1.terms.items():
-            for (s2, t2m), c2 in t2.terms.items():
-                f1, sm = p.mono_mul(s1, s2)
-                f2, tm = p.mono_mul(t2m, t1m)
-                piece = tensor_of([p.element({sm: f1}), p.element({tm: f2})])
-                _add_scaled(out, piece, c1 * c2)
-        return can(_trusted_tensor(t1.shape, out)) == _colift_target(p, n1 + n2)
+        for (s, t), c in form(n1).terms.items():
+            _add_scaled(out, base(s) * can(n2) * _coact_monomial(spec, t), c)
+        return _trusted_tensor(shape, out) == _colift_target(p, n1 + n2)
 
     return [
         check(

@@ -270,7 +270,12 @@ def entwine_at(emap: EntwiningMap, t: TensorElement, slot: int) -> TensorElement
 
 
 def multiply_adjacent(t: TensorElement, slot: int) -> TensorElement:
-    """Multiply two adjacent algebra slots of the same presentation."""
+    """Multiply two adjacent algebra slots of the same presentation.
+
+    Each group of terms that agree on the other slots is reduced once:
+    ``reduce_terms`` fires a fixed rule per monomial, so it is linear on
+    every presentation, confluent or not.
+    """
     if not (
         0 <= slot < len(t.shape) - 1
         and t.shape[slot][0] == "alg"
@@ -279,12 +284,14 @@ def multiply_adjacent(t: TensorElement, slot: int) -> TensorElement:
         raise ShapeError("no matching algebra pair at slot %d" % slot)
     pres = t.shape[slot][1]
     shape = t.shape[:slot] + (alg_slot(pres),) + t.shape[slot + 2 :]
-    out = {}
+    groups: dict[tuple, dict] = {}
     for key, c in t.terms.items():
         f, prod = pres.mono_mul(key[slot], key[slot + 1])
-        head, tail = key[:slot], key[slot + 2 :]
-        for m, cc in pres.element({prod: f}).terms.items():
-            accumulate(out, head + (m,) + tail, c * cc)
+        accumulate(groups.setdefault((key[:slot], key[slot + 2 :]), {}), prod, c * f)
+    out = {}
+    for (head, tail), raw in groups.items():
+        for m, c in pres.reduce_terms(raw).items():
+            out[head + (m,) + tail] = c
     return _trusted_tensor(shape, out)
 
 

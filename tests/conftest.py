@@ -18,6 +18,22 @@ def load_bundled(name):
     return load_preset(preset_text(name), fallback_name=name)
 
 
+# one-line edits of the bundled ex2 preset: (text, its replacement)
+DOCTORED_Q = ("q b' a = L\n", "q b' a = L^-1\n")  # a q-table that breaks associativity
+ENTRY_MUTANT = ("+ 2 (b' a' | a b)", "+ 3 (b' a' | a b)")  # one wrong connection coefficient
+
+
+def ex2_variant_text(edit):
+    old, new = edit
+    text = preset_text("matsumoto-ex2")
+    assert text.count(old) == 1
+    return text.replace(old, new)
+
+
+def load_ex2_variant(edit):
+    return load_preset(ex2_variant_text(edit), fallback_name="matsumoto-ex2-variant")
+
+
 @pytest.fixture(scope="session")
 def ex1():
     return load_bundled("matsumoto-ex1")
@@ -26,6 +42,11 @@ def ex1():
 @pytest.fixture(scope="session")
 def ex2():
     return load_bundled("matsumoto-ex2")
+
+
+@pytest.fixture(scope="session")
+def doctored():
+    return load_ex2_variant(DOCTORED_Q)
 
 
 class OffsetCoaction(CoactionSpec):

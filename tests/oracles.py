@@ -10,13 +10,16 @@ a meaningful consistency check rather than a tautology.
 The only engine types these helpers touch are the public term maps, in
 the converters near the end, which exist so tests can compare results.
 
-The entwining scans at the end are the one exception.  They judge the
-grading certificates of ``qpbundle.cotensor`` by brute force: each
+The scans at the end are the exceptions.  The entwining scans judge
+the grading certificates of ``qpbundle.cotensor`` by brute force: each
 entwining axiom is evaluated, through the package's own tensor
 operations, on every normal monomial (or pair) up to a degree bound and
 on a window of grouplike indices.  What they check independently is the
 axiom itself, monomial by monomial, instead of the integer argument the
-certificates rest on.
+certificates rest on.  The translation scan forms each identity's
+product in P (x) P first and pushes it through the lifted canonical map,
+instead of reading it off the canonical images through the bimodule
+law as ``qpbundle.connection`` does.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from qpbundle.comodule import (
     tensor_apply,
     tensor_of,
 )
+from qpbundle.connection import lifted_canonical_map
 from qpbundle.cotensor import entwine, entwine_at, entwine_inverse, multiply_adjacent
 from qpbundle.report import check
 from qpbundle.scalar import ONE
@@ -413,3 +417,78 @@ def scan_entwined_module(emap, spec, degree_bound, monomial_filter=None):
             lambda m: "fails on %s at u^0" % p.render_monomial(m),
         ),
     ]
+
+
+def scan_translation_identities(form, n_bound, degree_bound=4):
+    """The rows of ``verify_translation_identities``, each case built as
+    a product in P (x) P and then sent through the lifted canonical map.
+
+    Same cases, order and details as the checker, so on an associative
+    presentation the two agree row for row, witness included.
+    """
+    spec, p = form.spec, form.presentation
+    indices = range(-n_bound, n_bound + 1)
+    can = lambda t: lifted_canonical_map(spec, t)
+    monos = p.monomials_up_to(degree_bound)
+    coinv = [m for m in monos if spec.right_degree(m) == 0]
+
+    def reproduces(m):
+        el = p.element({m: ONE})
+        moved = tensor_of([el, p.one()]) * form(spec.right_degree(m))
+        return can(moved) == can(tensor_of([p.one(), el]))
+
+    def commutes(n, m):
+        t, el = form(n), p.element({m: ONE})
+        return can(tensor_of([el, p.one()]) * t) == can(t * tensor_of([p.one(), el]))
+
+    # the product of the two images in P^op (x) P
+    def multiplicative(n1, n2):
+        t1, t2 = form(n1), form(n2)
+        total = TensorElement(t1.shape)
+        for (s1, y1), c1 in t1.terms.items():
+            for (s2, y2), c2 in t2.terms.items():
+                f1, sm = p.mono_mul(s1, s2)
+                f2, ym = p.mono_mul(y2, y1)
+                piece = tensor_of([p.element({sm: f1}), p.element({ym: f2})])
+                total = total + piece.scale(c1 * c2)
+        target = TensorElement((alg_slot(p), coalg_slot()), {(p.one_monomial(), n1 + n2): ONE})
+        return can(total) == target
+
+    return [
+        check(
+            "connection",
+            "reproduce-coaction",
+            zip(monos),
+            reproduces,
+            lambda m: "fails on %s" % p.render_monomial(m),
+        ),
+        check(
+            "connection",
+            "coinvariant-commute",
+            ((n, m) for n in indices for m in coinv),
+            commutes,
+            lambda n, m: "fails on %s at index %d" % (p.render_monomial(m), n),
+        ),
+        check(
+            "connection",
+            "multiplicative",
+            ((n1, n2) for n1 in indices for n2 in indices),
+            multiplicative,
+            lambda n1, n2: "fails at indices %d, %d" % (n1, n2),
+        ),
+    ]
+
+
+def per_term_product(t, slot):
+    """``multiply_adjacent`` term by term: each term's product reduced on
+    its own, the pieces summed through the validating constructor."""
+    pres = t.shape[slot][1]
+    shape = t.shape[:slot] + t.shape[slot + 1 :]
+    total = TensorElement(shape)
+    for key, c in t.terms.items():
+        f, prod = pres.mono_mul(key[slot], key[slot + 1])
+        head, tail = key[:slot], key[slot + 2 :]
+        reduced = pres.reduce_terms({prod: f})
+        piece = {head + (m,) + tail: c * cc for m, cc in reduced.items()}
+        total = total + TensorElement(shape, piece)
+    return total

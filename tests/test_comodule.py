@@ -22,7 +22,7 @@ from qpbundle.comodule import (
     tensor_of,
 )
 from conftest import OffsetCoaction
-from oracles import scan_entwining_axioms
+from oracles import per_term_product, scan_entwining_axioms
 from qpbundle.cotensor import (
     EntwiningMap,
     canonical_entwining,
@@ -325,6 +325,63 @@ def test_entwining_paths_are_canonical(ex2, data):
     assert multiply_adjacent(swapped, 0).is_zero()
     aac = _draw_tensor(data, p, ("alg", "alg", "coalg"))
     _assert_canonical(multiply_adjacent(aac + swapped, 0))
+
+
+# (kinds of the slots, the slot whose algebra pair is multiplied)
+_ADJACENT_LAYOUTS = [
+    (("alg", "alg"), 0),
+    (("alg", "alg", "coalg"), 0),
+    (("coalg", "alg", "alg", "alg"), 1),
+    (("coalg", "alg", "alg", "alg"), 2),
+]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_multiply_adjacent_is_the_per_term_reduction_summed(ex2, doctored, data):
+    # both factors and the ambient algebra, and the doctored q-table,
+    # whose rewriting is not confluent
+    p = data.draw(
+        st.sampled_from(
+            [
+                ex2.a_spec.presentation,
+                ex2.p_spec.presentation,
+                ex2.cot.ambient,
+                doctored.a_spec.presentation,
+                doctored.cot.ambient,
+            ]
+        )
+    )
+    kinds, slot = data.draw(st.sampled_from(_ADJACENT_LAYOUTS))
+    monos = p.monomials_up_to(2)
+    entry = lambda kind: st.sampled_from(monos) if kind == "alg" else indices
+    shape = tuple(alg_slot(p) if kind == "alg" else coalg_slot() for kind in kinds)
+    # few groups (entries of the other slots), several pairs in each
+    others = kinds[:slot] + kinds[slot + 2 :]
+    groups = data.draw(st.lists(st.tuples(*map(entry, others)), min_size=1, max_size=2))
+    pair = st.tuples(st.sampled_from(monos), st.sampled_from(monos))
+    drawn = data.draw(st.dictionaries(st.tuples(st.sampled_from(groups), pair), coeffs, max_size=6))
+    t = TensorElement(shape, {g[:slot] + ab + g[slot:]: c for (g, ab), c in drawn.items()})
+
+    g, (a, b), c = data.draw(st.sampled_from(groups)), data.draw(pair), data.draw(coeffs)
+    place = lambda x, y: g[:slot] + (x, y) + g[slot:]
+    # a.b and b.a cancel before any reduction
+    swapped = TensorElement(shape, {place(a, b): c}) + TensorElement(
+        shape, {place(b, a): c * _swap_cancelling(p, a, b)}
+    )
+    # c a.b against minus its normal form times 1: they cancel only once reduced
+    f, ab = p.mono_mul(a, b)
+    normal = p.reduce_terms({ab: f})
+    unit = p.one_monomial()
+    reduced = TensorElement(shape, {place(a, b): c}) + TensorElement(
+        shape, {place(m, unit): -c * cm for m, cm in normal.items()}
+    )
+    for x in (t, swapped, reduced, t + swapped, t + reduced):
+        got = multiply_adjacent(x, slot)
+        _assert_canonical(got)
+        assert got == per_term_product(x, slot)
+    assert multiply_adjacent(swapped, slot).is_zero()
+    assert multiply_adjacent(reduced, slot).is_zero()
 
 
 # -- broken unit degrees are caught ---------------------------------------------

@@ -1,8 +1,11 @@
 """Connection forms, their axioms, composition, and translation maps."""
 
+import random
+
 import pytest
 
-from oracles import WordSphere, plain_tensor2
+from conftest import ENTRY_MUTANT, load_ex2_variant
+from oracles import WordSphere, plain_tensor2, scan_translation_identities
 from qpbundle.comodule import (
     TensorElement,
     alg_slot,
@@ -152,6 +155,48 @@ def test_translation_identities(ex2):
     form = matsumoto_connection(ex2.a_spec)
     for res in verify_translation_identities(form, n_bound=3, degree_bound=3):
         assert res.status == "pass", (res.check_id, res.detail)
+
+
+def _coefficient_mutant(form, rng):
+    """The form with one coefficient of one image at |n| <= 3 scaled by
+    another integer (0 drops the term), pinned as an override."""
+    n = rng.randint(-3, 3)
+    t = form(n)
+    key = rng.choice(sorted(t.terms))
+    terms = dict(t.terms)
+    terms[key] = terms[key] * rng.choice([-1, 0, 2, 3])
+    overrides = dict(form.overrides)
+    overrides[n] = TensorElement(t.shape, terms)
+    return ConnectionForm(form.spec, form.closed, overrides=overrides)
+
+
+def _rows(results):
+    return [(r.check_id, r.status, r.detail) for r in results]
+
+
+def test_translation_rows_match_the_product_scan(ex1, ex2):
+    # the bimodule-law rows against the product-then-can formulas, on
+    # the bundled forms, the entry-mutant table and seeded mutants
+    forms = [ex1.form_a, ex2.form_a, load_ex2_variant(ENTRY_MUTANT).form_a]
+    rng = random.Random(11)
+    forms += [_coefficient_mutant(f, rng) for f in (ex1.form_a, ex2.form_a) for _ in range(8)]
+    failing = 0
+    for form in forms:
+        got = _rows(verify_translation_identities(form, n_bound=3, degree_bound=4))
+        assert got == _rows(scan_translation_identities(form, n_bound=3, degree_bound=4))
+        failing += any(status == "fail" for _, status, _ in got)
+    # the comparison is not vacuous: the entry mutant and most seeded
+    # mutants break a row
+    assert failing >= 10
+
+
+def test_doctored_translation_rows_keep_their_statuses(doctored):
+    # the doctored q-table breaks associativity, so the bracketing can
+    # pick another first witness, but every row still fails
+    got = _rows(verify_translation_identities(doctored.form_a, n_bound=3, degree_bound=4))
+    want = _rows(scan_translation_identities(doctored.form_a, n_bound=3, degree_bound=4))
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    assert all(status == "fail" for _, status, _ in got)
 
 
 def test_inverse_canonical_representative(ex2):

@@ -26,18 +26,17 @@ from click.testing import CliRunner
 
 from qpbundle.cli.main import main
 
-from conftest import preset_text
+from conftest import DOCTORED_Q, ENTRY_MUTANT, ex2_variant_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BOUNDS = ("--n-bound", "3", "--degree-bound", "4")
 
 # golden name -> (text in the ex2 preset, its replacement)
 FAILING = {
-    # a q-table that breaks associativity: algebra, connection and
-    # examples rows fail
-    "matsumoto-ex2-doctored-q": ("q b' a = L\n", "q b' a = L^-1\n"),
-    # one wrong coefficient in an explicit connection entry
-    "matsumoto-ex2-entry-mutant": ("+ 2 (b' a' | a b)", "+ 3 (b' a' | a b)"),
+    # algebra, connection and examples rows fail
+    "matsumoto-ex2-doctored-q": DOCTORED_Q,
+    # connection rows fail
+    "matsumoto-ex2-entry-mutant": ENTRY_MUTANT,
 }
 
 
@@ -66,11 +65,8 @@ def test_default_bounds_verify_json_matches_golden(preset):
 
 @pytest.mark.parametrize("name", sorted(FAILING))
 def test_failing_verify_json_matches_golden(name, tmp_path):
-    old, new = FAILING[name]
-    text = preset_text("matsumoto-ex2")
-    assert text.count(old) == 1
     path = tmp_path / "variant.preset"
-    path.write_text(text.replace(old, new), encoding="utf-8")
+    path.write_text(ex2_variant_text(FAILING[name]), encoding="utf-8")
     res = _verify(["--file", str(path)])
     assert res.exit_code == 1
     assert res.stdout == (GOLDEN / ("%s.json" % name)).read_text(encoding="utf-8")

@@ -307,22 +307,46 @@ def tensor_of(factors: Sequence) -> TensorElement:
 
 
 def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
-    """Slot-wise product of two tensors of identical shape."""
+    """Slot-wise product of two tensors of identical shape.
+
+    One pass forms every term product with its raw monomial products,
+    then each algebra slot is reduced by ``_reduce_slot``.
+    """
     if x.shape != y.shape:
         raise ShapeError("tensor shapes differ")
-    out: dict[tuple, LaurentScalar] = {}
+    raw: dict[tuple, LaurentScalar] = {}
     for kx, cx in x.terms.items():
         for ky, cy in y.terms.items():
-            factors = []
-            for slot, a, b in zip(x.shape, kx, ky):
-                kind, pres = slot
+            c = cx * cy
+            key = []
+            for (kind, pres), a, b in zip(x.shape, kx, ky):
                 if kind == "alg":
                     f, prod = pres.mono_mul(a, b)
-                    factors.append(pres.element({prod: f}))
+                    c = c * f
+                    key.append(prod)
                 else:
-                    factors.append(grouplike(a + b))
-            _add_scaled(out, tensor_of(factors), cx * cy)
-    return _trusted_tensor(x.shape, out)
+                    key.append(a + b)
+            accumulate(raw, tuple(key), c)
+    for i, (kind, pres) in enumerate(x.shape):
+        if kind == "alg":
+            raw = _reduce_slot(raw, i, pres)
+    return _trusted_tensor(x.shape, raw)
+
+
+def _reduce_slot(terms: dict, slot: int, pres: AlgebraPresentation) -> dict:
+    """Normal-form the q-sorted monomials in one algebra slot of a term
+    map, with one ``reduce_terms`` call per group of terms that agree on
+    the other slots.  ``reduce_terms`` is linear on every presentation,
+    so this equals reducing term by term.
+    """
+    groups: dict[tuple, dict] = {}
+    for key, c in terms.items():
+        groups.setdefault((key[:slot], key[slot + 1 :]), {})[key[slot]] = c
+    out = {}
+    for (head, tail), raw in groups.items():
+        for m, c in pres.reduce_terms(raw).items():
+            out[head + (m,) + tail] = c
+    return out
 
 
 def _add_scaled(out: dict, t: TensorElement, c) -> None:

@@ -15,7 +15,6 @@ ways of computing the same element can be compared exactly.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Callable
 
 from .scalar import LaurentScalar, ONE, accumulate, binomial
@@ -64,6 +63,7 @@ class ConnectionForm:
         self.presentation = spec.presentation
         self._rule = rule
         self._memo: dict[int, TensorElement] = {}
+        self._canonical: dict[int, TensorElement] = {}
         self.overrides = dict(overrides) if overrides else {}
         self.name = name
         self._shape = (alg_slot(self.presentation), alg_slot(self.presentation))
@@ -81,6 +81,13 @@ class ConnectionForm:
         if n in self.overrides:
             return self.overrides[n]
         return self.closed(n)
+
+    def canonical(self, n: int) -> TensorElement:
+        """C(n) = can(l(u^n)), the lifted canonical image of ``self(n)``
+        (an override where there is one), computed once per index."""
+        if n not in self._canonical:
+            self._canonical[n] = lifted_canonical_map(self.spec, self(n))
+        return self._canonical[n]
 
     def __repr__(self) -> str:
         return "<connection %s on %s>" % (self.name or "form", self.presentation.name)
@@ -208,7 +215,7 @@ def verify_strong_connection(form: ConnectionForm, n_bound: int) -> list[CheckRe
         ),
         row(
             "colift",
-            lambda n: lifted_canonical_map(spec, form(n)) == _colift_target(p, n),
+            lambda n: form.canonical(n) == _colift_target(p, n),
             "colifting fails at index %d",
         ),
         row("right-colinear", right_colinear, "second leg not colinear at index %d"),
@@ -414,18 +421,23 @@ def composed_generator_form(cot: CotensorAlgebra, n: int) -> TensorElement:
     carries a typo there, see the n = 2 cross-checks in the tests).
     """
     gens = mixed_cotensor_generators(cot)
-    alpha, beta = gens["alpha"], gens["beta"]
-    gamma, delta = gens["gamma"], gens["delta"]
-    astar, bstar = alpha.star(), beta.star()
-    gstar, dstar = gamma.star(), delta.star()
+    for name in ("alpha", "beta", "gamma", "delta"):
+        gens[name + "*"] = gens[name].star()
     amb = cot.ambient
     terms: dict[tuple, LaurentScalar] = {}
+    # every left-fold prefix (((1 g1) g2) ...) of a word, by its letters
+    prefixes: dict[tuple, AlgebraElement] = {(): amb.one()}
 
     def word(*factors) -> AlgebraElement:
-        out = amb.one()
-        for el, e in factors:
+        letters = ()
+        out = prefixes[letters]
+        for name, e in factors:
             for _ in range(e):
-                out = out * el
+                letters += (name,)
+                nxt = prefixes.get(letters)
+                if nxt is None:
+                    nxt = prefixes[letters] = out * gens[name]
+                out = nxt
         return out
 
     nn = abs(n)
@@ -440,16 +452,16 @@ def composed_generator_form(cot: CotensorAlgebra, n: int) -> TensorElement:
                         * binomial(m, s)
                     ) * LaurentScalar.lam((k + m) * (t - s) - t * t + s * s)
                     x = word(
-                        (bstar, m - t),
-                        (gstar, t),
-                        (delta, k + m - t),
-                        (alpha, nn - 2 * m - k + t),
+                        ("beta*", m - t),
+                        ("gamma*", t),
+                        ("delta", k + m - t),
+                        ("alpha", nn - 2 * m - k + t),
                     )
                     y = word(
-                        (astar, nn - 2 * m - k + s),
-                        (dstar, k + m - s),
-                        (gamma, s),
-                        (beta, m - s),
+                        ("alpha*", nn - 2 * m - k + s),
+                        ("delta*", k + m - s),
+                        ("gamma", s),
+                        ("beta", m - s),
                     )
                     pairt = (x, y) if n >= 0 else (y, x)
                     _add_scaled(terms, tensor_of(list(pairt)), coeff)
@@ -464,16 +476,16 @@ def composed_generator_form(cot: CotensorAlgebra, n: int) -> TensorElement:
                         * binomial(nn - m, s)
                     ) * LaurentScalar.lam(-k * (t - s))
                     x = word(
-                        (gstar, 2 * m - nn - k + t),
-                        (bstar, nn - m + k - t),
-                        (delta, nn - m - t),
-                        (alpha, t),
+                        ("gamma*", 2 * m - nn - k + t),
+                        ("beta*", nn - m + k - t),
+                        ("delta", nn - m - t),
+                        ("alpha", t),
                     )
                     y = word(
-                        (astar, s),
-                        (dstar, nn - m - s),
-                        (beta, nn - m - s + k),
-                        (gamma, 2 * m - nn - k + s),
+                        ("alpha*", s),
+                        ("delta*", nn - m - s),
+                        ("beta", nn - m - s + k),
+                        ("gamma", 2 * m - nn - k + s),
                     )
                     pairt = (x, y) if n >= 0 else (y, x)
                     _add_scaled(terms, tensor_of(list(pairt)), coeff)
@@ -504,7 +516,7 @@ def verify_translation_identities(
     spec, p = form.spec, form.presentation
     indices = range(-n_bound, n_bound + 1)
     shape = (alg_slot(p), coalg_slot())
-    can = cache(lambda n: lifted_canonical_map(spec, form(n)))
+    can = form.canonical
     base = lambda m: _trusted_tensor(shape, {(m, 0): ONE})  # m (x) u^0
     monos = p.monomials_up_to(degree_bound)
 

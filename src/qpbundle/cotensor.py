@@ -40,6 +40,7 @@ from .comodule import (
     CoactionSpec,
     ShapeError,
     TensorElement,
+    _reduce_slot,
     _require_homogeneous,
     _trusted_tensor,
     _vec_degree,
@@ -272,9 +273,8 @@ def entwine_at(emap: EntwiningMap, t: TensorElement, slot: int) -> TensorElement
 def multiply_adjacent(t: TensorElement, slot: int) -> TensorElement:
     """Multiply two adjacent algebra slots of the same presentation.
 
-    Each group of terms that agree on the other slots is reduced once:
-    ``reduce_terms`` fires a fixed rule per monomial, so it is linear on
-    every presentation, confluent or not.
+    The raw products are reduced once per group of terms that agree on
+    the other slots (``_reduce_slot``).
     """
     if not (
         0 <= slot < len(t.shape) - 1
@@ -284,15 +284,11 @@ def multiply_adjacent(t: TensorElement, slot: int) -> TensorElement:
         raise ShapeError("no matching algebra pair at slot %d" % slot)
     pres = t.shape[slot][1]
     shape = t.shape[:slot] + (alg_slot(pres),) + t.shape[slot + 2 :]
-    groups: dict[tuple, dict] = {}
+    raw: dict = {}
     for key, c in t.terms.items():
         f, prod = pres.mono_mul(key[slot], key[slot + 1])
-        accumulate(groups.setdefault((key[:slot], key[slot + 2 :]), {}), prod, c * f)
-    out = {}
-    for (head, tail), raw in groups.items():
-        for m, c in pres.reduce_terms(raw).items():
-            out[head + (m,) + tail] = c
-    return _trusted_tensor(shape, out)
+        accumulate(raw, key[:slot] + (prod,) + key[slot + 2 :], c * f)
+    return _trusted_tensor(shape, _reduce_slot(raw, slot, pres))
 
 
 # -- grading certificates (see the module docstring) ------------------------------

@@ -29,6 +29,9 @@ largest one pending, every contribution to it has already been merged
 and it is expanded exactly once.  ``b^k b*^k`` then takes k(k+1)/2
 rule firings, one per reducible a^i a*^i b^j b*^j below it, instead of
 following each of the 2^k rewrite paths that reach its normal form.
+Each presentation also stores the normal form of every monomial that
+``reduce_terms`` was once handed alone and reuses it exactly, since
+normal-forming is linear (see ``reduce_terms``).
 
 The monomial order: compare total degree first, then the *reversed*
 exponent tuple lexicographically.  Reversal puts weight on the later
@@ -74,7 +77,12 @@ class PresentationError(ValueError):
 class AlgebraPresentation:
     """Generators, q-commutation table, star pairing and rewrite rules.
 
-    Immutable after construction.  All element arithmetic is routed
+    Its defining data is immutable after construction.  The one thing
+    that changes is a private store of normal forms, monomial to NF(m),
+    that ``reduce_terms`` fills and reads: rewriting fires a fixed rule
+    per monomial, so normal-forming is linear and a stored NF(m) is
+    exact in every later call, confluent rules or not.  The store lives
+    and dies with the presentation.  All element arithmetic is routed
     through this object so elements of different presentations can
     never be silently mixed.
     """
@@ -159,6 +167,8 @@ class AlgebraPresentation:
                     )
             rules.append((lhs, rhs_terms))
         self.reductions = tuple(rules)
+        # monomial -> normal form, filled by reduce_terms
+        self._normal_forms: dict[Monomial, dict[Monomial, LaurentScalar]] = {}
         # (generator index, exponent) pairs each rule left side needs
         self._rule_supports = tuple(
             tuple((i, e) for i, e in enumerate(lhs) if e) for lhs, _ in rules
@@ -242,21 +252,60 @@ class AlgebraPresentation:
     # -- normal forms ----------------------------------------------------
 
     def reduce_terms(self, terms: Mapping[Monomial, LaurentScalar]) -> dict[Monomial, LaurentScalar]:
-        """Exhaustively rewrite a map of q-sorted monomials to coefficients.
+        """Sum of c * NF(m) over the terms c * m of a map of q-sorted monomials.
 
-        Irreducible monomials go straight to the result.  Reducible ones
-        are merged by monomial in ``pending`` and expanded largest first
-        in the monomial order, popped from a heap.  The order is
-        multiplicative and every rule right side is smaller than its
-        left side, so an expansion only adds to monomials below the one
-        expanded; each reducible monomial is therefore expanded once,
-        with its fully merged coefficient, or dropped if that is zero.
-        Nothing outlives the call.
+        Rewriting fires a fixed rule per monomial, so normal-forming is
+        linear and NF(m) is well defined monomial by monomial, confluent
+        rules or not.  The presentation keeps NF(m) for every reducible
+        monomial that was once a call's only reducible input with no
+        stored form, and reuses it exactly in every later call: a stored
+        form is copied and scaled, a normal monomial passes through.  A
+        single missing monomial is expanded alone and stored; several
+        are expanded together by ``_expand`` and nothing is stored, so
+        the store never holds more than the whole inputs it was handed.
+        It lives and dies with the presentation.  The returned dict is
+        always new.
+        """
+        out: dict[Monomial, LaurentScalar] = {}
+        missed: dict[Monomial, LaurentScalar] = {}
+        memo, first_rule = self._normal_forms, self._first_rule
+        for m, c in terms.items():
+            if not c:
+                continue
+            known = memo.get(m)
+            if known is not None:
+                for n, x in known.items():
+                    accumulate(out, n, x * c)
+            elif first_rule(m) is None:
+                accumulate(out, m, c)
+            else:
+                missed[m] = c
+        if len(missed) == 1:
+            ((m, c),) = missed.items()
+            known = memo[m] = self._expand({m: ONE})
+            for n, x in known.items():
+                accumulate(out, n, x * c)
+        elif missed:
+            for n, x in self._expand(missed).items():
+                accumulate(out, n, x)
+        return out
+
+    def _expand(self, terms: dict[Monomial, LaurentScalar]) -> dict[Monomial, LaurentScalar]:
+        """Normal form of reducible terms by ordered reduction.
+
+        Reducible monomials are merged by monomial in ``pending`` and
+        expanded largest first in the monomial order, popped from a heap;
+        a popped monomial with a stored normal form takes that instead.
+        The order is multiplicative and every rule right side is smaller
+        than its left side, so an expansion only adds to monomials below
+        the one expanded; each reducible monomial is therefore expanded
+        once, with its fully merged coefficient, or dropped if that is
+        zero.  Nothing is stored.
         """
         out: dict[Monomial, LaurentScalar] = {}
         pending: dict[Monomial, LaurentScalar] = {}
         heap: list[tuple[tuple, Monomial]] = []
-        first_rule = self._first_rule
+        memo, first_rule = self._normal_forms, self._first_rule
 
         def merge(items):
             for m, c in items:
@@ -273,8 +322,13 @@ class AlgebraPresentation:
         while heap:
             m = heappop(heap)[1]
             c = pending.pop(m)
-            if c:
+            if not c:
+                continue
+            known = memo.get(m)
+            if known is None:
                 merge(self._rewrite(first_rule(m), m, c))
+            else:
+                merge((n, x * c) for n, x in known.items())
         return {m: c for m, c in out.items() if c}
 
     def _sort_word(self, word: Sequence[str]) -> tuple[LaurentScalar, Monomial]:

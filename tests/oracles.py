@@ -255,6 +255,28 @@ def plain_element(el):
     return {m: plain_scalar(c) for m, c in el.terms.items()}
 
 
+def plain_reduce(spheres, terms):
+    """Plain normal form of an engine term map over the slot-wise tensor
+    product of ``spheres`` (one ``WordSphere`` per block of generators,
+    in engine order): each monomial is read as its ordered word, each
+    block's subword is rewritten by its sphere, and the blocks commute."""
+    out = {}
+    for m, c in terms.items():
+        partial = {(): dict(c.terms)}
+        start = 0
+        for sphere in spheres:
+            block = m[start : start + len(sphere.names)]
+            start += len(sphere.names)
+            word = tuple(g for g, e in zip(sphere.names, block) for _ in range(e))
+            nf = sphere.element({word: s_one()})
+            partial = {
+                k + v: s_mul(s, dict(sv)) for k, s in partial.items() for v, sv in nf.items()
+            }
+        for k, s in partial.items():
+            out[k] = s_add(out.get(k, {}), s)
+    return {k: s_canon(s) for k, s in out.items() if s}
+
+
 def plain_tensor2(t):
     """Two-algebra-slot tensor as a plain pair-keyed map."""
     if len(t.shape) != 2:
@@ -492,3 +514,36 @@ def per_term_product(t, slot):
         piece = {head + (m,) + tail: c * cc for m, cc in reduced.items()}
         total = total + TensorElement(shape, piece)
     return total
+
+
+def per_term_tensor_mul(x, y):
+    """``tensor_mul`` pair by pair: each pair of terms is laid out with
+    its two entries of every algebra slot side by side, each such slot
+    pair is multiplied by ``per_term_product``, and the pieces are summed
+    through the validating constructor."""
+    total = TensorElement(x.shape)
+    for kx, cx in x.terms.items():
+        for ky, cy in y.terms.items():
+            shape, key = [], []
+            for slot, a, b in zip(x.shape, kx, ky):
+                if slot[0] == "alg":
+                    shape += [slot, slot]
+                    key += [a, b]
+                else:
+                    shape.append(slot)
+                    key.append(a + b)
+            piece = TensorElement(shape, {tuple(key): cx * cy})
+            for i, slot in enumerate(x.shape):
+                if slot[0] == "alg":
+                    piece = per_term_product(piece, i)
+            total = total + piece
+    return total
+
+
+def assert_canonical(t):
+    """Equal to its rebuild through the validating constructor, no zero
+    coefficient stored, one key entry per slot."""
+    assert isinstance(t.shape, tuple)
+    assert t == TensorElement(t.shape, t.terms)
+    assert not any(c.is_zero() for c in t.terms.values())
+    assert all(isinstance(k, tuple) and len(k) == len(t.shape) for k in t.terms)

@@ -22,7 +22,7 @@ from qpbundle.comodule import (
     tensor_of,
 )
 from conftest import OffsetCoaction
-from oracles import per_term_product, scan_entwining_axioms
+from oracles import assert_canonical, per_term_product, scan_entwining_axioms
 from qpbundle.cotensor import (
     EntwiningMap,
     canonical_entwining,
@@ -224,15 +224,6 @@ coeffs = st.dictionaries(
 ).map(S)
 
 
-def _assert_canonical(t):
-    """Equal to its rebuild through the validating constructor, no zero
-    coefficient stored, one key entry per slot."""
-    assert isinstance(t.shape, tuple)
-    assert t == TensorElement(t.shape, t.terms)
-    assert not any(c.is_zero() for c in t.terms.values())
-    assert all(isinstance(k, tuple) and len(k) == len(t.shape) for k in t.terms)
-
-
 def _draw_tensor(data, p, kinds):
     monos = p.monomials_up_to(2)
     shape = tuple(alg_slot(p) if kind == "alg" else coalg_slot() for kind in kinds)
@@ -255,9 +246,9 @@ def test_tensor_arithmetic_is_canonical(ex2, data):
     y = _draw_tensor(data, p, ("alg", "coalg"))
     scaled = (x.scale(data.draw(coeffs)), x.scale(data.draw(st.integers(-2, 2))))
     for t in (x + y, x - y, -x) + scaled:
-        _assert_canonical(t)
+        assert_canonical(t)
     for t in (x + (-x), x - x, x.scale(0), x.scale(ZERO)):
-        _assert_canonical(t)
+        assert_canonical(t)
         assert t.is_zero()
 
     g = _draw_tensor(data, p, ("coalg",))
@@ -272,8 +263,8 @@ def test_tensor_arithmetic_is_canonical(ex2, data):
         tensor_of([el, y, g]),
         tensor_of([x - x, el]),
     ):
-        _assert_canonical(t)
-    _assert_canonical(tensor_mul(x, y))
+        assert_canonical(t)
+    assert_canonical(tensor_mul(x, y))
 
     # a.b and b.a pieces of the product cancel
     a, b = data.draw(st.sampled_from(monos)), data.draw(st.sampled_from(monos))
@@ -282,17 +273,17 @@ def test_tensor_arithmetic_is_canonical(ex2, data):
         one_slot, {(b,): _swap_cancelling(p, a, b)}
     )
     right = TensorElement(one_slot, {(b,): ONE}) + TensorElement(one_slot, {(a,): ONE})
-    _assert_canonical(tensor_mul(left, right))
+    assert_canonical(tensor_mul(left, right))
 
     # the partner of every term lands on the same key with the opposite sign
     partner = TensorElement(x.shape, {(m, n ^ 1): -c for (m, n), c in x.terms.items()})
     halve = lambda n: grouplike(n // 2)
-    _assert_canonical(tensor_apply(x + y, 1, halve))
+    assert_canonical(tensor_apply(x + y, 1, halve))
     cancelled = tensor_apply(x + partner, 1, halve)
-    _assert_canonical(cancelled)
+    assert_canonical(cancelled)
     assert cancelled.is_zero()
     assert cancelled.shape == x.shape
-    _assert_canonical(tensor_apply(x, 0, lambda m: p.element({m: ONE}) * p.gen("x")))
+    assert_canonical(tensor_apply(x, 0, lambda m: p.element({m: ONE}) * p.gen("x")))
 
 
 @given(st.data())
@@ -311,7 +302,7 @@ def test_entwining_paths_are_canonical(ex2, data):
         entwine_at(emap, cpa, 0),
         entwine_at(emap, cpa - cpa, 0),
     ):
-        _assert_canonical(t)
+        assert_canonical(t)
 
     # opposite-sign pieces: (a, b, n) and (b, a, n) multiply to cancelling terms
     monos = p.monomials_up_to(2)
@@ -321,10 +312,10 @@ def test_entwining_paths_are_canonical(ex2, data):
     swapped = TensorElement(shape, {(a, b, n): c}) + TensorElement(
         shape, {(b, a, n): c * _swap_cancelling(p, a, b)}
     )
-    _assert_canonical(multiply_adjacent(swapped, 0))
+    assert_canonical(multiply_adjacent(swapped, 0))
     assert multiply_adjacent(swapped, 0).is_zero()
     aac = _draw_tensor(data, p, ("alg", "alg", "coalg"))
-    _assert_canonical(multiply_adjacent(aac + swapped, 0))
+    assert_canonical(multiply_adjacent(aac + swapped, 0))
 
 
 # (kinds of the slots, the slot whose algebra pair is multiplied)
@@ -378,7 +369,7 @@ def test_multiply_adjacent_is_the_per_term_reduction_summed(ex2, doctored, data)
     )
     for x in (t, swapped, reduced, t + swapped, t + reduced):
         got = multiply_adjacent(x, slot)
-        _assert_canonical(got)
+        assert_canonical(got)
         assert got == per_term_product(x, slot)
     assert multiply_adjacent(swapped, slot).is_zero()
     assert multiply_adjacent(reduced, slot).is_zero()

@@ -79,6 +79,11 @@ def test_overrides_take_precedence(ex2):
     # the doctored entry must surface in the axiom checks
     results = verify_strong_connection(form, n_bound=1)
     assert any(res.status == "fail" for res in results)
+    colift = next(res for res in results if res.check_id == "colift")
+    assert (colift.status, colift.detail) == ("fail", "colifting fails at index 1")
+    # the stored canonical image is the override's, computed once
+    assert form.canonical(1) == lifted_canonical_map(spec, doctored)
+    assert form.canonical(1) is form.canonical(1)
 
 
 def test_balance_checkers_spot_cases(ex2):

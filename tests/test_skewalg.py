@@ -3,7 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import WordSphere, plain_element, s_canon, s_mul
+from oracles import (
+    WordSphere,
+    assert_canonical,
+    per_term_tensor_mul,
+    plain_element,
+    plain_reduce,
+    s_canon,
+    s_mul,
+)
+from qpbundle.comodule import TensorElement, alg_slot, coalg_slot, tensor_mul
 from qpbundle.scalar import ONE, LaurentScalar as S
 from qpbundle.skewalg import (
     AlgebraElement,
@@ -262,7 +271,9 @@ def test_ambient_normal_form_matches_oracles(ex2, w):
 # -- cost of ordered reduction ---------------------------------------------------
 
 
-def test_ordered_reduction_fires_polynomially_many_rules(sphere, monkeypatch):
+def test_ordered_reduction_fires_polynomially_many_rules(monkeypatch):
+    # a fresh presentation: stored normal forms would make the bound vacuous
+    sphere = sphere_presentation()
     firings = []
     mono_mul = AlgebraPresentation.mono_mul
 
@@ -278,6 +289,13 @@ def test_ordered_reduction_fires_polynomially_many_rules(sphere, monkeypatch):
     # rewriting every path separately would fire about 2^k times
     assert len(firings) <= (k + 1) ** 2
     assert len(el.terms) == k + 1
+
+    # the sum of b^j b'^j over j <= k shares those expansions: reducing
+    # each summand on its own would fire about k^3/3 times
+    firings.clear()
+    out = sphere_presentation().reduce_terms({(0, 0, j, j): ONE for j in range(k + 1)})
+    assert len(firings) <= (k + 1) ** 2
+    assert len(out) == k + 1
 
 
 term_maps = st.dictionaries(
@@ -304,3 +322,87 @@ def test_reduce_terms_drops_cancelled_terms(sphere):
     bb, aa, one = (0, 0, 1, 1), (1, 1, 0, 0), (0, 0, 0, 0)
     assert sphere.reduce_terms({bb: ONE, aa: ONE}) == {one: ONE}
     assert sphere.reduce_terms({bb: ONE, aa: ONE, one: S.integer(-1)}) == {}
+
+
+# -- stored normal forms ------------------------------------------------------
+
+
+def rebuilt(p):
+    """A fresh presentation from the same data, with nothing stored."""
+    k = len(p.generators)
+    comm = {(p.generators[i], p.generators[j]): p.q[i][j] for i in range(k) for j in range(i)}
+    rules = [
+        ([g for g, e in zip(p.generators, lhs) for _ in range(e)], rhs)
+        for lhs, rhs in p.reductions
+    ]
+    return AlgebraPresentation(p.generators, p.star_map, comm, rules, name=p.name)
+
+
+TENSOR_LAYOUTS = (("alg", "coalg"), ("alg", "alg"), ("coalg", "alg", "alg"))
+scalars = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-3, 3), max_size=3
+).map(S)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_stored_normal_forms_are_exact(ex2, doctored, data):
+    first, second = (WordSphere(names, symbol=s) for s, names in enumerate(AMBIENT_SLOTS))
+    # the word oracle has no model of the doctored q-table, whose rewriting
+    # is not confluent; there the fresh copy is the reference
+    p, spheres = data.draw(
+        st.sampled_from(
+            [
+                (ex2.a_spec.presentation, (first,)),
+                (ex2.p_spec.presentation, (second,)),
+                (ex2.cot.ambient, (first, second)),
+                (doctored.a_spec.presentation, None),
+                (doctored.cot.ambient, None),
+            ]
+        )
+    )
+    k = len(p.generators)
+    monos = st.lists(st.integers(0, 2), min_size=k, max_size=k).map(tuple)
+    terms = data.draw(st.dictionaries(monos, scalars, max_size=5))
+    fresh = rebuilt(p)
+
+    # store the normal forms of some single monomials, then reduce the
+    # map on the warm presentation, its fresh copy and the oracle
+    warm = data.draw(st.lists(st.sampled_from(list(terms)) | monos, max_size=4)) if terms else []
+    singles = [p.reduce_terms({m: ONE}) for m in warm]
+    got = p.reduce_terms(terms)
+    assert got == fresh.reduce_terms(terms)
+    if spheres is not None:
+        assert plain_element(AlgebraElement(p, got)) == plain_reduce(spheres, terms)
+
+    # no caller can reach a stored normal form through a returned dict
+    expected = dict(got)
+    for out in singles + [got]:
+        out.clear()
+        out[p.one_monomial()] = S.integer(7)
+    assert p.reduce_terms(terms) == expected
+    for m in warm:
+        assert p.reduce_terms({m: ONE}) == rebuilt(p).reduce_terms({m: ONE})
+
+    # tensor_mul reduces each slot once per group of terms; it must equal
+    # the per-term reduction, also where terms cancel only once reduced
+    kinds = data.draw(st.sampled_from(TENSOR_LAYOUTS))
+    shape = tuple(alg_slot(p) if kind == "alg" else coalg_slot() for kind in kinds)
+    normal = p.monomials_up_to(2)
+    entry = {"alg": st.sampled_from(normal), "coalg": st.integers(-3, 3)}
+    key = st.tuples(*(entry[kind] for kind in kinds))
+    x, y = (TensorElement(shape, data.draw(st.dictionaries(key, scalars, max_size=3))) for _ in "xy")
+    # c a.b against minus c NF(a.b) times 1, beside the cross terms
+    slot = kinds.index("alg")
+    a, b, c = data.draw(entry["alg"]), data.draw(entry["alg"]), data.draw(scalars)
+    g, h = data.draw(key), data.draw(key)
+    place = lambda other, m: other[:slot] + (m,) + other[slot + 1 :]
+    f, ab = p.mono_mul(a, b)
+    cancelling = TensorElement(shape, {place(g, a): c}) - TensorElement(
+        shape, {place(g, m): c * cm for m, cm in p.reduce_terms({ab: f}).items()}
+    )
+    partner = TensorElement(shape, {place(h, b): ONE, place(h, p.one_monomial()): ONE})
+    for left, right in ((x, y), (cancelling, partner), (x + cancelling, y + partner)):
+        got = tensor_mul(left, right)
+        assert_canonical(got)
+        assert got == per_term_tensor_mul(left, right)

@@ -3,7 +3,7 @@
 Subcommands: verify (run check suites, exit 0/1), nf (normal-form an
 expression), compose (print the composed connection at one index),
 coinv (print a coinvariant basis).  Exit codes: 0 all checks pass, 1
-at least one check fails, 2 usage or parse errors.
+at least one check fails, 2 usage or parse errors, 3 internal error.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import click
 if hasattr(signal, "SIGPIPE"):
     signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
-from ..comodule import ShapeError, render_tensor
+from ..comodule import render_tensor
 from ..cotensor import coinvariants_basis
 from ..report import Report
 from ..scalar import LaurentScalar, render_scalar
-from ..skewalg import AlgebraElement, PresentationError, render_element
-from .parser import ParseError, Tower, load_preset, parse_expression
+from ..skewalg import AlgebraElement, render_element
+from .parser import PACKAGE_ERRORS, Tower, load_preset, parse_expression
 from .suites import SUITE_NAMES, SuiteConfig, run_suites
 
 BUNDLED = ("matsumoto-ex1", "matsumoto-ex2")
@@ -65,9 +65,16 @@ def _friendly_errors(f):
     def wrapper(*args, **kwargs):
         try:
             return f(*args, **kwargs)
-        except (ParseError, PresentationError, ShapeError, OSError, ValueError) as exc:
+        except (*PACKAGE_ERRORS, OSError, ValueError) as exc:
             click.echo("error: %s" % exc, err=True)
             sys.exit(2)
+        except click.ClickException:
+            raise
+        except Exception as exc:
+            import traceback  # here, off the start-up path of every run
+            traceback.print_exc()
+            click.echo("internal error: %s: %s" % (type(exc).__name__, exc), err=True)
+            sys.exit(3)
 
     return wrapper
 

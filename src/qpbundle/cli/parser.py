@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from ..scalar import LaurentScalar, ONE
 from ..skewalg import AlgebraElement, AlgebraPresentation, PresentationError
-from ..comodule import CoactionSpec, TensorElement, alg_slot, tensor_of
+from ..comodule import CoactionSpec, ShapeError, TensorElement, alg_slot, tensor_of
 from ..connection import ConnectionForm, compose_connection, matsumoto_connection
 from ..cotensor import CotensorAlgebra
 
@@ -33,6 +33,11 @@ class ParseError(ValueError):
         if line:
             message = "line %d, column %d: %s" % (line, col, message)
         super().__init__(message)
+
+
+# the package's own errors: a report may show one as a failing row, while
+# any other exception is a bug
+PACKAGE_ERRORS = (ParseError, PresentationError, ShapeError)
 
 
 # -- tokenizer -----------------------------------------------------------------

@@ -89,6 +89,16 @@ class CotensorAlgebra:
         ma, mp = self.split(m)
         return self.left_spec.right_degree(ma) - self.right_spec.left_degree(mp)
 
+    def closed_under_products(self) -> bool:
+        """Whether products of balanced monomials stay balanced, for all
+        degrees.  q-sorting adds exponent vectors, so when every rewrite
+        rule keeps the defect of its left side, each monomial of xy has
+        defect d(x) + d(y) - d(1): products of balanced monomials are
+        balanced exactly when d(1) = 0."""
+        d, p = self.balance_defect, self.ambient
+        rules_keep = all(d(m) == d(lhs) for lhs, rhs in p.reductions for m in rhs)
+        return d(p.one_monomial()) == 0 and rules_keep
+
     def is_member_monomial(self, m: Monomial) -> bool:
         return self.balance_defect(m) == 0
 

@@ -2,8 +2,9 @@ from importlib import resources
 
 import pytest
 
-from qpbundle.cli.parser import load_preset
+from qpbundle.cli.parser import Tower, load_preset
 from qpbundle.comodule import CoactionSpec
+from qpbundle.cotensor import CotensorAlgebra
 
 
 def preset_text(name):
@@ -64,3 +65,14 @@ class OffsetCoaction(CoactionSpec):
 
     def left_degree(self, m):
         return super().left_degree(m) + self.left_offset
+
+
+def offset_tower(tower, right_offset=0, left_offset=0):
+    """The tower's factors with the first's right degrees and the
+    second's left degrees off by the given constants, and their cotensor
+    algebra; no connection forms or aliases."""
+    a, p = tower.a_spec, tower.p_spec
+    a_spec = OffsetCoaction(a.presentation, right=a.right, left=a.left, right_offset=right_offset)
+    p_spec = OffsetCoaction(p.presentation, right=p.right, left=p.left, left_offset=left_offset)
+    cot = CotensorAlgebra(a_spec, p_spec)
+    return Tower(tower.name, tower.variant, a_spec, p_spec, cot, None, None, {})

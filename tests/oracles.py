@@ -19,7 +19,11 @@ axiom itself, monomial by monomial, instead of the integer argument the
 certificates rest on.  The translation scan forms each identity's
 product in P (x) P first and pushes it through the lifted canonical map,
 instead of reading it off the canonical images through the bimodule
-law as ``qpbundle.connection`` does.
+law as ``qpbundle.connection`` does.  The grading-row scans judge the
+rows that read integer degrees (closure under products, the bicomodule
+rows, colinearity and left-degree balance of connection legs): closure
+by multiplying balanced monomials, the others by building the tensors
+whose equality each row asserts.
 """
 
 from __future__ import annotations
@@ -34,13 +38,14 @@ from qpbundle.comodule import (
     comultiply,
     counit,
     grouplike,
+    left_coact,
     right_coact,
     tensor_apply,
     tensor_of,
 )
 from qpbundle.connection import lifted_canonical_map
 from qpbundle.cotensor import entwine, entwine_at, entwine_inverse, multiply_adjacent
-from qpbundle.report import check
+from qpbundle.report import check, verdict
 from qpbundle.scalar import ONE
 
 # scalars: {(L_exponent, M_exponent): integer coefficient}, no zeros
@@ -498,6 +503,125 @@ def scan_translation_identities(form, n_bound, degree_bound=4):
             multiplicative,
             lambda n1, n2: "fails at indices %d, %d" % (n1, n2),
         ),
+    ]
+
+
+# -- grading-row scans -------------------------------------------------------------
+
+
+def scan_closure_product(cot, degree=2):
+    """The ``closure-product`` row, decided by multiplying every pair of
+    balanced monomials with slot degrees up to ``degree``."""
+    gens = cot.generators_up_to(degree)
+    return check(
+        "cotensor",
+        "closure-product",
+        ((x, y) for x in gens for y in gens),
+        lambda x, y: cot.membership(x * y),
+        lambda x, y: "product of two members leaves the subalgebra",
+        anchor="closure",
+    )
+
+
+def scan_bicomodule(spec, degree_bound=3):
+    """The rows of ``check_bicomodule`` as tensor identities:
+    (H (x) rho) o lrho against (lrho (x) C) o rho on every normal monomial
+    up to the bound, and the left coaction of 1 against u^0 (x) 1."""
+    p = spec.presentation
+    right = lambda m: right_coact(spec, p.element({m: ONE}))
+    left = lambda m: left_coact(spec, p.element({m: ONE}))
+
+    def commute(m):
+        return tensor_apply(left(m), 1, right) == tensor_apply(right(m), 0, left)
+
+    unit = TensorElement((coalg_slot(), alg_slot(p)), {(0, p.one_monomial()): ONE})
+    return [
+        check(
+            "comodule",
+            "bicomodule-commute",
+            zip(p.monomials_up_to(degree_bound)),
+            commute,
+            lambda m: "coactions do not commute on %s" % p.render_monomial(m),
+        ),
+        verdict(
+            "comodule",
+            "unit-covariant",
+            left_coact(spec, p.one()) == unit,
+            "left coaction of 1 is not u^0 (x) 1",
+        ),
+    ]
+
+
+def scan_colinearity(form, n_bound):
+    """The ``right-colinear`` and ``left-colinear`` rows of
+    ``verify_strong_connection``, each image coacted on one leg and
+    compared with the three-slot tensor that carries the index."""
+    spec, p = form.spec, form.presentation
+    indices = list(zip(range(-n_bound, n_bound + 1)))
+    coact = lambda m: right_coact(spec, p.element({m: ONE}))
+
+    def right_colinear(n):
+        t = form(n)
+        lhs = TensorElement(
+            (alg_slot(p), alg_slot(p), coalg_slot()),
+            {(x, y, n): c for (x, y), c in t.terms.items()},
+        )
+        return lhs == tensor_apply(t, 1, coact)
+
+    def left_colinear(n):
+        t = form(n)
+        rhs = TensorElement(
+            (alg_slot(p), coalg_slot(), alg_slot(p)),
+            {(x, -n, y): c for (x, y), c in t.terms.items()},
+        )
+        return tensor_apply(t, 0, coact) == rhs
+
+    return [
+        check(
+            "connection",
+            "right-colinear",
+            indices,
+            right_colinear,
+            lambda n: "second leg not colinear at index %d" % n,
+        ),
+        check(
+            "connection",
+            "left-colinear",
+            indices,
+            left_colinear,
+            lambda n: "first leg degree is not the negated index at %d" % n,
+        ),
+    ]
+
+
+def scan_h_balance(form, left_spec, n_bound):
+    """The rows of ``check_h_balance``, each formulation an equality of
+    H (x) P (x) P tensors: u^(L(x)+L(y)) (x) x (x) y against u^0 (x) x (x) y
+    (combined) and u^L(x) (x) x (x) y against u^(-L(y)) (x) x (x) y
+    (per leg), over the terms x (x) y of every image."""
+    ldeg = left_spec.left_degree
+
+    def legs_agree(t, lhs, rhs):
+        shape = (coalg_slot(),) + t.shape
+        left, right = (
+            TensorElement(shape, {(side(x, y), x, y): c for (x, y), c in t.terms.items()})
+            for side in (lhs, rhs)
+        )
+        return left == right
+
+    ok, detail, agree, agree_detail = True, "", True, ""
+    for n in range(-n_bound, n_bound + 1):
+        t = form(n)
+        total = legs_agree(t, lambda x, y: ldeg(x) + ldeg(y), lambda x, y: 0)
+        split = legs_agree(t, lambda x, y: ldeg(x), lambda x, y: -ldeg(y))
+        if total != split and agree:
+            agree, agree_detail = False, "formulations disagree at index %d" % n
+        if not (total and split) and ok:
+            which = "combined" if not total else "per-leg"
+            ok, detail = False, "%s balance fails at index %d" % (which, n)
+    return [
+        verdict("connection", "h-balance", ok, detail),
+        verdict("connection", "h-balance-equivalence", agree, agree_detail),
     ]
 
 

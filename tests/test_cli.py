@@ -1,6 +1,7 @@
 """Command line contract: subcommands, exit codes, output formats."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -114,6 +115,30 @@ def test_mutated_preset_fails_checks(runner, tmp_path):
     )
     assert res.exit_code == 1
     assert "FAIL" in res.output
+
+
+def test_programming_error_exits_three(runner, tmp_path, monkeypatch):
+    from conftest import DOCTORED_Q, ex2_variant_text
+
+    # a failing identity still exits 1 and keeps its report
+    doctored = tmp_path / "doctored.preset"
+    doctored.write_text(ex2_variant_text(DOCTORED_Q), encoding="utf-8")
+    bounds = ("--n-bound", "3", "--degree-bound", "4")
+    res = invoke(runner, "verify", "--file", str(doctored), "--format", "json", *bounds)
+    assert res.exit_code == 1
+    golden = Path(__file__).resolve().parent / "golden" / "matsumoto-ex2-doctored-q.json"
+    assert res.stdout == golden.read_text(encoding="utf-8")
+
+    # a bug inside a row's computation is not reported as a failed identity
+    def broken(*args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr("qpbundle.cli.suites.inverse_canonical_representative", broken)
+    res = invoke(runner, "verify", "--suite", "connection", *FAST)
+    assert res.exit_code == 3
+    assert "internal error: TypeError: unsupported operand" in res.stderr
+    assert "Traceback" in res.stderr
+    assert res.stdout == ""
 
 
 def test_nf_contract_examples(runner):

@@ -115,7 +115,7 @@ def test_gradings_are_multiplicative(ex2):
 
 def test_bicomodule_checks_pass(ex1, ex2):
     for tower in (ex1, ex2):
-        for res in check_bicomodule(tower.p_spec, degree_bound=3):
+        for res in check_bicomodule(tower.p_spec):
             assert res.status == "pass", res.check_id
 
 
@@ -393,6 +393,6 @@ def test_unit_right_degree_breaks_the_entwining(ex2):
 def test_unit_left_degree_breaks_unit_covariance(ex2):
     spec = ex2.p_spec
     shifted = OffsetCoaction(spec.presentation, right=spec.right, left=spec.left, left_offset=1)
-    status = {res.check_id: res.status for res in check_bicomodule(shifted, degree_bound=2)}
+    status = {res.check_id: res.status for res in check_bicomodule(shifted)}
     assert status["unit-covariant"] == "fail"
     assert status["bicomodule-commute"] == "pass"

@@ -65,7 +65,7 @@ def _friendly_errors(f):
     def wrapper(*args, **kwargs):
         try:
             return f(*args, **kwargs)
-        except (*PACKAGE_ERRORS, OSError, ValueError) as exc:
+        except (*PACKAGE_ERRORS, OSError, UnicodeDecodeError) as exc:
             click.echo("error: %s" % exc, err=True)
             sys.exit(2)
         except click.ClickException:
@@ -96,7 +96,13 @@ def main():
     help="Suites to run; repeatable. 'none' runs nothing.",
 )
 @click.option("--n-bound", default=4, show_default=True, type=int)
-@click.option("--degree-bound", default=6, show_default=True, type=int)
+@click.option(
+    "--degree-bound",
+    default=6,
+    show_default=True,
+    type=int,
+    help="Degree cap of the cotensor and connection samples (algebra and entwining ignore it).",
+)
 @click.option(
     "--format",
     "fmt",
@@ -164,7 +170,7 @@ def compose(preset, file_path, n):
 
 @main.command()
 @_tower_options
-@click.option("--degree", default=2, show_default=True, type=int)
+@click.option("--degree", default=2, show_default=True, type=click.IntRange(min=0))
 @click.option(
     "--space",
     type=click.Choice(("cotensor", "second")),

@@ -35,9 +35,13 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+class ConfigError(ValueError):
+    """A run asked for with a setting outside its range."""
+
+
 # the package's own errors: a report may show one as a failing row, while
 # any other exception is a bug
-PACKAGE_ERRORS = (ParseError, PresentationError, ShapeError)
+PACKAGE_ERRORS = (ParseError, PresentationError, ShapeError, ConfigError)
 
 
 # -- tokenizer -----------------------------------------------------------------
@@ -297,8 +301,8 @@ class _ExprParser:
         return sign * int(tok.text)
 
     def _pow(self, v, k, tok):
-        if k < 0 and not _is_scalar(v):
-            raise _err(tok, "negative powers only apply to scalars")
+        if k < 0 and not (_is_scalar(v) and v.is_unit_monomial()):
+            raise _err(tok, "negative powers only apply to unit scalars")
         return v**k
 
     def atom(self):
@@ -564,7 +568,7 @@ class Tower:
             return ExpressionContext(self.p_spec.presentation)
         if which == "ambient":
             return ExpressionContext(self.cot.ambient, aliases=self.aliases)
-        raise ValueError("unknown algebra %r" % which)
+        raise ConfigError("unknown algebra %r" % which)
 
 
 def load_preset(text: str, fallback_name: str = "preset") -> Tower:
@@ -597,7 +601,10 @@ def load_preset(text: str, fallback_name: str = "preset") -> Tower:
             raise ParseError("connection for undeclared algebra %r" % label, 1, 1)
 
     name = meta.get("name", fallback_name)
-    variant = int(meta.get("variant", "0"))
+    try:
+        variant = int(meta.get("variant", "0"))
+    except ValueError:
+        raise ParseError("variant must be an integer", 1, 1)
     cot = CotensorAlgebra(a_spec, p_spec, name=name)
 
     form_a = form_p = None

@@ -540,20 +540,11 @@ def inverse_canonical_representative(
     """A tensor-square representative of the inverse canonical map at
     x (x) u^n, namely x placed on the first leg of the form's image.
 
-    Raises when x is outside the cotensor algebra or when the
-    roundtrip through the lifted canonical map does not return the
-    input, which would disqualify the form.
+    Raises when x is outside the cotensor algebra.  The lifted canonical
+    map sends it back to x (x) u^n when the form colifts at n.
     """
     if form.presentation is not cot.ambient:
         raise PresentationError("form does not live on the cotensor algebra")
     if not cot.membership(x):
         raise PresentationError("element is not in the cotensor algebra")
-    rep = tensor_of([x, cot.ambient.one()]) * form(n)
-    image = lifted_canonical_map(cot.induced_right, rep)
-    want = TensorElement(
-        (alg_slot(cot.ambient), coalg_slot()),
-        {(m, n): c for m, c in x.terms.items()},
-    )
-    if image != want:
-        raise PresentationError("representative fails the canonical-map roundtrip")
-    return rep
+    return tensor_of([x, cot.ambient.one()]) * form(n)

@@ -14,8 +14,8 @@ normalized in two stages: q-sorting into an exponent vector (picking up
 a unit-monomial coefficient from the inversions), then exhaustive rule
 rewriting.  Rules are required to be strictly decreasing in a graded
 order that is invariant under multiplication, which makes the
-rewriting terminate; confluence is certified empirically by
-``check_local_confluence`` up to a degree bound.
+rewriting terminate.  ``check_local_confluence`` and ``check_star_compatible``
+prove confluence and star-compatibility from finitely many checks.
 
 Every q_ij is a unit monomial +-L^l M^m, so the table is kept as a sign
 parity and two integer exponents per pair.  The factor of any q-sort is
@@ -115,7 +115,6 @@ class AlgebraPresentation:
             if star[g] not in self.index:
                 raise PresentationError("star partner %r is not a generator" % star[g])
         self.star_map = star
-        self._star_idx = tuple(self.index[star[g]] for g in self.generators)
 
         # full q matrix; q[i][j] for i>j is taken from the table, the
         # rest is forced by consistency
@@ -392,10 +391,7 @@ class AlgebraPresentation:
             raise PresentationError("element of a different presentation")
         raw: dict[Monomial, LaurentScalar] = {}
         for m, c in x.terms.items():
-            word: list[str] = []
-            for i in range(len(m) - 1, -1, -1):
-                word.extend([self.generators[self._star_idx[i]]] * m[i])
-            f, v = self._sort_word(word)
+            f, v = self._sort_word([self.star_map[g] for g in reversed(_vector_word(self, m))])
             t = c.star() * f
             prev = raw.get(v)
             raw[v] = t if prev is None else prev + t
@@ -403,21 +399,17 @@ class AlgebraPresentation:
 
     # -- enumeration --------------------------------------------------------
 
-    def monomials_up_to(self, degree: int, reduced_only: bool = True) -> list[Monomial]:
-        """All exponent vectors of total degree <= degree, smallest first.
-
-        With ``reduced_only`` the reducible vectors (those divisible by
-        a rule left side) are skipped, which enumerates the monomial
-        basis of the quotient.
-        """
+    def monomials_up_to(self, degree: int) -> list[Monomial]:
+        """The normal exponent vectors (divisible by no rule left side)
+        of total degree <= degree, smallest first: the monomial basis of
+        the quotient up to that degree."""
         k = len(self.generators)
-        out = []
-        for total in range(degree + 1):
-            for m in _compositions(total, k):
-                if reduced_only and self._first_rule(m) is not None:
-                    continue
-                out.append(m)
-        return out
+        return [
+            m
+            for total in range(degree + 1)
+            for m in _compositions(total, k)
+            if self._first_rule(m) is None
+        ]
 
     # -- rendering ------------------------------------------------------------
 
@@ -558,28 +550,18 @@ def tensor_presentation(
     clash = set(p1.generators) & set(p2.generators)
     if clash:
         raise PresentationError("generator name collision: %s" % sorted(clash))
-    gens = p1.generators + p2.generators
-    star = {}
-    star.update({g: p1.star_map[g] for g in p1.generators})
-    star.update({g: p2.star_map[g] for g in p2.generators})
-    comm: dict[tuple[str, str], LaurentScalar] = {}
-    for i in range(len(p1.generators)):
-        for j in range(i):
-            comm[(p1.generators[i], p1.generators[j])] = p1.q[i][j]
-    for i in range(len(p2.generators)):
-        for j in range(i):
-            comm[(p2.generators[i], p2.generators[j])] = p2.q[i][j]
     # cross-slot pairs commute; the q matrix default of 1 handles them
-    k1 = len(p1.generators)
+    comm: dict[tuple[str, str], LaurentScalar] = {}
     reductions = []
-    for lhs, rhs in p1.reductions:
-        word = _vector_word(p1, lhs)
-        rhs_ext = {m + (0,) * len(p2.generators): c for m, c in rhs.items()}
-        reductions.append((word, rhs_ext))
-    for lhs, rhs in p2.reductions:
-        word = _vector_word(p2, lhs)
-        rhs_ext = {(0,) * k1 + m: c for m, c in rhs.items()}
-        reductions.append((word, rhs_ext))
+    for p, before, after in ((p1, 0, len(p2.generators)), (p2, len(p1.generators), 0)):
+        for i, g in enumerate(p.generators):
+            for j in range(i):
+                comm[(g, p.generators[j])] = p.q[i][j]
+        for lhs, rhs in p.reductions:
+            rhs_ext = {(0,) * before + m + (0,) * after: c for m, c in rhs.items()}
+            reductions.append((_vector_word(p, lhs), rhs_ext))
+    gens = p1.generators + p2.generators
+    star = {**p1.star_map, **p2.star_map}
     return AlgebraPresentation(
         gens, star, comm, reductions, name=name or "%s(x)%s" % (p1.name, p2.name)
     )
@@ -593,47 +575,81 @@ def _vector_word(p: AlgebraPresentation, m: Monomial) -> list[str]:
 
 
 class ConfluenceReport:
-    """Outcome of the local-confluence scan."""
+    """Outcome of a finite certificate, from its (holds, witness)
+    conditions: how many it checked and the witness of each that fails."""
 
-    def __init__(self, degree_bound: int):
-        self.degree_bound = degree_bound
-        self.checked = 0
-        self.divergences: list[tuple[Monomial, str]] = []
+    def __init__(self, conditions: Iterable[tuple[bool, str]]):
+        conditions = list(conditions)
+        self.checked = len(conditions)
+        self.divergences = [witness for holds, witness in conditions if not holds]
 
     @property
     def ok(self) -> bool:
         return not self.divergences
 
 
-def check_local_confluence(p: AlgebraPresentation, degree_bound: int) -> ConfluenceReport:
-    """Check that all single-step rewrite choices rejoin.
+def check_local_confluence(p: AlgebraPresentation) -> ConfluenceReport:
+    """Prove that rewriting is confluent, for all degrees.
 
-    For every exponent vector up to the bound and every rule that
-    applies to it, perform that one step and then fully normalize; all
-    resulting elements must agree.  Divergences are reported, not
-    raised, so that deliberately broken presentations can be examined.
+    The rules f = lhs - rhs live in the q-polynomial ring R, and a
+    rewrite subtracts a right multiple f t.  NF is the quotient map of
+    A = R/I, I the two-sided ideal of the rules, when
+    (i) every rule is homogeneous for every commutation character:
+        moving a generator g past each right-side monomial gives the
+        ``sort_factor`` ratio of moving it past the left side, so
+        g f = chi f g, RfR = fR, and rewriting reduces modulo I; and
+    (ii) for every pair of rules, the two rewrites at the lcm of their
+        left sides reduce to one normal form: the ambiguities of
+        Bergman's diamond lemma (Adv. Math. 29 (1978) 178-218), here
+        Buchberger's criterion of Kandri-Rody and Weispfenning
+        (J. Symbolic Comput. 9 (1990) 1-26), since a rewrite at a
+        multiple of the lcm is the one at the lcm times the cofactor.
+    Rules decrease in a multiplicative order, so rewriting terminates.
+    A failure names the rule and generator breaking (i) or the overlap.
     """
-    if degree_bound < 2:
-        raise ValueError("degree bound must be at least 2")
-    report = ConfluenceReport(degree_bound)
-    k = len(p.generators)
-    for total in range(degree_bound + 1):
-        for m in _compositions(total, k):
-            results = []
-            for ridx, (lhs, _) in enumerate(p.reductions):
-                if _divides(lhs, m):
-                    raw = dict(p._rewrite(ridx, m, ONE))
-                    results.append(AlgebraElement(p, p.reduce_terms(raw)))
-            if results:
-                report.checked += 1
-                first = results[0]
-                for other in results[1:]:
-                    if other != first:
-                        report.divergences.append(
-                            (
-                                m,
-                                "%s vs %s" % (render_element(first), render_element(other)),
-                            )
-                        )
-                        break
-    return report
+    return ConfluenceReport(_confluence_conditions(p))
+
+
+def _confluence_conditions(p: AlgebraPresentation):
+    one = p.one_monomial()
+    chi = lambda u, m: p.sort_factor(u, m) * p.sort_factor(m, u).inverse()
+    for lhs, rhs in p.reductions:
+        for i, g in enumerate(p.generators):
+            u = one[:i] + (1,) + one[i + 1 :]
+            homogeneous = all(chi(u, m) == chi(u, lhs) for m in rhs)
+            yield homogeneous, "rule %s is not homogeneous for %s" % (p.render_monomial(lhs), g)
+    for i, (lhs, _) in enumerate(p.reductions):
+        for j in range(i + 1, len(p.reductions)):
+            lcm = tuple(map(max, lhs, p.reductions[j][0]))
+            x, y = (p.element(dict(p._rewrite(r, lcm, ONE))) for r in (i, j))
+            rendered = (p.render_monomial(lcm), render_element(x), render_element(y))
+            yield x == y, "diverges at %s: %s vs %s" % rendered
+
+
+def check_star_compatible(p: AlgebraPresentation) -> ConfluenceReport:
+    """Prove star(I) in I, I the ideal of the free algebra that the
+    q-table and the rules generate.
+
+    The star g -> g* is a conjugate-linear anti-automorphism of the free
+    algebra, so star(I) lies in I once the star of each generator of I
+    does: NF(g_j* g_i*) = conj(q_ij) NF(g_i* g_j*) for every i > j, and
+    the starred sides of every rule have one normal form.  Given
+    ``check_local_confluence``, NF is the quotient map pi, so pi o star
+    is well defined, and ``AlgebraPresentation.star`` (NF of each
+    monomial's starred word) is that map.  The star reverses products
+    and squares to the identity on the free algebra, so star(xy) =
+    star(y) star(x) and star(star(x)) = x hold on every normal element,
+    in every degree.  A failure names the q-pair or rule it breaks.
+    """
+    return ConfluenceReport(_star_conditions(p))
+
+
+def _star_conditions(p: AlgebraPresentation):
+    gens, star = p.generators, p.star_map
+    for i, gi in enumerate(gens):
+        for j, gj in enumerate(gens[:i]):
+            starred = p.normal_form([star[gi], star[gj]], p.q[i][j].star())
+            yield p.normal_form([star[gj], star[gi]]) == starred, "star breaks q %s %s" % (gi, gj)
+    for lhs, rhs in p.reductions:
+        same = p.star(AlgebraElement(p, {lhs: ONE})) == p.star(AlgebraElement(p, rhs))
+        yield same, "star breaks rule %s" % p.render_monomial(lhs)

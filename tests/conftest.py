@@ -1,6 +1,7 @@
 from importlib import resources
 
 import pytest
+from hypothesis import strategies as st
 
 from qpbundle.cli.parser import Tower, load_preset
 from qpbundle.comodule import CoactionSpec
@@ -76,3 +77,56 @@ def offset_tower(tower, right_offset=0, left_offset=0):
     p_spec = OffsetCoaction(p.presentation, right=p.right, left=p.left, left_offset=left_offset)
     cot = CotensorAlgebra(a_spec, p_spec)
     return Tower(tower.name, tower.variant, a_spec, p_spec, cot, None, None, {})
+
+
+# -- random q-tables on the sphere shape -------------------------------------------
+
+# the later*earlier pairs of the generators a < a' < b < b'
+SPHERE_PAIRS = (("a'", "a"), ("b", "a"), ("b", "a'"), ("b'", "a"), ("b'", "a'"), ("b'", "b"))
+
+# a unit monomial +-L^l M^m as (sign, l, m)
+units = st.tuples(st.sampled_from((1, -1)), st.integers(-1, 1), st.integers(-1, 1))
+
+
+@st.composite
+def sphere_tables(draw):
+    """(q-table, with the rule b b' = 1 - a a') on generators a a' b b'
+    with star pairs (a, a') and (b, b'); the table maps each pair of
+    ``SPHERE_PAIRS`` to a unit monomial.
+
+    Half the tables are free.  The other half start from the shape of the
+    bundled spheres, q(b' a') = q(b a), q(b' a) = q(b a') and q(a' a),
+    q(b' b) = +-1 (often with q(b a') = q(b a)^-1), and may have one entry
+    redrawn, so that tables passing and just failing each certificate
+    both come up.
+    """
+    if draw(st.booleans()):
+        table = {pair: draw(units) for pair in SPHERE_PAIRS}
+    else:
+        u = draw(units)
+        v = (u[0], -u[1], -u[2]) if draw(st.booleans()) else draw(units)
+        s1, s2 = draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, -1)))
+        table = {
+            ("a'", "a"): (s1, 0, 0),
+            ("b", "a"): u,
+            ("b'", "a'"): u,
+            ("b", "a'"): v,
+            ("b'", "a"): v,
+            ("b'", "b"): (s2, 0, 0),
+        }
+        if draw(st.booleans()):
+            table[draw(st.sampled_from(SPHERE_PAIRS))] = draw(units)
+    return table, draw(st.booleans())
+
+
+def sphere_preset_text(table, with_rule):
+    """A preset whose [algebra A] holds the table (graded like the
+    bundled ex2's A) and whose [algebra P] is ex2's."""
+    ex2 = preset_text("matsumoto-ex2")
+    lines = ["[algebra A]", "generators = a a' b b'", "star a a'", "star b b'"]
+    for (g, h), (sign, l, m) in sorted(table.items()):
+        lines.append("q %s %s = %sL^%d M^%d" % (g, h, "-" if sign < 0 else "", l, m))
+    if with_rule:
+        lines.append("reduce b b' = 1 - a a'")
+    lines += ["right a = 1", "right b = 1", ""]
+    return "\n".join(lines) + ex2[ex2.index("[algebra P]") : ex2.index("[connection A]")]

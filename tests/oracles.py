@@ -23,12 +23,17 @@ law as ``qpbundle.connection`` does.  The grading-row scans judge the
 rows that read integer degrees (closure under products, the bicomodule
 rows, colinearity and left-degree balance of connection legs): closure
 by multiplying balanced monomials, the others by building the tensors
-whose equality each row asserts.
+whose equality each row asserts.  The algebra scans judge the
+confluence and star certificates of ``qpbundle.skewalg``: they compare
+the rewrites that apply to each exponent vector, evaluate both star
+laws on normal monomials and pairs of them, and multiply monomial
+triples both ways, all up to a degree bound.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import product
 from operator import mul
 
 from qpbundle.comodule import (
@@ -504,6 +509,79 @@ def scan_translation_identities(form, n_bound, degree_bound=4):
             lambda n1, n2: "fails at indices %d, %d" % (n1, n2),
         ),
     ]
+
+
+# -- algebra scans -------------------------------------------------------------------
+
+
+def scan_confluence(p, degree_bound=4):
+    """The ``confluence`` row as a scan: at every exponent vector up to
+    the bound, each rule that applies, fired once and followed by the
+    normal form, gives one element."""
+
+    def joins(m):
+        results = [
+            p.element(dict(p._rewrite(r, m, ONE)))
+            for r, (lhs, _) in enumerate(p.reductions)
+            if all(l <= e for l, e in zip(lhs, m))
+        ]
+        return all(x == results[0] for x in results[1:])
+
+    vectors = product(range(degree_bound + 1), repeat=len(p.generators))
+    return check(
+        "algebra",
+        "confluence",
+        ((m,) for m in vectors if sum(m) <= degree_bound),
+        joins,
+        lambda m: "diverges at %s" % p.render_monomial(m),
+    )
+
+
+def scan_star_laws(p, degree_bound=3):
+    """The ``star-involutive`` and ``star-antimultiplicative`` rows as
+    scans: star(star(x)) = x on every normal monomial up to the bound,
+    and star(xy) = star(y) star(x) on every pair of them."""
+    sample = p.monomials_up_to(degree_bound)
+    elems = [p.element({m: ONE}) for m in sample]
+    stars = [e.star() for e in elems]
+    cases = list(zip(sample, elems, stars))
+    render = p.render_monomial
+    return [
+        check(
+            "algebra",
+            "star-involutive",
+            cases,
+            lambda m, e, s: s.star() == e,
+            lambda m, e, s: "fails on %s" % render(m),
+        ),
+        check(
+            "algebra",
+            "star-antimultiplicative",
+            ((x, y) for x in cases for y in cases),
+            lambda x, y: (x[1] * y[1]).star() == y[2] * x[2],
+            lambda x, y: "fails on %s, %s" % (render(x[0]), render(y[0])),
+        ),
+    ]
+
+
+def scan_associativity(p, degree_bound=3):
+    """(xy)z = x(yz) on every triple of normal monomials of combined
+    degree up to the bound."""
+    elems = {m: p.element({m: ONE}) for m in p.monomials_up_to(degree_bound)}
+    triples = (
+        (x, y, z)
+        for x in elems
+        for y in elems
+        for z in elems
+        if sum(x) + sum(y) + sum(z) <= degree_bound
+    )
+    return check(
+        "algebra",
+        "associative",
+        triples,
+        lambda x, y, z: (elems[x] * elems[y]) * elems[z] == elems[x] * (elems[y] * elems[z]),
+        lambda x, y, z: "fails on %s" % ", ".join(map(p.render_monomial, (x, y, z))),
+    )
 
 
 # -- grading-row scans -------------------------------------------------------------

@@ -320,7 +320,7 @@ def test_local_confluence_certificates(ex1, ex2):
             if id(pres) in seen:
                 continue
             seen.add(id(pres))
-            report = check_local_confluence(pres, degree_bound=6)
+            report = check_local_confluence(pres)
             assert report.ok, report.divergences
             assert report.divergences == []
             assert report.checked > 0

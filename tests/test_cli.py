@@ -56,6 +56,23 @@ def test_entwining_suite_ignores_the_degree_bound(runner, preset):
     assert low.output == high.output
 
 
+@pytest.mark.parametrize("preset", ["matsumoto-ex1", "matsumoto-ex2", "doctored-q"])
+def test_algebra_suite_ignores_the_degree_bound(runner, preset, tmp_path):
+    # its rows are decided by finite certificates, for all degrees
+    from conftest import DOCTORED_Q, ex2_variant_text
+
+    source = ("--preset", preset)
+    if preset == "doctored-q":
+        path = tmp_path / "doctored.preset"
+        path.write_text(ex2_variant_text(DOCTORED_Q), encoding="utf-8")
+        source = ("--file", str(path))
+    args = ("verify", *source, "--suite", "algebra", "--format", "json")
+    low = invoke(runner, *args, "--degree-bound", "2")
+    high = invoke(runner, *args, "--degree-bound", "12")
+    assert low.exit_code == high.exit_code == (1 if preset == "doctored-q" else 0)
+    assert low.output == high.output
+
+
 def test_suite_selection(runner):
     res = invoke(runner, "verify", "--suite", "algebra", "--suite", "cotensor", *FAST)
     assert res.exit_code == 0
@@ -84,6 +101,26 @@ def test_bounds_are_validated(runner):
     res = invoke(runner, "verify", "--degree-bound", "1", *FAST[:2])
     assert res.exit_code == 2
     res = invoke(runner, "verify", "--n-bound", "0", "--degree-bound", "3")
+    assert res.exit_code == 2
+    assert res.stderr == "error: n_bound must be at least 1\n"
+
+
+def test_rejected_values_exit_two(runner, tmp_path):
+    # values the package rejects are usage or parse errors, not bugs
+    from conftest import preset_text
+
+    res = invoke(runner, "nf", "(1 + L)^-1")
+    assert res.exit_code == 2
+    assert "negative powers only apply to unit scalars" in res.stderr
+    res = invoke(runner, "coinv", "--degree", "-1")
+    assert res.exit_code == 2
+    bad = tmp_path / "bad.preset"
+    bad.write_text(preset_text("matsumoto-ex2").replace("variant = 2", "variant = two"))
+    res = invoke(runner, "verify", "--file", str(bad), *FAST)
+    assert res.exit_code == 2
+    assert "variant must be an integer" in res.stderr
+    bad.write_bytes(b"\xff\xfe")
+    res = invoke(runner, "verify", "--file", str(bad), *FAST)
     assert res.exit_code == 2
 
 
@@ -137,6 +174,17 @@ def test_programming_error_exits_three(runner, tmp_path, monkeypatch):
     res = invoke(runner, "verify", "--suite", "connection", *FAST)
     assert res.exit_code == 3
     assert "internal error: TypeError: unsupported operand" in res.stderr
+    assert "Traceback" in res.stderr
+    assert res.stdout == ""
+
+    # nor is a ValueError read as a usage error
+    def unpacking(*args):
+        raise ValueError("not enough values to unpack")
+
+    monkeypatch.setattr("qpbundle.cli.suites.inverse_canonical_representative", unpacking)
+    res = invoke(runner, "verify", "--suite", "connection", *FAST)
+    assert res.exit_code == 3
+    assert "internal error: ValueError: not enough values to unpack" in res.stderr
     assert "Traceback" in res.stderr
     assert res.stdout == ""
 

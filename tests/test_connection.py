@@ -10,6 +10,7 @@ from qpbundle.comodule import (
     TensorElement,
     alg_slot,
     coalg_slot,
+    grouplike,
     tensor_of,
 )
 from qpbundle.connection import (
@@ -213,6 +214,7 @@ def test_inverse_canonical_representative(ex2):
         for n in (-2, -1, 0, 1, 2):
             rep = inverse_canonical_representative(cot, composed, x, n)
             assert rep.shape == (alg_slot(cot.ambient), alg_slot(cot.ambient))
+            assert lifted_canonical_map(cot.induced_right, rep) == tensor_of([x, grouplike(n)])
     # non-members are rejected
     lone = cot.embed_right(ex2.p_spec.presentation.gen("x"))
     with pytest.raises(PresentationError):

@@ -8,16 +8,23 @@ circled-times character) tensors two factors.
 
 Presets are line-oriented documents with [section] headers:
 
-    [meta]              name = ..., variant = 1 or 2
+    [meta]              name = ...
     [algebra A]         generators, star pairs, q table, reduce rules,
                         right/left gradings
     [connection A]      rule = sphere, plus explicit entry lines
-    [aliases]           named elements of the joint tensor algebra
+    [aliases]           named elements of the joint tensor algebra; an
+                        alias may use the aliases above it
+    [identities]        example rows "check-id: lhs = rhs" in the joint
+                        algebra, or "check-id: coinvariant name ...";
+                        [identities A] and [identities P] hold rows of
+                        one factor.  Lines sharing a check id form one row.
 
 Both parsers report errors with line and column numbers.
 """
 
 from __future__ import annotations
+
+import re
 
 from ..scalar import LaurentScalar, ONE
 from ..skewalg import AlgebraElement, AlgebraPresentation, PresentationError
@@ -132,7 +139,7 @@ class ExpressionContext:
 
     def __init__(self, presentation: AlgebraPresentation | None, aliases=None):
         self.presentation = presentation
-        self.aliases = dict(aliases) if aliases else {}
+        self.aliases = aliases if aliases is not None else {}
 
     def resolve(self, name: str, tok: Token):
         if name in _SCALAR_NAMES:
@@ -331,6 +338,13 @@ def parse_expression(ctx: ExpressionContext, text: str, line_offset: int = 1):
     return _ExprParser(tokenize(text, line_offset), ctx).parse()
 
 
+def parse_value(ctx: ExpressionContext, text: str, line_offset: int = 1):
+    """``parse_expression``, with a scalar promoted to that multiple of
+    the unit of the context's algebra."""
+    v = parse_expression(ctx, text, line_offset)
+    return ctx.presentation.one().scale(v) if isinstance(v, LaurentScalar) else v
+
+
 # -- preset documents --------------------------------------------------------------
 
 
@@ -458,9 +472,7 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
     bare_ctx = ExpressionContext(bare)
     for lineno, lhs, value in reduce_lines:
         word = _parse_word(lhs, bare, lineno)
-        rhs = parse_expression(bare_ctx, value, lineno)
-        if isinstance(rhs, LaurentScalar):
-            rhs = bare.one().scale(rhs)
+        rhs = parse_value(bare_ctx, value, lineno)
         if not isinstance(rhs, AlgebraElement):
             raise ParseError("rule right side must be an algebra element", lineno, 1)
         reductions.append((word, dict(rhs.terms)))
@@ -537,19 +549,49 @@ def parse_connection_section(lines, spec: CoactionSpec, label: str) -> Connectio
     raise ParseError("unknown connection rule %r" % rule_name, lines[0][0], 1)
 
 
+_IDENTITY_SCOPES = {"identities": "ambient", "identities A": "A", "identities P": "P"}
+
+
+def parse_identity_lines(lines, scope: str, ctx: ExpressionContext, identities: dict):
+    """Add one [identities] section to ``identities``, which maps a check
+    id to its lines as (scope, line number, lhs, rhs): ``lhs = rhs`` in
+    the scope's algebra, or, with rhs None, ``lhs`` names a coinvariant
+    of the balanced subalgebra.  Only shape and names are checked here;
+    the examples suite evaluates the lines."""
+    known = set(_SCALAR_NAMES) | set(ctx.aliases) | set(ctx.presentation.index)
+    for lineno, line in lines:
+        check_id, _, claim = (part.strip() for part in line.partition(":"))
+        words = claim.split()
+        if scope == "ambient" and words[:1] == ["coinvariant"] and "=" not in claim:
+            sides = [(name, None) for name in words[1:] if name.isidentifier()]
+            shaped = 0 < len(sides) == len(words) - 1
+        else:
+            sides = [tuple(side.strip() for side in claim.split("="))]
+            shaped = len(sides[0]) == 2 and all(sides[0])
+        if not (shaped and re.fullmatch(r"[\w-]+", check_id)):
+            raise ParseError("expected id: lhs = rhs, or id: coinvariant name ...", lineno, 1)
+        for lhs, rhs in sides:
+            for name in re.findall(r"[^\W\d]\w*", "%s %s" % (lhs, rhs or "")):
+                if name not in known:
+                    raise ParseError("unknown name %r" % name, lineno, 1)
+            identities.setdefault(check_id, []).append((scope, lineno, lhs, rhs))
+
+
 class Tower:
     """Everything a preset declares: the two graded algebras, their
-    cotensor algebra, both connection forms, and named elements."""
+    cotensor algebra, both connection forms, named elements and the
+    example identities."""
 
-    def __init__(self, name, variant, a_spec, p_spec, cot, form_a, form_p, aliases):
+    def __init__(self, name, a_spec, p_spec, cot, form_a, form_p, aliases):
         self.name = name
-        self.variant = variant
         self.a_spec = a_spec
         self.p_spec = p_spec
         self.cot = cot
         self.form_a = form_a
         self.form_p = form_p
         self.aliases = aliases
+        # check id -> its identity lines, filled by parse_identity_lines
+        self.identities: dict[str, list] = {}
         self._composed = None
 
     def composed(self) -> ConnectionForm:
@@ -573,22 +615,28 @@ class Tower:
 
 def load_preset(text: str, fallback_name: str = "preset") -> Tower:
     sections = _split_sections(text)
-    meta: dict[str, str] = {}
+    name = fallback_name
     algebra_bodies: dict[str, list] = {}
     connection_bodies: dict[str, list] = {}
+    identity_bodies: list = []
     alias_body: list = []
     for title, lineno, body in sections:
         parts = title.split()
+        scope = _IDENTITY_SCOPES.get(" ".join(parts))
         if title == "meta":
             for ln, line in body:
-                k, v = _keyval(line, ln)
-                meta[k] = v
+                key, name = _keyval(line, ln)
+                if key != "name":
+                    msg = "[meta] holds only name, not %r; example rows go in [identities]"
+                    raise ParseError(msg % key, ln, 1)
         elif parts[0] == "algebra" and len(parts) == 2:
             algebra_bodies[parts[1]] = body
         elif parts[0] == "connection" and len(parts) == 2:
             connection_bodies[parts[1]] = body
         elif title == "aliases":
             alias_body = body
+        elif scope is not None:
+            identity_bodies.append((scope, body))
         else:
             raise ParseError("unknown section [%s]" % title, lineno, 1)
 
@@ -600,11 +648,6 @@ def load_preset(text: str, fallback_name: str = "preset") -> Tower:
         if label not in algebra_bodies:
             raise ParseError("connection for undeclared algebra %r" % label, 1, 1)
 
-    name = meta.get("name", fallback_name)
-    try:
-        variant = int(meta.get("variant", "0"))
-    except ValueError:
-        raise ParseError("variant must be an integer", 1, 1)
     cot = CotensorAlgebra(a_spec, p_spec, name=name)
 
     form_a = form_p = None
@@ -613,21 +656,20 @@ def load_preset(text: str, fallback_name: str = "preset") -> Tower:
     if "P" in connection_bodies:
         form_p = parse_connection_section(connection_bodies["P"], p_spec, "P")
 
-    aliases: dict[str, AlgebraElement] = {}
-    ctx = ExpressionContext(cot.ambient, aliases=aliases)
+    tower = Tower(name, a_spec, p_spec, cot, form_a, form_p, {})
+    ctx = tower.context("ambient")
     for lineno, line in alias_body:
-        key, value = _keyval(line, lineno)
-        alias = key.strip()
+        alias, value = _keyval(line, lineno)
         if not alias.isidentifier():
             raise ParseError("alias name %r is not an identifier" % alias, lineno, 1)
-        v = parse_expression(ctx, value, lineno)
-        if isinstance(v, LaurentScalar):
-            v = cot.ambient.one().scale(v)
+        v = parse_value(ctx, value, lineno)
         if not isinstance(v, AlgebraElement):
             raise ParseError("alias must name an algebra element", lineno, 1)
-        aliases[alias] = v
+        tower.aliases[alias] = v
 
-    return Tower(name, variant, a_spec, p_spec, cot, form_a, form_p, aliases)
+    for scope, body in identity_bodies:
+        parse_identity_lines(body, scope, tower.context(scope), tower.identities)
+    return tower
 
 
 def parse_presentation(text: str) -> CoactionSpec:

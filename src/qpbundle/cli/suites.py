@@ -13,8 +13,9 @@ Five suites, selectable by name:
   connection  axioms of both factor connections, the composed one,
               left-degree balance, agreement of the three expansions,
               and the inverse-canonical-map roundtrips.
-  examples    the closed-form identity tables of the two bundled
-              deformed-sphere towers, keyed by the preset variant.
+  examples    the identity lines the preset declares in its [identities]
+              sections, and the translation form of a tower whose second
+              factor puts both sphere letters in left degree -1.
 
 Every check lands in a Report as a CheckResult.  A mathematical
 failure, a package error raised mid-check included, is a failing row,
@@ -25,7 +26,7 @@ trace; any other exception is a bug and propagates.
 from __future__ import annotations
 
 from ..scalar import LaurentScalar, binomial
-from ..skewalg import AlgebraElement, check_local_confluence, check_star_compatible
+from ..skewalg import PresentationError, check_local_confluence, check_star_compatible
 from ..comodule import TensorElement, _add_scaled, alg_slot, check_bicomodule, grouplike, tensor_of
 from ..cotensor import (
     canonical_entwining,
@@ -36,6 +37,7 @@ from ..cotensor import (
 from ..connection import (
     _radius,
     _sphere_letters,
+    _tower_letters,
     check_h_balance,
     composed_closed_form,
     composed_generator_form,
@@ -45,7 +47,7 @@ from ..connection import (
     verify_translation_identities,
 )
 from ..report import CheckResult, Report, check, verdict
-from .parser import PACKAGE_ERRORS, ConfigError, ExpressionContext, Tower, parse_expression
+from .parser import PACKAGE_ERRORS, ConfigError, Tower, parse_value
 
 SUITE_NAMES = ("algebra", "cotensor", "entwining", "connection", "examples")
 
@@ -322,26 +324,32 @@ def _connection_suite(tower: Tower, config: SuiteConfig, report: Report):
 
     report.extend(_reprefix(verify_strong_connection(composed, n), suite, "composed-"))
 
-    if tower.variant == 2:
-        indices = range(-min(n, 4), min(n, 4) + 1)
-        for check_id, expansion, anchor in (
+    # the two closed-form expansions exist for the mixed left grading only
+    try:
+        _tower_letters(tower.cot, (-1, 1))
+    except PresentationError:
+        expansions = ()
+    else:
+        expansions = (
             ("composed-matches-direct", composed_closed_form, "composed-closed-form"),
             (
                 "composed-matches-generator-form",
                 composed_generator_form,
                 "composed-generator-form",
             ),
-        ):
-            report.add(
-                check(
-                    suite,
-                    check_id,
-                    zip(indices),
-                    lambda idx: composed(idx) == expansion(tower.cot, idx),
-                    lambda idx: "differs at index %d" % idx,
-                    anchor=anchor,
-                )
+        )
+    indices = range(-min(n, 4), min(n, 4) + 1)
+    for check_id, expansion, anchor in expansions:
+        report.add(
+            check(
+                suite,
+                check_id,
+                zip(indices),
+                lambda idx: composed(idx) == expansion(tower.cot, idx),
+                lambda idx: "differs at index %d" % idx,
+                anchor=anchor,
             )
+        )
 
     # x on the first leg of the form's image must map back to x (x) u^n
     cot = tower.cot
@@ -360,154 +368,55 @@ def _connection_suite(tower: Tower, config: SuiteConfig, report: Report):
 # -- examples suite ----------------------------------------------------------------
 
 
-_STAR_PAIR_ROWS = [
-    ("rel-alpha-normal", "alpha alpha'", "alpha' alpha"),
-    ("rel-beta-normal", "beta beta'", "beta' beta"),
-    ("rel-gamma-normal", "gamma gamma'", "gamma' gamma"),
-    ("rel-delta-normal", "delta delta'", "delta' delta"),
-]
-
-_RELATION_ROWS = {
-    1: [
-        ("rel-alpha-beta", "alpha beta", "L M beta alpha"),
-        ("rel-alpha-beta-star", "alpha beta'", "L^-1 M^-1 beta' alpha"),
-        ("rel-alpha-gamma", "alpha gamma", "M gamma alpha"),
-        ("rel-alpha-gamma-star", "alpha gamma'", "M^-1 gamma' alpha"),
-        ("rel-alpha-delta", "alpha delta", "L delta alpha"),
-        ("rel-alpha-delta-star", "alpha delta'", "L^-1 delta' alpha"),
-        ("rel-beta-gamma", "beta gamma", "L^-1 gamma beta"),
-        ("rel-beta-gamma-star", "beta gamma'", "L gamma' beta"),
-        ("rel-beta-delta", "beta delta", "M^-1 delta beta"),
-        ("rel-beta-delta-star", "beta delta'", "M delta' beta"),
-        ("rel-gamma-delta", "gamma delta", "L M^-1 delta gamma"),
-        ("rel-gamma-delta-star", "gamma delta'", "L^-1 M delta' gamma"),
-        ("radius-sum", "alpha' alpha + beta' beta + gamma' gamma + delta' delta", "1"),
-        ("radius-product", "alpha beta", "M gamma delta"),
-    ],
-    2: [
-        ("rel-alpha-beta", "alpha beta", "L M^-1 beta alpha"),
-        ("rel-alpha-beta-star", "alpha beta'", "L^-1 M beta' alpha"),
-        ("rel-alpha-gamma", "alpha gamma", "M^-1 gamma alpha"),
-        ("rel-alpha-gamma-star", "alpha gamma'", "M gamma' alpha"),
-        ("rel-alpha-delta", "alpha delta", "L delta alpha"),
-        ("rel-alpha-delta-star", "alpha delta'", "L^-1 delta' alpha"),
-        ("rel-beta-gamma", "beta gamma", "L^-1 gamma beta"),
-        ("rel-beta-gamma-star", "beta gamma'", "L gamma' beta"),
-        ("rel-beta-delta", "beta delta", "M delta beta"),
-        ("rel-beta-delta-star", "beta delta'", "M^-1 delta' beta"),
-        ("rel-gamma-delta", "gamma delta", "L M delta gamma"),
-        ("rel-gamma-delta-star", "gamma delta'", "L^-1 M^-1 delta' gamma"),
-        ("radius-sum", "alpha' alpha + beta' beta + gamma' gamma + delta' delta", "1"),
-        ("radius-product", "alpha beta", "M^-1 gamma delta"),
-    ],
-}
-
-_BASE_ROWS_1 = [
-    ("base-z-left", "alpha' alpha + gamma' gamma", "a a'"),
-    ("base-xplus-left", "delta alpha' + beta gamma'", "b a'"),
-    ("base-xminus-left", "alpha delta' + gamma beta'", "a b'"),
-    ("base-z-right", "alpha' alpha + delta' delta", "x x'"),
-    ("base-xplus-right", "gamma' alpha + beta' delta", "y x'"),
-    ("base-xminus-right", "alpha' gamma + delta' beta", "x y'"),
-]
-
-_BASE_ROWS_2 = [
-    ("base-z-left", "alpha' alpha + gamma' gamma", "a a'"),
-    ("base-z-right", "alpha alpha' + delta delta'", "x x'"),
-    ("base-xplus-left", "delta alpha' + beta gamma'", "b a'"),
-    ("base-xminus-left", "alpha delta' + gamma beta'", "a b'"),
-    ("base-xplus-a", "gamma alpha", "a^2 y x'"),
-    ("base-xminus-a", "alpha' gamma'", "a'^2 x y'"),
-    ("base-xplus-b", "beta delta", "b^2 y x'"),
-    ("base-xminus-b", "delta' beta'", "b'^2 x y'"),
-    ("base-xplus-ab", "M alpha beta", "a b y x'"),
-    ("base-xminus-ab", "M^-1 beta' alpha'", "b' a' x y'"),
-]
-
-
-def _expr_rows(ctx: ExpressionContext, rows, suite, report: Report):
-    for check_id, lhs, rhs in rows:
-        try:
-            left = parse_expression(ctx, lhs)
-            right = parse_expression(ctx, rhs)
-            if isinstance(left, LaurentScalar):
-                left = ctx.presentation.one().scale(left)
-            if isinstance(right, LaurentScalar):
-                right = ctx.presentation.one().scale(right)
-            ok, detail = left == right, "%s differs from %s" % (lhs, rhs)
-        except PACKAGE_ERRORS as exc:
-            ok, detail = False, str(exc)
-        report.add(verdict(suite, check_id, ok, detail))
-
-
-def _coinvariant_generators(tower: Tower) -> dict[str, AlgebraElement]:
-    """The named degree-zero elements of the mixed tower, built from the
-    four aliased generators."""
-    al = tower.aliases
-    a, b = al["alpha"], al["beta"]
-    c, d = al["gamma"], al["delta"]
-    return {
-        "z1": a.star() * a + c.star() * c,
-        "z2": a * a.star() + d * d.star(),
-        "xp1": d * a.star() + b * c.star(),
-        "xm1": a * d.star() + c * b.star(),
-        "xpa": c * a,
-        "xma": a.star() * c.star(),
-        "xpb": b * d,
-        "xmb": d.star() * b.star(),
-        "xpab": (a * b).scale(LaurentScalar.lam2(1)),
-        "xmab": (b.star() * a.star()).scale(LaurentScalar.lam2(-1)),
-    }
-
-
 def _examples_suite(tower: Tower, config: SuiteConfig, report: Report):
+    """The preset's identity lines, one row per check id, which holds
+    when every line with that id does; then the translation form."""
     suite = "examples"
-    needed = ("alpha", "beta", "gamma", "delta")
-    if tower.variant not in (1, 2) or any(k not in tower.aliases for k in needed):
+    cot = tower.cot
+    contexts = {scope: tower.context(scope) for scope in ("ambient", "A", "P")}
+
+    def holds(scope, lineno, lhs, rhs):
+        value = parse_value(contexts[scope], lhs, lineno)
+        if rhs is not None:
+            return value == parse_value(contexts[scope], rhs, lineno)
+        if cot.induced_right is None:
+            raise PresentationError("no right grading on the second factor")
+        return cot.membership(value) and all(
+            cot.induced_right.right_degree(m) == 0 for m in value.terms
+        )
+
+    def describe(scope, lineno, lhs, rhs):
+        if rhs is not None:
+            return "%s differs from %s" % (lhs, rhs)
+        balanced = cot.membership(parse_value(contexts[scope], lhs, lineno))
+        return "%s not %s" % (lhs, "of degree zero" if balanced else "balanced")
+
+    for check_id, lines in tower.identities.items():
+        report.add(_checked(suite, check_id, lines, holds, describe))
+
+    _translation_closed_form(tower, config, report)
+
+
+def _translation_closed_form(tower: Tower, config: SuiteConfig, report: Report):
+    """When both sphere letters of the second factor have left degree -1,
+    the composed connection must be the binomial double-sum translation
+    form in the cross pairs alpha = a x*, beta = b y*, gamma = a y* and
+    delta = b x*."""
+    if tower.form_a is None or tower.form_p is None:
         return
-    ctx = tower.context("ambient")
-
-    _expr_rows(ctx, _STAR_PAIR_ROWS, suite, report)
-    _expr_rows(ctx, _RELATION_ROWS[tower.variant], suite, report)
-    _expr_rows(ctx, _BASE_ROWS_1 if tower.variant == 1 else _BASE_ROWS_2, suite, report)
-
-    # the base 2-sphere relation of each deformed-sphere factor
-    for label, spec, letters in (
-        ("first", tower.a_spec, ("a", "b")),
-        ("second", tower.p_spec, ("x", "y")),
-    ):
-        g1, g2 = letters
-        fctx = ExpressionContext(spec.presentation)
-        rows = [
-            (
-                "%s-base-sphere" % label,
-                "(%s %s')^2 + (%s %s') (%s %s')" % (g1, g1, g2, g1, g1, g2),
-                "%s %s'" % (g1, g1),
-            )
-        ]
-        _expr_rows(fctx, rows, suite, report)
-
-    if tower.variant == 1:
-        _variant_one_translation(tower, config, report)
-    if tower.variant == 2:
-        _variant_two_structure(tower, config, report)
-
-
-def _variant_one_translation(tower: Tower, config: SuiteConfig, report: Report):
-    """The binomial double-sum translation form of the all-minus tower
-    must coincide with the composed connection."""
-    suite = "examples"
-    al = tower.aliases
-    amb = tower.cot.ambient
-    shape = (alg_slot(amb), alg_slot(amb))
+    cot = tower.cot
+    try:
+        ga, gb, pa, pb = _tower_letters(cot, (-1, -1))
+    except PresentationError:
+        return
+    A, P = cot.left_spec.presentation, cot.right_spec.presentation
+    pair = lambda g, h: cot.pair(A.gen(g), P.gen(P.star_map[h]))
+    cross = (pair(ga, pa), pair(gb, pb), pair(ga, pb), pair(gb, pa))
+    shape = (alg_slot(cot.ambient), alg_slot(cot.ambient))
 
     def build(n: int) -> TensorElement:
-        starred = n < 0
+        a, b, c, d = (g.star() for g in cross) if n < 0 else cross
         k = abs(n)
-        a, b = al["alpha"], al["beta"]
-        c, d = al["gamma"], al["delta"]
-        if starred:
-            a, b, c, d = a.star(), b.star(), c.star(), d.star()
         out: dict[tuple, LaurentScalar] = {}
         for p_idx in range(k + 1):
             for m in range(k + 1):
@@ -522,89 +431,10 @@ def _variant_one_translation(tower: Tower, config: SuiteConfig, report: Report):
     bound = min(config.n_bound, 3)
     report.add(
         _checked(
-            suite,
+            "examples",
             "translation-closed-form",
             zip(range(-bound, bound + 1)),
             lambda n: tower.composed()(n) == build(n),
             lambda n: "differs at index %d" % n,
-            anchor="translation-closed-form",
         )
     )
-
-
-def _variant_two_structure(tower: Tower, config: SuiteConfig, report: Report):
-    """Commutation table, centrality, and the quadric identities of the
-    mixed tower's degree-zero subalgebra."""
-    suite = "examples"
-    g = _coinvariant_generators(tower)
-    amb = tower.cot.ambient
-    one = amb.one()
-    lam = LaurentScalar.lam
-
-    # every named element is balanced and of degree zero
-    cot = tower.cot
-    report.add(
-        check(
-            suite,
-            "coinv-membership",
-            g.items(),
-            lambda name, el: cot.membership(el)
-            and all(cot.induced_right.right_degree(m) == 0 for m in el.terms),
-            lambda name, el: "%s not balanced" % name
-            if not cot.membership(el)
-            else "%s not of degree zero" % name,
-        )
-    )
-
-    # the two dependent ladder elements, then (check id, holds, detail)
-    # rows for the commutation table, centrality and the quadrics
-    rows = [
-        (
-            "dependent-plus",
-            g["xpab"] == g["xp1"] * g["xpa"] * lam(1) + g["xm1"] * g["xpb"],
-            "ladder dependency fails",
-        ),
-        (
-            "dependent-minus",
-            g["xmab"] == g["xma"] * g["xm1"] * lam(-1) + g["xmb"] * g["xp1"],
-            "starred ladder dependency fails",
-        ),
-    ]
-
-    table = [
-        ("st-ladder-1", g["xp1"] * g["xm1"], g["xm1"] * g["xp1"]),
-        ("st-ladder-a", g["xpa"] * g["xma"], g["xma"] * g["xpa"]),
-        ("st-ladder-b", g["xpb"] * g["xmb"], g["xmb"] * g["xpb"]),
-        ("st-1a-plus", g["xp1"] * g["xpa"], g["xpa"] * g["xp1"] * lam(-2)),
-        ("st-1a-minus", g["xp1"] * g["xma"], g["xma"] * g["xp1"] * lam(2)),
-        ("st-1b-plus", g["xp1"] * g["xpb"], g["xpb"] * g["xp1"] * lam(-2)),
-        ("st-1b-minus", g["xp1"] * g["xmb"], g["xmb"] * g["xp1"] * lam(2)),
-        # the two degree-(2,2) ladder pairs cross in four letter pairs,
-        # so the exponent here is 4 where the mixed rows above get 2
-        ("st-ab-plus", g["xpa"] * g["xpb"], g["xpb"] * g["xpa"] * lam(4)),
-        ("st-ab-mixed", g["xpa"] * g["xmb"], g["xmb"] * g["xpa"] * lam(-4)),
-    ]
-    rows += [(check_id, lhs == rhs, "table entry fails") for check_id, lhs, rhs in table]
-
-    ladder = [g[k] for k in ("xp1", "xm1", "xpa", "xma", "xpb", "xmb")]
-    for zname in ("z1", "z2"):
-        z = g[zname]
-        ok = all(z * el == el * z for el in ladder) and g["z1"] * g["z2"] == g["z2"] * g["z1"]
-        rows.append(("central-%s" % zname, ok, "%s is not central" % zname))
-
-    quadrics = [
-        ("sphere-eq-1", g["xp1"] * g["xm1"] + g["z1"] * g["z1"], g["z1"]),
-        ("sphere-eq-2", g["xpa"] * g["xma"], g["z1"] ** 2 * g["z2"] * (one - g["z2"])),
-        (
-            "sphere-eq-3",
-            g["xpb"] * g["xmb"],
-            (one - g["z1"]) ** 2 * g["z2"] * (one - g["z2"]),
-        ),
-        (
-            "sphere-eq-4",
-            g["xpa"] * g["xmb"],
-            g["xm1"] ** 2 * g["z2"] * (one - g["z2"]) * lam(-1),
-        ),
-    ]
-    rows += [(check_id, lhs == rhs, "quadric identity fails") for check_id, lhs, rhs in quadrics]
-    report.extend(verdict(suite, *row) for row in rows)

@@ -241,25 +241,29 @@ def check_h_balance(
 
     The balance row fails at the first index where either formulation
     fails; the equivalence row reads every index, where the two must agree.
+    Both rows read one (combined, per-leg) pair per index.
     """
     if left_spec.presentation is not form.presentation:
         raise PresentationError("left grading belongs to a different algebra")
-    indices = list(zip(range(-n_bound, n_bound + 1)))
-    total = lambda n: balance_total_holds(left_spec.left_degree, form(n))
-    split = lambda n: balance_split_holds(left_spec.left_degree, form(n))
+    ldeg = left_spec.left_degree
+    ok = {
+        n: (balance_total_holds(ldeg, form(n)), balance_split_holds(ldeg, form(n)))
+        for n in range(-n_bound, n_bound + 1)
+    }
+    indices = list(zip(ok))
     return [
         check(
             "connection",
             "h-balance",
             indices,
-            lambda n: total(n) and split(n),
-            lambda n: "%s balance fails at index %d" % ("per-leg" if total(n) else "combined", n),
+            lambda n: all(ok[n]),
+            lambda n: "%s balance fails at index %d" % ("per-leg" if ok[n][0] else "combined", n),
         ),
         check(
             "connection",
             "h-balance-equivalence",
             indices,
-            lambda n: total(n) == split(n),
+            lambda n: ok[n][0] == ok[n][1],
             lambda n: "formulations disagree at index %d" % n,
         ),
     ]
@@ -315,21 +319,18 @@ def compose_connection(
     return ConnectionForm(cot.induced_right, rule, name=name or "composed")
 
 
-def _mixed_letters(cot: CotensorAlgebra) -> tuple[str, str, str, str]:
+def _tower_letters(cot: CotensorAlgebra, left: tuple[int, int]) -> tuple[str, str, str, str]:
     """Letters (a, b) of the first factor and (a, b) of the second,
-    for the closed-form expansions of the composite sphere tower.
+    for the closed-form expansions of a composite sphere tower.
 
-    The second factor must carry the mixed left grading: its two
-    degree-one generators have left degrees -1 and +1 in declaration
-    order.
+    The second factor's two degree-one generators must have the left
+    degrees ``left``, in declaration order: (-1, 1) is the mixed
+    grading, (-1, -1) the all-minus one.
     """
     ga, gb = _sphere_pair(cot.left_spec)
-    pspec = cot.right_spec
-    if not pspec.has_right():
-        raise PresentationError("second factor needs a right grading")
-    pa, pb = _sphere_pair(pspec)
-    if pspec.left is None or pspec.left[pa] != -1 or pspec.left[pb] != 1:
-        raise PresentationError("second factor must carry the mixed left grading")
+    pa, pb = _sphere_pair(cot.right_spec)
+    if (cot.right_spec.left[pa], cot.right_spec.left[pb]) != left:
+        raise PresentationError("second factor must carry the left grading %d, %d" % left)
     return ga, gb, pa, pb
 
 
@@ -341,7 +342,7 @@ def composed_closed_form(cot: CotensorAlgebra, n: int) -> TensorElement:
     paired with (second-factor word).  Negative indices use the same
     words with every letter swapped for its star partner.
     """
-    ga, gb, pa, pb = _mixed_letters(cot)
+    ga, gb, pa, pb = _tower_letters(cot, (-1, 1))
     A = cot.left_spec.presentation
     P = cot.right_spec.presentation
     gas, gbs = A.star_map[ga], A.star_map[gb]
@@ -371,7 +372,7 @@ def composed_closed_form(cot: CotensorAlgebra, n: int) -> TensorElement:
 
 def mixed_cotensor_generators(cot: CotensorAlgebra) -> dict[str, AlgebraElement]:
     """The four degree-(1,1) generators of the mixed cotensor algebra."""
-    ga, gb, pa, pb = _mixed_letters(cot)
+    ga, gb, pa, pb = _tower_letters(cot, (-1, 1))
     A = cot.left_spec.presentation
     P = cot.right_spec.presentation
     return {

@@ -23,6 +23,7 @@ def load_bundled(name):
 # one-line edits of the bundled ex2 preset: (text, its replacement)
 DOCTORED_Q = ("q b' a = L\n", "q b' a = L^-1\n")  # a q-table that breaks associativity
 ENTRY_MUTANT = ("+ 2 (b' a' | a b)", "+ 3 (b' a' | a b)")  # one wrong connection coefficient
+IDENTITY_MUTANT = ("= L^4 xpb xpa", "= L^3 xpb xpa")  # one wrong scalar in an example identity
 
 
 def ex2_variant_text(edit):
@@ -30,6 +31,17 @@ def ex2_variant_text(edit):
     text = preset_text("matsumoto-ex2")
     assert text.count(old) == 1
     return text.replace(old, new)
+
+
+def without_identities(text):
+    """The preset text without its [identities ...] sections."""
+    kept, skipping = [], False
+    for line in text.splitlines(keepends=True):
+        if line.startswith("["):
+            skipping = line.startswith("[identities")
+        if not skipping:
+            kept.append(line)
+    return "".join(kept)
 
 
 def load_ex2_variant(edit):
@@ -71,12 +83,12 @@ class OffsetCoaction(CoactionSpec):
 def offset_tower(tower, right_offset=0, left_offset=0):
     """The tower's factors with the first's right degrees and the
     second's left degrees off by the given constants, and their cotensor
-    algebra; no connection forms or aliases."""
+    algebra; no connection forms, aliases or identities."""
     a, p = tower.a_spec, tower.p_spec
     a_spec = OffsetCoaction(a.presentation, right=a.right, left=a.left, right_offset=right_offset)
     p_spec = OffsetCoaction(p.presentation, right=p.right, left=p.left, left_offset=left_offset)
     cot = CotensorAlgebra(a_spec, p_spec)
-    return Tower(tower.name, tower.variant, a_spec, p_spec, cot, None, None, {})
+    return Tower(tower.name, a_spec, p_spec, cot, None, None, {})
 
 
 # -- random q-tables on the sphere shape -------------------------------------------

@@ -115,13 +115,71 @@ def test_rejected_values_exit_two(runner, tmp_path):
     res = invoke(runner, "coinv", "--degree", "-1")
     assert res.exit_code == 2
     bad = tmp_path / "bad.preset"
-    bad.write_text(preset_text("matsumoto-ex2").replace("variant = 2", "variant = two"))
+    # [meta] holds only the name; the message points at [identities]
+    text = preset_text("matsumoto-ex2")
+    bad.write_text(text.replace("name = matsumoto-ex2\n", "name = matsumoto-ex2\nvariant = 2\n"))
     res = invoke(runner, "verify", "--file", str(bad), *FAST)
     assert res.exit_code == 2
-    assert "variant must be an integer" in res.stderr
+    assert res.stderr == (
+        "error: line 9, column 1: [meta] holds only name, not 'variant';"
+        " example rows go in [identities]\n"
+    )
     bad.write_bytes(b"\xff\xfe")
     res = invoke(runner, "verify", "--file", str(bad), *FAST)
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "section, line, message",
+    [
+        ("identities", "no-colon alpha = beta", "expected id: lhs = rhs"),
+        ("identities", "twice: alpha = beta = gamma", "expected id: lhs = rhs"),
+        ("identities", "one-sided: alpha beta", "expected id: lhs = rhs"),
+        ("identities", "empty-side: alpha = ", "expected id: lhs = rhs"),
+        ("identities", "bare: coinvariant", "expected id: lhs = rhs"),
+        ("identities", "unknown: alpha = omega", "unknown name 'omega'"),
+        ("identities", "names: coinvariant z1 (z2)", "or id: coinvariant name ..."),
+        ("identities A", "aliased: alpha = alpha", "unknown name 'alpha'"),
+        ("identities A", "other-factor: a x = x a", "unknown name 'x'"),
+        # a coinvariant line belongs to the balanced subalgebra
+        ("identities P", "scoped: coinvariant x", "expected id: lhs = rhs"),
+    ],
+)
+def test_bad_identity_lines_exit_two(runner, tmp_path, section, line, message):
+    from conftest import preset_text, without_identities
+
+    text = without_identities(preset_text("matsumoto-ex2"))
+    text += "[%s]\nfine: 1 = 1\n" % section
+    bad = tmp_path / "bad.preset"
+    bad.write_text(text + line + "\n")
+    res = invoke(runner, "verify", "--file", str(bad), *FAST)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: line %d, column " % (text.count("\n") + 1))
+    assert message in res.stderr
+
+
+def test_preset_without_identities_has_no_example_rows(runner, tmp_path):
+    from conftest import preset_text, without_identities
+
+    path = tmp_path / "plain.preset"
+    path.write_text(without_identities(preset_text("matsumoto-ex2")))
+    res = invoke(runner, "verify", "--file", str(path), "--format", "json", *FAST)
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert doc["passed"] > 0
+    assert [r for r in doc["results"] if r["suite"] == "examples"] == []
+
+
+def test_connection_suite_evaluates_no_identity_line(runner, monkeypatch):
+    def evaluated(*args):
+        raise RuntimeError("identity line evaluated")
+
+    monkeypatch.setattr("qpbundle.cli.suites.parse_value", evaluated)
+    res = invoke(runner, "verify", "--suite", "connection", *FAST)
+    assert res.exit_code == 0
+    res = invoke(runner, "verify", "--suite", "examples", *FAST)
+    assert res.exit_code == 3
+    assert "identity line evaluated" in res.stderr
 
 
 def test_parse_error_exits_two(runner, tmp_path):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import load_bundled
+from conftest import load_bundled, preset_text, without_identities
 from qpbundle import render_element, render_tensor
 from qpbundle.cli.parser import (
     ExpressionContext,
@@ -11,6 +11,7 @@ from qpbundle.cli.parser import (
     parse_expression,
     parse_presentation,
 )
+from qpbundle.cli.suites import SuiteConfig, run_suites
 from qpbundle.comodule import TensorElement
 from qpbundle.scalar import ONE, LaurentScalar as S
 from qpbundle.skewalg import AlgebraElement
@@ -169,7 +170,6 @@ def test_bundled_presets_load():
     for name in ("matsumoto-ex1", "matsumoto-ex2"):
         tower = load_bundled(name)
         assert tower.name
-        assert tower.variant in (1, 2)
         assert set(tower.aliases) >= {"alpha", "beta", "gamma", "delta"}
         # every alias is a member of the cotensor algebra
         for el in tower.aliases.values():
@@ -212,3 +212,108 @@ def test_ambient_context_knows_aliases(ex2):
     a_ctx = ex2.context("A")
     with pytest.raises(ParseError):
         parse_expression(a_ctx, "alpha")
+
+
+# -- alias chains and identity sections ---------------------------------------------
+
+# ex2 without its identity sections; [aliases] is then its last section,
+# so appended lines extend the aliases
+EX2_PLAIN = without_identities(preset_text("matsumoto-ex2"))
+
+
+def example_rows_of(text):
+    report = run_suites(load_preset(text), SuiteConfig(("examples",), n_bound=1, degree_bound=2))
+    return {r.check_id: r for r in report.results}
+
+
+def example_rows(text):
+    return example_rows_of(EX2_PLAIN + text)
+
+
+def test_an_alias_may_use_earlier_aliases(ex2):
+    al = ex2.aliases
+    assert al["xpab"] == (al["alpha"] * al["beta"]).scale(S.lam2(1))
+    assert al["z1"] == al["alpha"].star() * al["alpha"] + al["gamma"].star() * al["gamma"]
+    tower = load_preset(EX2_PLAIN + "twice = 2 alpha\nfour = twice + twice\n")
+    assert tower.aliases["four"] == tower.aliases["alpha"].scale(S.integer(4))
+    with pytest.raises(ParseError, match="unknown name 'later'"):
+        load_preset(EX2_PLAIN + "early = 2 later\nlater = alpha\n")
+
+
+def test_identity_sections_are_stored_by_scope():
+    tower = load_preset(
+        EX2_PLAIN
+        + "[identities P]\nsphere: x x' + y y' = 1\n"
+        + "[identities]\nc: coinvariant z1 z2\n"
+    )
+    at = EX2_PLAIN.count("\n") + 2
+    assert tower.identities == {
+        "sphere": [("P", at, "x x' + y y'", "1")],
+        "c": [("ambient", at + 2, "z1", None), ("ambient", at + 2, "z2", None)],
+    }
+
+
+def test_a_user_preset_gets_exactly_its_rows():
+    rows = example_rows(
+        "[identities]\n"
+        "commute: alpha gamma = M^-1 gamma alpha\n"
+        "both: alpha beta = L M^-1 beta alpha\n"
+        "both: alpha' alpha + gamma' gamma = a a'\n"
+        "[identities P]\n"
+        "sphere: x x' + y y' = 1\n"
+    )
+    assert sorted(rows) == ["both", "commute", "sphere"]
+    assert all(r.ok for r in rows.values())
+
+
+def test_factor_identities_follow_the_factor_relations():
+    # each factor's own rule and q-table decide its lines (the names each
+    # section may use are pinned in test_cli.test_bad_identity_lines_exit_two)
+    rows = example_rows(
+        "[identities A]\nrule-a: b b' = 1 - a a'\nflip-a: b a = L^-1 a b\n"
+        "[identities P]\nrule-p: y y' = 1 - x x'\nflip-p: y x = L^-1 x y\n"
+    )
+    assert [rows[k].ok for k in ("rule-a", "flip-a", "rule-p")] == [True] * 3
+    # P's q-table uses M, not L
+    assert rows["flip-p"].detail == "y x differs from L^-1 x y"
+
+
+def test_a_repeated_id_fails_on_any_of_its_lines():
+    rows = example_rows(
+        "[identities]\n"
+        "pair: alpha alpha' = alpha' alpha\n"
+        "pair: alpha beta = beta alpha\n"
+        "pair: beta beta' = beta' beta\n"
+    )
+    assert not rows["pair"].ok
+    assert rows["pair"].detail == "alpha beta differs from beta alpha"
+
+
+def test_a_line_that_does_not_parse_fails_its_row_with_its_line_number():
+    # loading checks names only; the grammar is the examples suite's
+    rows = example_rows("[identities]\nfine: alpha = alpha\nbroken: alpha + = alpha\n")
+    assert rows["fine"].ok
+    at = EX2_PLAIN.count("\n") + 3
+    # the left side "alpha +" ends early
+    assert rows["broken"].detail == "line %d, column 8: unexpected 'end of input'" % at
+
+
+def test_coinvariant_lines_name_the_failing_element():
+    rows = example_rows(
+        "stray = a\n"
+        "[identities]\n"
+        "fine: coinvariant z1 xpab\n"
+        "graded: coinvariant z1 alpha\n"
+        "loose: coinvariant z2 stray\n"
+    )
+    assert rows["fine"].ok
+    assert rows["graded"].detail == "alpha not of degree zero"
+    assert rows["loose"].detail == "stray not balanced"
+
+
+def test_coinvariant_lines_need_a_right_grading_on_the_second_factor():
+    # without it the balanced subalgebra has no right degree to read
+    text = EX2_PLAIN.replace("right x = 1\nright y = 1\n", "")
+    text = text[: text.index("[connection P]")] + text[text.index("[aliases]") :]
+    rows = example_rows_of(text + "[identities]\nc: coinvariant z1\n")
+    assert rows["c"].detail == "no right grading on the second factor"

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 
-from ..scalar import LaurentScalar, ONE
+from ..scalar import LaurentScalar
 from ..skewalg import AlgebraElement, AlgebraPresentation, PresentationError
 from ..comodule import CoactionSpec, ShapeError, TensorElement, alg_slot, tensor_of
 from ..connection import ConnectionForm, compose_connection, matsumoto_connection
@@ -79,10 +79,10 @@ class Token:
         return "Token(%s, %r)" % (self.kind, self.text)
 
 
-def tokenize(text: str, line_offset: int = 1):
+def tokenize(text: str, line_offset: int = 1, col_offset: int = 1):
     tokens = []
     line = line_offset
-    col = 1
+    col = col_offset
     i = 0
     while i < len(text):
         ch = text[i]
@@ -332,16 +332,16 @@ class _ExprParser:
         raise _err(tok, "unexpected %r" % (tok.text or "end of input"))
 
 
-def parse_expression(ctx: ExpressionContext, text: str, line_offset: int = 1):
-    """Parse and evaluate one expression; the result is a scalar, an
-    algebra element, or a tensor element."""
-    return _ExprParser(tokenize(text, line_offset), ctx).parse()
+def parse_expression(ctx: ExpressionContext, text: str, line_offset: int = 1, col_offset: int = 1):
+    """Parse and evaluate one expression starting at the given line and
+    column; the result is a scalar, an algebra element, or a tensor."""
+    return _ExprParser(tokenize(text, line_offset, col_offset), ctx).parse()
 
 
-def parse_value(ctx: ExpressionContext, text: str, line_offset: int = 1):
+def parse_value(ctx: ExpressionContext, text: str, line_offset: int = 1, col_offset: int = 1):
     """``parse_expression``, with a scalar promoted to that multiple of
     the unit of the context's algebra."""
-    v = parse_expression(ctx, text, line_offset)
+    v = parse_expression(ctx, text, line_offset, col_offset)
     return ctx.presentation.one().scale(v) if isinstance(v, LaurentScalar) else v
 
 
@@ -352,13 +352,14 @@ def _split_sections(text: str):
     sections: list[tuple[str, int, list[tuple[int, str]]]] = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0].rstrip()  # indented as in the file, for columns
+        head = line.lstrip()
+        if not head:
             continue
-        if line.startswith("["):
-            if not line.endswith("]"):
+        if head.startswith("["):
+            if not head.endswith("]"):
                 raise ParseError("unterminated section header", lineno, 1)
-            current = (line[1:-1].strip(), lineno, [])
+            current = (head[1:-1].strip(), lineno, [])
             sections.append(current)
             continue
         if current is None:
@@ -367,17 +368,23 @@ def _split_sections(text: str):
     return sections
 
 
+def _col(line: str, start: int) -> int:
+    """The column of the first non-blank character of line[start:]."""
+    return len(line) - len(line[start:].lstrip()) + 1
+
+
 def _keyval(line: str, lineno: int):
+    """Key, value, and the value's column in the line."""
     if "=" not in line:
         raise ParseError("expected key = value", lineno, 1)
     key, value = line.split("=", 1)
-    return key.strip(), value.strip()
+    return key.strip(), value.strip(), _col(line, len(key) + 1)
 
 
 def _parse_word(text: str, presentation: AlgebraPresentation, lineno: int) -> list[str]:
     """A product of generator letters with optional ' and ^k, as a flat
-    letter list; used for rule left sides."""
-    tokens = tokenize(text, lineno)
+    letter list: a rule line's left side, after its directive."""
+    tokens = tokenize(text, lineno)[1:]
     word: list[str] = []
     i = 0
     while tokens[i].kind != "eof":
@@ -407,34 +414,32 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
     validated presentation."""
     generators: list[str] = []
     star_pairs: dict[str, str] = {}
-    q_lines: list[tuple[int, str, str, str]] = []
-    reduce_lines: list[tuple[int, str, str]] = []
+    q_lines: list[tuple[int, str, str, str, int]] = []
+    reduce_lines: list[tuple[int, str, str, int]] = []
     gradings: dict[str, dict[str, int]] = {"right": {}, "left": {}}
     at = lines[0][0] if lines else 1  # section-level errors point at its first line
 
     for lineno, line in lines:
         head = line.split()[0]
         if head == "generators":
-            _, value = _keyval(line, lineno)
-            generators = value.split()
+            generators = _keyval(line, lineno)[1].split()
         elif head == "star":
             parts = line.split()
             if len(parts) != 3:
                 raise ParseError("expected: star <g> <h>", lineno, 1)
             star_pairs[parts[1]] = parts[2]
         elif head == "q":
-            rest = line[1:].strip()
-            lhs, value = _keyval(rest, lineno)
+            lhs, value, col = _keyval(line, lineno)
             parts = lhs.split()
-            if len(parts) != 2:
+            if len(parts) != 3:
                 raise ParseError("expected: q <g> <h> = <scalar>", lineno, 1)
-            q_lines.append((lineno, parts[0], parts[1], value))
+            q_lines.append((lineno, parts[1], parts[2], value, col))
         elif head == "reduce":
-            lhs, value = _keyval(line[len("reduce") :].strip(), lineno)
-            reduce_lines.append((lineno, lhs, value))
+            _, value, col = _keyval(line, lineno)
+            reduce_lines.append((lineno, line[: line.index("=")], value, col))
         elif head in ("right", "left"):
-            lhs, value = _keyval(line[len(head) :].strip(), lineno)
-            gen = lhs.strip()
+            lhs, value, _ = _keyval(line, lineno)
+            gen = lhs[len(head) :].strip()
             try:
                 gradings[head][gen] = int(value)
             except ValueError:
@@ -448,10 +453,10 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
     index = {g: i for i, g in enumerate(generators)}
     scalar_ctx = ExpressionContext(None)
     commutation: dict[tuple[str, str], LaurentScalar] = {}
-    for lineno, g, h, value in q_lines:
+    for lineno, g, h, value, col in q_lines:
         if g not in index or h not in index:
             raise ParseError("unknown generator in q entry", lineno, 1)
-        coeff = parse_expression(scalar_ctx, value, lineno)
+        coeff = parse_expression(scalar_ctx, value, lineno, col)
         if not isinstance(coeff, LaurentScalar):
             raise ParseError("q entry must be a scalar", lineno, 1)
         if index[g] > index[h]:
@@ -470,9 +475,9 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
         raise ParseError("invalid presentation: %s" % exc, at, 1)
     reductions = []
     bare_ctx = ExpressionContext(bare)
-    for lineno, lhs, value in reduce_lines:
+    for lineno, lhs, value, col in reduce_lines:
         word = _parse_word(lhs, bare, lineno)
-        rhs = parse_value(bare_ctx, value, lineno)
+        rhs = parse_value(bare_ctx, value, lineno, col)
         if not isinstance(rhs, AlgebraElement):
             raise ParseError("rule right side must be an algebra element", lineno, 1)
         reductions.append((word, dict(rhs.terms)))
@@ -516,7 +521,7 @@ def parse_connection_section(lines, spec: CoactionSpec, label: str) -> Connectio
     ctx = ExpressionContext(spec.presentation)
     p = spec.presentation
     for lineno, line in lines:
-        key, value = _keyval(line, lineno)
+        key, value, col = _keyval(line, lineno)
         parts = key.split()
         if parts[0] == "rule":
             rule_name = value
@@ -527,7 +532,7 @@ def parse_connection_section(lines, spec: CoactionSpec, label: str) -> Connectio
                 n = int(parts[1])
             except ValueError:
                 raise ParseError("entry index must be an integer", lineno, 1)
-            tensor = parse_expression(ctx, value, lineno)
+            tensor = parse_expression(ctx, value, lineno, col)
             if isinstance(tensor, (LaurentScalar, AlgebraElement)):
                 raise ParseError("entry must be a two-slot tensor", lineno, 1)
             if tensor.shape != (alg_slot(p), alg_slot(p)):
@@ -554,27 +559,30 @@ _IDENTITY_SCOPES = {"identities": "ambient", "identities A": "A", "identities P"
 
 def parse_identity_lines(lines, scope: str, ctx: ExpressionContext, identities: dict):
     """Add one [identities] section to ``identities``, which maps a check
-    id to its lines as (scope, line number, lhs, rhs): ``lhs = rhs`` in
-    the scope's algebra, or, with rhs None, ``lhs`` names a coinvariant
-    of the balanced subalgebra.  Only shape and names are checked here;
-    the examples suite evaluates the lines."""
+    id to its lines as (scope, line number, lhs, its column, rhs, its
+    column): ``lhs = rhs`` in the scope's algebra, or, with rhs and its
+    column None, ``lhs`` names a coinvariant of the balanced subalgebra.
+    Only shape and names are checked here; the examples suite evaluates
+    the lines."""
     known = set(_SCALAR_NAMES) | set(ctx.aliases) | set(ctx.presentation.index)
     for lineno, line in lines:
-        check_id, _, claim = (part.strip() for part in line.partition(":"))
-        words = claim.split()
+        check_id, _, claim = line.partition(":")
+        at, check_id, words = len(check_id) + 1, check_id.strip(), claim.split()
         if scope == "ambient" and words[:1] == ["coinvariant"] and "=" not in claim:
-            sides = [(name, None) for name in words[1:] if name.isidentifier()]
-            shaped = 0 < len(sides) == len(words) - 1
+            at += claim.index("coinvariant") + len("coinvariant")
+            spans = list(re.finditer(r"\S+", line[at:]))
+            sides = [(w[0], at + w.start() + 1, None, None) for w in spans if w[0].isidentifier()]
+            shaped = 0 < len(sides) == len(spans)
         else:
-            sides = [tuple(side.strip() for side in claim.split("="))]
-            shaped = len(sides[0]) == 2 and all(sides[0])
+            lhs, _, rhs = claim.partition("=")
+            sides = [(lhs.strip(), _col(line, at), rhs.strip(), _col(line, at + len(lhs) + 1))]
+            shaped = lhs.strip() and rhs.strip() and "=" not in rhs
         if not (shaped and re.fullmatch(r"[\w-]+", check_id)):
             raise ParseError("expected id: lhs = rhs, or id: coinvariant name ...", lineno, 1)
-        for lhs, rhs in sides:
-            for name in re.findall(r"[^\W\d]\w*", "%s %s" % (lhs, rhs or "")):
-                if name not in known:
-                    raise ParseError("unknown name %r" % name, lineno, 1)
-            identities.setdefault(check_id, []).append((scope, lineno, lhs, rhs))
+        for name in re.finditer(r"[^\W\d]\w*", line[at:]):
+            if name[0] not in known:
+                raise ParseError("unknown name %r" % name[0], lineno, at + name.start() + 1)
+        identities.setdefault(check_id, []).extend((scope, lineno) + side for side in sides)
 
 
 class Tower:
@@ -620,18 +628,23 @@ def load_preset(text: str, fallback_name: str = "preset") -> Tower:
     connection_bodies: dict[str, list] = {}
     identity_bodies: list = []
     alias_body: list = []
+    seen: dict[str, int] = {}  # title -> line of its header, for one-off sections
     for title, lineno, body in sections:
         parts = title.split()
-        scope = _IDENTITY_SCOPES.get(" ".join(parts))
+        title = " ".join(parts)
+        scope = _IDENTITY_SCOPES.get(title)
+        if scope is None and title in seen:
+            raise ParseError("section [%s] repeats line %d" % (title, seen[title]), lineno, 1)
+        seen[title] = lineno
         if title == "meta":
             for ln, line in body:
-                key, name = _keyval(line, ln)
+                key, name, _ = _keyval(line, ln)
                 if key != "name":
                     msg = "[meta] holds only name, not %r; example rows go in [identities]"
                     raise ParseError(msg % key, ln, 1)
-        elif parts[0] == "algebra" and len(parts) == 2:
+        elif parts[:1] == ["algebra"] and len(parts) == 2:
             algebra_bodies[parts[1]] = body
-        elif parts[0] == "connection" and len(parts) == 2:
+        elif parts[:1] == ["connection"] and len(parts) == 2:
             connection_bodies[parts[1]] = body
         elif title == "aliases":
             alias_body = body
@@ -659,10 +672,10 @@ def load_preset(text: str, fallback_name: str = "preset") -> Tower:
     tower = Tower(name, a_spec, p_spec, cot, form_a, form_p, {})
     ctx = tower.context("ambient")
     for lineno, line in alias_body:
-        alias, value = _keyval(line, lineno)
+        alias, value, col = _keyval(line, lineno)
         if not alias.isidentifier():
             raise ParseError("alias name %r is not an identifier" % alias, lineno, 1)
-        v = parse_value(ctx, value, lineno)
+        v = parse_value(ctx, value, lineno, col)
         if not isinstance(v, AlgebraElement):
             raise ParseError("alias must name an algebra element", lineno, 1)
         tower.aliases[alias] = v

@@ -99,6 +99,25 @@ class CotensorAlgebra:
         rules_keep = all(d(m) == d(lhs) for lhs, rhs in p.reductions for m in rhs)
         return d(p.one_monomial()) == 0 and rules_keep
 
+    def coinvariants_factor_wise(self) -> str:
+        """The empty string when, in every degree, the balanced normal
+        monomials of induced right degree zero are the balanced products
+        ma mp of normal monomials of A and P with R_P(mp) = 0; otherwise
+        the failing one of the two facts that prove it.  The ambient rule
+        left sides are the factors', each in its own slot, so a monomial is
+        normal exactly when both of its slots are; the induced grading is
+        zero on A's generators (and P's own on P's, as built), so ma mp has
+        induced degree R_P(mp).
+        """
+        A, P, amb = self.left_spec.presentation, self.right_spec.presentation, self.ambient
+        pad_a, pad_p = self.split(amb.one_monomial())
+        sides = {lhs + pad_p for lhs, _ in A.reductions} | {pad_a + lhs for lhs, _ in P.reductions}
+        stray = sorted(sides ^ {lhs for lhs, _ in amb.reductions}, key=monomial_key)
+        wrong = [g for g in A.generators if self.induced_right.right[g]]
+        if stray:
+            return "rule side %s is not a factor rule in one slot" % amb.render_monomial(stray[0])
+        return "induced right degree of %s is not 0" % wrong[0] if wrong else ""
+
     def is_member_monomial(self, m: Monomial) -> bool:
         return self.balance_defect(m) == 0
 

@@ -23,11 +23,15 @@ law as ``qpbundle.connection`` does.  The grading-row scans judge the
 rows that read integer degrees (closure under products, the bicomodule
 rows, colinearity and left-degree balance of connection legs): closure
 by multiplying balanced monomials, the others by building the tensors
-whose equality each row asserts.  The algebra scans judge the
-confluence and star certificates of ``qpbundle.skewalg``: they compare
-the rewrites that apply to each exponent vector, evaluate both star
-laws on normal monomials and pairs of them, and multiply monomial
-triples both ways, all up to a degree bound.
+whose equality each row asserts.  The connection scans decide
+``mul-counit`` and the inverse-canonical roundtrip by multiplying in
+P (x) P, where the rows read the stored C(n) = can(l(u^n)), and
+``coinvariants-match`` by enumerating both bases up to a degree.  The
+algebra scans judge the confluence and star certificates of
+``qpbundle.skewalg``: they compare the rewrites that apply to each
+exponent vector, evaluate both star laws on normal monomials and pairs
+of them, and multiply monomial triples both ways, all up to a degree
+bound.
 """
 
 from __future__ import annotations
@@ -49,7 +53,13 @@ from qpbundle.comodule import (
     tensor_of,
 )
 from qpbundle.connection import lifted_canonical_map
-from qpbundle.cotensor import entwine, entwine_at, entwine_inverse, multiply_adjacent
+from qpbundle.cotensor import (
+    coinvariants_basis,
+    entwine,
+    entwine_at,
+    entwine_inverse,
+    multiply_adjacent,
+)
 from qpbundle.report import check, verdict
 from qpbundle.scalar import ONE
 
@@ -701,6 +711,60 @@ def scan_h_balance(form, left_spec, n_bound):
         verdict("connection", "h-balance", ok, detail),
         verdict("connection", "h-balance-equivalence", agree, agree_detail),
     ]
+
+
+def per_leg_balance(left_degree, t):
+    """Per-leg balance: L(x) = -L(y) on every term x (x) y, that is,
+    u^L(x) (x) x (x) y equals u^(-L(y)) (x) x (x) y."""
+    return all(left_degree(x) == -left_degree(y) for x, y in t.terms)
+
+
+def scan_mul_counit(form, n_bound):
+    """The ``mul-counit`` row of ``verify_strong_connection``, decided by
+    multiplying the legs of every image instead of reading C(n)."""
+    p = form.presentation
+    return check(
+        "connection",
+        "mul-counit",
+        zip(range(-n_bound, n_bound + 1)),
+        lambda n: multiply_adjacent(form(n), 0) == tensor_of([p.one()]),
+        lambda n: "legs do not multiply to 1 at index %d" % n,
+    )
+
+
+def lifted_roundtrip(form, x, n):
+    """can((x (x) 1) l(u^n)): the representative of x (x) u^n built in the
+    tensor square and sent through the lifted canonical map, where the
+    ``caninv-roundtrip`` row reads (x (x) u^0) C(n) instead."""
+    rep = tensor_of([x, form.presentation.one()]) * form(n)
+    return lifted_canonical_map(form.spec, rep)
+
+
+def scan_coinvariants(cot, bound):
+    """The ``coinvariants-match`` row as two enumerations up to total
+    degree ``bound``: the balanced normal monomials of the ambient algebra
+    of induced right degree zero, against the balanced products of normal
+    monomials of A with those of P of right degree zero."""
+    direct = sorted(
+        m
+        for m in cot.ambient.monomials_up_to(bound)
+        if cot.is_member_monomial(m) and cot.induced_right.right_degree(m) == 0
+    )
+    p_monos = [next(iter(x.terms)) for x in coinvariants_basis(cot.right_spec, bound)]
+    built = sorted(
+        ma + mp
+        for ma in cot.left_spec.presentation.monomials_up_to(bound)
+        for mp in p_monos
+        if sum(ma) + sum(mp) <= bound
+        and cot.left_spec.right_degree(ma) == cot.right_spec.left_degree(mp)
+    )
+    return verdict(
+        "cotensor",
+        "coinvariants-match",
+        direct == built,
+        "induced-grading basis and factor-wise basis differ at degree <= %d" % bound,
+        anchor="coinvariants-lemma",
+    )
 
 
 def per_term_product(t, slot):

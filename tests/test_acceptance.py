@@ -18,12 +18,17 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import load_bundled, preset_text
-from oracles import WordSphere, plain_tensor2, scan_entwined_module, scan_entwining_axioms
+from oracles import (
+    WordSphere,
+    per_leg_balance,
+    plain_tensor2,
+    scan_entwined_module,
+    scan_entwining_axioms,
+)
 from qpbundle.cli.main import main
 from qpbundle.cli.suites import SuiteConfig, run_suites
 from qpbundle.comodule import TensorElement, alg_slot, coalg_slot, tensor_of
 from qpbundle.connection import (
-    balance_split_holds,
     balance_total_holds,
     composed_closed_form,
     composed_generator_form,
@@ -250,7 +255,7 @@ def test_balance_formulations_agree(ex2):
                 terms[pair] = S.monomial(rng.choice((1, -1, 3)), 0, rng.randrange(-2, 3))
         t = TensorElement((alg_slot(p), alg_slot(p)), terms)
         total = balance_total_holds(ldeg, t)
-        split = balance_split_holds(ldeg, t)
+        split = per_leg_balance(ldeg, t)
         assert total == split, sorted(terms)
         seen[total] += 1
         checked += 1

@@ -73,6 +73,23 @@ def test_algebra_suite_ignores_the_degree_bound(runner, preset, tmp_path):
     assert low.output == high.output
 
 
+@pytest.mark.parametrize("preset", ["matsumoto-ex1", "matsumoto-ex2", "doctored-q"])
+def test_cotensor_suite_ignores_the_degree_bound(runner, preset, tmp_path):
+    # closure and the coinvariant basis are decided for all degrees
+    from conftest import DOCTORED_Q, ex2_variant_text
+
+    source = ("--preset", preset)
+    if preset == "doctored-q":
+        path = tmp_path / "doctored.preset"
+        path.write_text(ex2_variant_text(DOCTORED_Q), encoding="utf-8")
+        source = ("--file", str(path))
+    args = ("verify", *source, "--suite", "cotensor", "--format", "json")
+    low = invoke(runner, *args, "--degree-bound", "2")
+    high = invoke(runner, *args, "--degree-bound", "12")
+    assert low.exit_code == high.exit_code == 0
+    assert low.output == high.output
+
+
 def test_suite_selection(runner):
     res = invoke(runner, "verify", "--suite", "algebra", "--suite", "cotensor", *FAST)
     assert res.exit_code == 0
@@ -158,6 +175,45 @@ def test_bad_identity_lines_exit_two(runner, tmp_path, section, line, message):
     assert message in res.stderr
 
 
+@pytest.mark.parametrize("header", ["[]", "[ ]"])
+def test_an_empty_section_header_exits_two(runner, tmp_path, header):
+    from conftest import preset_text
+
+    text = preset_text("matsumoto-ex2")
+    bad = tmp_path / "bad.preset"
+    bad.write_text(text + header + "\n")
+    res = invoke(runner, "verify", "--file", str(bad), *FAST)
+    assert res.exit_code == 2
+    at = text.count("\n") + 1
+    assert res.stderr == "error: line %d, column 1: unknown section []\n" % at
+
+
+@pytest.mark.parametrize("header", ["[meta]", "[aliases]", "[algebra A]", "[connection P]"])
+def test_a_repeated_section_exits_two_at_its_second_header(runner, tmp_path, header):
+    from conftest import preset_text
+
+    text = preset_text("matsumoto-ex2")
+    first = text.splitlines().index(header) + 1
+    bad = tmp_path / "bad.preset"
+    bad.write_text(text + header + "\n")
+    res = invoke(runner, "verify", "--file", str(bad), *FAST)
+    assert res.exit_code == 2
+    at = text.count("\n") + 1
+    want = "error: line %d, column 1: section %s repeats line %d\n" % (at, header, first)
+    assert res.stderr == want
+
+
+def test_identity_sections_may_repeat(runner, tmp_path):
+    from conftest import preset_text
+
+    text = preset_text("matsumoto-ex2") + "[identities]\nagain: alpha = alpha\n"
+    path = tmp_path / "twice.preset"
+    path.write_text(text)
+    res = invoke(runner, "verify", "--file", str(path), "--suite", "examples", *FAST)
+    assert res.exit_code == 0
+    assert "examples/again" in res.output
+
+
 def test_preset_without_identities_has_no_example_rows(runner, tmp_path):
     from conftest import preset_text, without_identities
 
@@ -224,11 +280,12 @@ def test_programming_error_exits_three(runner, tmp_path, monkeypatch):
     golden = Path(__file__).resolve().parent / "golden" / "matsumoto-ex2-doctored-q.json"
     assert res.stdout == golden.read_text(encoding="utf-8")
 
-    # a bug inside a row's computation is not reported as a failed identity
+    # a bug inside a row's computation is not reported as a failed
+    # identity; only the caninv-roundtrip row calls grouplike
     def broken(*args):
         raise TypeError("unsupported operand")
 
-    monkeypatch.setattr("qpbundle.cli.suites.inverse_canonical_representative", broken)
+    monkeypatch.setattr("qpbundle.cli.suites.grouplike", broken)
     res = invoke(runner, "verify", "--suite", "connection", *FAST)
     assert res.exit_code == 3
     assert "internal error: TypeError: unsupported operand" in res.stderr
@@ -239,7 +296,7 @@ def test_programming_error_exits_three(runner, tmp_path, monkeypatch):
     def unpacking(*args):
         raise ValueError("not enough values to unpack")
 
-    monkeypatch.setattr("qpbundle.cli.suites.inverse_canonical_representative", unpacking)
+    monkeypatch.setattr("qpbundle.cli.suites.grouplike", unpacking)
     res = invoke(runner, "verify", "--suite", "connection", *FAST)
     assert res.exit_code == 3
     assert "internal error: ValueError: not enough values to unpack" in res.stderr

@@ -4,8 +4,17 @@ import random
 
 import pytest
 
-from conftest import ENTRY_MUTANT, load_ex2_variant
-from oracles import WordSphere, plain_tensor2, scan_translation_identities
+from conftest import ENTRY_MUTANT, load_ex2_variant, preset_text
+from oracles import (
+    WordSphere,
+    lifted_roundtrip,
+    per_leg_balance,
+    plain_tensor2,
+    scan_mul_counit,
+    scan_translation_identities,
+)
+from qpbundle.cli.parser import load_preset
+from qpbundle.cli.suites import SuiteConfig, run_suites
 from qpbundle.comodule import (
     TensorElement,
     alg_slot,
@@ -15,13 +24,11 @@ from qpbundle.comodule import (
 )
 from qpbundle.connection import (
     ConnectionForm,
-    balance_split_holds,
     balance_total_holds,
     check_h_balance,
     compose_connection,
     composed_closed_form,
     composed_generator_form,
-    inverse_canonical_representative,
     lifted_canonical_map,
     matsumoto_connection,
     verify_strong_connection,
@@ -94,16 +101,16 @@ def test_balance_checkers_spot_cases(ex2):
     x, y = p.gen("x"), p.gen("y")
     balanced = tensor_of([x, x.star()]) + tensor_of([y, y.star()]).scale(S.lam(2))
     assert balance_total_holds(ldeg, balanced)
-    assert balance_split_holds(ldeg, balanced)
+    assert per_leg_balance(ldeg, balanced)
     lopsided = tensor_of([x, x]) + tensor_of([x, y])
     assert not balance_total_holds(ldeg, lopsided)
-    assert not balance_split_holds(ldeg, lopsided)
+    assert not per_leg_balance(ldeg, lopsided)
     # a cancellation between unbalanced terms still counts as balanced
     # in the combined reading, and the per-leg reading must agree by
     # seeing no surviving term
     zero = tensor_of([x, y]) - tensor_of([x, y])
     assert balance_total_holds(ldeg, zero)
-    assert balance_split_holds(ldeg, zero)
+    assert per_leg_balance(ldeg, zero)
 
 
 def test_h_balance_of_the_second_connection(ex1, ex2):
@@ -176,6 +183,12 @@ def _coefficient_mutant(form, rng):
     return ConnectionForm(form.spec, form.closed, overrides=overrides)
 
 
+def _seeded_mutants(ex1, ex2):
+    """(tower, mutant) for 8 seeded coefficient mutants of each first form."""
+    rng = random.Random(11)
+    return [(t, _coefficient_mutant(t.form_a, rng)) for t in (ex1, ex2) for _ in range(8)]
+
+
 def _rows(results):
     return [(r.check_id, r.status, r.detail) for r in results]
 
@@ -184,8 +197,7 @@ def test_translation_rows_match_the_product_scan(ex1, ex2):
     # the bimodule-law rows against the product-then-can formulas, on
     # the bundled forms, the entry-mutant table and seeded mutants
     forms = [ex1.form_a, ex2.form_a, load_ex2_variant(ENTRY_MUTANT).form_a]
-    rng = random.Random(11)
-    forms += [_coefficient_mutant(f, rng) for f in (ex1.form_a, ex2.form_a) for _ in range(8)]
+    forms += [mutant for _, mutant in _seeded_mutants(ex1, ex2)]
     failing = 0
     for form in forms:
         got = _rows(verify_translation_identities(form, n_bound=3, degree_bound=4))
@@ -194,6 +206,38 @@ def test_translation_rows_match_the_product_scan(ex1, ex2):
     # the comparison is not vacuous: the entry mutant and most seeded
     # mutants break a row
     assert failing >= 10
+
+
+def test_mul_counit_row_matches_multiplying_the_legs(ex1, ex2):
+    # (id (x) eps) C(n) against mul(l(u^n)), on the seeded mutants
+    failing = 0
+    for _, form in _seeded_mutants(ex1, ex2):
+        rows = verify_strong_connection(form, n_bound=3)
+        row = next(r for r in rows if r.check_id == "mul-counit")
+        assert _rows([row]) == _rows([scan_mul_counit(form, n_bound=3)])
+        failing += row.status == "fail"
+    assert failing >= 10
+
+
+def test_roundtrip_reads_the_canonical_image(ex1, ex2):
+    # (x (x) u^0) C(n) against can((x (x) 1) l(u^n)), on the seeded
+    # mutants and on the composed forms built from them
+    broken = 0
+    for tower, form in _seeded_mutants(ex1, ex2):
+        p = form.presentation
+        composed = compose_connection(form, tower.form_p, tower.cot)
+        al, be = tower.aliases["alpha"], tower.aliases["beta"]
+        for f, samples in (
+            (form, (p.one(), p.gen("a"), p.gen("a") * p.gen("b").star() + p.gen("b"))),
+            (composed, (tower.cot.ambient.one(), al, al.star() * be)),
+        ):
+            for x in samples:
+                for n in range(-2, 3):
+                    got = tensor_of([x, grouplike(0)]) * f.canonical(n)
+                    assert got == lifted_roundtrip(f, x, n), (x, n)
+                    broken += got != tensor_of([x, grouplike(n)])
+    # the comparison is not vacuous: mutants break the roundtrip
+    assert broken > 0
 
 
 def test_doctored_translation_rows_keep_their_statuses(doctored):
@@ -206,19 +250,22 @@ def test_doctored_translation_rows_keep_their_statuses(doctored):
 
 
 def test_inverse_canonical_representative(ex2):
+    # x on the first leg of the form's image maps back to x (x) u^n, and
+    # its image is (x (x) u^0) C(n) by the bimodule law
     cot = ex2.cot
     composed = ex2.composed()
     one = cot.ambient.one()
     al = ex2.aliases["alpha"]
     for x in (one, al, al.star() * al):
         for n in (-2, -1, 0, 1, 2):
-            rep = inverse_canonical_representative(cot, composed, x, n)
-            assert rep.shape == (alg_slot(cot.ambient), alg_slot(cot.ambient))
-            assert lifted_canonical_map(cot.induced_right, rep) == tensor_of([x, grouplike(n)])
-    # non-members are rejected
-    lone = cot.embed_right(ex2.p_spec.presentation.gen("x"))
-    with pytest.raises(PresentationError):
-        inverse_canonical_representative(cot, composed, lone, 1)
+            want = tensor_of([x, grouplike(n)])
+            assert lifted_roundtrip(composed, x, n) == want
+            assert tensor_of([x, grouplike(0)]) * composed.canonical(n) == want
+    # a non-member sample fails the row, which names the reason
+    text = preset_text("matsumoto-ex2").replace("alpha = a x'\n", "alpha = a x\n", 1)
+    report = run_suites(load_preset(text), SuiteConfig(("connection",), n_bound=1))
+    row = next(r for r in report.results if r.check_id == "caninv-roundtrip")
+    assert (row.status, row.detail) == ("fail", "element is not in the cotensor algebra")
 
 
 def test_composition_needs_both_gradings(ex1):

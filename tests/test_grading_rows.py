@@ -1,17 +1,26 @@
 """Rows decided from integer gradings: closure under products, the
-bicomodule rows, colinearity and left-degree balance of connection legs.
+bicomodule rows, colinearity and left-degree balance of connection
+legs, and the factor-wise coinvariant basis.
 
 Each failing row's detail is pinned, and a property compares every row
 with its scan in ``tests/oracles.py`` on broken gradings and mutated
 connection forms.
 """
 
+import copy
+
 from hypothesis import given, settings, strategies as st
 
 from conftest import OffsetCoaction, offset_tower
-from oracles import scan_bicomodule, scan_closure_product, scan_colinearity, scan_h_balance
+from oracles import (
+    scan_bicomodule,
+    scan_closure_product,
+    scan_coinvariants,
+    scan_colinearity,
+    scan_h_balance,
+)
 from qpbundle.cli.suites import SuiteConfig, run_suites
-from qpbundle.comodule import TensorElement, check_bicomodule, tensor_of
+from qpbundle.comodule import CoactionSpec, TensorElement, check_bicomodule, tensor_of
 from qpbundle.connection import (
     ConnectionForm,
     check_h_balance,
@@ -19,6 +28,7 @@ from qpbundle.connection import (
     verify_strong_connection,
 )
 from qpbundle.scalar import ZERO, LaurentScalar as S
+from qpbundle.skewalg import AlgebraPresentation
 
 
 def _row(results, check_id):
@@ -33,6 +43,32 @@ def _overridden(form, n, t, spec=None):
 
 def _cotensor_rows(tower):
     return run_suites(tower, SuiteConfig(("cotensor",), degree_bound=2)).results
+
+
+def _with_cross_rule(cot):
+    """A copy of ``cot`` whose ambient algebra also rewrites to 0 a
+    balanced coinvariant monomial with letters in both slots."""
+    amb = cot.ambient
+    lhs = next(m for m in cot.coinvariant_monomials(2) if all(map(any, cot.split(m))))
+    gens = amb.generators
+    word = lambda m: [g for g, e in zip(gens, m) for _ in range(e)]
+    comm = {(g, h): amb.q[i][j] for i, g in enumerate(gens) for j, h in enumerate(gens[:i])}
+    rules = [(word(l), rhs) for l, rhs in amb.reductions] + [(word(lhs), {})]
+    out = copy.copy(cot)
+    out.ambient = AlgebraPresentation(gens, amb.star_map, comm, rules)
+    out.induced_right = CoactionSpec(out.ambient, right=cot.induced_right.right)
+    return out
+
+
+def _with_graded_letter(cot):
+    """A copy of ``cot`` whose induced grading gives A's first generator
+    degree 1 (and its star -1)."""
+    A = cot.left_spec.presentation
+    g = A.generators[0]
+    table = {**cot.induced_right.right, g: 1, A.star_map[g]: -1}
+    out = copy.copy(cot)
+    out.induced_right = CoactionSpec(cot.ambient, right=table)
+    return out
 
 
 # -- each failing row names what fails -----------------------------------------------
@@ -78,6 +114,16 @@ def test_unit_left_degree_names_the_unit(ex2):
     results = check_bicomodule(shifted)
     assert _row(results, "unit-covariant") == ("fail", "left coaction of 1 is not u^0 (x) 1")
     assert _row(results, "bicomodule-commute") == ("pass", "")
+
+
+def test_coinvariants_row_names_the_failing_fact(ex2):
+    tower = offset_tower(ex2)
+    for broken, detail in (
+        (_with_cross_rule, "rule side a a' x x' is not a factor rule in one slot"),
+        (_with_graded_letter, "induced right degree of a is not 0"),
+    ):
+        tower.cot = broken(ex2.cot)
+        assert _row(_cotensor_rows(tower), "coinvariants-match") == ("fail", detail)
 
 
 # -- the rows against the scans ---------------------------------------------------------
@@ -139,3 +185,18 @@ def test_grading_rows_match_the_scans(ex1, ex2, data):
     if spec.has_left():
         rows, scanned = check_h_balance(mutant, spec, 2), scan_h_balance(mutant, spec, 2)
         _assert_rows_match(rows, scanned, "h-balance", "h-balance-equivalence")
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_coinvariants_certificate_matches_the_scan(ex1, ex2, data):
+    tower = data.draw(st.sampled_from((ex1, ex2)))
+    cot = offset_tower(tower, data.draw(OFFSETS), data.draw(OFFSETS)).cot
+    broken = data.draw(st.sampled_from((None, _with_cross_rule, _with_graded_letter)))
+    if broken is not None:
+        cot = broken(cot)
+    witness = cot.coinvariants_factor_wise()
+    scanned = scan_coinvariants(cot, 4)
+    assert scanned.ok == (not witness), witness
+    # each break is one the scan sees, so a certificate that ignores it fails here
+    assert scanned.ok == (broken is None)

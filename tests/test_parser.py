@@ -248,8 +248,8 @@ def test_identity_sections_are_stored_by_scope():
     )
     at = EX2_PLAIN.count("\n") + 2
     assert tower.identities == {
-        "sphere": [("P", at, "x x' + y y'", "1")],
-        "c": [("ambient", at + 2, "z1", None), ("ambient", at + 2, "z2", None)],
+        "sphere": [("P", at, "x x' + y y'", 9, "1", 23)],
+        "c": [("ambient", at + 2, "z1", 16, None, None), ("ambient", at + 2, "z2", 19, None, None)],
     }
 
 
@@ -294,8 +294,8 @@ def test_a_line_that_does_not_parse_fails_its_row_with_its_line_number():
     rows = example_rows("[identities]\nfine: alpha = alpha\nbroken: alpha + = alpha\n")
     assert rows["fine"].ok
     at = EX2_PLAIN.count("\n") + 3
-    # the left side "alpha +" ends early
-    assert rows["broken"].detail == "line %d, column 8: unexpected 'end of input'" % at
+    # the left side "alpha +" starts in column 9 and ends early, in column 16
+    assert rows["broken"].detail == "line %d, column 16: unexpected 'end of input'" % at
 
 
 def test_coinvariant_lines_name_the_failing_element():
@@ -317,3 +317,44 @@ def test_coinvariant_lines_need_a_right_grading_on_the_second_factor():
     text = text[: text.index("[connection P]")] + text[text.index("[aliases]") :]
     rows = example_rows_of(text + "[identities]\nc: coinvariant z1\n")
     assert rows["c"].detail == "no right grading on the second factor"
+
+
+# -- error positions ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "old, new, col",
+    [
+        pytest.param("alpha = a x'\n", "alpha = a q\n", 11, id="alias"),
+        pytest.param("alpha = a x'\n", "    alpha = a q\n", 15, id="indented-alias"),
+        pytest.param(
+            "entry 1 = (a' | a) + (b' | b)\n", "entry 1 = (a' | a) + (b' | q)\n", 28, id="entry"
+        ),
+        pytest.param("reduce b b' = 1 - a a'\n", "reduce b b' = 1 - a q\n", 21, id="rule-rhs"),
+        pytest.param("reduce b b' = 1 - a a'\n", "reduce b c = 1 - a a'\n", 10, id="rule-lhs"),
+        pytest.param("q b a = L^-1\n", "q b a = L^-1 Q\n", 14, id="q-entry"),
+        pytest.param(
+            "rel-alpha-normal: alpha alpha' = alpha' alpha\n",
+            "rel-alpha-normal: alpha alpha' = alpha' omega\n",
+            41,
+            id="identity",
+        ),
+        pytest.param(
+            "membership: coinvariant z1 ", "membership: coinvariant z1 omega ", 34, id="coinvariant"
+        ),
+    ],
+)
+def test_expression_errors_count_columns_from_the_line_start(old, new, col):
+    text = preset_text("matsumoto-ex2")
+    assert text.count(old) == 1
+    lineno = text[: text.index(old)].count("\n") + 1
+    with pytest.raises(ParseError) as err:
+        load_preset(text.replace(old, new))
+    assert (err.value.line, err.value.col) == (lineno, col)
+
+
+def test_identity_rows_report_columns_of_the_preset_line():
+    # the examples suite parses each side where it stands in its line
+    rows = example_rows("[identities]\nright-side: alpha = alpha +\n")
+    at = EX2_PLAIN.count("\n") + 2
+    assert rows["right-side"].detail == "line %d, column 28: unexpected 'end of input'" % at

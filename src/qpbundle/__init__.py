@@ -25,7 +25,6 @@ from .comodule import (
     TensorElement,
     alg_slot,
     antipode,
-    check_bicomodule,
     coalg_slot,
     comultiply,
     coseparability_retraction,
@@ -40,14 +39,7 @@ from .comodule import (
 )
 from .cotensor import (
     CotensorAlgebra,
-    EntwiningMap,
-    canonical_entwining,
-    check_entwined_module,
-    check_entwining_axioms,
     coinvariants_basis,
-    entwine,
-    entwine_at,
-    entwine_inverse,
     multiply_adjacent,
 )
 from .connection import (
@@ -75,7 +67,6 @@ __all__ = [
     "ConfluenceReport",
     "ConnectionForm",
     "CotensorAlgebra",
-    "EntwiningMap",
     "LaurentScalar",
     "ONE",
     "PresentationError",
@@ -87,10 +78,6 @@ __all__ = [
     "antipode",
     "balance_total_holds",
     "binomial",
-    "canonical_entwining",
-    "check_bicomodule",
-    "check_entwined_module",
-    "check_entwining_axioms",
     "check_h_balance",
     "check_local_confluence",
     "check_star_compatible",
@@ -102,9 +89,6 @@ __all__ = [
     "comultiply",
     "coseparability_retraction",
     "counit",
-    "entwine",
-    "entwine_at",
-    "entwine_inverse",
     "grouplike",
     "left_coact",
     "lifted_canonical_map",

@@ -23,7 +23,7 @@ from ..comodule import render_tensor
 from ..cotensor import coinvariants_basis
 from ..report import Report
 from ..scalar import LaurentScalar, render_scalar
-from ..skewalg import AlgebraElement, render_element
+from ..skewalg import AlgebraElement, PresentationError, monomial_key, render_element
 from .parser import PACKAGE_ERRORS, Tower, load_preset, parse_expression
 from .suites import SUITE_NAMES, SuiteConfig, run_suites
 
@@ -180,10 +180,17 @@ def compose(preset, file_path, n):
 )
 @_friendly_errors
 def coinv(preset, file_path, degree, space):
-    """Print a coinvariant monomial basis up to a degree bound."""
+    """Print a coinvariant monomial basis up to a total degree bound."""
     tower = _load_tower(preset, file_path)
-    source = tower.cot if space == "cotensor" else tower.p_spec
-    for el in coinvariants_basis(source, degree):
+    if space == "second":
+        basis = coinvariants_basis(tower.p_spec, degree)
+    else:
+        cot = tower.cot
+        if cot.induced_right is None:
+            raise PresentationError("no right grading on the second factor")
+        basis = coinvariants_basis(cot.induced_right, degree, cot.is_member_monomial)
+        basis.sort(key=lambda el: monomial_key(*el.terms))
+    for el in basis:
         click.echo(render_element(el))
 
 

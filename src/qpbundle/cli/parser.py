@@ -381,6 +381,14 @@ def _keyval(line: str, lineno: int):
     return key.strip(), value.strip(), _col(line, len(key) + 1)
 
 
+def _once(seen: dict, key, what: str, lineno: int):
+    """Record the line of ``key``; a second line for it is an error that
+    names the first, so a repeated key never silently replaces one."""
+    if key in seen:
+        raise ParseError("%s repeats line %d" % (what, seen[key]), lineno, 1)
+    seen[key] = lineno
+
+
 def _parse_word(text: str, presentation: AlgebraPresentation, lineno: int) -> list[str]:
     """A product of generator letters with optional ' and ^k, as a flat
     letter list: a rule line's left side, after its directive."""
@@ -418,15 +426,18 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
     reduce_lines: list[tuple[int, str, str, int]] = []
     gradings: dict[str, dict[str, int]] = {"right": {}, "left": {}}
     at = lines[0][0] if lines else 1  # section-level errors point at its first line
+    seen: dict = {}
 
     for lineno, line in lines:
         head = line.split()[0]
         if head == "generators":
+            _once(seen, head, head, lineno)
             generators = _keyval(line, lineno)[1].split()
         elif head == "star":
             parts = line.split()
             if len(parts) != 3:
                 raise ParseError("expected: star <g> <h>", lineno, 1)
+            _once(seen, ("star", parts[1]), "star %s" % parts[1], lineno)
             star_pairs[parts[1]] = parts[2]
         elif head == "q":
             lhs, value, col = _keyval(line, lineno)
@@ -440,6 +451,7 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
         elif head in ("right", "left"):
             lhs, value, _ = _keyval(line, lineno)
             gen = lhs[len(head) :].strip()
+            _once(seen, (head, gen), "%s %s" % (head, gen), lineno)
             try:
                 gradings[head][gen] = int(value)
             except ValueError:
@@ -520,10 +532,12 @@ def parse_connection_section(lines, spec: CoactionSpec, label: str) -> Connectio
     entries: dict[int, TensorElement] = {}
     ctx = ExpressionContext(spec.presentation)
     p = spec.presentation
+    seen: dict = {}
     for lineno, line in lines:
         key, value, col = _keyval(line, lineno)
         parts = key.split()
         if parts[0] == "rule":
+            _once(seen, "rule", "rule", lineno)
             rule_name = value
         elif parts[0] == "entry":
             if len(parts) != 2:
@@ -532,6 +546,7 @@ def parse_connection_section(lines, spec: CoactionSpec, label: str) -> Connectio
                 n = int(parts[1])
             except ValueError:
                 raise ParseError("entry index must be an integer", lineno, 1)
+            _once(seen, n, "entry %d" % n, lineno)
             tensor = parse_expression(ctx, value, lineno, col)
             if isinstance(tensor, (LaurentScalar, AlgebraElement)):
                 raise ParseError("entry must be a two-slot tensor", lineno, 1)
@@ -633,9 +648,8 @@ def load_preset(text: str, fallback_name: str = "preset") -> Tower:
         parts = title.split()
         title = " ".join(parts)
         scope = _IDENTITY_SCOPES.get(title)
-        if scope is None and title in seen:
-            raise ParseError("section [%s] repeats line %d" % (title, seen[title]), lineno, 1)
-        seen[title] = lineno
+        if scope is None:
+            _once(seen, title, "section [%s]" % title, lineno)
         if title == "meta":
             for ln, line in body:
                 key, name, _ = _keyval(line, ln)
@@ -671,10 +685,12 @@ def load_preset(text: str, fallback_name: str = "preset") -> Tower:
 
     tower = Tower(name, a_spec, p_spec, cot, form_a, form_p, {})
     ctx = tower.context("ambient")
+    defined: dict[str, int] = {}
     for lineno, line in alias_body:
         alias, value, col = _keyval(line, lineno)
         if not alias.isidentifier():
             raise ParseError("alias name %r is not an identifier" % alias, lineno, 1)
+        _once(defined, alias, "alias %s" % alias, lineno)
         v = parse_value(ctx, value, lineno, col)
         if not isinstance(v, AlgebraElement):
             raise ParseError("alias must name an algebra element", lineno, 1)

@@ -60,10 +60,6 @@ def _max_first(m: Monomial) -> tuple:
     return (-sum(m), tuple(map(neg, reversed(m))))
 
 
-def _divides(lhs: Monomial, m: Monomial) -> bool:
-    return all(l <= e for l, e in zip(lhs, m))
-
-
 def _unit_exponents(q: LaurentScalar) -> tuple[int, int, int]:
     """(sign parity, L exponent, M exponent) of a unit monomial."""
     (((e_l, e_m), c),) = q.terms.items()

@@ -33,15 +33,21 @@ def ex2_variant_text(edit):
     return text.replace(old, new)
 
 
-def without_identities(text):
-    """The preset text without its [identities ...] sections."""
+def without_sections(text, *kinds):
+    """The preset text without the sections whose title starts with one
+    of ``kinds``."""
     kept, skipping = [], False
     for line in text.splitlines(keepends=True):
         if line.startswith("["):
-            skipping = line.startswith("[identities")
+            skipping = line[1:].startswith(kinds)
         if not skipping:
             kept.append(line)
     return "".join(kept)
+
+
+def without_identities(text):
+    """The preset text without its [identities ...] sections."""
+    return without_sections(text, "identities")
 
 
 def load_ex2_variant(edit):
@@ -142,3 +148,22 @@ def sphere_preset_text(table, with_rule):
         lines.append("reduce b b' = 1 - a a'")
     lines += ["right a = 1", "right b = 1", ""]
     return "\n".join(lines) + ex2[ex2.index("[algebra P]") : ex2.index("[connection A]")]
+
+
+@st.composite
+def graded_presets(draw):
+    """ex1 or ex2 without its [connection] and [identities] sections, with
+    every grading line and q entry redrawn: an integer right degree for
+    each grading line of A and P, a left degree for each of P's (star
+    partners get the opposite one), and a unit q entry for each pair."""
+    name = draw(st.sampled_from(("matsumoto-ex1", "matsumoto-ex2")))
+    lines = []
+    for line in without_sections(preset_text(name), "connection", "identities").splitlines():
+        key = line.split("=")[0]
+        if key.split()[:1] in (["right"], ["left"]):
+            line = "%s= %d" % (key, draw(st.integers(-2, 2)))
+        elif key.startswith("q "):
+            sign, l, m = draw(units)
+            line = "%s= %sL^%d M^%d" % (key, "-" if sign < 0 else "", l, m)
+        lines.append(line)
+    return "\n".join(lines) + "\n"

@@ -11,19 +11,20 @@ The only engine types these helpers touch are the public term maps, in
 the converters near the end, which exist so tests can compare results.
 
 The scans at the end are the exceptions.  The entwining scans judge
-the grading certificates of ``qpbundle.cotensor`` by brute force: each
-entwining axiom is evaluated, through the package's own tensor
+the entwining rows, which ``qpbundle.cli.suites`` emits as lemmas of the
+load-time invariants, by brute force: ``Shift`` applies the degree-shift
+entwining, and each axiom is evaluated, through the package's own tensor
 operations, on every normal monomial (or pair) up to a degree bound and
 on a window of grouplike indices.  What they check independently is the
-axiom itself, monomial by monomial, instead of the integer argument the
-certificates rest on.  The translation scan forms each identity's
+axiom itself, monomial by monomial, instead of the argument the lemma
+rests on.  The translation scan forms each identity's
 product in P (x) P first and pushes it through the lifted canonical map,
 instead of reading it off the canonical images through the bimodule
 law as ``qpbundle.connection`` does.  The grading-row scans judge the
-rows that read integer degrees (closure under products, the bicomodule
-rows, colinearity and left-degree balance of connection legs): closure
-by multiplying balanced monomials, the others by building the tensors
-whose equality each row asserts.  The connection scans decide
+rows that follow from integer degrees: closure under products by
+multiplying balanced monomials, the bicomodule rows, colinearity and
+left-degree balance of connection legs by building the tensors whose
+equality each row asserts.  The connection scans decide
 ``mul-counit`` and the inverse-canonical roundtrip by multiplying in
 P (x) P, where the rows read the stored C(n) = can(l(u^n)), and
 ``coinvariants-match`` by enumerating both bases up to a degree.  The
@@ -38,9 +39,9 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from operator import mul
 
 from qpbundle.comodule import (
+    ShapeError,
     TensorElement,
     alg_slot,
     coalg_slot,
@@ -53,13 +54,7 @@ from qpbundle.comodule import (
     tensor_of,
 )
 from qpbundle.connection import lifted_canonical_map
-from qpbundle.cotensor import (
-    coinvariants_basis,
-    entwine,
-    entwine_at,
-    entwine_inverse,
-    multiply_adjacent,
-)
+from qpbundle.cotensor import coinvariants_basis, multiply_adjacent
 from qpbundle.report import check, verdict
 from qpbundle.scalar import ONE
 
@@ -304,6 +299,60 @@ def plain_tensor2(t):
     return {k: plain_scalar(c) for k, c in t.terms.items()}
 
 
+# -- the degree-shift entwining ----------------------------------------------------
+
+
+class Shift:
+    """The entwining u^n (x) m -> m (x) u^(n + shift(m)) of one presented
+    algebra, for a function ``shift`` on normal monomials, with the
+    inverse m (x) u^n -> u^(n - shift(m)) (x) m.  ``left`` is the left
+    degree function of the algebra, when it has a left grading.
+    ``canonical_shift`` is the entwining of a right grading; any other
+    function gives a map for a negative control."""
+
+    def __init__(self, presentation, shift, left=None):
+        self.presentation = presentation
+        self.shift = shift
+        self.left = left
+
+
+def canonical_shift(spec):
+    """Shift by right degree, with the spec's left degree when it has one."""
+    left = spec.left_degree if spec.has_left() else None
+    return Shift(spec.presentation, spec.right_degree, left)
+
+
+def entwine_at(emap, t, slot):
+    """Entwine the adjacent pair (coalgebra at slot, algebra at slot + 1)
+    inside a longer tensor, leaving the other slots alone."""
+    alg = alg_slot(emap.presentation)
+    if slot < 0 or t.shape[slot : slot + 2] != (coalg_slot(), alg):
+        raise ShapeError("no coalgebra/algebra pair at slot %d" % slot)
+    shape = t.shape[:slot] + (alg, coalg_slot()) + t.shape[slot + 2 :]
+    # (n, m) -> (m, n + shift(m)) is one to one, so no two keys merge
+    moved = {
+        k[:slot] + (k[slot + 1], k[slot] + emap.shift(k[slot + 1])) + k[slot + 2 :]: c
+        for k, c in t.terms.items()
+    }
+    return TensorElement(shape, moved)
+
+
+def entwine(emap, t):
+    """Apply the map to a coalgebra (x) algebra tensor."""
+    if len(t.shape) != 2:
+        raise ShapeError("entwining expects a coalgebra (x) algebra tensor")
+    return entwine_at(emap, t, 0)
+
+
+def entwine_inverse(emap, t):
+    """Apply the inverse map to an algebra (x) coalgebra tensor."""
+    alg = alg_slot(emap.presentation)
+    if t.shape != (alg, coalg_slot()):
+        raise ShapeError("inverse entwining expects an algebra (x) coalgebra tensor")
+    moved = {(n - emap.shift(m), m): c for (m, n), c in t.terms.items()}
+    return TensorElement((coalg_slot(), alg), moved)
+
+
 # -- entwining scans -------------------------------------------------------------
 
 
@@ -327,7 +376,7 @@ def _monomial_pairs(p, degree_bound, monomial_filter=None):
 
 
 def scan_entwining_axioms(emap, degree_bound, monomial_filter=None):
-    """The rows of ``check_entwining_axioms``, decided by scanning.
+    """The entwining-axiom rows of one graded algebra, decided by scanning.
 
     Product-type axioms run over monomial pairs of combined degree up
     to the bound and the grouplike window.  ``monomial_filter``
@@ -405,7 +454,7 @@ def scan_entwining_axioms(emap, degree_bound, monomial_filter=None):
     # entwining first or coacting on the left first give the same
     # picture in H (x) P (x) C
     if emap.left is not None:
-        ldeg = lambda m: sum(map(mul, emap.left, m))
+        ldeg = emap.left
 
         def colinear(m, n, el):
             coact_first = TensorElement(
@@ -424,7 +473,7 @@ def scan_entwining_axioms(emap, degree_bound, monomial_filter=None):
 
 
 def scan_entwined_module(emap, spec, degree_bound, monomial_filter=None):
-    """The rows of ``check_entwined_module``, decided by scanning: the
+    """The entwined-module rows, decided by scanning: the
     product law rho(xy) = x_(0) psi(x_(1) (x) y) on monomial pairs and
     the base-point condition rho(p) = psi(u^0 (x) p)."""
     p = spec.presentation
@@ -597,10 +646,11 @@ def scan_associativity(p, degree_bound=3):
 # -- grading-row scans -------------------------------------------------------------
 
 
-def scan_closure_product(cot, degree=2):
+def scan_closure_product(cot, degree=4):
     """The ``closure-product`` row, decided by multiplying every pair of
-    balanced monomials with slot degrees up to ``degree``."""
-    gens = cot.generators_up_to(degree)
+    balanced normal monomials of total degree up to ``degree``."""
+    amb = cot.ambient
+    gens = [amb.element({m: ONE}) for m in amb.monomials_up_to(degree) if cot.is_member_monomial(m)]
     return check(
         "cotensor",
         "closure-product",
@@ -612,7 +662,7 @@ def scan_closure_product(cot, degree=2):
 
 
 def scan_bicomodule(spec, degree_bound=3):
-    """The rows of ``check_bicomodule`` as tensor identities:
+    """The bicomodule rows as tensor identities:
     (H (x) rho) o lrho against (lrho (x) C) o rho on every normal monomial
     up to the bound, and the left coaction of 1 against u^0 (x) 1."""
     p = spec.presentation

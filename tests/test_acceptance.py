@@ -20,6 +20,7 @@ from click.testing import CliRunner
 from conftest import load_bundled, preset_text
 from oracles import (
     WordSphere,
+    canonical_shift,
     per_leg_balance,
     plain_tensor2,
     scan_entwined_module,
@@ -37,7 +38,6 @@ from qpbundle.connection import (
     verify_strong_connection,
     verify_translation_identities,
 )
-from qpbundle.cotensor import canonical_entwining, check_entwined_module, check_entwining_axioms
 from qpbundle.scalar import ONE, LaurentScalar as S
 from qpbundle.skewalg import check_local_confluence
 
@@ -202,21 +202,21 @@ def test_degree_zero_subspace_factorizes(ex1, ex2):
 
 def test_entwining_axioms_to_degree_six(ex2):
     for spec in (ex2.a_spec, ex2.p_spec):
-        emap = canonical_entwining(spec)
+        emap = canonical_shift(spec)
         all_pass(scan_entwining_axioms(emap, 6))
         all_pass(scan_entwined_module(emap, spec, 6))
-        all_pass(check_entwining_axioms(emap) + check_entwined_module(emap, spec))
-    # the second factor also carries the mixing grading, so its map
-    # must preserve it; the first factor has no such grading and gets
-    # no such check
-    p_ids = {r.check_id for r in check_entwining_axioms(canonical_entwining(ex2.p_spec))}
-    a_ids = {r.check_id for r in check_entwining_axioms(canonical_entwining(ex2.a_spec))}
-    assert "h-colinear" in p_ids
-    assert "h-colinear" not in a_ids
+    # the lemma rows pass; the second factor also carries the mixing
+    # grading, so its map must preserve it, while the first factor has no
+    # such grading and gets no such row
+    report = run_suites(ex2, SuiteConfig(("entwining",)))
+    ids = {r.check_id for r in report.results}
+    assert all_pass(report.results) == 22
+    assert "second-h-colinear" in ids
+    assert "first-h-colinear" not in ids and "lifted-h-colinear" not in ids
     # the lifted map on the balanced subalgebra
     cot = ex2.cot
-    all_pass(scan_entwining_axioms(cot.entwining(), 6, monomial_filter=cot.is_member_monomial))
-    all_pass(check_entwining_axioms(cot.entwining()))
+    lifted = canonical_shift(cot.induced_right)
+    all_pass(scan_entwining_axioms(lifted, 6, monomial_filter=cot.is_member_monomial))
 
 
 def test_translation_map_identities(ex2):

@@ -48,7 +48,7 @@ def test_verify_is_deterministic(runner):
 
 @pytest.mark.parametrize("preset", ["matsumoto-ex1", "matsumoto-ex2"])
 def test_entwining_suite_ignores_the_degree_bound(runner, preset):
-    # its rows are certified for all degrees, so the bound has nothing to cap
+    # its rows are lemmas of the load checks, so the bound has nothing to cap
     args = ("verify", "--preset", preset, "--suite", "entwining", "--format", "json")
     low = invoke(runner, *args, "--degree-bound", "2")
     high = invoke(runner, *args, "--degree-bound", "12")
@@ -75,7 +75,8 @@ def test_algebra_suite_ignores_the_degree_bound(runner, preset, tmp_path):
 
 @pytest.mark.parametrize("preset", ["matsumoto-ex1", "matsumoto-ex2", "doctored-q"])
 def test_cotensor_suite_ignores_the_degree_bound(runner, preset, tmp_path):
-    # closure and the coinvariant basis are decided for all degrees
+    # closure and the coinvariant basis are lemmas, and membership is
+    # decided on two fixed pairs
     from conftest import DOCTORED_Q, ex2_variant_text
 
     source = ("--preset", preset)
@@ -200,6 +201,34 @@ def test_a_repeated_section_exits_two_at_its_second_header(runner, tmp_path, hea
     assert res.exit_code == 2
     at = text.count("\n") + 1
     want = "error: line %d, column 1: section %s repeats line %d\n" % (at, header, first)
+    assert res.stderr == want
+
+
+# (a line of the ex2 preset, a line with the same key put above it, the key)
+REPEATED_KEYS = [
+    ("entry 1 = (a' | a) + (b' | b)", "entry 1 = (a' | a)", "entry 1"),
+    ("rule = sphere", "rule = nonsense", "rule"),
+    ("generators = x x' y y'", "generators = x x'", "generators"),
+    ("star x x'", "star x y'", "star x"),
+    ("right a = 1", "right a = 2", "right a"),
+    ("left y = 1", "left y = -1", "left y"),
+    ("beta = b y", "beta = a y", "alias beta"),
+]
+
+
+@pytest.mark.parametrize(
+    "line, above, key", REPEATED_KEYS, ids=[key for _, _, key in REPEATED_KEYS]
+)
+def test_a_repeated_key_exits_two_at_its_second_line(runner, tmp_path, line, above, key):
+    from conftest import preset_text
+
+    text = preset_text("matsumoto-ex2")
+    first = text.splitlines().index(line) + 1
+    bad = tmp_path / "bad.preset"
+    bad.write_text(text.replace(line, above + "\n" + line, 1))
+    res = invoke(runner, "verify", "--file", str(bad), *FAST)
+    assert res.exit_code == 2
+    want = "error: line %d, column 1: %s repeats line %d\n" % (first + 1, key, first)
     assert res.stderr == want
 
 
@@ -354,3 +383,7 @@ def test_coinv_lists_bases(runner):
     res = invoke(runner, "coinv", "--degree", "1", "--space", "cotensor")
     assert res.exit_code == 0
     assert "1" in res.output.splitlines()
+    # the cotensor basis is bounded in total degree, as the second's is
+    res = invoke(runner, "coinv", "--degree", "2", "--space", "cotensor")
+    assert res.exit_code == 0
+    assert res.output.splitlines() == ["1", "a a'", "a' b", "a b'", "x x'"]

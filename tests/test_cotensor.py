@@ -1,34 +1,50 @@
-"""Balanced subalgebras and circle entwining maps."""
+"""Balanced subalgebras and the degree-shift entwining of a grading.
 
-import re
+The entwining rows are lemmas of the load checks (``cli.suites._lemmas``);
+the reference map ``oracles.Shift`` applies the entwining, and its scans
+judge the rows.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import OffsetCoaction
-from oracles import scan_entwined_module, scan_entwining_axioms
+from oracles import (
+    Shift,
+    canonical_shift,
+    entwine,
+    entwine_at,
+    entwine_inverse,
+    scan_entwined_module,
+    scan_entwining_axioms,
+)
+from qpbundle.cli.suites import SuiteConfig, run_suites
 from qpbundle.comodule import (
+    CoactionSpec,
     ShapeError,
-    TensorElement,
     alg_slot,
     coalg_slot,
     grouplike,
     right_coact,
     tensor_of,
 )
-from qpbundle.cotensor import (
-    EntwiningMap,
-    canonical_entwining,
-    check_entwined_module,
-    check_entwining_axioms,
-    coinvariants_basis,
-    entwine,
-    entwine_at,
-    entwine_inverse,
-    multiply_adjacent,
-)
+from qpbundle.cotensor import coinvariants_basis, multiply_adjacent
 from qpbundle.scalar import ONE
 from qpbundle.skewalg import PresentationError
+
+
+def _balanced(cot, degree):
+    """The balanced normal monomials of total degree <= degree, as elements."""
+    amb = cot.ambient
+    return [amb.element({m: ONE}) for m in amb.monomials_up_to(degree) if cot.is_member_monomial(m)]
+
+
+def _entwining_rows(tower, prefix):
+    report = run_suites(tower, SuiteConfig(("entwining",)))
+    return [
+        (r.check_id[len(prefix) :], r.status)
+        for r in report.results
+        if r.check_id.startswith(prefix)
+    ]
 
 
 def test_membership_is_balance(ex2):
@@ -62,7 +78,7 @@ def test_unit_and_stars_are_balanced(ex2):
 
 
 def test_balanced_monomials_close_under_products(ex2):
-    gens = ex2.cot.generators_up_to(2)
+    gens = _balanced(ex2.cot, 4)
     assert gens, "no balanced monomials found"
     for u in gens:
         for w in gens:
@@ -71,7 +87,7 @@ def test_balanced_monomials_close_under_products(ex2):
 
 def test_split_concatenates_back(ex2):
     cot = ex2.cot
-    for el in cot.generators_up_to(2):
+    for el in _balanced(cot, 4):
         (m,) = el.terms
         ma, mp = cot.split(m)
         assert ma + mp == m
@@ -81,7 +97,8 @@ def test_embeddings_multiply_slotwise(ex2):
     cot = ex2.cot
     a = ex2.a_spec.presentation.gen("a")
     y = ex2.p_spec.presentation.gen("y")
-    assert cot.embed_left(a) * cot.embed_right(y) == cot.pair(a, y)
+    one_a, one_p = ex2.a_spec.presentation.one(), ex2.p_spec.presentation.one()
+    assert cot.pair(a, one_p) * cot.pair(one_a, y) == cot.pair(a, y)
     with pytest.raises(PresentationError):
         cot.pair(y, a)
 
@@ -109,7 +126,7 @@ def test_coinvariants_degree_must_be_nonnegative(ex2):
 
 def test_entwining_is_a_degree_shift(ex2):
     spec = ex2.p_spec
-    emap = canonical_entwining(spec)
+    emap = canonical_shift(spec)
     p = spec.presentation
     for m in p.monomials_up_to(3):
         el = p.element({m: ONE})
@@ -127,7 +144,7 @@ def test_entwining_reproduces_the_coaction(ex2):
     # the extension is copointed: entwining the unit grouplike equals
     # the right coaction
     spec = ex2.p_spec
-    emap = canonical_entwining(spec)
+    emap = canonical_shift(spec)
     p = spec.presentation
     e = grouplike(0)
     for m in p.monomials_up_to(3):
@@ -136,125 +153,82 @@ def test_entwining_reproduces_the_coaction(ex2):
 
 
 def test_entwining_axioms_pass(ex2):
-    for spec in (ex2.a_spec, ex2.p_spec):
-        emap = canonical_entwining(spec)
-        certified = check_entwining_axioms(emap) + check_entwined_module(emap, spec)
-        for res in certified:
-            assert res.status == "pass", (res.check_id, res.detail)
-        # the same rows, in the same order, as the scans that judge them
+    for prefix, spec in (("first-", ex2.a_spec), ("second-", ex2.p_spec)):
+        emap = canonical_shift(spec)
         scanned = scan_entwining_axioms(emap, 2) + scan_entwined_module(emap, spec, 2)
-        assert [r.check_id for r in certified] == [r.check_id for r in scanned]
+        for res in scanned:
+            assert res.status == "pass", (res.check_id, res.detail)
+        # the lemma rows are the rows the scans judge, in the same order
+        assert _entwining_rows(ex2, prefix) == [(r.check_id, "pass") for r in scanned]
 
 
 def test_lifted_entwining_axioms_pass(ex2):
     cot = ex2.cot
-    emap = cot.entwining()
+    emap = canonical_shift(cot.induced_right)
     results = scan_entwining_axioms(emap, 4, monomial_filter=cot.is_member_monomial)
-    results += check_entwining_axioms(emap) + check_entwined_module(emap, cot.induced_right)
+    results += scan_entwined_module(emap, cot.induced_right, 4, cot.is_member_monomial)
     for res in results:
         assert res.status == "pass", (res.check_id, res.detail)
+    assert _entwining_rows(ex2, "lifted-") == [(r.check_id, "pass") for r in results]
 
 
 def test_broken_entwining_is_caught(ex2):
     spec = ex2.p_spec
     p = spec.presentation
-    v = canonical_entwining(spec).shift
-    # a shift that ignores the monomial breaks multiplicativity
-    broken = EntwiningMap(p, (0,) * len(v), offset=1, name="broken")
-    for results in (check_entwining_axioms(broken), scan_entwining_axioms(broken, 2)):
-        assert any(res.status == "fail" for res in results)
-    # an inconsistent inverse breaks the round trip only
-    lopsided = EntwiningMap(p, v, inverse=([-d for d in v], 1))
-    for results in (check_entwining_axioms(lopsided), scan_entwining_axioms(lopsided, 2)):
-        failing = {res.check_id for res in results if res.status == "fail"}
-        assert failing == {"invertible"}
+    # a shift one more than the grading on the letter x: copointed and the
+    # module law fail on x, and multiplicative on y' y = 1 - x x'
+    broken = Shift(p, lambda m: spec.right_degree(m) + m[p.index["x"]], spec.left_degree)
+    scanned = scan_entwining_axioms(broken, 2) + scan_entwined_module(broken, spec, 2)
+    failing = {r.check_id: r.detail for r in scanned if r.status == "fail"}
+    assert failing == {
+        "multiplicative": "fails on y', y at u^-2",
+        "module-law": "fails on 1, x",
+        "copointed": "fails on x at u^0",
+    }
 
 
-# -- the grading certificate against the scan -----------------------------------
-
-NUDGES = st.sampled_from((0, 0, 0, 1, -1))
-WITNESS = re.compile(r"fails on (.*?)(?: at u\^-?\d+)?$")
-
-
-def _factors(ex1, ex2):
-    return [ex1.a_spec, ex1.p_spec, ex2.a_spec, ex2.p_spec]
+# -- the gradings the entwining rests on ----------------------------------------
 
 
 def _graded(data, p, values):
-    """A vector with star partners opposite, which is what homogeneity
+    """A table with star partners opposite, which is what homogeneity
     for the sphere rule g g* -> 1 - h h* asks of every bundled factor."""
-    vec = [0] * len(p.generators)
-    for i, g in enumerate(p.generators):
-        j = p.index[p.star_map[g]]
-        if i < j:
-            vec[i] = data.draw(values)
-            vec[j] = -vec[i]
-    return vec
-
-
-def _nudged(base, data, p):
-    return [b + d for b, d in zip(base, _graded(data, p, NUDGES))]
-
-
-def _rows(results):
-    return [(r.check_id, r.status) for r in results]
-
-
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_certificate_matches_the_scan(ex1, ex2, data):
-    p = data.draw(st.sampled_from(_factors(ex1, ex2))).presentation
-    v = _graded(data, p, st.integers(-2, 2))
-    c = data.draw(NUDGES)
-    inverse = None
-    if data.draw(st.booleans()):
-        inverse = (_nudged([-a for a in v], data, p), -c + data.draw(NUDGES))
-    left = _graded(data, p, st.integers(-2, 2)) if data.draw(st.booleans()) else None
-    rho = dict(zip(p.generators, _nudged(v, data, p)))
-    module = OffsetCoaction(p, right=rho, right_offset=c + data.draw(NUDGES))
-    emap = EntwiningMap(p, v, c, inverse, left)
-
-    def scan(degree_bound, only=None):
-        return scan_entwining_axioms(emap, degree_bound, only) + scan_entwined_module(
-            emap, module, degree_bound, only
-        )
-
-    certified = check_entwining_axioms(emap) + check_entwined_module(emap, module)
-    assert _rows(certified) == _rows(scan(2))
-    # a failing row names 1 or a letter on which the scan fails as well
-    by_name = {p.render_monomial(m): m for m in p.monomials_up_to(1)}
-    for r in certified:
-        if r.status == "fail":
-            witness = {by_name[name] for name in WITNESS.search(r.detail).group(1).split(", ")}
-            assert dict(_rows(scan(2, witness.__contains__)))[r.check_id] == "fail"
+    table = {}
+    for g in p.generators:
+        if g not in table:
+            table[g] = data.draw(values)
+            table[p.star_map[g]] = -table[g]
+    return table
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_entwining_data_must_be_homogeneous(ex1, ex2, data):
-    p = data.draw(st.sampled_from(_factors(ex1, ex2))).presentation
-    k = len(p.generators)
-    vec = data.draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
-    homogeneous = all(vec[i] == -vec[p.index[p.star_map[g]]] for i, g in enumerate(p.generators))
-    slot = data.draw(st.sampled_from(("shift", "inverse", "left")))
-    kwargs = {"shift": _graded(data, p, st.integers(-2, 2))}
-    kwargs[slot] = (vec, 0) if slot == "inverse" else vec
-    if homogeneous:
-        EntwiningMap(p, **kwargs)
+    # the grading is the entwining's only data: a table loads exactly when
+    # star partners are opposite, which makes every sphere rule homogeneous
+    tower = data.draw(st.sampled_from((ex1, ex2)))
+    p = data.draw(st.sampled_from((tower.a_spec, tower.p_spec))).presentation
+    table = {g: data.draw(st.integers(-2, 2)) for g in p.generators}
+    opposite = all(table[g] == -table[p.star_map[g]] for g in p.generators)
+    side = data.draw(st.sampled_from(("right", "left")))
+    kwargs = {"right": _graded(data, p, st.integers(-2, 2)), side: table}
+    if opposite:
+        CoactionSpec(p, **kwargs)
     else:
-        with pytest.raises(PresentationError, match="not homogeneous"):
-            EntwiningMap(p, **kwargs)
+        with pytest.raises(PresentationError, match="are not opposite"):
+            CoactionSpec(p, **kwargs)
 
 
 def test_entwining_vectors_grade_every_generator(ex2):
-    with pytest.raises(PresentationError, match="3 entries for 4 generators"):
-        EntwiningMap(ex2.p_spec.presentation, (1, -1, 0))
+    p = ex2.p_spec.presentation
+    with pytest.raises(PresentationError, match="right degree missing for \"y'\""):
+        CoactionSpec(p, right={"x": 1, "x'": -1, "y": 0})
 
 
 def test_entwine_at_and_multiply_adjacent(ex2):
     spec = ex2.p_spec
     p = spec.presentation
-    emap = canonical_entwining(spec)
+    emap = canonical_shift(spec)
     u = grouplike(1)
     x = p.gen("x")
     t = tensor_of([x, u, x])
@@ -272,7 +246,7 @@ def test_entwine_at_and_multiply_adjacent(ex2):
 
 def test_entwine_rejects_wrong_shapes(ex2):
     spec = ex2.p_spec
-    emap = canonical_entwining(spec)
+    emap = canonical_shift(spec)
     el = spec.presentation.gen("x")
     with pytest.raises(ShapeError):
         entwine(emap, tensor_of([el, grouplike(0)]))

@@ -1,26 +1,35 @@
-"""Rows decided from integer gradings: closure under products, the
-bicomodule rows, colinearity and left-degree balance of connection
-legs, and the factor-wise coinvariant basis.
+"""Rows that follow from integer gradings.
 
-Each failing row's detail is pinned, and a property compares every row
-with its scan in ``tests/oracles.py`` on broken gradings and mutated
-connection forms.
+Colinearity and left-degree balance of connection legs are computed:
+each failing row's detail is pinned, and a property compares the rows
+with their scans in ``tests/oracles.py`` on shifted gradings and
+mutated connection forms.  The entwining, closure, bicomodule and
+coinvariant rows are lemmas of the checks made when a preset loads: a
+property draws random gradings and q-tables, and on every preset that
+loads, the scans pass where the lemma rows do.  A broken input per scan
+makes that scan fail there, so a scan that always passes fails the
+property.
 """
 
 import copy
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import OffsetCoaction, offset_tower
+from conftest import OffsetCoaction, graded_presets, offset_tower
 from oracles import (
+    Shift,
+    canonical_shift,
     scan_bicomodule,
     scan_closure_product,
     scan_coinvariants,
     scan_colinearity,
+    scan_entwined_module,
+    scan_entwining_axioms,
     scan_h_balance,
 )
+from qpbundle.cli.parser import PACKAGE_ERRORS, load_preset
 from qpbundle.cli.suites import SuiteConfig, run_suites
-from qpbundle.comodule import CoactionSpec, TensorElement, check_bicomodule, tensor_of
+from qpbundle.comodule import CoactionSpec, TensorElement, tensor_of
 from qpbundle.connection import (
     ConnectionForm,
     check_h_balance,
@@ -49,7 +58,13 @@ def _with_cross_rule(cot):
     """A copy of ``cot`` whose ambient algebra also rewrites to 0 a
     balanced coinvariant monomial with letters in both slots."""
     amb = cot.ambient
-    lhs = next(m for m in cot.coinvariant_monomials(2) if all(map(any, cot.split(m))))
+    lhs = next(
+        m
+        for m in amb.monomials_up_to(4)
+        if cot.is_member_monomial(m)
+        and cot.induced_right.right_degree(m) == 0
+        and all(map(any, cot.split(m)))
+    )
     gens = amb.generators
     word = lambda m: [g for g, e in zip(gens, m) for _ in range(e)]
     comm = {(g, h): amb.q[i][j] for i, g in enumerate(gens) for j, h in enumerate(gens[:i])}
@@ -101,29 +116,13 @@ def test_unbalanced_second_form_fails_h_balance(ex2):
 
 
 def test_unit_defect_breaks_closure(ex2):
-    results = _cotensor_rows(offset_tower(ex2, right_offset=1))
-    assert _row(results, "closure-product") == (
+    # the closure scan's negative control: with the unit unbalanced, the
+    # balanced monomials multiply out of the subalgebra
+    result = scan_closure_product(offset_tower(ex2, right_offset=1).cot)
+    assert (result.status, result.detail) == (
         "fail",
         "product of two members leaves the subalgebra",
     )
-
-
-def test_unit_left_degree_names_the_unit(ex2):
-    spec = ex2.p_spec
-    shifted = OffsetCoaction(spec.presentation, right=spec.right, left=spec.left, left_offset=1)
-    results = check_bicomodule(shifted)
-    assert _row(results, "unit-covariant") == ("fail", "left coaction of 1 is not u^0 (x) 1")
-    assert _row(results, "bicomodule-commute") == ("pass", "")
-
-
-def test_coinvariants_row_names_the_failing_fact(ex2):
-    tower = offset_tower(ex2)
-    for broken, detail in (
-        (_with_cross_rule, "rule side a a' x x' is not a factor rule in one slot"),
-        (_with_graded_letter, "induced right degree of a is not 0"),
-    ):
-        tower.cot = broken(ex2.cot)
-        assert _row(_cotensor_rows(tower), "coinvariants-match") == ("fail", detail)
 
 
 # -- the rows against the scans ---------------------------------------------------------
@@ -168,14 +167,6 @@ def _offset(data, spec):
 @settings(max_examples=40, deadline=None)
 def test_grading_rows_match_the_scans(ex1, ex2, data):
     tower = data.draw(st.sampled_from((ex1, ex2)))
-    shifted = offset_tower(tower, data.draw(OFFSETS), data.draw(OFFSETS))
-    scanned = [scan_closure_product(shifted.cot)]
-    _assert_rows_match(_cotensor_rows(shifted), scanned, "closure-product")
-
-    bispec = _offset(data, tower.p_spec)
-    rows, scanned = check_bicomodule(bispec), scan_bicomodule(bispec)
-    _assert_rows_match(rows, scanned, "bicomodule-commute", "unit-covariant")
-
     form = data.draw(st.sampled_from((tower.form_a, tower.form_p)))
     spec = _offset(data, form.spec)
     n = data.draw(st.integers(-2, 2))
@@ -187,16 +178,77 @@ def test_grading_rows_match_the_scans(ex1, ex2, data):
         _assert_rows_match(rows, scanned, "h-balance", "h-balance-equivalence")
 
 
+def test_coinvariants_certificate_matches_the_scan(ex1, ex2):
+    # the lemma row passes on every tower that loads, and so does the scan;
+    # each fact the lemma rests on, broken in a copy that no preset loads
+    # into, makes the scan fail, so a scan that ignored it would show here
+    for tower in (ex1, ex2):
+        assert _row(_cotensor_rows(tower), "coinvariants-match") == ("pass", "")
+        assert scan_coinvariants(tower.cot, 4).ok
+        for broken in (_with_cross_rule, _with_graded_letter):
+            assert not scan_coinvariants(broken(tower.cot), 4).ok
+
+
+# -- the lemma rows on random gradings -----------------------------------------------
+
+# the rows that ``cli.suites._lemmas`` proves, outside the entwining suite
+# (which is all lemmas); generators-balanced is one too, but no scan judges it
+GRADING_LEMMAS = {
+    "closure-product",
+    "coinvariants-match",
+    "second-bicomodule-commute",
+    "second-unit-covariant",
+}
+
+
+def _all_pass(results):
+    return all(r.ok for r in results)
+
+
 @given(st.data())
-@settings(max_examples=30, deadline=None)
-def test_coinvariants_certificate_matches_the_scan(ex1, ex2, data):
-    tower = data.draw(st.sampled_from((ex1, ex2)))
-    cot = offset_tower(tower, data.draw(OFFSETS), data.draw(OFFSETS)).cot
-    broken = data.draw(st.sampled_from((None, _with_cross_rule, _with_graded_letter)))
-    if broken is not None:
-        cot = broken(cot)
-    witness = cot.coinvariants_factor_wise()
-    scanned = scan_coinvariants(cot, 4)
-    assert scanned.ok == (not witness), witness
-    # each break is one the scan sees, so a certificate that ignores it fails here
-    assert scanned.ok == (broken is None)
+@settings(max_examples=100, deadline=None)
+def test_lemma_rows_hold_on_random_gradings(data):
+    try:
+        tower = load_preset(data.draw(graded_presets()), fallback_name="graded")
+    except PACKAGE_ERRORS:
+        assume(False)
+    cot, p_spec = tower.cot, tower.p_spec
+    suites = SuiteConfig(("algebra", "cotensor", "entwining"))
+    lemmas = [
+        r
+        for r in run_suites(tower, suites).results
+        if r.suite == "entwining" or r.check_id in GRADING_LEMMAS
+    ]
+    assert len(lemmas) == 26 and _all_pass(lemmas)
+
+    # the scans pass too: each entwining on its algebra, the lifted one on
+    # the balanced monomials
+    runs = [(spec, None) for spec in (tower.a_spec, p_spec)]
+    runs.append((cot.induced_right, cot.is_member_monomial))
+    for spec, only in runs:
+        emap = canonical_shift(spec)
+        assert _all_pass(scan_entwining_axioms(emap, 2, only))
+        assert _all_pass(scan_entwined_module(emap, spec, 2, only))
+    assert scan_closure_product(cot, 2).ok
+    assert _all_pass(scan_bicomodule(p_spec))
+    assert scan_coinvariants(cot, 4).ok
+
+    # one broken input per scan, which that scan must catch: a shift off by
+    # one on the letter g, caught by copointed on g and by multiplicative
+    # on the sphere rule's two letters, whose product has a term of another
+    # shift
+    p = p_spec.presentation
+    i = data.draw(st.integers(0, len(p.generators) - 1))
+    off = Shift(p, lambda m: p_spec.right_degree(m) + m[i], p_spec.left_degree)
+    letters = lambda m: sum(m) <= 1
+    assert not _all_pass(scan_entwining_axioms(off, 2, letters))
+    assert not _all_pass(scan_entwined_module(off, p_spec, 1))
+    # an offset that balances an unbalanced letter g; g g is then unbalanced
+    # (with every letter balanced, no offset leaves a member to multiply)
+    defects = [d for d in map(cot.balance_defect, cot.ambient.monomials_up_to(1)) if d]
+    if defects:
+        shift = -data.draw(st.sampled_from(defects))
+        assert not scan_closure_product(offset_tower(tower, right_offset=shift).cot, 2).ok
+    unit_moved = OffsetCoaction(p, right=p_spec.right, left=p_spec.left, left_offset=1)
+    assert not _all_pass(scan_bicomodule(unit_moved))
+    assert not scan_coinvariants(_with_cross_rule(cot), 4).ok

@@ -794,25 +794,36 @@ def scan_coinvariants(cot, bound):
     """The ``coinvariants-match`` row as two enumerations up to total
     degree ``bound``: the balanced normal monomials of the ambient algebra
     of induced right degree zero, against the balanced products of normal
-    monomials of A with those of P of right degree zero."""
-    direct = sorted(
+    monomials of A with those of P of right degree zero.  On failure the
+    detail names the first monomial found in one basis only."""
+    direct = set(
         m
         for m in cot.ambient.monomials_up_to(bound)
         if cot.is_member_monomial(m) and cot.induced_right.right_degree(m) == 0
     )
     p_monos = [next(iter(x.terms)) for x in coinvariants_basis(cot.right_spec, bound)]
-    built = sorted(
+    built = set(
         ma + mp
         for ma in cot.left_spec.presentation.monomials_up_to(bound)
         for mp in p_monos
         if sum(ma) + sum(mp) <= bound
         and cot.left_spec.right_degree(ma) == cot.right_spec.left_degree(mp)
     )
+    render = cot.ambient.render_monomial
+    detail = ""
+    if built - direct:
+        detail = "factor-wise product %s is not an induced-grading coinvariant" % render(
+            min(built - direct)
+        )
+    elif direct - built:
+        detail = "induced-grading coinvariant %s is not a factor-wise product" % render(
+            min(direct - built)
+        )
     return verdict(
         "cotensor",
         "coinvariants-match",
         direct == built,
-        "induced-grading basis and factor-wise basis differ at degree <= %d" % bound,
+        detail,
         anchor="coinvariants-lemma",
     )
 

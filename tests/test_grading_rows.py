@@ -125,6 +125,34 @@ def test_unit_defect_breaks_closure(ex2):
     )
 
 
+def test_unit_left_degree_names_the_unit(ex2):
+    # the unit-covariant row is a lemma of the loaded gradings; with the
+    # unit given left degree 1, which no preset loads into, the bicomodule
+    # scan names the unit and the commute row still holds
+    algebra = run_suites(ex2, SuiteConfig(("algebra",), degree_bound=2)).results
+    assert _row(algebra, "second-unit-covariant") == ("pass", "")
+    spec = ex2.p_spec
+    shifted = OffsetCoaction(spec.presentation, right=spec.right, left=spec.left, left_offset=1)
+    scanned = scan_bicomodule(shifted)
+    assert _row(scanned, "unit-covariant") == ("fail", "left coaction of 1 is not u^0 (x) 1")
+    assert _row(scanned, "bicomodule-commute") == ("pass", "")
+
+
+def test_coinvariants_row_names_the_failing_fact(ex2):
+    # each fact the coinvariants lemma rests on, broken in a copy: the
+    # scan names the monomial on which the two bases part
+    assert _row(_cotensor_rows(ex2), "coinvariants-match") == ("pass", "")
+    for broken, named in (
+        # the cross rule's own side, now rewritten to 0 in the ambient algebra
+        (_with_cross_rule, "b'^2 x y'"),
+        # a' now has induced right degree -1
+        (_with_graded_letter, "a' b' x y'"),
+    ):
+        result = scan_coinvariants(broken(ex2.cot), 4)
+        detail = "factor-wise product %s is not an induced-grading coinvariant" % named
+        assert (result.status, result.detail) == ("fail", detail)
+
+
 # -- the rows against the scans ---------------------------------------------------------
 
 OFFSETS = st.sampled_from((-1, 0, 1))

@@ -101,7 +101,7 @@ def main():
     default=6,
     show_default=True,
     type=int,
-    help="Degree cap of the connection suite's translation samples; no other row reads it.",
+    help="Degree cap of the translation samples (above 4 acts as 4); no other row reads it.",
 )
 @click.option(
     "--format",

@@ -19,14 +19,15 @@ on a window of grouplike indices.  What they check independently is the
 axiom itself, monomial by monomial, instead of the argument the lemma
 rests on.  The translation scan forms each identity's
 product in P (x) P first and pushes it through the lifted canonical map,
-instead of reading it off the canonical images through the bimodule
+instead of deriving it from the colift verdicts through the bimodule
 law as ``qpbundle.connection`` does.  The grading-row scans judge the
 rows that follow from integer degrees: closure under products by
 multiplying balanced monomials, the bicomodule rows, colinearity and
 left-degree balance of connection legs by building the tensors whose
 equality each row asserts.  The connection scans decide
 ``mul-counit`` and the inverse-canonical roundtrip by multiplying in
-P (x) P, where the rows read the stored C(n) = can(l(u^n)), and
+P (x) P, where the rows read the stored C(n) = can(l(u^n)) and the
+colift verdicts, and
 ``coinvariants-match`` by enumerating both bases up to a degree.  The
 algebra scans judge the confluence and star certificates of
 ``qpbundle.skewalg``: they compare the rewrites that apply to each
@@ -57,6 +58,7 @@ from qpbundle.connection import lifted_canonical_map
 from qpbundle.cotensor import coinvariants_basis, multiply_adjacent
 from qpbundle.report import check, verdict
 from qpbundle.scalar import ONE
+from qpbundle.skewalg import PresentationError
 
 # scalars: {(L_exponent, M_exponent): integer coefficient}, no zeros
 
@@ -788,6 +790,34 @@ def lifted_roundtrip(form, x, n):
     ``caninv-roundtrip`` row reads (x (x) u^0) C(n) instead."""
     rep = tensor_of([x, form.presentation.one()]) * form(n)
     return lifted_canonical_map(form.spec, rep)
+
+
+def scan_roundtrip(tower, n_bound):
+    """The ``caninv-roundtrip`` row of the connection suite as a scan:
+    every sample x (1, then alpha and beta where the tower names them) at
+    every |i| <= min(n_bound, 2) through ``lifted_roundtrip``, which must
+    give x (x) u^i, where the row reads the composed colift verdicts.
+    Same cases, order and details as the row."""
+    cot, composed = tower.cot, tower.composed()
+    samples = [("1", cot.ambient.one())]
+    samples += [(k, tower.aliases[k]) for k in ("alpha", "beta") if k in tower.aliases]
+    bound = min(n_bound, 2)
+
+    def roundtrip(k, x, i):
+        if not cot.membership(x):
+            raise PresentationError("element is not in the cotensor algebra")
+        return lifted_roundtrip(composed, x, i) == tensor_of([x, grouplike(i)])
+
+    try:
+        return check(
+            "connection",
+            "caninv-roundtrip",
+            [(k, x, i) for k, x in samples for i in range(-bound, bound + 1)],
+            roundtrip,
+            lambda k, x, i: "roundtrip fails on %s at index %d" % (k, i),
+        )
+    except PresentationError as exc:
+        return verdict("connection", "caninv-roundtrip", False, str(exc))
 
 
 def scan_coinvariants(cot, bound):

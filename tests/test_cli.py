@@ -46,6 +46,16 @@ def test_verify_is_deterministic(runner):
     assert first.output == second.output
 
 
+def test_degree_bound_help_names_the_cap(runner):
+    # the translation samples stop at degree 4, so a larger bound acts as 4
+    res = invoke(runner, "verify", "--help")
+    assert res.exit_code == 0
+    assert (
+        "--degree-bound INTEGER Degree cap of the translation samples (above 4 acts as 4); "
+        "no other row reads it." in " ".join(res.output.split())
+    )
+
+
 @pytest.mark.parametrize("preset", ["matsumoto-ex1", "matsumoto-ex2"])
 def test_entwining_suite_ignores_the_degree_bound(runner, preset):
     # its rows are lemmas of the load checks, so the bound has nothing to cap

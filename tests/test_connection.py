@@ -11,9 +11,10 @@ from oracles import (
     per_leg_balance,
     plain_tensor2,
     scan_mul_counit,
+    scan_roundtrip,
     scan_translation_identities,
 )
-from qpbundle.cli.parser import load_preset
+from qpbundle.cli.parser import Tower, load_preset
 from qpbundle.cli.suites import SuiteConfig, run_suites
 from qpbundle.comodule import (
     TensorElement,
@@ -34,7 +35,7 @@ from qpbundle.connection import (
     verify_strong_connection,
     verify_translation_identities,
 )
-from qpbundle.scalar import ONE, LaurentScalar as S
+from qpbundle.scalar import ONE, ZERO, LaurentScalar as S
 from qpbundle.skewalg import PresentationError
 
 
@@ -170,23 +171,62 @@ def test_translation_identities(ex2):
         assert res.status == "pass", (res.check_id, res.detail)
 
 
-def _coefficient_mutant(form, rng):
-    """The form with one coefficient of one image at |n| <= 3 scaled by
-    another integer (0 drops the term), pinned as an override."""
-    n = rng.randint(-3, 3)
+def _mutant(form, n, edit):
+    """The form with its image at n replaced by ``edit`` of its terms,
+    pinned as an override."""
     t = form(n)
-    key = rng.choice(sorted(t.terms))
-    terms = dict(t.terms)
-    terms[key] = terms[key] * rng.choice([-1, 0, 2, 3])
     overrides = dict(form.overrides)
-    overrides[n] = TensorElement(t.shape, terms)
+    overrides[n] = TensorElement(t.shape, edit(dict(t.terms)))
     return ConnectionForm(form.spec, form.closed, overrides=overrides)
 
 
-def _seeded_mutants(ex1, ex2):
-    """(tower, mutant) for 8 seeded coefficient mutants of each first form."""
+def _coefficient_mutant(form, rng):
+    """One coefficient of one image at |n| <= 3 scaled by another integer
+    (0 drops the term)."""
+
+    def edit(terms):
+        key = rng.choice(sorted(terms))
+        terms[key] = terms[key] * rng.choice([-1, 0, 2, 3])
+        return terms
+
+    return _mutant(form, rng.randint(-3, 3), edit)
+
+
+def _swapped_leg_mutant(form, rng):
+    """One term x (x) y of one image at 0 < |n| <= 3 turned into y (x) x,
+    which breaks right-colinear at n."""
+
+    def edit(terms):
+        key = rng.choice(sorted(terms))
+        c = terms.pop(key)
+        terms[key[::-1]] = terms.get(key[::-1], ZERO) + c
+        return terms
+
+    return _mutant(form, rng.choice([-3, -2, -1, 1, 2, 3]), edit)
+
+
+def _dropped_term_mutant(form, rng):
+    """One term of one image at |n| <= 3 left out, which breaks colift
+    at n and keeps both legs colinear."""
+
+    def edit(terms):
+        del terms[rng.choice(sorted(terms))]
+        return terms
+
+    return _mutant(form, rng.randint(-3, 3), edit)
+
+
+MUTANT_KINDS = (_coefficient_mutant, _swapped_leg_mutant, _dropped_term_mutant)
+
+
+def _seeded_mutants(ex1, ex2, kinds=MUTANT_KINDS):
+    """(tower, mutant) for 8 seeded mutants of each kind of each first
+    form.  Swapped legs leave the cotensor algebra, so forms with them
+    do not compose."""
     rng = random.Random(11)
-    return [(t, _coefficient_mutant(t.form_a, rng)) for t in (ex1, ex2) for _ in range(8)]
+    return [
+        (t, kind(t.form_a, rng)) for kind in kinds for t in (ex1, ex2) for _ in range(8)
+    ]
 
 
 def _rows(results):
@@ -194,18 +234,45 @@ def _rows(results):
 
 
 def test_translation_rows_match_the_product_scan(ex1, ex2):
-    # the bimodule-law rows against the product-then-can formulas, on
-    # the bundled forms, the entry-mutant table and seeded mutants
+    # the rows read off the colift verdicts against the product-then-can
+    # formulas, details included, on the bundled forms, the entry-mutant
+    # table and seeded mutants of three kinds
     forms = [ex1.form_a, ex2.form_a, load_ex2_variant(ENTRY_MUTANT).form_a]
     forms += [mutant for _, mutant in _seeded_mutants(ex1, ex2)]
-    failing = 0
+    failing = uncolinear = uncolifting = 0
     for form in forms:
         got = _rows(verify_translation_identities(form, n_bound=3, degree_bound=4))
         assert got == _rows(scan_translation_identities(form, n_bound=3, degree_bound=4))
         failing += any(status == "fail" for _, status, _ in got)
-    # the comparison is not vacuous: the entry mutant and most seeded
-    # mutants break a row
-    assert failing >= 10
+        degree = form.spec.right_degree
+        uncolinear += any(degree(y) != n for n in range(-3, 4) for _, y in form(n).terms)
+        uncolifting += not all(map(form.colifts, range(-3, 4)))
+    # the comparison is not vacuous: every mutant breaks a row, every
+    # one fails to colift somewhere, so cases whose hypothesis fails are
+    # multiplied out, and the swapped legs break right-colinear too
+    assert failing >= 45
+    assert uncolinear >= 16 and uncolifting >= 48
+
+
+def test_translation_rows_multiply_no_tensors(ex1, ex2, monkeypatch):
+    # with C(n) stored and every hypothesis holding, all three rows are
+    # read off the verdicts, without a single tensor product
+    forms = (ex1.form_a, ex2.form_a)
+    for form in forms:
+        for n in range(-8, 9):
+            form.canonical(n)
+
+    def refuse(self, other):
+        raise AssertionError("a tensor product was taken")
+
+    monkeypatch.setattr(TensorElement, "__mul__", refuse)
+    for form in forms:
+        rows = verify_translation_identities(form, n_bound=8)
+        assert _rows(rows) == [
+            ("reproduce-coaction", "pass", ""),
+            ("coinvariant-commute", "pass", ""),
+            ("multiplicative", "pass", ""),
+        ]
 
 
 def test_mul_counit_row_matches_multiplying_the_legs(ex1, ex2):
@@ -223,7 +290,7 @@ def test_roundtrip_reads_the_canonical_image(ex1, ex2):
     # (x (x) u^0) C(n) against can((x (x) 1) l(u^n)), on the seeded
     # mutants and on the composed forms built from them
     broken = 0
-    for tower, form in _seeded_mutants(ex1, ex2):
+    for tower, form in _seeded_mutants(ex1, ex2, (_coefficient_mutant, _dropped_term_mutant)):
         p = form.presentation
         composed = compose_connection(form, tower.form_p, tower.cot)
         al, be = tower.aliases["alpha"], tower.aliases["beta"]
@@ -238,6 +305,24 @@ def test_roundtrip_reads_the_canonical_image(ex1, ex2):
                     broken += got != tensor_of([x, grouplike(n)])
     # the comparison is not vacuous: mutants break the roundtrip
     assert broken > 0
+
+
+def test_roundtrip_row_matches_the_scan(ex1, ex2):
+    # the caninv-roundtrip row, read off the composed colift verdicts,
+    # against can((x (x) 1) l(u^i)) built in the tensor square, on the
+    # bundled towers, the entry-mutant table and towers whose first form
+    # is a seeded mutant (swapped legs do not compose, so not those)
+    towers = [ex1, ex2, load_ex2_variant(ENTRY_MUTANT)]
+    for t, form in _seeded_mutants(ex1, ex2, (_coefficient_mutant, _dropped_term_mutant)):
+        towers.append(Tower(t.name, t.a_spec, t.p_spec, t.cot, form, t.form_p, t.aliases))
+    failing = 0
+    for tower in towers:
+        report = run_suites(tower, SuiteConfig(("connection",), n_bound=2))
+        row = next(r for r in report.results if r.check_id == "caninv-roundtrip")
+        assert _rows([row]) == _rows([scan_roundtrip(tower, n_bound=2)])
+        failing += not row.ok
+    # the comparison is not vacuous: mutants at |n| <= 2 break the row
+    assert failing >= 10
 
 
 def test_doctored_translation_rows_keep_their_statuses(doctored):

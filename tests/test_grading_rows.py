@@ -8,7 +8,8 @@ coinvariant rows are lemmas of the checks made when a preset loads: a
 property draws random gradings and q-tables, and on every preset that
 loads, the scans pass where the lemma rows do.  A broken input per scan
 makes that scan fail there, so a scan that always passes fails the
-property.
+property.  On the same drawn presets, the two membership rows appear
+and pass whenever the gradings admit a balanced and an unbalanced pair.
 """
 
 import copy
@@ -280,3 +281,24 @@ def test_lemma_rows_hold_on_random_gradings(data):
     unit_moved = OffsetCoaction(p, right=p_spec.right, left=p_spec.left, left_offset=1)
     assert not _all_pass(scan_bicomodule(unit_moved))
     assert not scan_coinvariants(_with_cross_rule(cot), 4).ok
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_membership_rows_on_random_gradings(data):
+    # both membership rows appear and pass whenever A has a letter g of
+    # right degree r != 0 and P has letters of left degree r and not r;
+    # otherwise neither appears
+    try:
+        tower = load_preset(data.draw(graded_presets()), fallback_name="graded")
+    except PACKAGE_ERRORS:
+        assume(False)
+    right, left = tower.a_spec.right, tower.p_spec.left
+    pairs = any(len({left[h] == right[g] for h in left}) == 2 for g in right if right[g])
+    rows = [
+        (r.check_id, r.status, r.detail)
+        for r in _cotensor_rows(tower)
+        if r.check_id.startswith("membership-")
+    ]
+    want = [("membership-accepts", "pass", ""), ("membership-detects-imbalance", "pass", "")]
+    assert rows == (want if pairs else [])

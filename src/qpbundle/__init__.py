@@ -49,9 +49,9 @@ from .connection import (
     compose_connection,
     composed_closed_form,
     composed_generator_form,
+    composed_translation_form,
     lifted_canonical_map,
     matsumoto_connection,
-    mixed_cotensor_generators,
     verify_strong_connection,
     verify_translation_identities,
 )
@@ -86,6 +86,7 @@ __all__ = [
     "compose_connection",
     "composed_closed_form",
     "composed_generator_form",
+    "composed_translation_form",
     "comultiply",
     "coseparability_retraction",
     "counit",
@@ -93,7 +94,6 @@ __all__ = [
     "left_coact",
     "lifted_canonical_map",
     "matsumoto_connection",
-    "mixed_cotensor_generators",
     "monomial_key",
     "multiply_adjacent",
     "render_element",

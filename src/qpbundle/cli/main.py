@@ -95,7 +95,14 @@ def main():
     show_default=True,
     help="Suites to run; repeatable. 'none' runs nothing.",
 )
-@click.option("--n-bound", default=4, show_default=True, type=int)
+@click.option(
+    "--n-bound",
+    default=4,
+    show_default=True,
+    type=int,
+    help="Grouplike index cap |n|; composed-matches-* stop at 4, "
+    "translation-closed-form at 3 and caninv-roundtrip at 2.",
+)
 @click.option(
     "--degree-bound",
     default=6,

@@ -509,7 +509,8 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
             continue
         for g in declared:
             if g not in index:
-                raise ParseError("unknown generator %r in %s grading" % (g, side), at, 1)
+                msg = "unknown generator %r in %s grading" % (g, side)
+                raise ParseError(msg, seen[(side, g)], 1)
         table = dict(declared)
         for g in generators:
             if g in table:
@@ -535,7 +536,7 @@ def parse_connection_section(lines, spec: CoactionSpec, label: str) -> Connectio
     seen: dict = {}
     for lineno, line in lines:
         key, value, col = _keyval(line, lineno)
-        parts = key.split()
+        parts = key.split() or [""]
         if parts[0] == "rule":
             _once(seen, "rule", "rule", lineno)
             rule_name = value

@@ -29,9 +29,8 @@ trace; any other exception is a bug and propagates.
 
 from __future__ import annotations
 
-from ..scalar import LaurentScalar, binomial
 from ..skewalg import PresentationError, check_local_confluence, check_star_compatible
-from ..comodule import TensorElement, _add_scaled, alg_slot, grouplike, tensor_of
+from ..comodule import grouplike, tensor_of
 from ..connection import (
     _radius,
     _sphere_letters,
@@ -39,6 +38,7 @@ from ..connection import (
     check_h_balance,
     composed_closed_form,
     composed_generator_form,
+    composed_translation_form,
     verify_strong_connection,
     verify_translation_identities,
 )
@@ -385,42 +385,20 @@ def _examples_suite(tower: Tower, config: SuiteConfig, report: Report):
 
 def _translation_closed_form(tower: Tower, config: SuiteConfig, report: Report):
     """When both sphere letters of the second factor have left degree -1,
-    the composed connection must be the binomial double-sum translation
-    form in the cross pairs alpha = a x*, beta = b y*, gamma = a y* and
-    delta = b x*."""
+    the composed connection must be its translation form."""
     if tower.form_a is None or tower.form_p is None:
         return
-    cot = tower.cot
     try:
-        ga, gb, pa, pb = _tower_letters(cot, (-1, -1))
+        _tower_letters(tower.cot, (-1, -1))
     except PresentationError:
         return
-    A, P = cot.left_spec.presentation, cot.right_spec.presentation
-    pair = lambda g, h: cot.pair(A.gen(g), P.gen(P.star_map[h]))
-    cross = (pair(ga, pa), pair(gb, pb), pair(ga, pb), pair(gb, pa))
-    shape = (alg_slot(cot.ambient), alg_slot(cot.ambient))
-
-    def build(n: int) -> TensorElement:
-        a, b, c, d = (g.star() for g in cross) if n < 0 else cross
-        k = abs(n)
-        out: dict[tuple, LaurentScalar] = {}
-        for p_idx in range(k + 1):
-            for m in range(k + 1):
-                coeff = binomial(k, p_idx) * binomial(k, m)
-                if m < p_idx:
-                    left = (a ** (k - p_idx)) * (d ** (p_idx - m)) * (b**m)
-                else:
-                    left = (a ** (k - m)) * (c ** (m - p_idx)) * (b**p_idx)
-                _add_scaled(out, tensor_of([left, left.star()]), coeff)
-        return TensorElement(shape, out)
-
     bound = min(config.n_bound, 3)
     report.add(
         _checked(
             "examples",
             "translation-closed-form",
             zip(range(-bound, bound + 1)),
-            lambda n: tower.composed()(n) == build(n),
+            lambda n: tower.composed()(n) == composed_translation_form(tower.cot, n),
             lambda n: "differs at index %d" % n,
         )
     )

@@ -8,13 +8,14 @@ collapse under multiplication.
 
 The composition machinery builds a connection form on the cotensor
 algebra of two bundles out of forms on the factors, and evaluates the
-two closed-form expansions (word form and generator form) that the
-composed connection admits for the deformed-sphere tower, so the three
-ways of computing the same element can be compared exactly.
+closed forms (word, generator and translation form) that the composed
+connection admits for the deformed-sphere towers, each a sum of letter
+words, so the ways of computing the same element compare exactly.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Callable
 
 from .scalar import LaurentScalar, ONE, accumulate, binomial
@@ -135,6 +136,17 @@ def _sphere_pair(spec: CoactionSpec) -> tuple[str, str]:
     return letters
 
 
+def _word_sum(p: AlgebraPresentation, terms) -> TensorElement:
+    """The sum of c NF(w) (x) NF(w') over triples (c, w, w') of words in
+    the letters of ``p``: every closed form below is such a sum.  The
+    presentation keeps NF of each monomial it is handed alone, as each
+    word is here, so a word seen before costs one q-sort and a lookup."""
+    out: dict[tuple, LaurentScalar] = {}
+    for c, w, w2 in terms:
+        _add_scaled(out, tensor_of([p.normal_form(w), p.normal_form(w2)]), c)
+    return _trusted_tensor((alg_slot(p), alg_slot(p)), out)
+
+
 def matsumoto_connection(spec: CoactionSpec, name: str = "") -> ConnectionForm:
     """The explicit binomial connection form of a deformed 3-sphere.
 
@@ -150,12 +162,11 @@ def matsumoto_connection(spec: CoactionSpec, name: str = "") -> ConnectionForm:
         a, b = (ga, gb) if n >= 0 else (p.star_map[ga], p.star_map[gb])
         a_s, b_s = p.star_map[a], p.star_map[b]
         k = abs(n)
-        out: dict[tuple, LaurentScalar] = {}
-        for m in range(k + 1):
-            first = p.normal_form([b_s] * m + [a_s] * (k - m))
-            second = p.normal_form([a] * (k - m) + [b] * m)
-            _add_scaled(out, tensor_of([first, second]), binomial(k, m))
-        return _trusted_tensor((alg_slot(p), alg_slot(p)), out)
+        words = (
+            (binomial(k, m), [b_s] * m + [a_s] * (k - m), [a] * (k - m) + [b] * m)
+            for m in range(k + 1)
+        )
+        return _word_sum(p, words)
 
     return ConnectionForm(spec, rule, name=name or "sphere")
 
@@ -330,130 +341,98 @@ def composed_closed_form(cot: CotensorAlgebra, n: int) -> TensorElement:
     """Word-level double-sum expansion of the composed connection.
 
     Independent of compose_connection: evaluates the binomial double
-    sums directly, with each leg assembled as (first-factor word)
-    paired with (second-factor word).  Negative indices use the same
-    words with every letter swapped for its star partner.
+    sums directly, as one sum over m whose first-factor letters are
+    plain in the first leg while 2m <= |n| and starred after.  Each leg
+    is one ambient word, the first factor's letters followed by the
+    second's (letters of different slots commute).  Negative indices
+    use the same words with every letter swapped for its star partner.
     """
     ga, gb, pa, pb = _tower_letters(cot, (-1, 1))
-    A = cot.left_spec.presentation
-    P = cot.right_spec.presentation
-    gas, gbs = A.star_map[ga], A.star_map[gb]
-    pas, pbs = P.star_map[pa], P.star_map[pb]
+    star = cot.ambient.star_map
     if n < 0:
-        ga, gas, gb, gbs, pa, pas, pb, pbs = gas, ga, gbs, gb, pas, pa, pbs, pb
-    out: dict[tuple, LaurentScalar] = {}
-
-    def leg(a_word, p_word) -> AlgebraElement:
-        return cot.pair(A.normal_form(a_word), P.normal_form(p_word))
-
+        ga, gb, pa, pb = star[ga], star[gb], star[pa], star[pb]
     nn = abs(n)
-    for m in range(nn // 2 + 1):
-        for k in range(nn - 2 * m + 1):
-            coeff = binomial(nn, m) * binomial(nn - 2 * m, k)
-            first = leg([gb] * k + [ga] * (nn - 2 * m - k), [pbs] * m + [pas] * (nn - m))
-            second = leg([gas] * (nn - 2 * m - k) + [gbs] * k, [pa] * (nn - m) + [pb] * m)
-            _add_scaled(out, tensor_of([first, second]), coeff)
-    for m in range(nn // 2 + 1, nn + 1):
-        for k in range(2 * m - nn + 1):
-            coeff = binomial(nn, m) * binomial(2 * m - nn, k)
-            first = leg([gbs] * k + [gas] * (2 * m - nn - k), [pbs] * m + [pas] * (nn - m))
-            second = leg([ga] * (2 * m - nn - k) + [gb] * k, [pa] * (nn - m) + [pb] * m)
-            _add_scaled(out, tensor_of([first, second]), coeff)
-    return _trusted_tensor((alg_slot(cot.ambient), alg_slot(cot.ambient)), out)
 
+    def terms():
+        for m in range(nn + 1):
+            a, b = (ga, gb) if 2 * m <= nn else (star[ga], star[gb])
+            j = abs(nn - 2 * m)
+            for k in range(j + 1):
+                first = [b] * k + [a] * (j - k) + [star[pb]] * m + [star[pa]] * (nn - m)
+                second = [star[a]] * (j - k) + [star[b]] * k + [pa] * (nn - m) + [pb] * m
+                yield binomial(nn, m) * binomial(j, k), first, second
 
-def mixed_cotensor_generators(cot: CotensorAlgebra) -> dict[str, AlgebraElement]:
-    """The four degree-(1,1) generators of the mixed cotensor algebra."""
-    ga, gb, pa, pb = _tower_letters(cot, (-1, 1))
-    A = cot.left_spec.presentation
-    P = cot.right_spec.presentation
-    return {
-        "alpha": cot.pair(A.gen(ga), P.gen(P.star_map[pa])),
-        "beta": cot.pair(A.gen(gb), P.gen(pb)),
-        "gamma": cot.pair(A.gen(ga), P.gen(pb)),
-        "delta": cot.pair(A.gen(gb), P.gen(P.star_map[pa])),
-    }
+    return _word_sum(cot.ambient, terms())
 
 
 def composed_generator_form(cot: CotensorAlgebra, n: int) -> TensorElement:
     """Quadruple-sum expansion of the composed connection in the four
     cotensor generators, normal-formed in the ambient algebra.
 
-    The scalar weights are powers of the first deformation parameter
-    only; the binomial weights of the second double sum run to the
-    complementary index nn - m (the printed source of this expansion
-    carries a typo there, see the n = 2 cross-checks in the tests).
+    Each generator is a pair of letters, one per slot (alpha = a x*,
+    beta = b y, gamma = a y, delta = b x*), and its star is the pair of
+    starred letters, so a word in the generators, a sum of tuples here,
+    is a word in letters.  The scalar weights are powers of the first
+    deformation parameter only; the binomial weights of the second
+    double sum run to the complementary index r = nn - m (the printed
+    source of this expansion carries a typo there, see
+    test_composition_closed_forms_agree).  Negative indices swap the legs.
     """
-    gens = mixed_cotensor_generators(cot)
-    for name in ("alpha", "beta", "gamma", "delta"):
-        gens[name + "*"] = gens[name].star()
-    amb = cot.ambient
-    terms: dict[tuple, LaurentScalar] = {}
-    # every left-fold prefix (((1 g1) g2) ...) of a word, by its letters
-    prefixes: dict[tuple, AlgebraElement] = {(): amb.one()}
-
-    def word(*factors) -> AlgebraElement:
-        letters = ()
-        out = prefixes[letters]
-        for name, e in factors:
-            for _ in range(e):
-                letters += (name,)
-                nxt = prefixes.get(letters)
-                if nxt is None:
-                    nxt = prefixes[letters] = out * gens[name]
-                out = nxt
-        return out
-
+    ga, gb, pa, pb = _tower_letters(cot, (-1, 1))
+    star = cot.ambient.star_map
+    gens = (ga, star[pa]), (gb, pb), (ga, pb), (gb, star[pa])
+    alpha, beta, gamma, delta = gens
+    alpha_s, beta_s, gamma_s, delta_s = (tuple(star[g] for g in w) for w in gens)
     nn = abs(n)
-    for m in range(nn // 2 + 1):
-        for k in range(nn - 2 * m + 1):
-            for t in range(m + 1):
-                for s in range(m + 1):
-                    coeff = LaurentScalar.integer(
-                        binomial(nn, m)
-                        * binomial(nn - 2 * m, k)
-                        * binomial(m, t)
-                        * binomial(m, s)
-                    ) * LaurentScalar.lam((k + m) * (t - s) - t * t + s * s)
-                    x = word(
-                        ("beta*", m - t),
-                        ("gamma*", t),
-                        ("delta", k + m - t),
-                        ("alpha", nn - 2 * m - k + t),
-                    )
-                    y = word(
-                        ("alpha*", nn - 2 * m - k + s),
-                        ("delta*", k + m - s),
-                        ("gamma", s),
-                        ("beta", m - s),
-                    )
-                    pairt = (x, y) if n >= 0 else (y, x)
-                    _add_scaled(terms, tensor_of(list(pairt)), coeff)
-    for m in range(nn // 2 + 1, nn + 1):
-        for k in range(2 * m - nn + 1):
-            for t in range(nn - m + 1):
-                for s in range(nn - m + 1):
-                    coeff = LaurentScalar.integer(
-                        binomial(nn, m)
-                        * binomial(2 * m - nn, k)
-                        * binomial(nn - m, t)
-                        * binomial(nn - m, s)
-                    ) * LaurentScalar.lam(-k * (t - s))
-                    x = word(
-                        ("gamma*", 2 * m - nn - k + t),
-                        ("beta*", nn - m + k - t),
-                        ("delta", nn - m - t),
-                        ("alpha", t),
-                    )
-                    y = word(
-                        ("alpha*", s),
-                        ("delta*", nn - m - s),
-                        ("beta", nn - m - s + k),
-                        ("gamma", 2 * m - nn - k + s),
-                    )
-                    pairt = (x, y) if n >= 0 else (y, x)
-                    _add_scaled(terms, tensor_of(list(pairt)), coeff)
-    return _trusted_tensor((alg_slot(amb), alg_slot(amb)), terms)
+
+    def terms():
+        for m in range(nn // 2 + 1):
+            j = nn - 2 * m
+            for k, t, s in product(range(j + 1), range(m + 1), range(m + 1)):
+                c = binomial(nn, m) * binomial(j, k) * binomial(m, t) * binomial(m, s)
+                x = beta_s * (m - t) + gamma_s * t + delta * (k + m - t) + alpha * (j - k + t)
+                y = alpha_s * (j - k + s) + delta_s * (k + m - s) + gamma * s + beta * (m - s)
+                yield LaurentScalar.monomial(c, (k + m) * (t - s) - t * t + s * s), x, y
+        for m in range(nn // 2 + 1, nn + 1):
+            j, r = 2 * m - nn, nn - m
+            for k, t, s in product(range(j + 1), range(r + 1), range(r + 1)):
+                c = binomial(nn, m) * binomial(j, k) * binomial(r, t) * binomial(r, s)
+                x = gamma_s * (j - k + t) + beta_s * (r + k - t) + delta * (r - t) + alpha * t
+                y = alpha_s * s + delta_s * (r - s) + beta * (r - s + k) + gamma * (j - k + s)
+                yield LaurentScalar.monomial(c, -k * (t - s)), x, y
+
+    flipped = ((c, y, x) for c, x, y in terms())
+    return _word_sum(cot.ambient, terms() if n >= 0 else flipped)
+
+
+def composed_translation_form(cot: CotensorAlgebra, n: int) -> TensorElement:
+    """Binomial double-sum translation form of the composed connection,
+    for a tower whose second factor puts both sphere letters in left
+    degree -1.
+
+    Its cross pairs alpha = a x*, beta = b y*, gamma = a y* and delta =
+    b x* are pairs of letters, starred for n < 0; each term is w (x) w*
+    for a word w in them, where w* is the reversed word of starred
+    letters.
+    """
+    ga, gb, pa, pb = _tower_letters(cot, (-1, -1))
+    star = cot.ambient.star_map
+    cross = (ga, star[pa]), (gb, star[pb]), (ga, star[pb]), (gb, star[pa])
+    if n < 0:
+        cross = [tuple(star[g] for g in w) for w in cross]
+    a, b, c, d = cross
+    k = abs(n)
+
+    def terms():
+        for p_idx in range(k + 1):
+            for m in range(k + 1):
+                if m < p_idx:
+                    w = a * (k - p_idx) + d * (p_idx - m) + b * m
+                else:
+                    w = a * (k - m) + c * (m - p_idx) + b * p_idx
+                yield binomial(k, p_idx) * binomial(k, m), w, [star[g] for g in reversed(w)]
+
+    return _word_sum(cot.ambient, terms())
 
 
 # -- translation-map identities --------------------------------------------------

@@ -56,6 +56,37 @@ def test_degree_bound_help_names_the_cap(runner):
     )
 
 
+def test_n_bound_help_names_the_capped_rows(runner):
+    res = invoke(runner, "verify", "--help")
+    assert res.exit_code == 0
+    assert (
+        "--n-bound INTEGER Grouplike index cap |n|; composed-matches-* stop at 4, "
+        "translation-closed-form at 3 and caninv-roundtrip at 2." in " ".join(res.output.split())
+    )
+
+
+def test_capped_connection_rows_ignore_a_larger_n_bound(runner, tmp_path):
+    # the three rows stop at |n| <= 4 or |i| <= 2, so at n-bound 8 they
+    # report what they do at 4, failures and witnesses included
+    from conftest import DOCTORED_Q, ex2_variant_text
+
+    path = tmp_path / "doctored.preset"
+    path.write_text(ex2_variant_text(DOCTORED_Q), encoding="utf-8")
+    capped = ("composed-matches-direct", "composed-matches-generator-form", "caninv-roundtrip")
+    rows = []
+    for bound in ("4", "8"):
+        args = ("verify", "--file", str(path), "--suite", "connection", "--format", "json")
+        res = invoke(runner, *args, "--n-bound", bound)
+        assert res.exit_code == 1
+        rows.append([r for r in json.loads(res.output)["results"] if r["check_id"] in capped])
+    assert rows[0] == rows[1]
+    assert sorted((r["check_id"], r["status"]) for r in rows[0]) == [
+        ("caninv-roundtrip", "fail"),
+        ("composed-matches-direct", "pass"),
+        ("composed-matches-generator-form", "fail"),
+    ]
+
+
 @pytest.mark.parametrize("preset", ["matsumoto-ex1", "matsumoto-ex2"])
 def test_entwining_suite_ignores_the_degree_bound(runner, preset):
     # its rows are lemmas of the load checks, so the bound has nothing to cap
@@ -240,6 +271,29 @@ def test_a_repeated_key_exits_two_at_its_second_line(runner, tmp_path, line, abo
     assert res.exit_code == 2
     want = "error: line %d, column 1: %s repeats line %d\n" % (first + 1, key, first)
     assert res.stderr == want
+
+
+# (a malformed [connection A] line, put below its first entry, the message)
+MALFORMED_ENTRIES = [
+    ("= (1 | 1)", "unknown directive ''"),
+    ("weight 1 = (1 | 1)", "unknown directive 'weight'"),
+    ("entry = (1 | 1)", "expected: entry <n> = <tensor>"),
+    ("entry x = (1 | 1)", "entry index must be an integer"),
+]
+
+
+@pytest.mark.parametrize("below, message", MALFORMED_ENTRIES, ids=[b for b, _ in MALFORMED_ENTRIES])
+def test_a_malformed_connection_line_exits_two_at_its_line(runner, tmp_path, below, message):
+    from conftest import preset_text
+
+    text = preset_text("matsumoto-ex2")
+    line = "entry 1 = (a' | a) + (b' | b)"
+    at = text.splitlines().index(line) + 2
+    bad = tmp_path / "bad.preset"
+    bad.write_text(text.replace(line, line + "\n" + below, 1))
+    res = invoke(runner, "verify", "--file", str(bad), *FAST)
+    assert res.exit_code == 2
+    assert res.stderr == "error: line %d, column 1: %s\n" % (at, message)
 
 
 def test_identity_sections_may_repeat(runner, tmp_path):

@@ -30,13 +30,14 @@ from qpbundle.connection import (
     compose_connection,
     composed_closed_form,
     composed_generator_form,
+    composed_translation_form,
     lifted_canonical_map,
     matsumoto_connection,
     verify_strong_connection,
     verify_translation_identities,
 )
 from qpbundle.scalar import ONE, ZERO, LaurentScalar as S
-from qpbundle.skewalg import PresentationError
+from qpbundle.skewalg import AlgebraPresentation, PresentationError
 
 
 def test_connection_matches_word_oracle(ex2):
@@ -140,6 +141,33 @@ def test_composed_connection_forms_agree(ex2):
         direct = composed(n)
         assert direct == composed_closed_form(ex2.cot, n)
         assert direct == composed_generator_form(ex2.cot, n)
+
+
+def test_closed_forms_take_no_ambient_products(ex1, ex2, monkeypatch):
+    # each closed form is a sum of normal-formed letter words, so it never
+    # multiplies two ambient elements; the radius check of the gate still
+    # multiplies in the factors
+    ambient = (ex1.cot.ambient, ex2.cot.ambient)
+    want = {
+        (tower, n): tower.composed()(n)
+        for tower, bound in ((ex1, 3), (ex2, 4))
+        for n in range(-bound, bound + 1)
+    }
+    factor_mul = AlgebraPresentation.mul
+
+    def mul(self, x, y):
+        if self in ambient:
+            raise AssertionError("ambient product taken")
+        return factor_mul(self, x, y)
+
+    monkeypatch.setattr(AlgebraPresentation, "mul", mul)
+    for n in range(-4, 5):
+        assert composed_closed_form(ex2.cot, n) == want[ex2, n], n
+        assert composed_generator_form(ex2.cot, n) == want[ex2, n], n
+    for n in range(-3, 4):
+        assert composed_translation_form(ex1.cot, n) == want[ex1, n], n
+    with pytest.raises(PresentationError):
+        composed_translation_form(ex2.cot, 1)
 
 
 def test_composed_legs_stay_balanced(ex2):

@@ -153,6 +153,18 @@ def test_presentation_document_errors():
         parse_presentation("[algebra A]\n[algebra A]\ngenerators = a a'\n")
 
 
+@pytest.mark.parametrize("line, gen", [("right c = 1", "c"), ("right = 1", "")])
+def test_a_grading_entry_error_names_its_own_line(line, gen):
+    # the ex2 preset's [algebra A] starts at its generators line (11);
+    # the error must point at the entry instead
+    text = preset_text("matsumoto-ex2")
+    at = text.splitlines().index("right a = 1") + 1
+    with pytest.raises(ParseError) as err:
+        load_preset(text.replace("right a = 1\n", "right a = 1\n%s\n" % line, 1))
+    assert err.value.line == at + 1
+    assert "unknown generator %r in right grading" % gen in str(err.value)
+
+
 def test_q_entries_accept_either_order():
     flipped = MINIMAL.replace("q b a = L^-1", "q a b = L")
     spec = parse_presentation(flipped)

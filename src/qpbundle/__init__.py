@@ -24,15 +24,9 @@ from .comodule import (
     ShapeError,
     TensorElement,
     alg_slot,
-    antipode,
     coalg_slot,
-    comultiply,
-    coseparability_retraction,
-    counit,
     grouplike,
-    left_coact,
     render_tensor,
-    right_coact,
     tensor_apply,
     tensor_mul,
     tensor_of,
@@ -75,7 +69,6 @@ __all__ = [
     "TensorElement",
     "ZERO",
     "alg_slot",
-    "antipode",
     "balance_total_holds",
     "binomial",
     "check_h_balance",
@@ -87,11 +80,7 @@ __all__ = [
     "composed_closed_form",
     "composed_generator_form",
     "composed_translation_form",
-    "comultiply",
-    "coseparability_retraction",
-    "counit",
     "grouplike",
-    "left_coact",
     "lifted_canonical_map",
     "matsumoto_connection",
     "monomial_key",
@@ -99,7 +88,6 @@ __all__ = [
     "render_element",
     "render_scalar",
     "render_tensor",
-    "right_coact",
     "tensor_apply",
     "tensor_mul",
     "tensor_of",

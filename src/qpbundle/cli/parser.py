@@ -701,15 +701,3 @@ def load_preset(text: str, fallback_name: str = "preset") -> Tower:
         parse_identity_lines(body, scope, tower.context(scope), tower.identities)
     return tower
 
-
-def parse_presentation(text: str) -> CoactionSpec:
-    """A document holding exactly one [algebra X] section."""
-    sections = _split_sections(text)
-    bodies = [
-        (title.split()[1], body)
-        for title, _, body in sections
-        if title.startswith("algebra ")
-    ]
-    if len(bodies) != 1:
-        raise ParseError("expected exactly one [algebra X] section", 1, 1)
-    return parse_algebra_section(bodies[0][1], bodies[0][0])

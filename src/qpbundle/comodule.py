@@ -241,44 +241,6 @@ def grouplike(n: int) -> TensorElement:
     return _trusted_tensor((_COALG,), {(n,): ONE})
 
 
-def _require_coalgebra(x: TensorElement, arity: int = 1):
-    if x.shape != (_COALG,) * arity:
-        raise ShapeError("expected a tensor of %d coalgebra slot(s)" % arity)
-
-
-def comultiply(x: TensorElement) -> TensorElement:
-    """Delta, landing in the coalgebra-coalgebra tensor square."""
-    _require_coalgebra(x)
-    return _trusted_tensor((_COALG, _COALG), {(n, n): c for (n,), c in x.terms.items()})
-
-
-def counit(x: TensorElement) -> LaurentScalar:
-    _require_coalgebra(x)
-    total = LaurentScalar.zero()
-    for c in x.terms.values():
-        total = total + c
-    return total
-
-
-def antipode(x: TensorElement) -> TensorElement:
-    _require_coalgebra(x)
-    return _trusted_tensor((_COALG,), {(-n,): c for (n,), c in x.terms.items()})
-
-
-def coseparability_retraction(t: TensorElement) -> TensorElement:
-    """The bicolinear retraction of comultiplication.
-
-    On grouplikes it keeps the diagonal, u^m (x) u^n -> delta_{m,n} u^n,
-    and kills everything off it.
-    """
-    _require_coalgebra(t, 2)
-    out: dict[tuple, LaurentScalar] = {}
-    for (m, n), c in t.terms.items():
-        if m == n:
-            accumulate(out, (n,), c)
-    return _trusted_tensor((_COALG,), out)
-
-
 # -- tensor operations -------------------------------------------------------
 
 
@@ -393,26 +355,6 @@ def _as_tensor(x) -> TensorElement:
 
 
 # -- coactions ---------------------------------------------------------------
-
-
-def right_coact(spec: CoactionSpec, x: AlgebraElement) -> TensorElement:
-    """m -> m (x) u^deg per monomial, extended linearly."""
-    if x.presentation is not spec.presentation:
-        raise PresentationError("element does not belong to the coaction's algebra")
-    shape = (alg_slot(spec.presentation), coalg_slot())
-    return _trusted_tensor(
-        shape, {(m, spec.right_degree(m)): c for m, c in x.terms.items()}
-    )
-
-
-def left_coact(spec: CoactionSpec, x: AlgebraElement) -> TensorElement:
-    """m -> u^deg (x) m per monomial, extended linearly."""
-    if x.presentation is not spec.presentation:
-        raise PresentationError("element does not belong to the coaction's algebra")
-    shape = (coalg_slot(), alg_slot(spec.presentation))
-    return _trusted_tensor(
-        shape, {(spec.left_degree(m), m): c for m, c in x.terms.items()}
-    )
 
 
 def _coact_monomial(spec: CoactionSpec, m: Monomial) -> TensorElement:

@@ -82,11 +82,6 @@ class CotensorAlgebra:
             raise PresentationError("element is not in the ambient tensor algebra")
         return all(self.is_member_monomial(m) for m in x.terms)
 
-    def violations(self, x: AlgebraElement) -> list[Monomial]:
-        if x.presentation is not self.ambient:
-            raise PresentationError("element is not in the ambient tensor algebra")
-        return [m for m in x.terms if not self.is_member_monomial(m)]
-
     # -- element builders ----------------------------------------------------
 
     def pair(self, a: AlgebraElement, p: AlgebraElement) -> AlgebraElement:

@@ -1,8 +1,14 @@
+import io
+import os
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from typing import NamedTuple
+from unittest.mock import patch
 
 import pytest
 from hypothesis import strategies as st
 
+from qpbundle.cli.main import main
 from qpbundle.cli.parser import Tower, load_preset
 from qpbundle.comodule import CoactionSpec
 from qpbundle.cotensor import CotensorAlgebra
@@ -20,17 +26,53 @@ def load_bundled(name):
     return load_preset(preset_text(name), fallback_name=name)
 
 
-# one-line edits of the bundled ex2 preset: (text, its replacement)
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout, then stderr
+
+
+def run_qpb(args) -> CliResult:
+    """Run ``qpb`` with ``args`` in this process and capture its exit
+    status and output; exceptions other than ``SystemExit`` propagate.
+    Help text is wrapped at 80 columns, whatever the terminal's width."""
+    out, err = io.StringIO(), io.StringIO()
+    exit_code = 0
+    with redirect_stdout(out), redirect_stderr(err), patch.dict(os.environ, COLUMNS="80"):
+        try:
+            main(list(args))
+        except SystemExit as stop:
+            exit_code = stop.code or 0
+    return CliResult(exit_code, out.getvalue(), err.getvalue(), out.getvalue() + err.getvalue())
+
+
+# one-line edits of a bundled preset: (text, its replacement)
 DOCTORED_Q = ("q b' a = L\n", "q b' a = L^-1\n")  # a q-table that breaks associativity
 ENTRY_MUTANT = ("+ 2 (b' a' | a b)", "+ 3 (b' a' | a b)")  # one wrong connection coefficient
 IDENTITY_MUTANT = ("= L^4 xpb xpa", "= L^3 xpb xpa")  # one wrong scalar in an example identity
 
 
-def ex2_variant_text(edit):
+# edits of ex1, the only bundled tower whose second factor's letters both
+# have left degree -1, so the only one with a translation-closed-form row
+_EX1_ENTRY_MINUS_2 = "entry -2 = (a^2 | a'^2) + 2 (b a | a' b') + (b^2 | b'^2)\n"
+EX1_ENTRY_MUTANT = (_EX1_ENTRY_MINUS_2, _EX1_ENTRY_MINUS_2.replace("+ 2", "+ 3", 1))
+EX1_EXTRA_ENTRY = (_EX1_ENTRY_MINUS_2, _EX1_ENTRY_MINUS_2 + "entry -4 = (a^4 | a'^4)\n")
+
+
+def _variant_text(name, edit):
     old, new = edit
-    text = preset_text("matsumoto-ex2")
+    text = preset_text(name)
     assert text.count(old) == 1
     return text.replace(old, new)
+
+
+def ex1_variant_text(edit):
+    return _variant_text("matsumoto-ex1", edit)
+
+
+def ex2_variant_text(edit):
+    return _variant_text("matsumoto-ex2", edit)
 
 
 def without_sections(text, *kinds):

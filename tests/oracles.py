@@ -9,6 +9,11 @@ a meaningful consistency check rather than a tautology.
 
 The only engine types these helpers touch are the public term maps, in
 the converters near the end, which exist so tests can compare results.
+The coalgebra maps (Delta, eps, S and the retraction of Delta), the
+coactions on elements, ``violations`` and ``parse_presentation`` also
+build engine values: the package reads these structures off integer
+gradings and never builds them, and the tests state the laws through
+them.
 
 The scans at the end are the exceptions.  The entwining scans judge
 the entwining rows, which ``qpbundle.cli.suites`` emits as lemmas of the
@@ -41,23 +46,20 @@ from __future__ import annotations
 import math
 from itertools import product
 
+from qpbundle.cli.parser import ParseError, _split_sections, parse_algebra_section
 from qpbundle.comodule import (
     ShapeError,
     TensorElement,
     alg_slot,
     coalg_slot,
-    comultiply,
-    counit,
     grouplike,
-    left_coact,
-    right_coact,
     tensor_apply,
     tensor_of,
 )
 from qpbundle.connection import lifted_canonical_map
 from qpbundle.cotensor import coinvariants_basis, multiply_adjacent
 from qpbundle.report import check, verdict
-from qpbundle.scalar import ONE
+from qpbundle.scalar import ONE, LaurentScalar
 from qpbundle.skewalg import PresentationError
 
 # scalars: {(L_exponent, M_exponent): integer coefficient}, no zeros
@@ -299,6 +301,81 @@ def plain_tensor2(t):
     if len(t.shape) != 2:
         raise ValueError("expected a two-slot tensor")
     return {k: plain_scalar(c) for k, c in t.terms.items()}
+
+
+# -- the circle coalgebra, coactions and membership on engine values -------------
+
+_COALG = coalg_slot()
+
+
+def _require_coalgebra(x, arity=1):
+    if x.shape != (_COALG,) * arity:
+        raise ShapeError("expected a tensor of %d coalgebra slot(s)" % arity)
+
+
+def comultiply(x):
+    """Delta, landing in the coalgebra-coalgebra tensor square."""
+    _require_coalgebra(x)
+    return TensorElement((_COALG, _COALG), {(n, n): c for (n,), c in x.terms.items()})
+
+
+def counit(x):
+    _require_coalgebra(x)
+    total = LaurentScalar.zero()
+    for c in x.terms.values():
+        total = total + c
+    return total
+
+
+def antipode(x):
+    _require_coalgebra(x)
+    return TensorElement((_COALG,), {(-n,): c for (n,), c in x.terms.items()})
+
+
+def coseparability_retraction(t):
+    """The bicolinear retraction of comultiplication.
+
+    On grouplikes it keeps the diagonal, u^m (x) u^n -> delta_{m,n} u^n,
+    and kills everything off it.
+    """
+    _require_coalgebra(t, 2)
+    return TensorElement((_COALG,), {(n,): c for (m, n), c in t.terms.items() if m == n})
+
+
+def right_coact(spec, x):
+    """m -> m (x) u^deg per monomial, extended linearly."""
+    if x.presentation is not spec.presentation:
+        raise PresentationError("element does not belong to the coaction's algebra")
+    shape = (alg_slot(spec.presentation), _COALG)
+    return TensorElement(shape, {(m, spec.right_degree(m)): c for m, c in x.terms.items()})
+
+
+def left_coact(spec, x):
+    """m -> u^deg (x) m per monomial, extended linearly."""
+    if x.presentation is not spec.presentation:
+        raise PresentationError("element does not belong to the coaction's algebra")
+    shape = (_COALG, alg_slot(spec.presentation))
+    return TensorElement(shape, {(spec.left_degree(m), m): c for m, c in x.terms.items()})
+
+
+def violations(cot, x):
+    """The monomials of an ambient element x that are not balanced."""
+    if x.presentation is not cot.ambient:
+        raise PresentationError("element is not in the ambient tensor algebra")
+    return [m for m in x.terms if not cot.is_member_monomial(m)]
+
+
+def parse_presentation(text):
+    """The coaction spec of a document holding exactly one [algebra X]
+    section."""
+    bodies = [
+        (title.split()[1], body)
+        for title, _, body in _split_sections(text)
+        if title.startswith("algebra ")
+    ]
+    if len(bodies) != 1:
+        raise ParseError("expected exactly one [algebra X] section", 1, 1)
+    return parse_algebra_section(bodies[0][1], bodies[0][0])
 
 
 # -- the degree-shift entwining ----------------------------------------------------

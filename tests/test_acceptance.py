@@ -15,9 +15,8 @@ import random
 import time
 
 import pytest
-from click.testing import CliRunner
 
-from conftest import load_bundled, preset_text
+from conftest import load_bundled, preset_text, run_qpb
 from oracles import (
     WordSphere,
     canonical_shift,
@@ -26,7 +25,6 @@ from oracles import (
     scan_entwined_module,
     scan_entwining_axioms,
 )
-from qpbundle.cli.main import main
 from qpbundle.cli.suites import SuiteConfig, run_suites
 from qpbundle.comodule import TensorElement, alg_slot, coalg_slot, tensor_of
 from qpbundle.connection import (
@@ -294,9 +292,7 @@ def test_single_coefficient_mutations_are_caught(tmp_path, section, old, new):
 
     path = tmp_path / "mutated.preset"
     path.write_text(mutated, encoding="utf-8")
-    runner = CliRunner()
-    res = runner.invoke(
-        main,
+    res = run_qpb(
         [
             "verify",
             "--file",
@@ -309,8 +305,7 @@ def test_single_coefficient_mutations_are_caught(tmp_path, section, old, new):
             "2",
             "--format",
             "json",
-        ],
-        catch_exceptions=False,
+        ]
     )
     assert res.exit_code == 1
     doc = json.loads(res.output)

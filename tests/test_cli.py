@@ -1,23 +1,27 @@
 """Command line contract: subcommands, exit codes, output formats."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from qpbundle.cli.main import main
+import qpbundle
+from conftest import run_qpb
+from qpbundle.comodule import render_tensor
 
 FAST = ("--n-bound", "2", "--degree-bound", "3")
 
 
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return run_qpb
 
 
 def invoke(runner, *args):
-    return runner.invoke(main, list(args), catch_exceptions=False)
+    return runner(args)
 
 
 def test_verify_passes_on_bundled_presets(runner):
@@ -438,6 +442,40 @@ def test_compose_prints_the_image(runner):
     )
     res = invoke(runner, "compose", "0")
     assert res.output.strip() == "(1 | 1)"
+
+
+def test_compose_takes_a_negative_index(runner, ex2):
+    # "-2" is the index, not an option
+    res = invoke(runner, "compose", "-2")
+    assert res.exit_code == 0
+    assert res.output == render_tensor(ex2.composed()(-2)) + "\n"
+    assert res.output == invoke(runner, "compose", "--", "-2").output
+
+
+def test_start_up_imports_only_the_standard_library():
+    # every module that importing the command line adds is the standard
+    # library's or the package's; the snapshot taken first holds what
+    # site loaded, such as .pth hooks of other installed packages
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import qpbundle.cli.main\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    src = str(Path(qpbundle.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    added = done.stdout.split()
+    assert "qpbundle.cli.main" in added
+    tops = {name.partition(".")[0] for name in added}
+    assert tops - sys.stdlib_module_names - {"qpbundle"} == set()
 
 
 def test_coinv_lists_bases(runner):

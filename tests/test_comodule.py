@@ -7,15 +7,9 @@ from qpbundle.comodule import (
     ShapeError,
     TensorElement,
     alg_slot,
-    antipode,
     coalg_slot,
-    comultiply,
-    coseparability_retraction,
-    counit,
     grouplike,
-    left_coact,
     render_tensor,
-    right_coact,
     tensor_apply,
     tensor_mul,
     tensor_of,
@@ -23,12 +17,18 @@ from qpbundle.comodule import (
 from conftest import OffsetCoaction
 from oracles import (
     Shift,
+    antipode,
     assert_canonical,
     canonical_shift,
+    comultiply,
+    coseparability_retraction,
+    counit,
     entwine,
     entwine_at,
     entwine_inverse,
+    left_coact,
     per_term_product,
+    right_coact,
     scan_bicomodule,
     scan_entwining_axioms,
 )

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from conftest import ENTRY_MUTANT, load_ex2_variant, preset_text
+from conftest import (
+    ENTRY_MUTANT,
+    EX1_ENTRY_MUTANT,
+    EX1_EXTRA_ENTRY,
+    ex1_variant_text,
+    load_ex2_variant,
+    preset_text,
+)
 from oracles import (
     WordSphere,
     lifted_roundtrip,
@@ -168,6 +175,24 @@ def test_closed_forms_take_no_ambient_products(ex1, ex2, monkeypatch):
         assert composed_translation_form(ex1.cot, n) == want[ex1, n], n
     with pytest.raises(PresentationError):
         composed_translation_form(ex2.cot, 1)
+
+
+@pytest.mark.parametrize(
+    "edit, want",
+    [
+        # a wrong coefficient in A's entry -2 makes the composed
+        # connection differ from its translation form at index 2
+        (EX1_ENTRY_MUTANT, ("fail", "differs at index 2")),
+        # a wrong entry -4 changes it only at |n| = 4, beyond the cap
+        (EX1_EXTRA_ENTRY, ("pass", "")),
+    ],
+    ids=["entry-mutant", "extra-entry"],
+)
+def test_translation_row_reads_indices_up_to_three(edit, want):
+    tower = load_preset(ex1_variant_text(edit), fallback_name="matsumoto-ex1-variant")
+    report = run_suites(tower, SuiteConfig(("examples",), n_bound=4))
+    (row,) = [r for r in report.results if r.check_id == "translation-closed-form"]
+    assert (row.status, row.detail) == want
 
 
 def test_composed_legs_stay_balanced(ex2):

@@ -22,11 +22,8 @@ running the same command with ``--file <that file>`` in place of
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from qpbundle.cli.main import main
-
-from conftest import DOCTORED_Q, ENTRY_MUTANT, IDENTITY_MUTANT, ex2_variant_text
+from conftest import DOCTORED_Q, ENTRY_MUTANT, IDENTITY_MUTANT, ex2_variant_text, run_qpb
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BOUNDS = ("--n-bound", "3", "--degree-bound", "4")
@@ -43,9 +40,7 @@ FAILING = {
 
 
 def _verify(args):
-    return CliRunner().invoke(
-        main, ["verify", *args, "--format", "json", *BOUNDS], catch_exceptions=False
-    )
+    return run_qpb(["verify", *args, "--format", "json", *BOUNDS])
 
 
 @pytest.mark.parametrize("preset", ["matsumoto-ex1", "matsumoto-ex2"])
@@ -57,9 +52,7 @@ def test_verify_json_matches_golden(preset):
 
 @pytest.mark.parametrize("preset", ["matsumoto-ex1", "matsumoto-ex2"])
 def test_default_bounds_verify_json_matches_golden(preset):
-    res = CliRunner().invoke(
-        main, ["verify", "--preset", preset, "--format", "json"], catch_exceptions=False
-    )
+    res = run_qpb(["verify", "--preset", preset, "--format", "json"])
     assert res.exit_code == 0
     golden = GOLDEN / ("%s-default.json" % preset)
     assert res.stdout == golden.read_text(encoding="utf-8")

@@ -3,13 +3,13 @@
 import pytest
 
 from conftest import load_bundled, preset_text, without_identities
+from oracles import parse_presentation
 from qpbundle import render_element, render_tensor
 from qpbundle.cli.parser import (
     ExpressionContext,
     ParseError,
     load_preset,
     parse_expression,
-    parse_presentation,
 )
 from qpbundle.cli.suites import SuiteConfig, run_suites
 from qpbundle.comodule import TensorElement

@@ -7,11 +7,11 @@ strong connection forms together with the verification machinery for
 their axioms, composition, and closed-form expansions.
 """
 
-from .scalar import LaurentScalar, ONE, ZERO, binomial, render_scalar
+from .scalar import LaurentScalar, ONE, binomial, render_scalar
 from .skewalg import (
     AlgebraElement,
     AlgebraPresentation,
-    ConfluenceReport,
+    PackageError,
     PresentationError,
     check_local_confluence,
     check_star_compatible,
@@ -27,18 +27,11 @@ from .comodule import (
     coalg_slot,
     grouplike,
     render_tensor,
-    tensor_apply,
-    tensor_mul,
     tensor_of,
 )
-from .cotensor import (
-    CotensorAlgebra,
-    coinvariants_basis,
-    multiply_adjacent,
-)
+from .cotensor import CotensorAlgebra, coinvariants_basis
 from .connection import (
     ConnectionForm,
-    balance_total_holds,
     check_h_balance,
     compose_connection,
     composed_closed_form,
@@ -58,18 +51,16 @@ __all__ = [
     "AlgebraPresentation",
     "CheckResult",
     "CoactionSpec",
-    "ConfluenceReport",
     "ConnectionForm",
     "CotensorAlgebra",
     "LaurentScalar",
     "ONE",
+    "PackageError",
     "PresentationError",
     "Report",
     "ShapeError",
     "TensorElement",
-    "ZERO",
     "alg_slot",
-    "balance_total_holds",
     "binomial",
     "check_h_balance",
     "check_local_confluence",
@@ -84,12 +75,9 @@ __all__ = [
     "lifted_canonical_map",
     "matsumoto_connection",
     "monomial_key",
-    "multiply_adjacent",
     "render_element",
     "render_scalar",
     "render_tensor",
-    "tensor_apply",
-    "tensor_mul",
     "tensor_of",
     "tensor_presentation",
     "verify_strong_connection",

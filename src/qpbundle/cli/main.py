@@ -23,8 +23,8 @@ from ..comodule import render_tensor
 from ..cotensor import coinvariants_basis
 from ..report import Report
 from ..scalar import LaurentScalar, render_scalar
-from ..skewalg import AlgebraElement, PresentationError, monomial_key, render_element
-from .parser import PACKAGE_ERRORS, Tower, load_preset, parse_expression
+from ..skewalg import AlgebraElement, PackageError, PresentationError, monomial_key, render_element
+from .parser import Tower, load_preset, parse_expression
 from .suites import SUITE_NAMES, SuiteConfig, run_suites
 
 BUNDLED = ("matsumoto-ex1", "matsumoto-ex2")
@@ -199,7 +199,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         status = args.run(args)
-    except (*PACKAGE_ERRORS, OSError, UnicodeDecodeError) as exc:
+    except (PackageError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         status = 2
     except Exception as exc:

@@ -19,6 +19,9 @@ Presets are line-oriented documents with [section] headers:
                         [identities A] and [identities P] hold rows of
                         one factor.  Lines sharing a check id form one row.
 
+The algebras are A and P: a label other than those in an [algebra X] or
+[connection X] header is an unknown section.
+
 Both parsers report errors with line and column numbers.
 """
 
@@ -27,13 +30,13 @@ from __future__ import annotations
 import re
 
 from ..scalar import LaurentScalar
-from ..skewalg import AlgebraElement, AlgebraPresentation, PresentationError
-from ..comodule import CoactionSpec, ShapeError, TensorElement, alg_slot, tensor_of
+from ..skewalg import AlgebraElement, AlgebraPresentation, PackageError, PresentationError
+from ..comodule import CoactionSpec, TensorElement, alg_slot, tensor_of
 from ..connection import ConnectionForm, compose_connection, matsumoto_connection
 from ..cotensor import CotensorAlgebra
 
 
-class ParseError(ValueError):
+class ParseError(PackageError):
     def __init__(self, message: str, line: int = 0, col: int = 0):
         self.line = line
         self.col = col
@@ -42,13 +45,8 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-class ConfigError(ValueError):
+class ConfigError(PackageError):
     """A run asked for with a setting outside its range."""
-
-
-# the package's own errors: a report may show one as a failing row, while
-# any other exception is a bug
-PACKAGE_ERRORS = (ParseError, PresentationError, ShapeError, ConfigError)
 
 
 # -- tokenizer -----------------------------------------------------------------
@@ -657,9 +655,9 @@ def load_preset(text: str, fallback_name: str = "preset") -> Tower:
                 if key != "name":
                     msg = "[meta] holds only name, not %r; example rows go in [identities]"
                     raise ParseError(msg % key, ln, 1)
-        elif parts[:1] == ["algebra"] and len(parts) == 2:
+        elif title in ("algebra A", "algebra P"):
             algebra_bodies[parts[1]] = body
-        elif parts[:1] == ["connection"] and len(parts) == 2:
+        elif title in ("connection A", "connection P"):
             connection_bodies[parts[1]] = body
         elif title == "aliases":
             alias_body = body
@@ -672,9 +670,6 @@ def load_preset(text: str, fallback_name: str = "preset") -> Tower:
         raise ParseError("preset must declare [algebra A] and [algebra P]", 1, 1)
     a_spec = parse_algebra_section(algebra_bodies["A"], "A")
     p_spec = parse_algebra_section(algebra_bodies["P"], "P")
-    for label in connection_bodies:
-        if label not in algebra_bodies:
-            raise ParseError("connection for undeclared algebra %r" % label, 1, 1)
 
     cot = CotensorAlgebra(a_spec, p_spec, name=name)
 

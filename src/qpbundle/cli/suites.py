@@ -21,10 +21,12 @@ The bicomodule, closure, coinvariant and entwining rows are lemmas of
 the invariants checked when a preset loads; ``_lemmas`` proves them
 once and emits them as passing rows, so their ids stay in every report.
 
-Every check lands in a Report as a CheckResult.  A mathematical
-failure, a package error raised mid-check included, is a failing row,
-so a doctored preset produces a readable report instead of a stack
-trace; any other exception is a bug and propagates.
+Every check lands in a Report as a CheckResult.  Each row that reads a
+connection form, a composed image or an identity line is evaluated by
+``report.check``, which turns a package error raised on the way into a
+failing row carrying its message; so a doctored or rule-less preset
+produces a readable report instead of a stack trace, and any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from ..connection import (
     verify_translation_identities,
 )
 from ..report import CheckResult, Report, check, verdict
-from .parser import PACKAGE_ERRORS, ConfigError, Tower, parse_value
+from .parser import ConfigError, Tower, parse_value
 
 SUITE_NAMES = ("algebra", "cotensor", "entwining", "connection", "examples")
 
@@ -154,15 +156,6 @@ def _lemmas(suite, prefix, *check_ids):
     return [verdict(suite, prefix + c, True, anchor=_ANCHORS.get(c, c)) for c in check_ids]
 
 
-def _checked(suite, check_id, cases, holds, describe, anchor=None):
-    """``check``, except that a package error raised on a case becomes a
-    failing row carrying its message."""
-    try:
-        return check(suite, check_id, cases, holds, describe, anchor)
-    except PACKAGE_ERRORS as exc:
-        return verdict(suite, check_id, False, str(exc), anchor)
-
-
 # -- algebra suite ----------------------------------------------------------------
 
 
@@ -265,7 +258,7 @@ def _connection_suite(tower: Tower, config: SuiteConfig, report: Report):
         # explicit preset entries must reproduce the closed rule; a rule
         # that raises leaves nothing to compare against
         report.add(
-            _checked(
+            check(
                 suite,
                 "%s-closed-form-match" % label,
                 zip(sorted(form.overrides)),
@@ -292,17 +285,20 @@ def _connection_suite(tower: Tower, config: SuiteConfig, report: Report):
     if tower.form_a is None or tower.form_p is None:
         return
 
-    # composition: build it, run the axioms, compare the expansions
-    ok, detail = True, ""
-    try:
-        composed = tower.composed()
-        for idx in range(-n, n + 1):
-            composed(idx)
-    except PACKAGE_ERRORS as exc:
-        ok, detail = False, str(exc)
-    report.add(verdict(suite, "compose-well-defined", ok, detail, anchor="compose"))
-    if not ok:
+    # composition: build it, run the axioms, compare the expansions; an
+    # image that leaves the cotensor algebra raises, and fails the row
+    well_defined = check(
+        suite,
+        "compose-well-defined",
+        zip(range(-n, n + 1)),
+        lambda idx: tower.composed()(idx) is not None,
+        lambda idx: "no image at index %d" % idx,
+        anchor="compose",
+    )
+    report.add(well_defined)
+    if not well_defined.ok:
         return
+    composed = tower.composed()
 
     report.extend(_reprefix(verify_strong_connection(composed, n), suite, "composed-"))
 
@@ -348,7 +344,7 @@ def _connection_suite(tower: Tower, config: SuiteConfig, report: Report):
         return composed.colifts(i) or lhs * composed.canonical(i) == tensor_of([x, grouplike(i)])
 
     describe = lambda k, x, i: "roundtrip fails on %s at index %d" % (k, i)
-    report.add(_checked(suite, "caninv-roundtrip", cases, roundtrip, describe))
+    report.add(check(suite, "caninv-roundtrip", cases, roundtrip, describe))
 
 
 # -- examples suite ----------------------------------------------------------------
@@ -378,7 +374,7 @@ def _examples_suite(tower: Tower, config: SuiteConfig, report: Report):
         return "%s not %s" % (lhs, "of degree zero" if balanced else "balanced")
 
     for check_id, lines in tower.identities.items():
-        report.add(_checked(suite, check_id, lines, holds, describe))
+        report.add(check(suite, check_id, lines, holds, describe))
 
     _translation_closed_form(tower, config, report)
 
@@ -394,7 +390,7 @@ def _translation_closed_form(tower: Tower, config: SuiteConfig, report: Report):
         return
     bound = min(config.n_bound, 3)
     report.add(
-        _checked(
+        check(
             "examples",
             "translation-closed-form",
             zip(range(-bound, bound + 1)),

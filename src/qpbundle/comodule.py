@@ -19,10 +19,17 @@ An element of the coalgebra is a one-slot ``TensorElement`` of shape
 coalgebra elements and ``tensor_mul`` multiplies them by adding
 grouplike indices.
 
-``TensorElement`` is the workhorse for everything tensor-shaped in the
-verification suites: P(x)P, P(x)C, H(x)P(x)P, (A(x)P)(x)(A(x)P) and so
-on.  Algebra slots hold normal-form monomials of a named presentation,
-coalgebra slots hold grouplike indices.  Shapes are explicit and
+``TensorElement`` holds everything tensor-shaped in the verification
+suites: connection images in P(x)P, their lifted canonical images in
+P(x)C, and the same over the ambient algebra A(x)P.  Algebra slots hold
+normal-form monomials of a named presentation, coalgebra slots hold
+grouplike indices.  The operations are sums, scaling, ``tensor_of``
+(tensor product of factors) and ``tensor_mul`` (slot-wise product, each
+algebra slot reduced once per group of terms by ``_reduce_slot``).  A
+map applied to one slot, and the product of two adjacent slots, serve
+no row; the tests keep them as references (``tests/oracles.py``), and
+``qpbundle.connection`` computes the one such composite a row needs,
+the lifted canonical map, in one pass.  Shapes are explicit and
 checked where data enters: the public ``TensorElement`` constructor
 drops zero coefficients, merges equal keys and checks every key's
 arity, and each operation checks its operands' shapes on entry.  The
@@ -36,14 +43,16 @@ one else holds.
 from __future__ import annotations
 
 from operator import mul
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .scalar import LaurentScalar, ONE, accumulate, render_scalar
+from .scalar import LaurentScalar, ONE, accumulate
 from .skewalg import (
     AlgebraElement,
     AlgebraPresentation,
     Monomial,
+    PackageError,
     PresentationError,
+    _render_sum,
     monomial_key,
 )
 
@@ -130,7 +139,7 @@ class CoactionSpec:
 # -- tensor shapes ------------------------------------------------------------
 
 
-class ShapeError(ValueError):
+class ShapeError(PackageError):
     """Tensor operands with mismatched or unexpected shapes."""
 
 
@@ -320,40 +329,6 @@ def _add_scaled(out: dict, t: TensorElement, c) -> None:
         accumulate(out, k, x * c)
 
 
-def tensor_apply(t: TensorElement, slot: int, f: Callable) -> TensorElement:
-    """Apply a linear slot map to one slot and splice the result.
-
-    ``f`` receives the slot's key (monomial or grouplike index) and
-    must return an AlgebraElement or a TensorElement; the returned shape
-    replaces the chosen slot (the same way for every term, which is
-    checked).  A tensor without terms reads its shape from ``f`` at the
-    slot's unit key: the unit monomial or the index 0.
-    """
-    if not 0 <= slot < len(t.shape):
-        raise ShapeError("slot index out of range")
-    out_terms: dict[tuple, LaurentScalar] = {}
-    out_shape = None
-    for key, c in t.terms.items():
-        img = _as_tensor(f(key[slot]))
-        new_shape = t.shape[:slot] + img.shape + t.shape[slot + 1 :]
-        if out_shape is None:
-            out_shape = new_shape
-        elif out_shape != new_shape:
-            raise ShapeError("slot map is not shape-uniform")
-        head, tail = key[:slot], key[slot + 1 :]
-        for ikey, ic in img.terms.items():
-            accumulate(out_terms, head + ikey + tail, c * ic)
-    if out_shape is None:
-        kind, pres = t.shape[slot]
-        img = _as_tensor(f(pres.one_monomial() if kind == "alg" else 0))
-        out_shape = t.shape[:slot] + img.shape + t.shape[slot + 1 :]
-    return _trusted_tensor(out_shape, out_terms)
-
-
-def _as_tensor(x) -> TensorElement:
-    return tensor_of([x]) if isinstance(x, AlgebraElement) else x
-
-
 # -- coactions ---------------------------------------------------------------
 
 
@@ -364,8 +339,6 @@ def _coact_monomial(spec: CoactionSpec, m: Monomial) -> TensorElement:
 
 def render_tensor(t: TensorElement) -> str:
     """Deterministic text form: terms like ``c (x | y | u^n)``."""
-    if not t.terms:
-        return "0"
 
     def slot_str(slot, key):
         kind, pres = slot
@@ -382,21 +355,8 @@ def render_tensor(t: TensorElement) -> str:
                 bits.append((k,))
         return tuple(bits)
 
-    pieces = []
-    for key in sorted(t.terms, key=key_order):
-        c = t.terms[key]
-        body = "(" + " | ".join(slot_str(s, k) for s, k in zip(t.shape, key)) + ")"
-        neg = False
-        if len(c.terms) == 1 and next(iter(c.terms.values())) < 0:
-            neg = True
-            c = -c
-        if not c.is_one():
-            cs = render_scalar(c)
-            if len(c.terms) > 1:
-                cs = "(%s)" % cs
-            body = "%s %s" % (cs, body)
-        if not pieces:
-            pieces.append(("-" if neg else "") + body)
-        else:
-            pieces.append(("- " if neg else "+ ") + body)
-    return " ".join(pieces)
+    terms = (
+        (t.terms[key], "(" + " | ".join(slot_str(s, k) for s, k in zip(t.shape, key)) + ")")
+        for key in sorted(t.terms, key=key_order)
+    )
+    return _render_sum(terms)

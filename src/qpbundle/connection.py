@@ -31,13 +31,13 @@ from .comodule import (
     TensorElement,
     _add_scaled,
     _coact_monomial,
+    _reduce_slot,
     _trusted_tensor,
     alg_slot,
     coalg_slot,
-    tensor_apply,
     tensor_of,
 )
-from .cotensor import CotensorAlgebra, multiply_adjacent
+from .cotensor import CotensorAlgebra
 from .report import CheckResult, check, verdict
 
 
@@ -172,21 +172,23 @@ def matsumoto_connection(spec: CoactionSpec, name: str = "") -> ConnectionForm:
 
 
 def lifted_canonical_map(spec: CoactionSpec, t: TensorElement) -> TensorElement:
-    """x (x) y -> x*y_(0) (x) y_(1), landing in P (x) C.
+    """C = can(t): x (x) y -> x*y_(0) (x) y_(1), landing in P (x) C.
 
     This is the canonical Galois map read on the plain tensor square
     instead of the quotient over the coinvariants; two tensors agree in
-    the quotient whenever their images here agree.
+    the quotient whenever their images here agree.  On a term x (x) y
+    the coaction is y (x) u^R(y), so C = sum of c NF(xy) (x) u^R(y): one
+    pass forms each raw product xy under its key (xy, R(y)), and the
+    first slot is reduced once per right degree (``_reduce_slot``).
     """
     p = spec.presentation
     if t.shape != (alg_slot(p), alg_slot(p)):
         raise ShapeError("expected a tensor square of the graded algebra")
-    step = tensor_apply(t, 1, lambda m: _coact_monomial(spec, m))
-    return multiply_adjacent(step, 0)
-
-
-def _unit_square(p: AlgebraPresentation) -> TensorElement:
-    return tensor_of([p.one(), p.one()])
+    raw: dict[tuple, LaurentScalar] = {}
+    for (x, y), c in t.terms.items():
+        f, xy = p.mono_mul(x, y)
+        accumulate(raw, (xy, spec.right_degree(y)), c * f)
+    return _trusted_tensor((alg_slot(p), coalg_slot()), _reduce_slot(raw, 0, p))
 
 
 def verify_strong_connection(form: ConnectionForm, n_bound: int) -> list[CheckResult]:
@@ -215,8 +217,12 @@ def verify_strong_connection(form: ConnectionForm, n_bound: int) -> list[CheckRe
         return legs == {p.one_monomial(): ONE}
 
     return [
-        verdict(
-            "connection", "unit", form(0) == _unit_square(p), "index 0 image is not 1 (x) 1"
+        check(
+            "connection",
+            "unit",
+            [()],
+            lambda: form(0) == tensor_of([p.one(), p.one()]),
+            lambda: "index 0 image is not 1 (x) 1",
         ),
         row("colift", form.colifts, "colifting fails at index %d"),
         row(

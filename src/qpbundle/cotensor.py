@@ -13,25 +13,23 @@ monomials under products and the factor-wise coinvariant basis follow
 from the invariants that ``CoactionSpec``, ``tensor_presentation`` and
 ``CotensorAlgebra`` check on construction; ``qpbundle.cli.suites``
 proves each such row once, so nothing here decides them again.
+
+What is left to build here is the balanced subalgebra itself
+(``CotensorAlgebra``: membership, pairs a (x) p) and its coinvariant
+basis.  Its products are products of the ambient algebra, so it needs
+no tensor operation of its own.
 """
 
 from __future__ import annotations
 
-from .scalar import ONE, accumulate
+from .scalar import ONE
 from .skewalg import (
     AlgebraElement,
     Monomial,
     PresentationError,
     tensor_presentation,
 )
-from .comodule import (
-    CoactionSpec,
-    ShapeError,
-    TensorElement,
-    _reduce_slot,
-    _trusted_tensor,
-    alg_slot,
-)
+from .comodule import CoactionSpec
 
 
 class CotensorAlgebra:
@@ -109,24 +107,3 @@ def coinvariants_basis(spec: CoactionSpec, degree: int, keep=None) -> list[Algeb
         for m in p.monomials_up_to(degree)
         if spec.right_degree(m) == 0 and (keep is None or keep(m))
     ]
-
-
-def multiply_adjacent(t: TensorElement, slot: int) -> TensorElement:
-    """Multiply two adjacent algebra slots of the same presentation.
-
-    The raw products are reduced once per group of terms that agree on
-    the other slots (``_reduce_slot``).
-    """
-    if not (
-        0 <= slot < len(t.shape) - 1
-        and t.shape[slot][0] == "alg"
-        and t.shape[slot] == t.shape[slot + 1]
-    ):
-        raise ShapeError("no matching algebra pair at slot %d" % slot)
-    pres = t.shape[slot][1]
-    shape = t.shape[:slot] + (alg_slot(pres),) + t.shape[slot + 2 :]
-    raw: dict = {}
-    for key, c in t.terms.items():
-        f, prod = pres.mono_mul(key[slot], key[slot + 1])
-        accumulate(raw, key[:slot] + (prod,) + key[slot + 2 :], c * f)
-    return _trusted_tensor(shape, _reduce_slot(raw, slot, pres))

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from typing import Callable, Iterable
 
+from .skewalg import PackageError
+
 
 class CheckResult:
     """Outcome of one named identity check.
@@ -66,10 +68,18 @@ def check(
     anchor: str | None = None,
 ) -> CheckResult:
     """Run ``holds(*case)`` over the cases in order and stop at the
-    first that fails, whose ``describe(*case)`` becomes the detail."""
-    for case in cases:
-        if not holds(*case):
-            return verdict(suite, check_id, False, describe(*case), anchor)
+    first that fails, whose ``describe(*case)`` becomes the detail.
+
+    A package error raised on the way, such as a connection form asked
+    for an index it has no image for, fails the row with its message;
+    this is the one place where that happens.  Any other exception is a
+    bug and propagates."""
+    try:
+        for case in cases:
+            if not holds(*case):
+                return verdict(suite, check_id, False, describe(*case), anchor)
+    except PackageError as exc:
+        return verdict(suite, check_id, False, str(exc), anchor)
     return verdict(suite, check_id, True, anchor=anchor)
 
 

@@ -66,7 +66,14 @@ def _unit_exponents(q: LaurentScalar) -> tuple[int, int, int]:
     return (0 if c == 1 else 1, e_l, e_m)
 
 
-class PresentationError(ValueError):
+class PackageError(ValueError):
+    """Base of the errors the package raises on its input: presentation,
+    tensor shape, preset parse and run setting.  A row that meets one
+    fails with its message (``qpbundle.report.check``), and the command
+    line exits 2 on one met outside a row; any other exception is a bug."""
+
+
+class PresentationError(PackageError):
     """Raised when presentation data violates a structural invariant."""
 
 
@@ -508,31 +515,32 @@ class AlgebraElement:
 
 def render_element(x: AlgebraElement) -> str:
     """Deterministic text form, monomials in increasing order."""
-    if not x.terms:
-        return "0"
+    p = x.presentation
+    return _render_sum(
+        ((x.terms[m], p.render_monomial(m)) for m in sorted(x.terms, key=monomial_key)), "1"
+    )
+
+
+def _render_sum(terms, unit: str = "") -> str:
+    """Join (coefficient, body) pairs into ``c body + c' body' - ...``, or
+    ``0`` without pairs.  A single negative term of a coefficient becomes
+    the sign, a coefficient of 1 is left out, and a longer one is set in
+    parentheses; a body equal to ``unit`` is left out after a coefficient."""
     pieces = []
-    for m in sorted(x.terms, key=monomial_key):
-        c = x.terms[m]
-        word = x.presentation.render_monomial(m)
-        neg = False
-        cterms = c.terms
-        if len(cterms) == 1:
-            ((exps, ic),) = cterms.items()
-            if ic < 0:
-                neg = True
-                c = -c
-        if c.is_one():
-            body = word
-        else:
+    for c, body in terms:
+        neg = len(c.terms) == 1 and next(iter(c.terms.values())) < 0
+        if neg:
+            c = -c
+        if not c.is_one():
             cs = render_scalar(c)
             if len(c.terms) > 1:
                 cs = "(%s)" % cs
-            body = cs if word == "1" else "%s %s" % (cs, word)
+            body = cs if body == unit else "%s %s" % (cs, body)
         if not pieces:
             pieces.append(("-" if neg else "") + body)
         else:
             pieces.append(("- " if neg else "+ ") + body)
-    return " ".join(pieces)
+    return " ".join(pieces) or "0"
 
 
 def tensor_presentation(

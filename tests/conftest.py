@@ -51,6 +51,9 @@ def run_qpb(args) -> CliResult:
 DOCTORED_Q = ("q b' a = L\n", "q b' a = L^-1\n")  # a q-table that breaks associativity
 ENTRY_MUTANT = ("+ 2 (b' a' | a b)", "+ 3 (b' a' | a b)")  # one wrong connection coefficient
 IDENTITY_MUTANT = ("= L^4 xpb xpa", "= L^3 xpb xpa")  # one wrong scalar in an example identity
+# A's connection without its closed rule: an index with no entry fails each
+# row that reads it, with the form's message, instead of ending the run
+RULELESS = ("[connection A]\nrule = sphere\n", "[connection A]\n")
 
 
 # edits of ex1, the only bundled tower whose second factor's letters both

@@ -13,7 +13,9 @@ The coalgebra maps (Delta, eps, S and the retraction of Delta), the
 coactions on elements, ``violations`` and ``parse_presentation`` also
 build engine values: the package reads these structures off integer
 gradings and never builds them, and the tests state the laws through
-them.
+them.  So do the generic slot operations ``tensor_apply`` and
+``multiply_adjacent``, the reference for the package's one-pass lifted
+canonical map.
 
 The scans at the end are the exceptions.  The entwining scans judge
 the entwining rows, which ``qpbundle.cli.suites`` emits as lemmas of the
@@ -50,17 +52,17 @@ from qpbundle.cli.parser import ParseError, _split_sections, parse_algebra_secti
 from qpbundle.comodule import (
     ShapeError,
     TensorElement,
+    _reduce_slot,
     alg_slot,
     coalg_slot,
     grouplike,
-    tensor_apply,
     tensor_of,
 )
 from qpbundle.connection import lifted_canonical_map
-from qpbundle.cotensor import coinvariants_basis, multiply_adjacent
+from qpbundle.cotensor import coinvariants_basis
 from qpbundle.report import check, verdict
-from qpbundle.scalar import ONE, LaurentScalar
-from qpbundle.skewalg import PresentationError
+from qpbundle.scalar import ONE, LaurentScalar, accumulate
+from qpbundle.skewalg import AlgebraElement, PresentationError
 
 # scalars: {(L_exponent, M_exponent): integer coefficient}, no zeros
 
@@ -377,6 +379,69 @@ def parse_presentation(text):
         raise ParseError("expected exactly one [algebra X] section", 1, 1)
     return parse_algebra_section(bodies[0][1], bodies[0][0])
 
+
+
+# -- slot maps on engine values ----------------------------------------------------
+#
+# ``qpbundle.connection.lifted_canonical_map`` computes
+# C(t) = multiply_adjacent(tensor_apply(t, 1, coact), 0) in one pass; these
+# two generic slot operations are the reference it is tested against.
+
+
+def tensor_apply(t, slot, f):
+    """Apply a linear slot map to one slot and splice the result.
+
+    ``f`` receives the slot's key (monomial or grouplike index) and
+    must return an AlgebraElement or a TensorElement; the returned shape
+    replaces the chosen slot (the same way for every term, which is
+    checked).  A tensor without terms reads its shape from ``f`` at the
+    slot's unit key: the unit monomial or the index 0.
+    """
+    if not 0 <= slot < len(t.shape):
+        raise ShapeError("slot index out of range")
+    out_terms = {}
+    out_shape = None
+    for key, c in t.terms.items():
+        img = _as_tensor(f(key[slot]))
+        new_shape = t.shape[:slot] + img.shape + t.shape[slot + 1 :]
+        if out_shape is None:
+            out_shape = new_shape
+        elif out_shape != new_shape:
+            raise ShapeError("slot map is not shape-uniform")
+        head, tail = key[:slot], key[slot + 1 :]
+        for ikey, ic in img.terms.items():
+            accumulate(out_terms, head + ikey + tail, c * ic)
+    if out_shape is None:
+        kind, pres = t.shape[slot]
+        img = _as_tensor(f(pres.one_monomial() if kind == "alg" else 0))
+        out_shape = t.shape[:slot] + img.shape + t.shape[slot + 1 :]
+    return TensorElement(out_shape, out_terms)
+
+
+def _as_tensor(x):
+    return tensor_of([x]) if isinstance(x, AlgebraElement) else x
+
+
+def multiply_adjacent(t, slot):
+    """Multiply two adjacent algebra slots of the same presentation.
+
+    The raw products are reduced once per group of terms that agree on
+    the other slots (``_reduce_slot``); ``per_term_product`` below
+    reduces them term by term.
+    """
+    if not (
+        0 <= slot < len(t.shape) - 1
+        and t.shape[slot][0] == "alg"
+        and t.shape[slot] == t.shape[slot + 1]
+    ):
+        raise ShapeError("no matching algebra pair at slot %d" % slot)
+    pres = t.shape[slot][1]
+    shape = t.shape[:slot] + (alg_slot(pres),) + t.shape[slot + 2 :]
+    raw = {}
+    for key, c in t.terms.items():
+        f, prod = pres.mono_mul(key[slot], key[slot + 1])
+        accumulate(raw, key[:slot] + (prod,) + key[slot + 2 :], c * f)
+    return TensorElement(shape, _reduce_slot(raw, slot, pres))
 
 # -- the degree-shift entwining ----------------------------------------------------
 

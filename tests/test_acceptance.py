@@ -7,15 +7,19 @@ relation tables of both bundled examples, the coinvariant subalgebra
 identities, the factorization of the degree-zero subspace, the
 entwining axioms, the translation-map identities, the equivalence of
 the two degree-balance formulations, mutation sensitivity of the
-command line checks, and local confluence of the rewriting systems.
+command line checks, local confluence of the rewriting systems, and
+a library surface that README documents or the package uses.
 """
 
 import json
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 
+import qpbundle
 from conftest import load_bundled, preset_text, run_qpb
 from oracles import (
     WordSphere,
@@ -324,3 +328,22 @@ def test_local_confluence_certificates(ex1, ex2):
             assert report.ok, report.divergences
             assert report.divergences == []
             assert report.checked > 0
+
+
+def test_every_export_is_documented_or_used():
+    # each name in qpbundle.__all__ is named in README's code (a fenced
+    # block or an inline span), or is used by a module of the package
+    # other than the one defining it
+    root = Path(qpbundle.__file__).resolve().parent
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```.*?```", readme, re.S)
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+    documented = {w for code in blocks + spans for w in re.findall(r"\w+", code)}
+    sources = [p.read_text(encoding="utf-8") for p in root.rglob("*.py") if p != root / "__init__.py"]
+
+    def used(name):
+        home = re.compile(r"^(def|class) %s\b|^%s\s*=" % (name, name), re.M)
+        word = re.compile(r"\b%s\b" % name)
+        return any(word.search(text) and not home.search(text) for text in sources)
+
+    assert [n for n in qpbundle.__all__ if n not in documented and not used(n)] == []

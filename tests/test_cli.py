@@ -249,6 +249,47 @@ def test_a_repeated_section_exits_two_at_its_second_header(runner, tmp_path, hea
     assert res.stderr == want
 
 
+
+# a section for an algebra other than A and P, with a body that would load
+@pytest.mark.parametrize(
+    "section",
+    ["[algebra B]\ngenerators = c\n", "[connection B]\nrule = bogus\n"],
+    ids=["algebra-B", "connection-B"],
+)
+def test_a_section_for_another_algebra_exits_two_at_its_header(runner, tmp_path, section):
+    from conftest import preset_text
+
+    text = preset_text("matsumoto-ex2")
+    bad = tmp_path / "bad.preset"
+    bad.write_text(text + section)
+    res = invoke(runner, "verify", "--file", str(bad), *FAST)
+    assert res.exit_code == 2
+    at = text.count("\n") + 1
+    header = section.splitlines()[0]
+    assert res.stderr == "error: line %d, column 1: unknown section %s\n" % (at, header)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(), ("--n-bound", "3"), ("--n-bound", "1", "--degree-bound", "3")],
+    ids=["default", "n3", "n1-d3"],
+)
+def test_a_connection_without_a_rule_fails_rows_instead_of_the_run(runner, tmp_path, bounds):
+    # rows that read an index A's form has no entry for fail with the
+    # form's message, and the rest of the report is still printed
+    from conftest import RULELESS, ex2_variant_text
+
+    path = tmp_path / "ruleless.preset"
+    path.write_text(ex2_variant_text(RULELESS), encoding="utf-8")
+    res = invoke(runner, "verify", "--file", str(path), *bounds)
+    assert res.exit_code == 1
+    assert res.stderr == ""
+    lines = res.stdout.splitlines()
+    assert lines[-1].endswith(" failed") and "ok   algebra/first-confluence" in lines
+    failing = [line for line in lines if line.startswith("FAIL")]
+    assert failing and all("has no closed rule and no entry for index" in f for f in failing)
+    assert any(f.startswith("FAIL connection/first-translation-reproduce-coaction") for f in failing)
+
 # (a line of the ex2 preset, a line with the same key put above it, the key)
 REPEATED_KEYS = [
     ("entry 1 = (a' | a) + (b' | b)", "entry 1 = (a' | a)", "entry 1"),

@@ -10,7 +10,6 @@ from qpbundle.comodule import (
     coalg_slot,
     grouplike,
     render_tensor,
-    tensor_apply,
     tensor_mul,
     tensor_of,
 )
@@ -27,13 +26,14 @@ from oracles import (
     entwine_at,
     entwine_inverse,
     left_coact,
+    multiply_adjacent,
     per_term_product,
     right_coact,
     scan_bicomodule,
     scan_entwining_axioms,
+    tensor_apply,
 )
 from qpbundle.cli.suites import SuiteConfig, run_suites
-from qpbundle.cotensor import multiply_adjacent
 from qpbundle.scalar import ONE, ZERO, LaurentScalar as S
 
 indices = st.integers(-6, 6)

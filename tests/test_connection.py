@@ -15,15 +15,19 @@ from conftest import (
 from oracles import (
     WordSphere,
     lifted_roundtrip,
+    multiply_adjacent,
     per_leg_balance,
     plain_tensor2,
+    right_coact,
     scan_mul_counit,
     scan_roundtrip,
     scan_translation_identities,
+    tensor_apply,
 )
 from qpbundle.cli.parser import Tower, load_preset
 from qpbundle.cli.suites import SuiteConfig, run_suites
 from qpbundle.comodule import (
+    ShapeError,
     TensorElement,
     alg_slot,
     coalg_slot,
@@ -83,6 +87,66 @@ def test_canonical_map_collapses_the_form(ex2):
         )
         assert got == want
 
+
+
+def test_lifted_canonical_map_is_the_slot_composite(ex1, ex2):
+    # the one-pass map equals coacting on the second slot and then
+    # multiplying the two algebra slots, the generic reference
+    def reference(spec, t):
+        p = spec.presentation
+        coact = lambda m: right_coact(spec, p.element({m: ONE}))
+        return multiply_adjacent(tensor_apply(t, 1, coact), 0)
+
+    for tower in (ex1, ex2):
+        for form in (tower.form_a, tower.form_p, tower.composed()):
+            for n in range(-4, 5):
+                assert lifted_canonical_map(form.spec, form(n)) == reference(form.spec, form(n))
+
+    # second legs of right degrees 1, -1, 2 and 0, so C has four grades,
+    # with a leg product the sphere rule rewrites (b (x) b' gives 1 - a a')
+    spec = ex2.a_spec
+    p = spec.presentation
+    a, a_s, b, b_s = (p.gen(g) for g in ("a", "a'", "b", "b'"))
+    t = (
+        tensor_of([a_s, a])
+        + tensor_of([b, b_s]).scale(S.lam(2))
+        + tensor_of([a_s * b_s, b * b])
+        - tensor_of([p.one(), a * a_s])
+    )
+    got = lifted_canonical_map(spec, t)
+    assert got == reference(spec, t)
+    assert {grade for _, grade in got.terms} == {-1, 0, 1, 2}
+
+    empty = TensorElement((alg_slot(p), alg_slot(p)))
+    got = lifted_canonical_map(spec, empty)
+    assert got == reference(spec, empty)
+    assert got.is_zero() and got.shape == (alg_slot(p), coalg_slot())
+    with pytest.raises(ShapeError):
+        lifted_canonical_map(spec, tensor_of([a, a, a]))
+
+
+def test_a_form_without_an_image_fails_every_axiom_row(ex2):
+    # each row, unit included, reads an index the form has no image for;
+    # the package error fails the row with its message, and any other
+    # exception is a bug that propagates
+    def missing(n):
+        raise PresentationError("no image for index %d" % n)
+
+    form = ConnectionForm(ex2.a_spec, missing)
+    rows = {r.check_id: (r.status, r.detail) for r in verify_strong_connection(form, 1)}
+    assert rows == {
+        "unit": ("fail", "no image for index 0"),
+        "colift": ("fail", "no image for index -1"),
+        "right-colinear": ("fail", "no image for index -1"),
+        "left-colinear": ("fail", "no image for index -1"),
+        "mul-counit": ("fail", "no image for index -1"),
+    }
+
+    def broken(n):
+        raise TypeError("unsupported operand")
+
+    with pytest.raises(TypeError):
+        verify_strong_connection(ConnectionForm(ex2.a_spec, broken), 1)
 
 def test_overrides_take_precedence(ex2):
     spec = ex2.a_spec

@@ -14,6 +14,7 @@ from oracles import (
     entwine,
     entwine_at,
     entwine_inverse,
+    multiply_adjacent,
     right_coact,
     scan_entwined_module,
     scan_entwining_axioms,
@@ -28,7 +29,7 @@ from qpbundle.comodule import (
     grouplike,
     tensor_of,
 )
-from qpbundle.cotensor import coinvariants_basis, multiply_adjacent
+from qpbundle.cotensor import coinvariants_basis
 from qpbundle.scalar import ONE
 from qpbundle.skewalg import PresentationError
 

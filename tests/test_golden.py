@@ -12,7 +12,7 @@ same reports at the default bounds (``--n-bound 4 --degree-bound 6``),
 captured before the entwining rows became grading certificates; they are
 regenerated the same way, without the bound options.
 
-The failing goldens pin whole reports that exit 1, on three variants of
+The failing goldens pin whole reports that exit 1, on four variants of
 the bundled ex2 preset, each made by one text replacement (see
 ``FAILING``).  Regenerate one by writing the variant text to a file and
 running the same command with ``--file <that file>`` in place of
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DOCTORED_Q, ENTRY_MUTANT, IDENTITY_MUTANT, ex2_variant_text, run_qpb
+from conftest import DOCTORED_Q, ENTRY_MUTANT, IDENTITY_MUTANT, RULELESS, ex2_variant_text, run_qpb
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BOUNDS = ("--n-bound", "3", "--degree-bound", "4")
@@ -36,6 +36,8 @@ FAILING = {
     "matsumoto-ex2-entry-mutant": ENTRY_MUTANT,
     # one examples row fails, through the preset's identity lines
     "matsumoto-ex2-identity-mutant": IDENTITY_MUTANT,
+    # the connection rows that read an index A has no entry for fail
+    "matsumoto-ex2-ruleless": RULELESS,
 }
 
 

@@ -556,8 +556,7 @@ def parse_connection_section(lines, spec: CoactionSpec, label: str) -> Connectio
             raise ParseError("unknown directive %r" % parts[0], lineno, 1)
 
     if rule_name == "sphere":
-        base = matsumoto_connection(spec, name=label)
-        return ConnectionForm(spec, base.closed, overrides=entries, name=label)
+        return matsumoto_connection(spec, name=label, overrides=entries)
     if rule_name is None:
         def missing(n: int) -> TensorElement:
             raise PresentationError(

@@ -11,11 +11,15 @@ Five suites, selectable by name:
   entwining   the degree-shift entwining of each factor and its lift
               to the balanced subalgebra, with the module laws.
   connection  axioms of both factor connections, the composed one,
-              left-degree balance, agreement of the three expansions,
-              and the inverse-canonical-map roundtrips.
+              left-degree balance, agreement of the composed form with
+              two expansions, and the inverse-canonical-map roundtrips.
   examples    the identity lines the preset declares in its [identities]
-              sections, and the translation form of a tower whose second
-              factor puts both sphere letters in left degree -1.
+              sections, and agreement with the translation form.
+
+The three expansion rows come from one table, ``_EXPANSIONS``.  On a
+sphere tower, the left degrees of P's sphere letters select them: (-1, 1)
+the two connection rows, (-1, -1) the translation row.  Gradings alone
+decide it; the algebra suite checks the radius.
 
 The bicomodule, closure, coinvariant and entwining rows are lemmas of
 the invariants checked when a preset loads; ``_lemmas`` proves them
@@ -302,32 +306,7 @@ def _connection_suite(tower: Tower, config: SuiteConfig, report: Report):
 
     report.extend(_reprefix(verify_strong_connection(composed, n), suite, "composed-"))
 
-    # the two closed-form expansions exist for the mixed left grading only
-    try:
-        _tower_letters(tower.cot, (-1, 1))
-    except PresentationError:
-        expansions = ()
-    else:
-        expansions = (
-            ("composed-matches-direct", composed_closed_form, "composed-closed-form"),
-            (
-                "composed-matches-generator-form",
-                composed_generator_form,
-                "composed-generator-form",
-            ),
-        )
-    indices = range(-min(n, 4), min(n, 4) + 1)
-    for check_id, expansion, anchor in expansions:
-        report.add(
-            check(
-                suite,
-                check_id,
-                zip(indices),
-                lambda idx: composed(idx) == expansion(tower.cot, idx),
-                lambda idx: "differs at index %d" % idx,
-                anchor=anchor,
-            )
-        )
+    _expansion_rows(tower, config, report, suite)
 
     cot = tower.cot
     samples = [("1", cot.ambient.one())]
@@ -376,25 +355,39 @@ def _examples_suite(tower: Tower, config: SuiteConfig, report: Report):
     for check_id, lines in tower.identities.items():
         report.add(check(suite, check_id, lines, holds, describe))
 
-    _translation_closed_form(tower, config, report)
+    if tower.form_a is not None and tower.form_p is not None:
+        _expansion_rows(tower, config, report, suite)
 
 
-def _translation_closed_form(tower: Tower, config: SuiteConfig, report: Report):
-    """When both sphere letters of the second factor have left degree -1,
-    the composed connection must be its translation form."""
-    if tower.form_a is None or tower.form_p is None:
-        return
-    try:
-        _tower_letters(tower.cot, (-1, -1))
-    except PresentationError:
-        return
-    bound = min(config.n_bound, 3)
-    report.add(
-        check(
-            "examples",
-            "translation-closed-form",
-            zip(range(-bound, bound + 1)),
-            lambda n: tower.composed()(n) == composed_translation_form(tower.cot, n),
-            lambda n: "differs at index %d" % n,
-        )
-    )
+# suite -> (check id, anchor, expansion, left grading of P's sphere letters, index cap)
+_EXPANSIONS = {
+    "connection": (
+        ("composed-matches-direct", "composed-closed-form", composed_closed_form, (-1, 1), 4),
+        (
+            "composed-matches-generator-form",
+            "composed-generator-form",
+            composed_generator_form,
+            (-1, 1),
+            4,
+        ),
+    ),
+    "examples": (("translation-closed-form", None, composed_translation_form, (-1, -1), 3),),
+}
+
+
+def _expansion_rows(tower: Tower, config: SuiteConfig, report: Report, suite: str):
+    """The suite's rows of ``_EXPANSIONS`` that the tower's gradings select,
+    each comparing the composed connection at |n| <= min(n_bound, cap)."""
+    for check_id, anchor, expansion, left, cap in _EXPANSIONS[suite]:
+        if _tower_letters(tower.cot, left) is not None:
+            bound = min(config.n_bound, cap)
+            report.add(
+                check(
+                    suite,
+                    check_id,
+                    zip(range(-bound, bound + 1)),
+                    lambda n: tower.composed()(n) == expansion(tower.cot, n),
+                    lambda n: "differs at index %d" % n,
+                    anchor=anchor,
+                )
+            )

@@ -122,41 +122,39 @@ def _radius(p: AlgebraPresentation, ga: str, gb: str) -> AlgebraElement:
     return p.gen(ga) * p.gen(p.star_map[ga]) + p.gen(gb) * p.gen(p.star_map[gb])
 
 
-def _sphere_pair(spec: CoactionSpec) -> tuple[str, str]:
-    """The sphere letters of a presentation that must be a deformed
-    3-sphere, whose radius relation must hold in the quotient."""
+def _word_sum(p: AlgebraPresentation, terms) -> TensorElement:
+    """The sum of c NF(w) (x) NF(w') over triples (c, w, w') of words in
+    the letters of ``p``: every closed form below is such a sum.  The
+    presentation keeps NF of each monomial it is handed alone, as each
+    word is here, so a word seen before costs one q-sort and a lookup;
+    c scales the first leg, so each output term takes one product."""
+    out: dict[tuple, LaurentScalar] = {}
+    for c, w, w2 in terms:
+        for k, x in tensor_of([p.normal_form(w, c), p.normal_form(w2)]).terms.items():
+            accumulate(out, k, x)
+    return _trusted_tensor((alg_slot(p), alg_slot(p)), out)
+
+
+def matsumoto_connection(
+    spec: CoactionSpec, name: str = "", overrides: dict[int, TensorElement] | None = None
+) -> ConnectionForm:
+    """The explicit binomial connection form of a deformed 3-sphere.
+
+    For n >= 0 the image of u^n is the sum over m of C(n, m) times
+    (b* to the m)(a* to the n-m) tensored with (a to the n-m)(b to the
+    m); negative indices use the same words with every letter swapped
+    for its star partner.  The radius relation must hold in the quotient.
+    """
     letters = _sphere_letters(spec)
     if letters is None:
         raise PresentationError(
             "expected a deformed sphere: four generators of right degree +1/-1, "
             "two of them +1"
         )
-    if _radius(spec.presentation, *letters) != spec.presentation.one():
-        raise PresentationError("radius relation does not reduce to 1")
-    return letters
-
-
-def _word_sum(p: AlgebraPresentation, terms) -> TensorElement:
-    """The sum of c NF(w) (x) NF(w') over triples (c, w, w') of words in
-    the letters of ``p``: every closed form below is such a sum.  The
-    presentation keeps NF of each monomial it is handed alone, as each
-    word is here, so a word seen before costs one q-sort and a lookup."""
-    out: dict[tuple, LaurentScalar] = {}
-    for c, w, w2 in terms:
-        _add_scaled(out, tensor_of([p.normal_form(w), p.normal_form(w2)]), c)
-    return _trusted_tensor((alg_slot(p), alg_slot(p)), out)
-
-
-def matsumoto_connection(spec: CoactionSpec, name: str = "") -> ConnectionForm:
-    """The explicit binomial connection form of a deformed 3-sphere.
-
-    For n >= 0 the image of u^n is the sum over m of C(n, m) times
-    (b* to the m)(a* to the n-m) tensored with (a to the n-m)(b to the
-    m); negative indices use the same words with every letter swapped
-    for its star partner.
-    """
-    ga, gb = _sphere_pair(spec)
+    ga, gb = letters
     p = spec.presentation
+    if _radius(p, ga, gb) != p.one():
+        raise PresentationError("radius relation does not reduce to 1")
 
     def rule(n: int) -> TensorElement:
         a, b = (ga, gb) if n >= 0 else (p.star_map[ga], p.star_map[gb])
@@ -168,7 +166,7 @@ def matsumoto_connection(spec: CoactionSpec, name: str = "") -> ConnectionForm:
         )
         return _word_sum(p, words)
 
-    return ConnectionForm(spec, rule, name=name or "sphere")
+    return ConnectionForm(spec, rule, overrides, name=name or "sphere")
 
 
 def lifted_canonical_map(spec: CoactionSpec, t: TensorElement) -> TensorElement:
@@ -328,19 +326,29 @@ def compose_connection(
     return ConnectionForm(cot.induced_right, rule, name=name or "composed")
 
 
-def _tower_letters(cot: CotensorAlgebra, left: tuple[int, int]) -> tuple[str, str, str, str]:
-    """Letters (a, b) of the first factor and (a, b) of the second,
-    for the closed-form expansions of a composite sphere tower.
+def _tower_letters(cot: CotensorAlgebra, left: tuple[int, int]) -> tuple[str, ...] | None:
+    """Letters (a, b) of the first factor and (a, b) of the second, for
+    the closed-form expansions of a composite sphere tower, or None.
 
-    The second factor's two degree-one generators must have the left
+    Both factors must have the sphere shape (``_sphere_letters``), and
+    the second factor's two degree-one generators must have the left
     degrees ``left``, in declaration order: (-1, 1) is the mixed
-    grading, (-1, -1) the all-minus one.
+    grading, (-1, -1) the all-minus one.  Only gradings are read; the
+    radius is checked by ``matsumoto_connection`` and the radius rows.
     """
-    ga, gb = _sphere_pair(cot.left_spec)
-    pa, pb = _sphere_pair(cot.right_spec)
-    if (cot.right_spec.left[pa], cot.right_spec.left[pb]) != left:
-        raise PresentationError("second factor must carry the left grading %d, %d" % left)
-    return ga, gb, pa, pb
+    first, second = _sphere_letters(cot.left_spec), _sphere_letters(cot.right_spec)
+    if first and second and tuple(cot.right_spec.left[g] for g in second) == left:
+        return first + second
+    return None
+
+
+def _expansion_letters(cot: CotensorAlgebra, left: tuple[int, int]) -> tuple[tuple, dict]:
+    """``_tower_letters`` and the ambient star map, for an expansion;
+    raises on a tower of another shape."""
+    letters = _tower_letters(cot, left)
+    if letters is None:
+        raise PresentationError("expected a sphere tower with P's left grading %d, %d" % left)
+    return letters, cot.ambient.star_map
 
 
 def composed_closed_form(cot: CotensorAlgebra, n: int) -> TensorElement:
@@ -353,8 +361,7 @@ def composed_closed_form(cot: CotensorAlgebra, n: int) -> TensorElement:
     second's (letters of different slots commute).  Negative indices
     use the same words with every letter swapped for its star partner.
     """
-    ga, gb, pa, pb = _tower_letters(cot, (-1, 1))
-    star = cot.ambient.star_map
+    (ga, gb, pa, pb), star = _expansion_letters(cot, (-1, 1))
     if n < 0:
         ga, gb, pa, pb = star[ga], star[gb], star[pa], star[pb]
     nn = abs(n)
@@ -384,8 +391,7 @@ def composed_generator_form(cot: CotensorAlgebra, n: int) -> TensorElement:
     source of this expansion carries a typo there, see
     test_composition_closed_forms_agree).  Negative indices swap the legs.
     """
-    ga, gb, pa, pb = _tower_letters(cot, (-1, 1))
-    star = cot.ambient.star_map
+    (ga, gb, pa, pb), star = _expansion_letters(cot, (-1, 1))
     gens = (ga, star[pa]), (gb, pb), (ga, pb), (gb, star[pa])
     alpha, beta, gamma, delta = gens
     alpha_s, beta_s, gamma_s, delta_s = (tuple(star[g] for g in w) for w in gens)
@@ -421,8 +427,7 @@ def composed_translation_form(cot: CotensorAlgebra, n: int) -> TensorElement:
     for a word w in them, where w* is the reversed word of starred
     letters.
     """
-    ga, gb, pa, pb = _tower_letters(cot, (-1, -1))
-    star = cot.ambient.star_map
+    (ga, gb, pa, pb), star = _expansion_letters(cot, (-1, -1))
     cross = (ga, star[pa]), (gb, star[pb]), (ga, star[pb]), (gb, star[pa])
     if n < 0:
         cross = [tuple(star[g] for g in w) for w in cross]

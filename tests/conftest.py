@@ -54,6 +54,10 @@ IDENTITY_MUTANT = ("= L^4 xpb xpa", "= L^3 xpb xpa")  # one wrong scalar in an e
 # A's connection without its closed rule: an index with no entry fails each
 # row that reads it, with the form's message, instead of ending the run
 RULELESS = ("[connection A]\nrule = sphere\n", "[connection A]\n")
+# with RULELESS: A keeps the sphere shape but its radius is 2, so the
+# radius rows fail and the closed-form rows, which read gradings only,
+# still compare the composed connection with its expansions
+RADIUS_TWO = ("reduce b b' = 1 - a a'\n", "reduce b b' = 2 - a a'\n")
 
 
 # edits of ex1, the only bundled tower whose second factor's letters both
@@ -63,19 +67,20 @@ EX1_ENTRY_MUTANT = (_EX1_ENTRY_MINUS_2, _EX1_ENTRY_MINUS_2.replace("+ 2", "+ 3",
 EX1_EXTRA_ENTRY = (_EX1_ENTRY_MINUS_2, _EX1_ENTRY_MINUS_2 + "entry -4 = (a^4 | a'^4)\n")
 
 
-def _variant_text(name, edit):
-    old, new = edit
+def _variant_text(name, edits):
     text = preset_text(name)
-    assert text.count(old) == 1
-    return text.replace(old, new)
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
 
 
-def ex1_variant_text(edit):
-    return _variant_text("matsumoto-ex1", edit)
+def ex1_variant_text(*edits):
+    return _variant_text("matsumoto-ex1", edits)
 
 
-def ex2_variant_text(edit):
-    return _variant_text("matsumoto-ex2", edit)
+def ex2_variant_text(*edits):
+    return _variant_text("matsumoto-ex2", edits)
 
 
 def without_sections(text, *kinds):

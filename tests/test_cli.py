@@ -290,6 +290,24 @@ def test_a_connection_without_a_rule_fails_rows_instead_of_the_run(runner, tmp_p
     assert failing and all("has no closed rule and no entry for index" in f for f in failing)
     assert any(f.startswith("FAIL connection/first-translation-reproduce-coaction") for f in failing)
 
+
+def test_a_sphere_tower_whose_radius_fails_keeps_its_expansion_rows(runner, tmp_path):
+    # the closed-form rows ask only for the sphere shape and P's left
+    # grading, so a ruleless A whose radius is 2 still gets both of them;
+    # the radius failure shows in the algebra suite's radius row
+    from conftest import RADIUS_TWO, RULELESS, ex2_variant_text
+
+    path = tmp_path / "radius-two.preset"
+    path.write_text(ex2_variant_text(RULELESS, RADIUS_TWO), encoding="utf-8")
+    res = invoke(runner, "verify", "--file", str(path), "--format", "json", "--n-bound", "2")
+    assert res.exit_code == 1
+    rows = {(r["suite"], r["check_id"]): r for r in json.loads(res.output)["results"]}
+    assert rows["algebra", "first-radius"]["status"] == "fail"
+    assert rows["connection", "composed-matches-direct"]["status"] == "pass"
+    generator = rows["connection", "composed-matches-generator-form"]
+    assert (generator["status"], generator["detail"]) == ("fail", "differs at index -2")
+
+
 # (a line of the ex2 preset, a line with the same key put above it, the key)
 REPEATED_KEYS = [
     ("entry 1 = (a' | a) + (b' | b)", "entry 1 = (a' | a)", "entry 1"),

@@ -102,9 +102,9 @@ def tokenize(text: str, line_offset: int = 1, col_offset: int = 1):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(Token("int", text[i:j], line, col))
             col += j - i
@@ -306,6 +306,8 @@ class _ExprParser:
         return sign * int(tok.text)
 
     def _pow(self, v, k, tok):
+        if isinstance(v, TensorElement):
+            raise _err(tok, "cannot raise a tensor expression to a power")
         if k < 0 and not (_is_scalar(v) and v.is_unit_monomial()):
             raise _err(tok, "negative powers only apply to unit scalars")
         return v**k

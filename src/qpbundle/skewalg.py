@@ -123,6 +123,10 @@ class AlgebraPresentation:
         # rest is forced by consistency
         q = [[ONE for _ in range(k)] for _ in range(k)]
         for (gi, gj), val in commutation.items():
+            if gi not in self.index or gj not in self.index:
+                raise PresentationError(
+                    "commutation entry (%s,%s) names an unknown generator" % (gi, gj)
+                )
             i, j = self.index[gi], self.index[gj]
             if i <= j:
                 raise PresentationError(

@@ -54,9 +54,10 @@ IDENTITY_MUTANT = ("= L^4 xpb xpa", "= L^3 xpb xpa")  # one wrong scalar in an e
 # A's connection without its closed rule: an index with no entry fails each
 # row that reads it, with the form's message, instead of ending the run
 RULELESS = ("[connection A]\nrule = sphere\n", "[connection A]\n")
-# with RULELESS: A keeps the sphere shape but its radius is 2, so the
-# radius rows fail and the closed-form rows, which read gradings only,
-# still compare the composed connection with its expansions
+# A keeps the sphere shape but its radius is 2, so the radius rows fail.
+# Alone, the sphere rule still loads and fails to colift; with RULELESS,
+# the closed-form rows, which read gradings only, still compare the
+# composed connection with its expansions
 RADIUS_TWO = ("reduce b b' = 1 - a a'\n", "reduce b b' = 2 - a a'\n")
 
 

@@ -877,10 +877,11 @@ def scan_colinearity(form, n_bound):
 
 
 def scan_h_balance(form, left_spec, n_bound):
-    """The rows of ``check_h_balance``, each formulation an equality of
-    H (x) P (x) P tensors: u^(L(x)+L(y)) (x) x (x) y against u^0 (x) x (x) y
-    (combined) and u^L(x) (x) x (x) y against u^(-L(y)) (x) x (x) y
-    (per leg), over the terms x (x) y of every image."""
+    """The ``h-balance`` row of ``check_h_balance`` and the connection
+    suite's ``h-balance-equivalence`` lemma row, each formulation an
+    equality of H (x) P (x) P tensors: u^(L(x)+L(y)) (x) x (x) y against
+    u^0 (x) x (x) y (combined) and u^L(x) (x) x (x) y against
+    u^(-L(y)) (x) x (x) y (per leg), over the terms x (x) y of every image."""
     ldeg = left_spec.left_degree
 
     def legs_agree(t, lhs, rhs):

@@ -269,6 +269,19 @@ def test_a_section_for_another_algebra_exits_two_at_its_header(runner, tmp_path,
     assert res.stderr == "error: line %d, column 1: unknown section %s\n" % (at, header)
 
 
+# the rows of the composed connection and those that read it
+COMPOSED_ROWS = (
+    "composed-unit",
+    "composed-colift",
+    "composed-right-colinear",
+    "composed-left-colinear",
+    "composed-mul-counit",
+    "composed-matches-direct",
+    "composed-matches-generator-form",
+    "caninv-roundtrip",
+)
+
+
 @pytest.mark.parametrize(
     "bounds",
     [(), ("--n-bound", "3"), ("--n-bound", "1", "--degree-bound", "3")],
@@ -289,6 +302,25 @@ def test_a_connection_without_a_rule_fails_rows_instead_of_the_run(runner, tmp_p
     failing = [line for line in lines if line.startswith("FAIL")]
     assert failing and all("has no closed rule and no entry for index" in f for f in failing)
     assert any(f.startswith("FAIL connection/first-translation-reproduce-coaction") for f in failing)
+    # every composed row is reported, whether compose-well-defined passes
+    reported = {line.split()[1] for line in lines[:-1]}
+    assert {"connection/" + c for c in COMPOSED_ROWS} <= reported
+
+
+def test_a_sphere_whose_radius_is_not_one_loads_and_fails_its_rows(runner, tmp_path):
+    # rule = sphere needs only the sphere shape; the radius is decided by
+    # the radius rows, and the closed rule then fails to colift
+    from conftest import RADIUS_TWO, ex2_variant_text
+
+    path = tmp_path / "radius-two.preset"
+    path.write_text(ex2_variant_text(RADIUS_TWO), encoding="utf-8")
+    res = invoke(runner, "verify", "--file", str(path), "--n-bound", "2")
+    assert res.exit_code == 1
+    assert res.stderr == ""
+    lines = res.stdout.splitlines()
+    assert lines[-1].endswith(" failed")
+    assert "FAIL algebra/first-radius  (radius sum does not reduce to 1)" in lines
+    assert "FAIL connection/first-colift  (colifting fails at index -2)" in lines
 
 
 def test_a_sphere_tower_whose_radius_fails_keeps_its_expansion_rows(runner, tmp_path):
@@ -437,11 +469,11 @@ def test_programming_error_exits_three(runner, tmp_path, monkeypatch):
     assert res.stdout == golden.read_text(encoding="utf-8")
 
     # a bug inside a row's computation is not reported as a failed
-    # identity; only the caninv-roundtrip row calls grouplike
+    # identity; only the h-balance row calls balance_total_holds
     def broken(*args):
         raise TypeError("unsupported operand")
 
-    monkeypatch.setattr("qpbundle.cli.suites.grouplike", broken)
+    monkeypatch.setattr("qpbundle.connection.balance_total_holds", broken)
     res = invoke(runner, "verify", "--suite", "connection", *FAST)
     assert res.exit_code == 3
     assert "internal error: TypeError: unsupported operand" in res.stderr
@@ -452,7 +484,7 @@ def test_programming_error_exits_three(runner, tmp_path, monkeypatch):
     def unpacking(*args):
         raise ValueError("not enough values to unpack")
 
-    monkeypatch.setattr("qpbundle.cli.suites.grouplike", unpacking)
+    monkeypatch.setattr("qpbundle.connection.balance_total_holds", unpacking)
     res = invoke(runner, "verify", "--suite", "connection", *FAST)
     assert res.exit_code == 3
     assert "internal error: ValueError: not enough values to unpack" in res.stderr
@@ -490,6 +522,46 @@ def test_nf_parse_error_exits_two(runner):
     assert "error:" in res.stderr
     res = invoke(runner, "nf", "--algebra", "A", "alpha")
     assert res.exit_code == 2
+
+
+# (nf arguments, the error there, a line of the ex2 preset and its
+# replacement, the error there): a digit that int() does not read, and a
+# power of a tensor, are parse errors at their line and column
+UNREAD_EXPRESSIONS = [
+    (
+        ("--algebra", "A", "a^\u00b2"),
+        "column 3: unexpected character '\u00b2'",
+        ("q b a = L^-1\n", "q b a = L^-\u00b9\n"),
+        "column 12: unexpected character '\u00b9'",
+    ),
+    (
+        ("(a | b)^2",),
+        "column 8: cannot raise a tensor expression to a power",
+        ("entry 2 = (a'^2 | a^2) + 2 (b' a' | a b) + (b'^2 | b^2)\n", "entry 2 = (a' | a)^2\n"),
+        "column 19: cannot raise a tensor expression to a power",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, nf_error, edit, preset_error",
+    UNREAD_EXPRESSIONS,
+    ids=["superscript-digit", "tensor-power"],
+)
+def test_an_expression_the_grammar_does_not_read_exits_two(
+    runner, tmp_path, args, nf_error, edit, preset_error
+):
+    from conftest import ex2_variant_text, preset_text
+
+    res = invoke(runner, "nf", *args)
+    assert res.exit_code == 2
+    assert res.stderr == "error: line 1, %s\n" % nf_error
+    at = preset_text("matsumoto-ex2").splitlines().index(edit[0].rstrip("\n")) + 1
+    bad = tmp_path / "bad.preset"
+    bad.write_text(ex2_variant_text(edit), encoding="utf-8")
+    res = invoke(runner, "verify", "--file", str(bad), *FAST)
+    assert res.exit_code == 2
+    assert res.stderr == "error: line %d, %s\n" % (at, preset_error)
 
 
 def test_compose_prints_the_image(runner):

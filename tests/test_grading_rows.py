@@ -28,7 +28,7 @@ from oracles import (
     scan_entwining_axioms,
     scan_h_balance,
 )
-from qpbundle.cli.parser import load_preset
+from qpbundle.cli.parser import Tower, load_preset
 from qpbundle.cli.suites import SuiteConfig, run_suites
 from qpbundle.comodule import CoactionSpec, TensorElement, tensor_of
 from qpbundle.connection import (
@@ -53,6 +53,13 @@ def _overridden(form, n, t, spec=None):
 
 def _cotensor_rows(tower):
     return run_suites(tower, SuiteConfig(("cotensor",), degree_bound=2)).results
+
+
+def _second_connection_rows(tower, form, spec, n_bound):
+    """The connection suite's rows for ``form``, over ``spec``, as the
+    second factor's only connection form."""
+    alone = Tower(tower.name, tower.a_spec, spec, tower.cot, None, form, {})
+    return run_suites(alone, SuiteConfig(("connection",), n_bound=n_bound)).results
 
 
 def _with_cross_rule(cot):
@@ -111,9 +118,12 @@ def test_unbalanced_second_form_fails_h_balance(ex2):
     spec = ex2.p_spec
     x = spec.presentation.gen("x")
     # x has left degree -1, so x (x) x has total left degree -2
-    results = check_h_balance(_overridden(ex2.form_p, 2, tensor_of([x, x])), spec, n_bound=3)
+    form = _overridden(ex2.form_p, 2, tensor_of([x, x]))
+    results = check_h_balance(form, spec, n_bound=3)
     assert _row(results, "h-balance") == ("fail", "combined balance fails at index 2")
-    assert _row(results, "h-balance-equivalence") == ("pass", "")
+    rows = _second_connection_rows(ex2, form, spec, 3)
+    assert _row(rows, "second-h-balance") == ("fail", "combined balance fails at index 2")
+    assert _row(rows, "second-h-balance-equivalence") == ("pass", "")
 
 
 def test_unit_defect_breaks_closure(ex2):
@@ -204,7 +214,11 @@ def test_grading_rows_match_the_scans(ex1, ex2, data):
     _assert_rows_match(rows, scanned, "right-colinear", "left-colinear")
     if spec.has_left():
         rows, scanned = check_h_balance(mutant, spec, 2), scan_h_balance(mutant, spec, 2)
-        _assert_rows_match(rows, scanned, "h-balance", "h-balance-equivalence")
+        _assert_rows_match(rows, scanned, "h-balance")
+        # the suite reports the equivalence as a lemma; the scan must agree
+        rows = _second_connection_rows(tower, mutant, spec, 2)
+        want = _row(scanned, "h-balance-equivalence")
+        assert _row(rows, "second-h-balance-equivalence") == want
 
 
 def test_coinvariants_certificate_matches_the_scan(ex1, ex2):

@@ -165,6 +165,10 @@ def test_presentation_validation():
         AlgebraPresentation(
             ("a", "b"), {"a": "a", "b": "b"}, {("a", "b"): S.lam(1)}
         )
+    for pair in (("z", "a"), ("a'", "z")):
+        # table entries must name generators
+        with pytest.raises(PresentationError, match="names an unknown generator"):
+            AlgebraPresentation(("a", "a'"), {"a": "a'"}, {pair: ONE})
     with pytest.raises(PresentationError):
         # q must be a unit monomial
         AlgebraPresentation(

@@ -9,11 +9,13 @@ circled-times character) tensors two factors.
 Presets are line-oriented documents with [section] headers:
 
     [meta]              name = ...
-    [algebra A]         generators, star pairs, q table, reduce rules,
-                        right/left gradings
+    [algebra A]         generators, star pairs, q table (as written:
+                        AlgebraPresentation orients and checks it),
+                        reduce rules, right/left gradings
     [connection A]      rule = sphere, plus explicit entry lines
     [aliases]           named elements of the joint tensor algebra; an
-                        alias may use the aliases above it
+                        alias may use the aliases above it, and its
+                        name is not a generator's, L or M
     [identities]        example rows "check-id: lhs = rhs" in the joint
                         algebra, or "check-id: coinvariant name ...";
                         [identities A] and [identities P] hold rows of
@@ -173,16 +175,16 @@ class _ExprParser:
 
     # value algebra ----------------------------------------------------
 
+    # the elements of one context share its presentation, so only kinds
+    # and tensor shapes can disagree
     def _mul(self, a, b, tok):
         if _is_scalar(a) and _is_scalar(b):
             return a * b
         if _is_scalar(a):
-            return b.scale(a) if not _is_scalar(b) else a * b
+            return b.scale(a)
         if _is_scalar(b):
             return a.scale(b)
         if isinstance(a, AlgebraElement) and isinstance(b, AlgebraElement):
-            if a.presentation is not b.presentation:
-                raise _err(tok, "factors live in different algebras")
             return a * b
         if isinstance(a, TensorElement) and isinstance(b, TensorElement):
             if a.shape != b.shape:
@@ -196,8 +198,6 @@ class _ExprParser:
         a = self._promote_like(a, b, tok)
         b = self._promote_like(b, a, tok)
         if isinstance(a, AlgebraElement) and isinstance(b, AlgebraElement):
-            if a.presentation is not b.presentation:
-                raise _err(tok, "terms live in different algebras")
             return a + b
         if isinstance(a, TensorElement) and isinstance(b, TensorElement):
             if a.shape != b.shape:
@@ -444,6 +444,7 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
             parts = lhs.split()
             if len(parts) != 3:
                 raise ParseError("expected: q <g> <h> = <scalar>", lineno, 1)
+            _once(seen, ("q", frozenset(parts[1:])), " ".join(parts), lineno)
             q_lines.append((lineno, parts[1], parts[2], value, col))
         elif head == "reduce":
             _, value, col = _keyval(line, lineno)
@@ -471,15 +472,7 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
         coeff = parse_expression(scalar_ctx, value, lineno, col)
         if not isinstance(coeff, LaurentScalar):
             raise ParseError("q entry must be a scalar", lineno, 1)
-        if index[g] > index[h]:
-            key, val = (g, h), coeff
-        elif index[g] < index[h]:
-            key, val = (h, g), coeff.inverse()
-        else:
-            raise ParseError("q entry for a generator with itself", lineno, 1)
-        if key in commutation and commutation[key] != val:
-            raise ParseError("conflicting q entries for %s, %s" % key, lineno, 1)
-        commutation[key] = val
+        commutation[(g, h)] = coeff
 
     try:
         bare = AlgebraPresentation(generators, star_pairs, commutation, (), name=label)
@@ -560,12 +553,7 @@ def parse_connection_section(lines, spec: CoactionSpec, label: str) -> Connectio
     if rule_name == "sphere":
         return matsumoto_connection(spec, name=label, overrides=entries)
     if rule_name is None:
-        def missing(n: int) -> TensorElement:
-            raise PresentationError(
-                "connection %s has no closed rule and no entry for index %d" % (label, n)
-            )
-
-        return ConnectionForm(spec, missing, overrides=entries, name=label)
+        return ConnectionForm(spec, None, overrides=entries, name=label)
     raise ParseError("unknown connection rule %r" % rule_name, lines[0][0], 1)
 
 
@@ -688,6 +676,9 @@ def load_preset(text: str, fallback_name: str = "preset") -> Tower:
         if not alias.isidentifier():
             raise ParseError("alias name %r is not an identifier" % alias, lineno, 1)
         _once(defined, alias, "alias %s" % alias, lineno)
+        if alias in _SCALAR_NAMES or alias in ctx.presentation.index:
+            kind = "scalar" if alias in _SCALAR_NAMES else "generator"
+            raise ParseError("alias %s reuses a %s name" % (alias, kind), lineno, 1)
         v = parse_value(ctx, value, lineno, col)
         if not isinstance(v, AlgebraElement):
             raise ParseError("alias must name an algebra element", lineno, 1)

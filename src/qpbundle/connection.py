@@ -44,6 +44,7 @@ class ConnectionForm:
     """Map from grouplike indices to canonical tensor-square elements.
 
     ``rule`` computes the image for any index; results are memoized.
+    Without one (``rule`` None) ``closed`` raises ``PresentationError``.
     ``overrides`` pin explicit tensors for chosen indices (as loaded
     from a preset file) and take precedence over the rule, so that a
     doctored table shows up in the verification output rather than
@@ -53,7 +54,7 @@ class ConnectionForm:
     def __init__(
         self,
         spec: CoactionSpec,
-        rule: Callable[[int], TensorElement],
+        rule: Callable[[int], TensorElement] | None,
         overrides: dict[int, TensorElement] | None = None,
         name: str = "",
     ):
@@ -72,6 +73,10 @@ class ConnectionForm:
     def closed(self, n: int) -> TensorElement:
         """The rule's output, bypassing overrides."""
         if n not in self._memo:
+            if self._rule is None:
+                raise PresentationError(
+                    "connection %s has no closed rule and no entry for index %d" % (self.name, n)
+                )
             t = self._rule(n)
             if t.shape != self._shape:
                 raise ShapeError("connection rule returned a wrong shape")

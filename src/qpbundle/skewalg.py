@@ -9,6 +9,10 @@ an involutive star pairing on generators, and finitely many oriented
 inhomogeneous rewrite rules whose left sides are normal-ordered
 monomials (for the deformed 3-sphere: b b* -> 1 - a a*).
 
+``AlgebraPresentation`` alone checks the table: an entry may name a pair
+in either order (one for g_j g_i gives q_ij^-1), once or consistently,
+and every name in it and in the star pairing must be a generator.
+
 Monomials are exponent vectors over the generator order.  A word is
 normalized in two stages: q-sorting into an exponent vector (picking up
 a unit-monomial coefficient from the inversions), then exhaustive rule
@@ -108,6 +112,11 @@ class AlgebraPresentation:
         # star involution on generator indices
         star: dict[str, str] = {}
         for g, h in star_pairs.items():
+            for name in (g, h):
+                if name not in self.index:
+                    raise PresentationError(
+                        "star pair names %r, which is not a generator" % name
+                    )
             star[g] = h
             star[h] = g
         for g in self.generators:
@@ -115,46 +124,39 @@ class AlgebraPresentation:
                 raise PresentationError("generator %r has no star partner" % g)
             if star[star[g]] != g:
                 raise PresentationError("star pairing is not an involution at %r" % g)
-            if star[g] not in self.index:
-                raise PresentationError("star partner %r is not a generator" % star[g])
         self.star_map = star
 
-        # full q matrix; q[i][j] for i>j is taken from the table, the
-        # rest is forced by consistency
+        # full q matrix; an entry for either order of a pair sets q[i][j]
+        # for i > j, the rest is forced by consistency
         q = [[ONE for _ in range(k)] for _ in range(k)]
+        given: dict[tuple[int, int], LaurentScalar] = {}
         for (gi, gj), val in commutation.items():
             if gi not in self.index or gj not in self.index:
                 raise PresentationError(
                     "commutation entry (%s,%s) names an unknown generator" % (gi, gj)
                 )
             i, j = self.index[gi], self.index[gj]
-            if i <= j:
+            if i == j:
                 raise PresentationError(
-                    "commutation entries must be given for later*earlier pairs, got (%s,%s)" % (gi, gj)
+                    "commutation entry (%s,%s) pairs a generator with itself" % (gi, gj)
                 )
             if not val.is_unit_monomial():
                 raise PresentationError(
                     "commutation coefficient for (%s,%s) is not a unit monomial: %s"
                     % (gi, gj, render_scalar(val))
                 )
+            if i < j:
+                i, j, val = j, i, val.inverse()
+            if given.setdefault((i, j), val) != val:
+                raise PresentationError("conflicting commutation entries for (%s,%s)" % (gi, gj))
             q[i][j] = val
             q[j][i] = val.inverse()
         self.q = tuple(tuple(row) for row in q)
-        # the entries q_ij != 1 with i > j as exponents (i, j, sign parity,
-        # L, M); sort_factor reads them by row i, _sort_word by column j
-        entries = [
-            (i, j) + _unit_exponents(q[i][j])
-            for i in range(k)
-            for j in range(i)
-            if not q[i][j].is_one()
-        ]
+        # the entries q_ij != 1 with i > j as exponents (j, sign parity, L,
+        # M), by row i; sort_factor and _sort_word read them
         self._crossings = tuple(
-            tuple((j, s, e_l, e_m) for i, j, s, e_l, e_m in entries if i == row)
-            for row in range(k)
-        )
-        self._crossed = tuple(
-            tuple((i, s, e_l, e_m) for i, j, s, e_l, e_m in entries if j == col)
-            for col in range(k)
+            tuple((j,) + _unit_exponents(q[i][j]) for j in range(i) if not q[i][j].is_one())
+            for i in range(k)
         )
 
         # oriented rewrite rules
@@ -341,22 +343,22 @@ class AlgebraPresentation:
         """q-sort a word: (factor picked up, exponent vector)."""
         v = [0] * len(self.generators)
         parity = e_l = e_m = 0
-        # insert letters left to right; each new letter g_j crosses the
-        # tail of letters g_i already placed with i > j, picking up q_ij
-        # once per letter crossed
-        for g in word:
+        # place letters right to left; each new letter g_i crosses the
+        # letters g_j already placed with j < i, picking up q_ij once per
+        # letter crossed
+        for g in reversed(word):
             if g not in self.index:
                 raise PresentationError(
                     "unknown generator %r (algebra %s)" % (g, self.name)
                 )
-            j = self.index[g]
-            for i, s, l, m in self._crossed[j]:
-                n = v[i]
+            i = self.index[g]
+            for j, s, l, m in self._crossings[i]:
+                n = v[j]
                 if n:
                     parity += s * n
                     e_l += l * n
                     e_m += m * n
-            v[j] += 1
+            v[i] += 1
         return LaurentScalar({(e_l, e_m): -1 if parity & 1 else 1}, True), tuple(v)
 
     def normal_form(self, word: Sequence[str], coeff: LaurentScalar = ONE) -> "AlgebraElement":

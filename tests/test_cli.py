@@ -346,6 +346,8 @@ REPEATED_KEYS = [
     ("rule = sphere", "rule = nonsense", "rule"),
     ("generators = x x' y y'", "generators = x x'", "generators"),
     ("star x x'", "star x y'", "star x"),
+    # a q pair is one key in either order, even when the entries agree
+    ("q b a = L^-1", "q a b = L", "q b a"),
     ("right a = 1", "right a = 2", "right a"),
     ("left y = 1", "left y = -1", "left y"),
     ("beta = b y", "beta = a y", "alias beta"),
@@ -366,6 +368,50 @@ def test_a_repeated_key_exits_two_at_its_second_line(runner, tmp_path, line, abo
     assert res.exit_code == 2
     want = "error: line %d, column 1: %s repeats line %d\n" % (first + 1, key, first)
     assert res.stderr == want
+
+
+# (a line of ex2's [algebra A], what replaces it, the presentation's error)
+BAD_TABLE_LINES = [
+    ("q b' a = L", "q a b' = 2", "commutation coefficient for (a,b') is not a unit monomial: 2"),
+    ("q b' b = 1", "q b' b = 1\nq a a = 1", "commutation entry (a,a) pairs a generator with itself"),
+    ("star b b'", "star b b'\nstar c c'", "star pair names 'c', which is not a generator"),
+]
+
+
+@pytest.mark.parametrize("line, new, message", BAD_TABLE_LINES, ids=["non-unit", "self", "star"])
+def test_a_table_the_presentation_rejects_exits_two_at_its_section(
+    runner, tmp_path, line, new, message
+):
+    # the presentation decides the q-table and the star names; its error
+    # points at the section's first line, with no traceback
+    from conftest import preset_text
+
+    text = preset_text("matsumoto-ex2")
+    at = text.splitlines().index("generators = a a' b b'") + 1
+    bad = tmp_path / "bad.preset"
+    bad.write_text(text.replace(line + "\n", new + "\n", 1))
+    res = invoke(runner, "verify", "--file", str(bad), "--suite", "algebra", *FAST)
+    assert res.exit_code == 2
+    assert res.stderr == "error: line %d, column 1: invalid presentation: %s\n" % (at, message)
+
+
+@pytest.mark.parametrize(
+    "alias, kind", [("a = b", "generator"), ("x = alpha", "generator"), ("L = a", "scalar")]
+)
+def test_an_alias_that_reuses_a_name_exits_two_at_its_line(runner, tmp_path, alias, kind):
+    # generators and L, M resolve before aliases, so such an alias would
+    # never be read
+    from conftest import preset_text
+
+    text = preset_text("matsumoto-ex2")
+    line = "alpha = a x'"
+    at = text.splitlines().index(line) + 2
+    bad = tmp_path / "bad.preset"
+    bad.write_text(text.replace(line, line + "\n" + alias, 1))
+    res = invoke(runner, "verify", "--file", str(bad), *FAST)
+    assert res.exit_code == 2
+    name = alias.split()[0]
+    assert res.stderr == "error: line %d, column 1: alias %s reuses a %s name\n" % (at, name, kind)
 
 
 # (a malformed [connection A] line, put below its first entry, the message)

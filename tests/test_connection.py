@@ -148,6 +148,17 @@ def test_a_form_without_an_image_fails_every_axiom_row(ex2):
     with pytest.raises(TypeError):
         verify_strong_connection(ConnectionForm(ex2.a_spec, broken), 1)
 
+
+def test_a_form_without_a_rule_has_only_its_entries(ex2):
+    p = ex2.a_spec.presentation
+    unit = tensor_of([p.one(), p.one()])
+    form = ConnectionForm(ex2.a_spec, None, overrides={0: unit}, name="A")
+    assert form(0) == unit
+    message = "^connection A has no closed rule and no entry for index 1$"
+    with pytest.raises(PresentationError, match=message):
+        form(1)
+
+
 def test_overrides_take_precedence(ex2):
     spec = ex2.a_spec
     p = spec.presentation

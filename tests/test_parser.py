@@ -1,8 +1,9 @@
 """Expression grammar and preset document parsing."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import load_bundled, preset_text, without_identities
+from conftest import load_bundled, preset_text, sphere_preset_text, sphere_tables, without_identities
 from oracles import parse_presentation
 from qpbundle import render_element, render_tensor
 from qpbundle.cli.parser import (
@@ -170,6 +171,21 @@ def test_q_entries_accept_either_order():
     spec = parse_presentation(flipped)
     want = parse_presentation(MINIMAL)
     assert spec.presentation.q == want.presentation.q
+
+
+@given(sphere_tables(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_q_entries_in_any_order_give_the_later_earlier_matrix(case, data):
+    # an entry for g h with g earlier in the order is read as q(h g)^-1
+    table, with_rule = case
+    written = {}
+    for (g, h), (sign, l, m) in table.items():
+        if data.draw(st.booleans()):
+            written[(h, g)] = (sign, -l, -m)
+        else:
+            written[(g, h)] = (sign, l, m)
+    want = load_preset(sphere_preset_text(table, with_rule)).a_spec.presentation.q
+    assert load_preset(sphere_preset_text(written, with_rule)).a_spec.presentation.q == want
 
 
 def test_reduce_left_side_must_be_normal():

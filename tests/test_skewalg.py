@@ -160,20 +160,30 @@ def test_presentation_validation():
         AlgebraPresentation(("a", "a"), {"a": "a"}, {})
     with pytest.raises(PresentationError):
         AlgebraPresentation(("a",), {}, {})  # no star partner
-    with pytest.raises(PresentationError):
-        # table entries must name the later generator first
-        AlgebraPresentation(
-            ("a", "b"), {"a": "a", "b": "b"}, {("a", "b"): S.lam(1)}
-        )
+    # an earlier*later entry is its later*earlier inverse
+    flipped = AlgebraPresentation(("a", "b"), {"a": "a", "b": "b"}, {("a", "b"): S.lam(1)})
+    assert flipped.q == ((ONE, S.lam(1)), (S.lam(-1), ONE))
     for pair in (("z", "a"), ("a'", "z")):
         # table entries must name generators
         with pytest.raises(PresentationError, match="names an unknown generator"):
             AlgebraPresentation(("a", "a'"), {"a": "a'"}, {pair: ONE})
-    with pytest.raises(PresentationError):
-        # q must be a unit monomial
+    with pytest.raises(PresentationError, match="pairs a generator with itself"):
+        AlgebraPresentation(("a", "a'"), {"a": "a'"}, {("a", "a"): ONE})
+    for pair in (("b", "a"), ("a", "b")):
+        # q must be a unit monomial, in either order (checked before inverting)
+        with pytest.raises(PresentationError, match="not a unit monomial"):
+            AlgebraPresentation(("a", "b"), {"a": "a", "b": "b"}, {pair: ONE + S.lam(1)})
+    with pytest.raises(PresentationError, match="conflicting commutation entries"):
+        # two entries for one pair must agree
         AlgebraPresentation(
-            ("a", "b"), {"a": "a", "b": "b"}, {("b", "a"): ONE + S.lam(1)}
+            ("a", "b"), {"a": "a", "b": "b"}, {("b", "a"): S.lam(1), ("a", "b"): S.lam(1)}
         )
+    # two entries that agree are one entry
+    both = {("b", "a"): S.lam(-1), ("a", "b"): S.lam(1)}
+    assert AlgebraPresentation(("a", "b"), {"a": "a", "b": "b"}, both).q == flipped.q
+    with pytest.raises(PresentationError, match="'c', which is not a generator"):
+        # every star name must be a generator, not only the partners of generators
+        AlgebraPresentation(("a", "a'"), {"a": "a'", "c": "c'"}, {})
     with pytest.raises(PresentationError):
         # rules must decrease the graded order
         AlgebraPresentation(

@@ -32,15 +32,12 @@ from .comodule import (
 from .cotensor import CotensorAlgebra, coinvariants_basis
 from .connection import (
     ConnectionForm,
-    check_h_balance,
     compose_connection,
     composed_closed_form,
     composed_generator_form,
     composed_translation_form,
     lifted_canonical_map,
     matsumoto_connection,
-    verify_strong_connection,
-    verify_translation_identities,
 )
 from .report import CheckResult, Report
 
@@ -62,7 +59,6 @@ __all__ = [
     "TensorElement",
     "alg_slot",
     "binomial",
-    "check_h_balance",
     "check_local_confluence",
     "check_star_compatible",
     "coalg_slot",
@@ -80,6 +76,4 @@ __all__ = [
     "render_tensor",
     "tensor_of",
     "tensor_presentation",
-    "verify_strong_connection",
-    "verify_translation_identities",
 ]

@@ -36,6 +36,7 @@ from ..skewalg import AlgebraElement, AlgebraPresentation, PackageError, Present
 from ..comodule import CoactionSpec, TensorElement, alg_slot, tensor_of
 from ..connection import ConnectionForm, compose_connection, matsumoto_connection
 from ..cotensor import CotensorAlgebra
+from .suites import RESERVED, ConfigError
 
 
 class ParseError(PackageError):
@@ -45,10 +46,6 @@ class ParseError(PackageError):
         if line:
             message = "line %d, column %d: %s" % (line, col, message)
         super().__init__(message)
-
-
-class ConfigError(PackageError):
-    """A run asked for with a setting outside its range."""
 
 
 # -- tokenizer -----------------------------------------------------------------
@@ -469,10 +466,7 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
     for lineno, g, h, value, col in q_lines:
         if g not in index or h not in index:
             raise ParseError("unknown generator in q entry", lineno, 1)
-        coeff = parse_expression(scalar_ctx, value, lineno, col)
-        if not isinstance(coeff, LaurentScalar):
-            raise ParseError("q entry must be a scalar", lineno, 1)
-        commutation[(g, h)] = coeff
+        commutation[(g, h)] = parse_expression(scalar_ctx, value, lineno, col)
 
     try:
         bare = AlgebraPresentation(generators, star_pairs, commutation, (), name=label)
@@ -565,8 +559,8 @@ def parse_identity_lines(lines, scope: str, ctx: ExpressionContext, identities: 
     id to its lines as (scope, line number, lhs, its column, rhs, its
     column): ``lhs = rhs`` in the scope's algebra, or, with rhs and its
     column None, ``lhs`` names a coinvariant of the balanced subalgebra.
-    Only shape and names are checked here; the examples suite evaluates
-    the lines."""
+    Only shape, names and that the id is not one of the examples suite's
+    own rows are checked here; ``Tower.identity_holds`` evaluates a line."""
     known = set(_SCALAR_NAMES) | set(ctx.aliases) | set(ctx.presentation.index)
     for lineno, line in lines:
         check_id, _, claim = line.partition(":")
@@ -582,6 +576,8 @@ def parse_identity_lines(lines, scope: str, ctx: ExpressionContext, identities: 
             shaped = lhs.strip() and rhs.strip() and "=" not in rhs
         if not (shaped and re.fullmatch(r"[\w-]+", check_id)):
             raise ParseError("expected id: lhs = rhs, or id: coinvariant name ...", lineno, 1)
+        if check_id in RESERVED:
+            raise ParseError("id %s names a row of the examples suite" % check_id, lineno, 1)
         for name in re.finditer(r"[^\W\d]\w*", line[at:]):
             if name[0] not in known:
                 raise ParseError("unknown name %r" % name[0], lineno, at + name.start() + 1)
@@ -613,6 +609,24 @@ class Tower:
                 )
             self._composed = compose_connection(self.form_a, self.form_p, self.cot)
         return self._composed
+
+    def identity_holds(self, scope, lineno, lhs, lcol, rhs, rcol) -> bool:
+        """Whether one identity line (see ``parse_identity_lines``) holds."""
+        value = parse_value(self.context(scope), lhs, lineno, lcol)
+        if rhs is not None:
+            return value == parse_value(self.context(scope), rhs, lineno, rcol)
+        if self.cot.induced_right is None:
+            raise PresentationError("no right grading on the second factor")
+        return self.cot.membership(value) and all(
+            self.cot.induced_right.right_degree(m) == 0 for m in value.terms
+        )
+
+    def identity_failure(self, scope, lineno, lhs, lcol, rhs, rcol) -> str:
+        """What a failing identity line gets wrong."""
+        if rhs is not None:
+            return "%s differs from %s" % (lhs, rhs)
+        balanced = self.cot.membership(parse_value(self.context(scope), lhs, lineno, lcol))
+        return "%s not %s" % (lhs, "of degree zero" if balanced else "balanced")
 
     def context(self, which: str) -> ExpressionContext:
         if which == "A":

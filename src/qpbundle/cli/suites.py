@@ -16,16 +16,23 @@ Five suites, selectable by name:
   examples    the identity lines the preset declares in its [identities]
               sections, and agreement with the translation form.
 
-The three expansion rows come from one table, ``_EXPANSIONS``.  On a
-sphere tower, the left degrees of P's sphere letters select them: (-1, 1)
-the two connection rows, (-1, -1) the translation row.  Gradings alone
-decide it.  The algebra suite's radius rows alone decide the radius: a
-sphere of radius other than 1 loads, and its sphere rule fails colift.
+``ROWS`` declares every row a report can hold, once: its suite, its
+name, the legs whose prefix its ids take (first-, second-, composed-,
+lifted-, first-translation-), its anchor and its kind.  A row is built
+only through its entry, so the table lists every id a tower emits; the
+examples suite's identity rows take the preset's ids, which may not be
+one of the suite's own (``RESERVED``).  The kind says who decides a row:
 
-The bicomodule, closure, coinvariant and entwining rows are lemmas of
-the invariants checked when a preset loads, and h-balance-equivalence
-holds for every connection form; ``_lemmas`` proves them once and emits
-them as passing rows, so their ids stay in every report.
+  computed          the suite's function below evaluates it on the tower;
+  lemma             it holds on every tower that loads (``_table_rows``
+                    proves it) and passes wherever it applies;
+  same as <id>      it repeats the verdict of row <id> of its suite.
+
+The three expansion rows are entries too.  On a sphere tower, the left
+degrees of P's sphere letters select them: (-1, 1) the two connection
+rows, (-1, -1) the translation row.  Gradings alone decide it.  The
+algebra suite's radius rows alone decide the radius: a sphere of radius
+other than 1 loads, and its sphere rule fails colift.
 
 Every check lands in a Report as a CheckResult.  Each row that reads a
 connection form, a composed image or an identity line is evaluated by
@@ -37,21 +44,26 @@ stack trace, and any other exception is a bug and propagates.
 
 from __future__ import annotations
 
-from ..skewalg import PresentationError, check_local_confluence, check_star_compatible
+from ..skewalg import (
+    PackageError,
+    PresentationError,
+    check_local_confluence,
+    check_star_compatible,
+)
 from ..connection import (
     _sphere_letters,
     _tower_letters,
-    check_h_balance,
     composed_closed_form,
     composed_generator_form,
     composed_translation_form,
-    verify_strong_connection,
-    verify_translation_identities,
 )
 from ..report import CheckResult, Report, check, verdict
-from .parser import ConfigError, Tower, parse_value
 
 SUITE_NAMES = ("algebra", "cotensor", "entwining", "connection", "examples")
+
+
+class ConfigError(PackageError):
+    """A run asked for with a setting outside its range."""
 
 
 class SuiteConfig:
@@ -77,51 +89,134 @@ class SuiteConfig:
         self.degree_bound = degree_bound
 
 
-def run_suites(tower: Tower, config: SuiteConfig) -> Report:
+# -- the row table ------------------------------------------------------------------
+
+COMPUTED, LEMMA = "computed", "lemma"
+
+
+class Row:
+    """One row family: the rows ``<leg>-<name>`` of ``suite``, one per
+    leg (the bare name for the leg ""), keyed on ``anchor``.  ``legs`` is
+    None for the identity rows, whose ids are the preset's, each passed as
+    its leg, and which are their own anchors.  A lemma row is emitted
+    where ``when(tower, leg)`` holds, or always without one.  An expansion
+    row compares the composed connection with ``expansion``: a closed
+    form, the left degrees of P's sphere letters that select it, and the
+    index cap."""
+
+    def __init__(
+        self, suite, name, legs=("",), kind=COMPUTED, anchor=None, when=None, expansion=None
+    ):
+        self.suite, self.name, self.legs, self.kind = suite, name, legs, kind
+        self.anchor = anchor or name
+        self.when = when
+        self.expansion = expansion
+
+    def id(self, leg: str) -> str:
+        return "-".join(filter(None, (leg, self.name)))
+
+    def verdict(self, leg: str, ok: bool, detail: str = "") -> CheckResult:
+        return verdict(self.suite, self.id(leg), ok, detail, self.anchor or self.id(leg))
+
+    def check(self, leg: str, cases, holds, describe) -> CheckResult:
+        return check(self.suite, self.id(leg), cases, holds, describe, self.anchor or self.id(leg))
+
+
+def _grading(tower, leg):
+    """The grading a leg's rows read: a factor's, or the induced one for
+    the lifted leg and for the bare leg of the cotensor algebra's rows."""
+    return {"first": tower.a_spec, "second": tower.p_spec}.get(leg, tower.cot.induced_right)
+
+
+def _graded(tower, leg) -> bool:
+    spec = _grading(tower, leg)
+    return spec is not None and spec.has_right()
+
+
+def _bigraded(tower, leg) -> bool:
+    return _graded(tower, leg) and _grading(tower, leg).has_left()
+
+
+def _balanced_form(tower, leg) -> bool:
+    return tower.form_p is not None and _bigraded(tower, leg)
+
+
+FACTORS = ("first", "second")
+FORMS = FACTORS + ("composed",)
+GRADED = FACTORS + ("lifted",)
+_AXIOMS = ("unit", "colift", "right-colinear", "left-colinear", "mul-counit")
+_TRANSLATION = ("reproduce-coaction", "coinvariant-commute", "multiplicative")
+
+ROWS = (
+    *(Row("algebra", x, FACTORS) for x in ("confluence", "radius", "radius-central")),
+    *(Row("algebra", x, FACTORS) for x in ("star-involutive", "star-antimultiplicative")),
+    Row("algebra", "bicomodule-commute", FACTORS, LEMMA, when=_bigraded),
+    Row("algebra", "unit-covariant", FACTORS, LEMMA, when=_bigraded),
+    Row("cotensor", "membership-accepts", anchor="membership"),
+    Row("cotensor", "membership-detects-imbalance", anchor="membership"),
+    Row("cotensor", "closure-product", kind=LEMMA, anchor="closure"),
+    Row("cotensor", "generators-balanced", kind=LEMMA, anchor="membership"),
+    Row("cotensor", "coinvariants-match", kind=LEMMA, anchor="coinvariants-lemma", when=_graded),
+    *(
+        Row("entwining", x, GRADED, LEMMA, when=_graded)
+        for x in ("multiplicative", "unit", "comultiplicative", "counit", "invertible")
+    ),
+    Row("entwining", "h-colinear", FACTORS, LEMMA, when=_bigraded),
+    *(Row("entwining", x, GRADED, LEMMA, when=_graded) for x in ("module-law", "copointed")),
+    Row("connection", "closed-form-match", FACTORS),
+    *(Row("connection", x, FORMS) for x in _AXIOMS),
+    *(Row("connection", x, ("first-translation",), "same as first-" + x) for x in _AXIOMS[1:]),
+    *(Row("connection", x, ("first-translation",)) for x in _TRANSLATION),
+    Row("connection", "h-balance", ("second",)),
+    Row("connection", "h-balance-equivalence", ("second",), LEMMA, when=_balanced_form),
+    Row("connection", "compose-well-defined", anchor="compose"),
+    Row(
+        "connection",
+        "composed-matches-direct",
+        anchor="composed-closed-form",
+        expansion=(composed_closed_form, (-1, 1), 4),
+    ),
+    Row(
+        "connection",
+        "composed-matches-generator-form",
+        anchor="composed-generator-form",
+        expansion=(composed_generator_form, (-1, 1), 4),
+    ),
+    Row("connection", "caninv-roundtrip"),
+    Row("examples", "", legs=None),
+    Row("examples", "translation-closed-form", expansion=(composed_translation_form, (-1, -1), 3)),
+)
+
+# the computed entries, by suite and name, for the suites' functions
+_ROW = {(row.suite, row.name): row for row in ROWS if row.kind == COMPUTED}
+# the examples suite's own ids, which no identity line may take
+RESERVED = frozenset(
+    row.id(leg) for row in ROWS if row.suite == "examples" and row.legs for leg in row.legs
+)
+
+
+def run_suites(tower, config: SuiteConfig) -> Report:
     report = Report()
     runners = {
         "algebra": _algebra_suite,
         "cotensor": _cotensor_suite,
-        "entwining": _entwining_suite,
         "connection": _connection_suite,
         "examples": _examples_suite,
     }
     for name in config.suites:
-        runners[name](tower, config, report)
+        if name in runners:  # the entwining suite is lemma rows alone
+            runners[name](tower, config, report)
+        _table_rows(tower, name, report)
     return report
 
 
-# -- helpers --------------------------------------------------------------------
+def _table_rows(tower, suite: str, report: Report):
+    """The suite's rows that its entries decide alone: each lemma row
+    where it applies, as a passing row, and each repeated verdict whose
+    row the suite reported.
 
-
-def _reprefix(results, suite, prefix):
-    """Re-home factor-level results under a suite with a leg prefix;
-    the anchor keeps the unprefixed identity name."""
-    return [
-        CheckResult(suite, prefix + r.check_id, r.anchor, r.status, r.detail)
-        for r in results
-    ]
-
-
-def _factors(tower: Tower):
-    return (("first", tower.a_spec), ("second", tower.p_spec))
-
-
-# the entwining rows of one graded algebra, around h-colinear
-_ENTWINING = ("multiplicative", "unit", "comultiplicative", "counit", "invertible")
-_MODULE = ("module-law", "copointed")
-# lemma rows whose anchor is not their unprefixed id
-_ANCHORS = {
-    "closure-product": "closure",
-    "generators-balanced": "membership",
-    "coinvariants-match": "coinvariants-lemma",
-}
-
-
-def _lemmas(suite, prefix, *check_ids):
-    """Passing rows for facts that hold on every tower that loads.
-
-    Loading a preset checks these invariants:
+    The lemmas are facts that hold on every tower that loads.  Loading a
+    preset checks these invariants:
 
     * a grading is an integer per generator, so the degree of a monomial
       is linear in its exponent vector and 1 has degree 0;
@@ -161,41 +256,41 @@ def _lemmas(suite, prefix, *check_ids):
       (x) y asks for L(x) = -L(y), the combined u^(L(x)+L(y)) (x) x (x) y
       = u^0 (x) x (x) y for L(x) + L(y) = 0: the same integer equation.
     """
-    return [verdict(suite, prefix + c, True, anchor=_ANCHORS.get(c, c)) for c in check_ids]
+    reported = {r.check_id: r for r in report.results if r.suite == suite}
+    for row in ROWS:
+        if row.suite != suite or row.kind == COMPUTED:
+            continue
+        source = reported.get(row.kind.removeprefix("same as "))
+        for leg in row.legs:
+            if row.kind == LEMMA:
+                if row.when is None or row.when(tower, leg):
+                    report.add(row.verdict(leg, True))
+            elif source is not None:
+                report.add(row.verdict(leg, source.ok, source.detail))
 
 
 # -- algebra suite ----------------------------------------------------------------
 
 
-def _algebra_suite(tower: Tower, config: SuiteConfig, report: Report):
-    suite = "algebra"
-    for label, spec in _factors(tower):
+def _algebra_suite(tower, config: SuiteConfig, report: Report):
+    row = lambda name: _ROW["algebra", name]
+    for leg, spec in zip(FACTORS, (tower.a_spec, tower.p_spec)):
         p = spec.presentation
         conf = check_local_confluence(p)
-        witness = "".join(conf.divergences[:1])
-        report.add(verdict(suite, "%s-confluence" % label, conf.ok, witness, anchor="confluence"))
+        report.add(row("confluence").verdict(leg, conf.ok, "".join(conf.divergences[:1])))
 
         letters = _sphere_letters(spec)
         if letters is not None:
             ga, gb = letters
             z = p.gen(ga) * p.gen(p.star_map[ga])
+            radius = z + p.gen(gb) * p.gen(p.star_map[gb]) == p.one()
+            report.add(row("radius").verdict(leg, radius, "radius sum does not reduce to 1"))
             report.add(
-                verdict(
-                    suite,
-                    "%s-radius" % label,
-                    z + p.gen(gb) * p.gen(p.star_map[gb]) == p.one(),
-                    "radius sum does not reduce to 1",
-                    anchor="radius",
-                )
-            )
-            report.add(
-                check(
-                    suite,
-                    "%s-radius-central" % label,
+                row("radius-central").check(
+                    leg,
                     zip(p.generators),
                     lambda g: z * p.gen(g) == p.gen(g) * z,
                     lambda g: "fails against %s" % g,
-                    anchor="radius-central",
                 )
             )
 
@@ -205,17 +300,13 @@ def _algebra_suite(tower: Tower, config: SuiteConfig, report: Report):
         broken += check_star_compatible(p).divergences
         witness = "".join(broken[:1])
         for law in ("star-involutive", "star-antimultiplicative"):
-            report.add(verdict(suite, "%s-%s" % (label, law), not broken, witness, anchor=law))
-
-        if spec.has_right() and spec.has_left():
-            report.extend(_lemmas(suite, label + "-", "bicomodule-commute", "unit-covariant"))
+            report.add(row(law).verdict(leg, not broken, witness))
 
 
 # -- cotensor suite ---------------------------------------------------------------
 
 
-def _cotensor_suite(tower: Tower, config: SuiteConfig, report: Report):
-    suite = "cotensor"
+def _cotensor_suite(tower, config: SuiteConfig, report: Report):
     cot = tower.cot
     A = cot.left_spec.presentation
     P = cot.right_spec.presentation
@@ -231,66 +322,81 @@ def _cotensor_suite(tower: Tower, config: SuiteConfig, report: Report):
             ("membership-accepts", member(g, inside), "balanced pair rejected"),
             ("membership-detects-imbalance", not member(g, outside), "unbalanced pair accepted"),
         )
-        for check_id, ok, detail in rows:
-            report.add(verdict(suite, check_id, ok, detail, anchor="membership"))
-
-    report.extend(_lemmas(suite, "", "closure-product", "generators-balanced"))
-    if cot.induced_right is not None:
-        report.extend(_lemmas(suite, "", "coinvariants-match"))
-
-
-# -- entwining suite ---------------------------------------------------------------
-
-
-def _entwining_suite(tower: Tower, config: SuiteConfig, report: Report):
-    # (label, whether a left grading makes h-colinear a row) per right grading
-    graded = [(label, spec.has_left()) for label, spec in _factors(tower) if spec.has_right()]
-    if tower.cot.induced_right is not None:
-        graded.append(("lifted", False))
-    for label, colinear in graded:
-        rows = _ENTWINING + ("h-colinear",) * colinear + _MODULE
-        report.extend(_lemmas("entwining", label + "-", *rows))
+        for name, ok, detail in rows:
+            report.add(_ROW["cotensor", name].verdict("", ok, detail))
 
 
 # -- connection suite ---------------------------------------------------------------
 
 
-def _connection_suite(tower: Tower, config: SuiteConfig, report: Report):
-    suite = "connection"
-    n = config.n_bound
-
-    axioms = {}
-    for label, form in (("first", tower.form_a), ("second", tower.form_p)):
-        if form is None:
-            continue
+def form_rows(form, leg: str, n_bound: int, degree_bound: int = 4) -> list[CheckResult]:
+    """The connection suite's computed rows of one connection form on leg
+    ``leg`` (first, second or composed), each where the table gives the
+    leg one: closed-form-match, the five axioms at |n| <= n_bound,
+    h-balance where the form's algebra has a left grading, and the
+    translation rows, whose element arguments range over the normal
+    monomials up to ``degree_bound``.  Every row reads the form's stored
+    C(n) through its per-index predicates."""
+    row = lambda name: _ROW["connection", name]
+    indices = list(zip(range(-n_bound, n_bound + 1)))
+    scan = lambda name, holds, detail: row(name).check(leg, indices, holds, lambda n: detail % n)
+    rows = []
+    if leg in row("closed-form-match").legs:
         # explicit preset entries must reproduce the closed rule; a rule
         # that raises leaves nothing to compare against
-        report.add(
-            check(
-                suite,
-                "%s-closed-form-match" % label,
+        rows.append(
+            row("closed-form-match").check(
+                leg,
                 zip(sorted(form.overrides)),
                 lambda idx: form.overrides[idx] == form.closed(idx),
                 lambda idx: "entry %d differs from the closed rule" % idx,
-                anchor="closed-form-match",
             )
         )
-        axioms[label] = verify_strong_connection(form, n)
-        report.extend(_reprefix(axioms[label], suite, "%s-" % label))
+    rows += [
+        row("unit").check(leg, [()], form.unital, lambda: "index 0 image is not 1 (x) 1"),
+        scan("colift", form.colifts, "colifting fails at index %d"),
+        scan("right-colinear", form.right_colinear, "second leg not colinear at index %d"),
+        scan(
+            "left-colinear", form.left_colinear, "first leg degree is not the negated index at %d"
+        ),
+        scan("mul-counit", form.mul_counit, "legs do not multiply to 1 at index %d"),
+    ]
+    if leg in row("h-balance").legs and form.spec.has_left():
+        rows.append(scan("h-balance", form.balanced, "combined balance fails at index %d"))
+    translation = leg + "-translation"
+    if translation in row("reproduce-coaction").legs:
+        p, span = form.presentation, range(-n_bound, n_bound + 1)
+        monos = p.monomials_up_to(degree_bound)
+        coinv = [m for m in monos if form.spec.right_degree(m) == 0]
+        rows += [
+            row("reproduce-coaction").check(
+                translation,
+                zip(monos),
+                form.reproduces,
+                lambda m: "fails on %s" % p.render_monomial(m),
+            ),
+            row("coinvariant-commute").check(
+                translation,
+                ((n, m) for n in span for m in coinv),
+                form.commutes,
+                lambda n, m: "fails on %s at index %d" % (p.render_monomial(m), n),
+            ),
+            row("multiplicative").check(
+                translation,
+                ((n1, n2) for n1 in span for n2 in span),
+                form.multiplicative,
+                lambda n1, n2: "fails at indices %d, %d" % (n1, n2),
+            ),
+        ]
+    return rows
 
-    if tower.form_p is not None and tower.p_spec.has_left():
-        report.extend(
-            _reprefix(check_h_balance(tower.form_p, tower.p_spec, n), suite, "second-")
-        )
-        report.extend(_lemmas(suite, "second-", "h-balance-equivalence"))
 
-    if tower.form_a is not None:
-        # the translation map's colift, colinearity and mul-counit rows
-        # are the first form's connection axioms, reported once more
-        shared = [r for r in axioms["first"] if r.check_id != "unit"]
-        own = verify_translation_identities(tower.form_a, n, min(config.degree_bound, 4))
-        report.extend(_reprefix(shared + own, suite, "first-translation-"))
-
+def _connection_suite(tower, config: SuiteConfig, report: Report):
+    row = lambda name: _ROW["connection", name]
+    n = config.n_bound
+    for leg, form in zip(FACTORS, (tower.form_a, tower.form_p)):
+        if form is not None:
+            report.extend(form_rows(form, leg, n, min(config.degree_bound, 4)))
     if tower.form_a is None or tower.form_p is None:
         return
 
@@ -298,19 +404,15 @@ def _connection_suite(tower: Tower, config: SuiteConfig, report: Report):
     # image outside the cotensor algebra, or none, fails each row reading it
     composed = tower.composed()
     report.add(
-        check(
-            suite,
-            "compose-well-defined",
+        row("compose-well-defined").check(
+            "",
             zip(range(-n, n + 1)),
             lambda idx: composed(idx) is not None,
             lambda idx: "no image at index %d" % idx,
-            anchor="compose",
         )
     )
-
-    report.extend(_reprefix(verify_strong_connection(composed, n), suite, "composed-"))
-
-    _expansion_rows(tower, config, report, suite)
+    report.extend(form_rows(composed, "composed", n))
+    _expansion_rows(tower, config, report, "connection")
 
     cot = tower.cot
     samples = [("1", cot.ambient.one())]
@@ -326,71 +428,35 @@ def _connection_suite(tower: Tower, config: SuiteConfig, report: Report):
         return composed.colifts(i)
 
     describe = lambda k, x, i: "roundtrip fails on %s at index %d" % (k, i)
-    report.add(check(suite, "caninv-roundtrip", cases, roundtrip, describe))
+    report.add(row("caninv-roundtrip").check("", cases, roundtrip, describe))
 
 
 # -- examples suite ----------------------------------------------------------------
 
 
-def _examples_suite(tower: Tower, config: SuiteConfig, report: Report):
+def _examples_suite(tower, config: SuiteConfig, report: Report):
     """The preset's identity lines, one row per check id, which holds
     when every line with that id does; then the translation form."""
-    suite = "examples"
-    cot = tower.cot
-    contexts = {scope: tower.context(scope) for scope in ("ambient", "A", "P")}
-
-    def holds(scope, lineno, lhs, lcol, rhs, rcol):
-        value = parse_value(contexts[scope], lhs, lineno, lcol)
-        if rhs is not None:
-            return value == parse_value(contexts[scope], rhs, lineno, rcol)
-        if cot.induced_right is None:
-            raise PresentationError("no right grading on the second factor")
-        return cot.membership(value) and all(
-            cot.induced_right.right_degree(m) == 0 for m in value.terms
-        )
-
-    def describe(scope, lineno, lhs, lcol, rhs, rcol):
-        if rhs is not None:
-            return "%s differs from %s" % (lhs, rhs)
-        balanced = cot.membership(parse_value(contexts[scope], lhs, lineno, lcol))
-        return "%s not %s" % (lhs, "of degree zero" if balanced else "balanced")
-
+    identity = _ROW["examples", ""]
     for check_id, lines in tower.identities.items():
-        report.add(check(suite, check_id, lines, holds, describe))
-
+        report.add(identity.check(check_id, lines, tower.identity_holds, tower.identity_failure))
     if tower.form_a is not None and tower.form_p is not None:
-        _expansion_rows(tower, config, report, suite)
+        _expansion_rows(tower, config, report, "examples")
 
 
-# suite -> (check id, anchor, expansion, left grading of P's sphere letters, index cap)
-_EXPANSIONS = {
-    "connection": (
-        ("composed-matches-direct", "composed-closed-form", composed_closed_form, (-1, 1), 4),
-        (
-            "composed-matches-generator-form",
-            "composed-generator-form",
-            composed_generator_form,
-            (-1, 1),
-            4,
-        ),
-    ),
-    "examples": (("translation-closed-form", None, composed_translation_form, (-1, -1), 3),),
-}
-
-
-def _expansion_rows(tower: Tower, config: SuiteConfig, report: Report, suite: str):
-    """The suite's rows of ``_EXPANSIONS`` that the tower's gradings select,
-    each comparing the composed connection at |n| <= min(n_bound, cap)."""
-    for check_id, anchor, expansion, left, cap in _EXPANSIONS[suite]:
-        if _tower_letters(tower.cot, left) is not None:
-            bound = min(config.n_bound, cap)
-            report.add(
-                check(
-                    suite,
-                    check_id,
-                    zip(range(-bound, bound + 1)),
-                    lambda n: tower.composed()(n) == expansion(tower.cot, n),
-                    lambda n: "differs at index %d" % n,
-                    anchor=anchor,
+def _expansion_rows(tower, config: SuiteConfig, report: Report, suite: str):
+    """The suite's expansion rows that the tower's gradings select, each
+    comparing the composed connection at |n| <= min(n_bound, cap)."""
+    for row in ROWS:
+        if row.suite == suite and row.expansion is not None:
+            expansion, left, cap = row.expansion
+            if _tower_letters(tower.cot, left) is not None:
+                bound = min(config.n_bound, cap)
+                report.add(
+                    row.check(
+                        "",
+                        zip(range(-bound, bound + 1)),
+                        lambda n: tower.composed()(n) == expansion(tower.cot, n),
+                        lambda n: "differs at index %d" % n,
+                    )
                 )
-            )

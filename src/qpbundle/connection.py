@@ -1,10 +1,12 @@
 """Strong connection forms, the lifted canonical map, and composition.
 
 A connection form assigns to every grouplike index n a tensor square
-element (the image of u^n); the axioms checked here are normalization
-at n = 0, the colifting property through the lifted canonical map,
-colinearity of both legs read off the gradings, and the counit
-collapse under multiplication.
+element (the image of u^n).  Its axioms are predicates of the form, one
+index at a time: normalization at n = 0, the colifting property through
+the lifted canonical map, colinearity of both legs read off the
+gradings, the counit collapse under multiplication, left-degree balance
+and the translation-map identities.  ``cli.suites`` builds the report
+rows that read them.
 
 The composition machinery builds a connection form on the cotensor
 algebra of two bundles out of forms on the factors, and evaluates the
@@ -37,7 +39,6 @@ from .comodule import (
     tensor_of,
 )
 from .cotensor import CotensorAlgebra
-from .report import CheckResult, check
 
 
 class ConnectionForm:
@@ -95,12 +96,89 @@ class ConnectionForm:
             self._canonical[n] = lifted_canonical_map(self.spec, self(n))
         return self._canonical[n]
 
+    # -- the axioms, one index at a time -------------------------------------
+
+    def unital(self) -> bool:
+        """The index-0 image is 1 (x) 1."""
+        p = self.presentation
+        return self(0) == tensor_of([p.one(), p.one()])
+
     def colifts(self, n: int) -> bool:
         """The colift axiom C(n) = 1 (x) u^n, decided once per index."""
         if n not in self._colifts:
             one = self.presentation.one_monomial()
             self._colifts[n] = self.canonical(n).terms == {(one, n): ONE}
         return self._colifts[n]
+
+    def right_colinear(self, n: int) -> bool:
+        """Every second leg of the image of u^n has right degree n."""
+        return all(self.spec.right_degree(y) == n for _, y in self(n).terms)
+
+    def left_colinear(self, n: int) -> bool:
+        """Every first leg of the image of u^n has right degree -n."""
+        return all(self.spec.right_degree(x) == -n for x, _ in self(n).terms)
+
+    def mul_counit(self, n: int) -> bool:
+        """The legs multiply to 1.  Read off C(n), since mul = (id (x) eps)
+        o can; normal-forming is linear, so summing the terms of C(n)
+        onto their monomials is exact."""
+        legs: dict[Monomial, LaurentScalar] = {}
+        for (m, _), c in self.canonical(n).terms.items():
+            accumulate(legs, m, c)
+        return legs == {self.presentation.one_monomial(): ONE}
+
+    def balanced(self, n: int) -> bool:
+        """Balance of the left grading L of the form's algebra across the
+        legs at n, in its combined form: L(x) + L(y) = 0 on every term
+        x (x) y.  It is the per-leg form L(x) = -L(y) as well."""
+        return balance_total_holds(self.spec.left_degree, self(n))
+
+    # -- the translation map, in lifted form ---------------------------------
+    #
+    # Equality over the coinvariant subalgebra is tested through images of
+    # the lifted canonical map, which detect it faithfully for a Galois
+    # extension.  By the bimodule law of ``can`` (left P-linear,
+    # multiplicative in the coaction on the right), with products in
+    # P (x) C,
+    #
+    #     can((x (x) 1) T (1 (x) y)) = (x (x) u^0) can(T) (y (x) u^deg y),
+    #
+    # so each case below follows from the colift verdicts C(n) = 1 (x) u^n
+    # (Brzezinski and Majid, CMP 191 (1998); Hajac, CMP 182 (1996)).  A
+    # case whose hypothesis fails is multiplied out, so a failing row
+    # names the same first witness either way.
+
+    def _base(self, m: Monomial) -> TensorElement:
+        """m (x) u^0."""
+        return _trusted_tensor((alg_slot(self.presentation), coalg_slot()), {(m, 0): ONE})
+
+    def reproduces(self, m: Monomial) -> bool:
+        """can((m (x) 1) l(u^d)) = can(1 (x) m), the coaction of m of right
+        degree d: if C(d) colifts, (m (x) u^0) C(d) is m (x) u^d."""
+        d = self.spec.right_degree(m)
+        if self.colifts(d):
+            return True
+        return self._base(m) * self.canonical(d) == _coact_monomial(self.spec, m)
+
+    def commutes(self, n: int, m: Monomial) -> bool:
+        """A coinvariant m slides across the two legs of l(u^n), over the
+        base: if C(n) colifts, both sides are m (x) u^n."""
+        if self.colifts(n):
+            return True
+        return self._base(m) * self.canonical(n) == self.canonical(n) * self._base(m)
+
+    def multiplicative(self, n1: int, n2: int) -> bool:
+        """Images multiply in P^op (x) P, the inner legs collapsing over the
+        base.  If C(n2) colifts, the product is C(n1) (1 (x) u^n2), so this
+        is colift at n1; where the second legs of l(u^n1) have right degree
+        n1, C(n1) is mul(l(u^n1)) (x) u^n1, so that is the counit collapse
+        at n1."""
+        if self.colifts(n2):
+            return self.colifts(n1)
+        out: dict[tuple, LaurentScalar] = {}
+        for (s, t), c in self(n1).terms.items():
+            _add_scaled(out, self._base(s) * self.canonical(n2) * _coact_monomial(self.spec, t), c)
+        return out == {(self.presentation.one_monomial(), n1 + n2): ONE}  # 1 (x) u^(n1+n2)
 
     def __repr__(self) -> str:
         return "<connection %s on %s>" % (self.name or "form", self.presentation.name)
@@ -187,58 +265,6 @@ def lifted_canonical_map(spec: CoactionSpec, t: TensorElement) -> TensorElement:
     return _trusted_tensor((alg_slot(p), coalg_slot()), _reduce_slot(raw, 0, p))
 
 
-def verify_strong_connection(form: ConnectionForm, n_bound: int) -> list[CheckResult]:
-    """All connection-form axioms for grouplike indices |n| <= n_bound.
-
-    unit: the index-0 image is 1 (x) 1.
-    colift: the lifted canonical map sends the image of u^n to 1 (x) u^n.
-    right-colinear: every second leg has right degree n.
-    left-colinear: every first leg has right degree -n.
-    mul-counit: multiplying the legs gives the unit.  It is read off
-    C(n), since mul = (id (x) eps) o can; normal-forming is linear, so
-    summing the terms of C(n) onto their monomials is exact.
-    """
-    if n_bound < 0:
-        raise ValueError("n_bound must be nonnegative")
-    p, degree = form.presentation, form.spec.right_degree
-    indices = list(zip(range(-n_bound, n_bound + 1)))
-
-    def row(check_id, holds, detail):
-        return check("connection", check_id, indices, holds, lambda n: detail % n)
-
-    def mul_counit(n):
-        legs: dict[Monomial, LaurentScalar] = {}
-        for (m, _), c in form.canonical(n).terms.items():
-            accumulate(legs, m, c)
-        return legs == {p.one_monomial(): ONE}
-
-    return [
-        check(
-            "connection",
-            "unit",
-            [()],
-            lambda: form(0) == tensor_of([p.one(), p.one()]),
-            lambda: "index 0 image is not 1 (x) 1",
-        ),
-        row("colift", form.colifts, "colifting fails at index %d"),
-        row(
-            "right-colinear",
-            lambda n: all(degree(y) == n for _, y in form(n).terms),
-            "second leg not colinear at index %d",
-        ),
-        row(
-            "left-colinear",
-            lambda n: all(degree(x) == -n for x, _ in form(n).terms),
-            "first leg degree is not the negated index at %d",
-        ),
-        row(
-            "mul-counit",
-            mul_counit,
-            "legs do not multiply to 1 at index %d",
-        ),
-    ]
-
-
 # -- balance of a left grading across the two legs ---------------------------
 
 
@@ -246,28 +272,6 @@ def balance_total_holds(left_degree: Callable[[Monomial], int], t: TensorElement
     """Combined form: L(x) + L(y) = 0 on every term x (x) y, that is,
     u^(L(x)+L(y)) (x) x (x) y equals u^0 (x) x (x) y."""
     return all(left_degree(x) + left_degree(y) == 0 for x, y in t.terms)
-
-
-def check_h_balance(
-    form: ConnectionForm, left_spec: CoactionSpec, n_bound: int
-) -> list[CheckResult]:
-    """Left-degree balance of the form's legs, for |n| <= n_bound.
-
-    h-balance: L(x) + L(y) = 0 on every term x (x) y of every image.
-    That this combined formulation is the per-leg one is a lemma of the
-    connection suite (``h-balance-equivalence``, see ``cli.suites``).
-    """
-    if left_spec.presentation is not form.presentation:
-        raise PresentationError("left grading belongs to a different algebra")
-    return [
-        check(
-            "connection",
-            "h-balance",
-            zip(range(-n_bound, n_bound + 1)),
-            lambda n: balance_total_holds(left_spec.left_degree, form(n)),
-            lambda n: "combined balance fails at index %d" % n,
-        ),
-    ]
 
 
 # -- composition ---------------------------------------------------------------
@@ -438,85 +442,3 @@ def composed_translation_form(cot: CotensorAlgebra, n: int) -> TensorElement:
                 yield binomial(k, p_idx) * binomial(k, m), w, [star[g] for g in reversed(w)]
 
     return _word_sum(cot.ambient, terms())
-
-
-# -- translation-map identities --------------------------------------------------
-
-
-def verify_translation_identities(
-    form: ConnectionForm, n_bound: int, degree_bound: int = 4
-) -> list[CheckResult]:
-    """Identity suite for the translation map, in lifted form.
-
-    Equality over the coinvariant subalgebra is tested through images
-    of the lifted canonical map, which detect it faithfully for a
-    Galois extension.  By the bimodule law of ``can`` (left P-linear,
-    multiplicative in the coaction on the right), with products in P (x) C,
-
-        can((x (x) 1) T (1 (x) y)) = (x (x) u^0) can(T) (y (x) u^deg y),
-
-    each case follows from the colift verdicts C(n) = can(l(u^n)) = 1 (x) u^n
-    (Brzezinski and Majid, CMP 191 (1998); Hajac, CMP 182 (1996)):
-
-    * reproduce-coaction on m of right degree d holds if C(d) colifts:
-      (m (x) u^0) C(d) is then m (x) u^d, the coaction of m;
-    * coinvariant-commute at (n, m) holds if C(n) colifts: both sides
-      are then m (x) u^n;
-    * multiplicative at (n1, n2), if C(n2) colifts, is colift at n1: the
-      product is then C(n1) (1 (x) u^n2).  Where the second legs of
-      l(u^n1) have right degree n1, C(n1) is mul(l(u^n1)) (x) u^n1, so
-      this is mul-counit at n1.
-
-    A case whose hypothesis fails is multiplied out, so a failing row
-    names the same first witness either way.  Element arguments range
-    over normal monomials up to degree_bound, indices over |n| <= n_bound.
-    """
-    spec, p = form.spec, form.presentation
-    indices = range(-n_bound, n_bound + 1)
-    can, colifts = form.canonical, form.colifts
-    base = lambda m: _trusted_tensor((alg_slot(p), coalg_slot()), {(m, 0): ONE})  # m (x) u^0
-    monos = p.monomials_up_to(degree_bound)
-
-    # the coaction of m, over the base: can((m (x) 1) l(u^deg m)) = can(1 (x) m)
-    def reproduces(m):
-        d = spec.right_degree(m)
-        return colifts(d) or base(m) * can(d) == _coact_monomial(spec, m)
-
-    # coinvariant elements slide across the two legs, over the base
-    coinv = [m for m in monos if spec.right_degree(m) == 0]
-
-    def commutes(n, m):
-        return colifts(n) or base(m) * can(n) == can(n) * base(m)
-
-    # images multiply in P^op (x) P: the inner legs collapse over the base
-    def multiplicative(n1, n2):
-        if colifts(n2):
-            return colifts(n1)
-        out: dict[tuple, LaurentScalar] = {}
-        for (s, t), c in form(n1).terms.items():
-            _add_scaled(out, base(s) * can(n2) * _coact_monomial(spec, t), c)
-        return out == {(p.one_monomial(), n1 + n2): ONE}  # 1 (x) u^(n1+n2)
-
-    return [
-        check(
-            "connection",
-            "reproduce-coaction",
-            zip(monos),
-            reproduces,
-            lambda m: "fails on %s" % p.render_monomial(m),
-        ),
-        check(
-            "connection",
-            "coinvariant-commute",
-            ((n, m) for n in indices for m in coinv),
-            commutes,
-            lambda n, m: "fails on %s at index %d" % (p.render_monomial(m), n),
-        ),
-        check(
-            "connection",
-            "multiplicative",
-            ((n1, n2) for n1 in indices for n2 in indices),
-            multiplicative,
-            lambda n1, n2: "fails at indices %d, %d" % (n1, n2),
-        ),
-    ]

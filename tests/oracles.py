@@ -655,8 +655,9 @@ def scan_entwined_module(emap, spec, degree_bound, monomial_filter=None):
 
 
 def scan_translation_identities(form, n_bound, degree_bound=4):
-    """The rows of ``verify_translation_identities``, each case built as
-    a product in P (x) P and then sent through the lifted canonical map.
+    """The first form's translation rows (``cli.suites.form_rows``),
+    each case built as a product in P (x) P and then sent through the
+    lifted canonical map.
 
     Same cases, order and details as the checker, so on an associative
     presentation the two agree row for row, witness included.
@@ -836,7 +837,7 @@ def scan_bicomodule(spec, degree_bound=3):
 
 def scan_colinearity(form, n_bound):
     """The ``right-colinear`` and ``left-colinear`` rows of
-    ``verify_strong_connection``, each image coacted on one leg and
+    ``cli.suites.form_rows``, each image coacted on one leg and
     compared with the three-slot tensor that carries the index."""
     spec, p = form.spec, form.presentation
     indices = list(zip(range(-n_bound, n_bound + 1)))
@@ -877,7 +878,7 @@ def scan_colinearity(form, n_bound):
 
 
 def scan_h_balance(form, left_spec, n_bound):
-    """The ``h-balance`` row of ``check_h_balance`` and the connection
+    """The ``h-balance`` row of ``cli.suites.form_rows`` and the connection
     suite's ``h-balance-equivalence`` lemma row, each formulation an
     equality of H (x) P (x) P tensors: u^(L(x)+L(y)) (x) x (x) y against
     u^0 (x) x (x) y (combined) and u^L(x) (x) x (x) y against
@@ -915,7 +916,7 @@ def per_leg_balance(left_degree, t):
 
 
 def scan_mul_counit(form, n_bound):
-    """The ``mul-counit`` row of ``verify_strong_connection``, decided by
+    """The ``mul-counit`` row of ``cli.suites.form_rows``, decided by
     multiplying the legs of every image instead of reading C(n)."""
     p = form.presentation
     return check(

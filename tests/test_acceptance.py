@@ -29,7 +29,7 @@ from oracles import (
     scan_entwined_module,
     scan_entwining_axioms,
 )
-from qpbundle.cli.suites import SuiteConfig, run_suites
+from qpbundle.cli.suites import SuiteConfig, form_rows, run_suites
 from qpbundle.comodule import TensorElement, alg_slot, coalg_slot, tensor_of
 from qpbundle.connection import (
     balance_total_holds,
@@ -37,8 +37,6 @@ from qpbundle.connection import (
     composed_generator_form,
     lifted_canonical_map,
     matsumoto_connection,
-    verify_strong_connection,
-    verify_translation_identities,
 )
 from qpbundle.scalar import ONE, LaurentScalar as S
 from qpbundle.skewalg import check_local_confluence
@@ -53,10 +51,10 @@ def all_pass(results):
 def test_sphere_connection_reproduces_reference_forms(ex2):
     started = time.monotonic()
     cases = [
-        (ex2.a_spec, WordSphere(("a", "a'", "b", "b'"), symbol=0)),
-        (ex2.p_spec, WordSphere(("x", "x'", "y", "y'"), symbol=1)),
+        ("first", ex2.a_spec, WordSphere(("a", "a'", "b", "b'"), symbol=0)),
+        ("second", ex2.p_spec, WordSphere(("x", "x'", "y", "y'"), symbol=1)),
     ]
-    for spec, oracle in cases:
+    for leg, spec, oracle in cases:
         form = matsumoto_connection(spec)
         for n in range(-6, 7):
             engine = plain_tensor2(form.closed(n))
@@ -65,7 +63,7 @@ def test_sphere_connection_reproduces_reference_forms(ex2):
             # the engine must match both term for term
             assert engine == oracle.ell(n), n
             assert engine == oracle.ell_closed(n), n
-        all_pass(verify_strong_connection(form, n_bound=6))
+        all_pass(form_rows(form, leg, n_bound=6))
     assert time.monotonic() - started < 10.0
 
 
@@ -76,7 +74,7 @@ def test_composition_closed_forms_agree(ex2):
         direct = composed(n)
         assert direct == composed_closed_form(ex2.cot, n), n
         assert direct == composed_generator_form(ex2.cot, n), n
-    all_pass(verify_strong_connection(composed, n_bound=4))
+    all_pass(form_rows(composed, "composed", n_bound=4))
     assert time.monotonic() - started < 60.0
 
 
@@ -223,7 +221,7 @@ def test_entwining_axioms_to_degree_six(ex2):
 
 def test_translation_map_identities(ex2):
     form = matsumoto_connection(ex2.a_spec)
-    all_pass(verify_translation_identities(form, n_bound=4, degree_bound=4))
+    all_pass(form_rows(form, "first", n_bound=4, degree_bound=4))
     # the suite adds the first form's colift, colinearity and mul-counit
     # rows to the translation rows
     report = run_suites(ex2, SuiteConfig(("connection",), n_bound=4, degree_bound=4))

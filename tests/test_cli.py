@@ -464,7 +464,7 @@ def test_connection_suite_evaluates_no_identity_line(runner, monkeypatch):
     def evaluated(*args):
         raise RuntimeError("identity line evaluated")
 
-    monkeypatch.setattr("qpbundle.cli.suites.parse_value", evaluated)
+    monkeypatch.setattr("qpbundle.cli.parser.Tower.identity_holds", evaluated)
     res = invoke(runner, "verify", "--suite", "connection", *FAST)
     assert res.exit_code == 0
     res = invoke(runner, "verify", "--suite", "examples", *FAST)

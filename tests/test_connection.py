@@ -25,7 +25,7 @@ from oracles import (
     tensor_apply,
 )
 from qpbundle.cli.parser import Tower, load_preset
-from qpbundle.cli.suites import SuiteConfig, run_suites
+from qpbundle.cli.suites import SuiteConfig, form_rows, run_suites
 from qpbundle.comodule import (
     ShapeError,
     TensorElement,
@@ -37,15 +37,12 @@ from qpbundle.comodule import (
 from qpbundle.connection import (
     ConnectionForm,
     balance_total_holds,
-    check_h_balance,
     compose_connection,
     composed_closed_form,
     composed_generator_form,
     composed_translation_form,
     lifted_canonical_map,
     matsumoto_connection,
-    verify_strong_connection,
-    verify_translation_identities,
 )
 from qpbundle.scalar import ONE, ZERO, LaurentScalar as S
 from qpbundle.skewalg import AlgebraPresentation, PresentationError
@@ -70,9 +67,9 @@ def test_connection_normalizes_the_unit(ex2):
 
 
 def test_strong_connection_axioms(ex2):
-    for spec in (ex2.a_spec, ex2.p_spec):
+    for leg, spec in (("first", ex2.a_spec), ("second", ex2.p_spec)):
         form = matsumoto_connection(spec)
-        for res in verify_strong_connection(form, n_bound=4):
+        for res in form_rows(form, leg, n_bound=4):
             assert res.status == "pass", (res.check_id, res.detail)
 
 
@@ -133,20 +130,24 @@ def test_a_form_without_an_image_fails_every_axiom_row(ex2):
         raise PresentationError("no image for index %d" % n)
 
     form = ConnectionForm(ex2.a_spec, missing)
-    rows = {r.check_id: (r.status, r.detail) for r in verify_strong_connection(form, 1)}
+    rows = {r.check_id: (r.status, r.detail) for r in form_rows(form, "first", 1)}
     assert rows == {
-        "unit": ("fail", "no image for index 0"),
-        "colift": ("fail", "no image for index -1"),
-        "right-colinear": ("fail", "no image for index -1"),
-        "left-colinear": ("fail", "no image for index -1"),
-        "mul-counit": ("fail", "no image for index -1"),
+        "first-closed-form-match": ("pass", ""),  # no entries to compare
+        "first-unit": ("fail", "no image for index 0"),
+        "first-colift": ("fail", "no image for index -1"),
+        "first-right-colinear": ("fail", "no image for index -1"),
+        "first-left-colinear": ("fail", "no image for index -1"),
+        "first-mul-counit": ("fail", "no image for index -1"),
+        "first-translation-reproduce-coaction": ("fail", "no image for index 0"),
+        "first-translation-coinvariant-commute": ("fail", "no image for index -1"),
+        "first-translation-multiplicative": ("fail", "no image for index -1"),
     }
 
     def broken(n):
         raise TypeError("unsupported operand")
 
     with pytest.raises(TypeError):
-        verify_strong_connection(ConnectionForm(ex2.a_spec, broken), 1)
+        form_rows(ConnectionForm(ex2.a_spec, broken), "first", 1)
 
 
 def test_a_form_without_a_rule_has_only_its_entries(ex2):
@@ -169,9 +170,9 @@ def test_overrides_take_precedence(ex2):
     assert form(1) == doctored
     assert form.closed(1) != doctored
     # the doctored entry must surface in the axiom checks
-    results = verify_strong_connection(form, n_bound=1)
+    results = form_rows(form, "first", n_bound=1)
     assert any(res.status == "fail" for res in results)
-    colift = next(res for res in results if res.check_id == "colift")
+    colift = next(res for res in results if res.check_id == "first-colift")
     assert (colift.status, colift.detail) == ("fail", "colifting fails at index 1")
     # the stored canonical image is the override's, computed once
     assert form.canonical(1) == lifted_canonical_map(spec, doctored)
@@ -200,7 +201,9 @@ def test_balance_checkers_spot_cases(ex2):
 def test_h_balance_of_the_second_connection(ex1, ex2):
     for tower in (ex1, ex2):
         form = matsumoto_connection(tower.p_spec)
-        for res in check_h_balance(form, tower.p_spec, n_bound=3):
+        results = form_rows(form, "second", n_bound=3)
+        assert "second-h-balance" in [res.check_id for res in results]
+        for res in results:
             assert res.status == "pass", (res.check_id, res.detail)
 
 
@@ -291,7 +294,7 @@ def test_compose_rejects_uncolinear_input(ex2):
 
 def test_translation_identities(ex2):
     form = matsumoto_connection(ex2.a_spec)
-    for res in verify_translation_identities(form, n_bound=3, degree_bound=3):
+    for res in form_rows(form, "first", n_bound=3, degree_bound=3):
         assert res.status == "pass", (res.check_id, res.detail)
 
 
@@ -357,6 +360,17 @@ def _rows(results):
     return [(r.check_id, r.status, r.detail) for r in results]
 
 
+def _translation_rows(form, n_bound, degree_bound=4):
+    """The first form's translation rows, named as the scans name them."""
+    rows = form_rows(form, "first", n_bound, degree_bound)
+    prefix = "first-translation-"
+    return [
+        (r.check_id[len(prefix) :], r.status, r.detail)
+        for r in rows
+        if r.check_id.startswith(prefix)
+    ]
+
+
 def test_translation_rows_match_the_product_scan(ex1, ex2):
     # the rows read off the colift verdicts against the product-then-can
     # formulas, details included, on the bundled forms, the entry-mutant
@@ -365,7 +379,7 @@ def test_translation_rows_match_the_product_scan(ex1, ex2):
     forms += [mutant for _, mutant in _seeded_mutants(ex1, ex2)]
     failing = uncolinear = uncolifting = 0
     for form in forms:
-        got = _rows(verify_translation_identities(form, n_bound=3, degree_bound=4))
+        got = _translation_rows(form, n_bound=3)
         assert got == _rows(scan_translation_identities(form, n_bound=3, degree_bound=4))
         failing += any(status == "fail" for _, status, _ in got)
         degree = form.spec.right_degree
@@ -391,8 +405,7 @@ def test_translation_rows_multiply_no_tensors(ex1, ex2, monkeypatch):
 
     monkeypatch.setattr(TensorElement, "__mul__", refuse)
     for form in forms:
-        rows = verify_translation_identities(form, n_bound=8)
-        assert _rows(rows) == [
+        assert _translation_rows(form, n_bound=8) == [
             ("reproduce-coaction", "pass", ""),
             ("coinvariant-commute", "pass", ""),
             ("multiplicative", "pass", ""),
@@ -403,9 +416,10 @@ def test_mul_counit_row_matches_multiplying_the_legs(ex1, ex2):
     # (id (x) eps) C(n) against mul(l(u^n)), on the seeded mutants
     failing = 0
     for _, form in _seeded_mutants(ex1, ex2):
-        rows = verify_strong_connection(form, n_bound=3)
-        row = next(r for r in rows if r.check_id == "mul-counit")
-        assert _rows([row]) == _rows([scan_mul_counit(form, n_bound=3)])
+        rows = form_rows(form, "first", n_bound=3)
+        row = next(r for r in rows if r.check_id == "first-mul-counit")
+        scanned = scan_mul_counit(form, n_bound=3)
+        assert (row.status, row.detail) == (scanned.status, scanned.detail)
         failing += row.status == "fail"
     assert failing >= 10
 
@@ -452,7 +466,7 @@ def test_roundtrip_row_matches_the_scan(ex1, ex2):
 def test_doctored_translation_rows_keep_their_statuses(doctored):
     # the doctored q-table breaks associativity, so the bracketing can
     # pick another first witness, but every row still fails
-    got = _rows(verify_translation_identities(doctored.form_a, n_bound=3, degree_bound=4))
+    got = _translation_rows(doctored.form_a, n_bound=3)
     want = _rows(scan_translation_identities(doctored.form_a, n_bound=3, degree_bound=4))
     assert [row[:2] for row in got] == [row[:2] for row in want]
     assert all(status == "fail" for _, status, _ in got)
@@ -482,5 +496,5 @@ def test_composition_needs_both_gradings(ex1):
     composed = ex1.composed()
     a0 = composed(0)
     assert a0 == tensor_of([ex1.cot.ambient.one(), ex1.cot.ambient.one()])
-    for res in verify_strong_connection(composed, n_bound=2):
+    for res in form_rows(composed, "composed", n_bound=2):
         assert res.status == "pass", (res.check_id, res.detail)

@@ -1,6 +1,6 @@
 """Balanced subalgebras and the degree-shift entwining of a grading.
 
-The entwining rows are lemmas of the load checks (``cli.suites._lemmas``);
+The entwining rows are lemmas of the load checks (``cli.suites._table_rows``);
 the reference map ``oracles.Shift`` applies the entwining, and its scans
 judge the rows.
 """

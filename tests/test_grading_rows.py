@@ -29,14 +29,9 @@ from oracles import (
     scan_h_balance,
 )
 from qpbundle.cli.parser import Tower, load_preset
-from qpbundle.cli.suites import SuiteConfig, run_suites
+from qpbundle.cli.suites import LEMMA, ROWS, SuiteConfig, form_rows, run_suites
 from qpbundle.comodule import CoactionSpec, TensorElement, tensor_of
-from qpbundle.connection import (
-    ConnectionForm,
-    check_h_balance,
-    matsumoto_connection,
-    verify_strong_connection,
-)
+from qpbundle.connection import ConnectionForm, matsumoto_connection
 from qpbundle.scalar import ZERO, LaurentScalar as S
 from qpbundle.skewalg import AlgebraPresentation, PackageError
 
@@ -101,17 +96,17 @@ def test_colinearity_rows_name_the_index(ex2):
     form = matsumoto_connection(ex2.p_spec)
     x = ex2.p_spec.presentation.gen("x")
     # both legs of right degree 1: the second fits index 1, the first does not
-    results = verify_strong_connection(_overridden(form, 1, tensor_of([x, x])), n_bound=1)
-    assert _row(results, "left-colinear") == (
+    results = form_rows(_overridden(form, 1, tensor_of([x, x])), "second", n_bound=1)
+    assert _row(results, "second-left-colinear") == (
         "fail",
         "first leg degree is not the negated index at 1",
     )
-    assert _row(results, "right-colinear") == ("pass", "")
+    assert _row(results, "second-right-colinear") == ("pass", "")
     # both legs of right degree -1: now only the second leg is wrong
     xs = x.star()
-    results = verify_strong_connection(_overridden(form, 1, tensor_of([xs, xs])), n_bound=1)
-    assert _row(results, "right-colinear") == ("fail", "second leg not colinear at index 1")
-    assert _row(results, "left-colinear") == ("pass", "")
+    results = form_rows(_overridden(form, 1, tensor_of([xs, xs])), "second", n_bound=1)
+    assert _row(results, "second-right-colinear") == ("fail", "second leg not colinear at index 1")
+    assert _row(results, "second-left-colinear") == ("pass", "")
 
 
 def test_unbalanced_second_form_fails_h_balance(ex2):
@@ -119,8 +114,8 @@ def test_unbalanced_second_form_fails_h_balance(ex2):
     x = spec.presentation.gen("x")
     # x has left degree -1, so x (x) x has total left degree -2
     form = _overridden(ex2.form_p, 2, tensor_of([x, x]))
-    results = check_h_balance(form, spec, n_bound=3)
-    assert _row(results, "h-balance") == ("fail", "combined balance fails at index 2")
+    results = form_rows(form, "second", n_bound=3)
+    assert _row(results, "second-h-balance") == ("fail", "combined balance fails at index 2")
     rows = _second_connection_rows(ex2, form, spec, 3)
     assert _row(rows, "second-h-balance") == ("fail", "combined balance fails at index 2")
     assert _row(rows, "second-h-balance-equivalence") == ("pass", "")
@@ -187,9 +182,9 @@ def _mutant(data, form, n):
     return TensorElement(t.shape, terms)
 
 
-def _assert_rows_match(rows, scanned, *check_ids):
+def _assert_rows_match(rows, leg, scanned, *check_ids):
     for check_id in check_ids:
-        assert _row(rows, check_id) == _row(scanned, check_id), check_id
+        assert _row(rows, "%s-%s" % (leg, check_id)) == _row(scanned, check_id), check_id
 
 
 def _offset(data, spec):
@@ -206,15 +201,15 @@ def _offset(data, spec):
 @settings(max_examples=40, deadline=None)
 def test_grading_rows_match_the_scans(ex1, ex2, data):
     tower = data.draw(st.sampled_from((ex1, ex2)))
-    form = data.draw(st.sampled_from((tower.form_a, tower.form_p)))
+    leg, form = data.draw(st.sampled_from((("first", tower.form_a), ("second", tower.form_p))))
     spec = _offset(data, form.spec)
     n = data.draw(st.integers(-2, 2))
     mutant = _overridden(form, n, _mutant(data, form, n), spec)
-    rows, scanned = verify_strong_connection(mutant, 2), scan_colinearity(mutant, 2)
-    _assert_rows_match(rows, scanned, "right-colinear", "left-colinear")
+    rows, scanned = form_rows(mutant, leg, 2), scan_colinearity(mutant, 2)
+    _assert_rows_match(rows, leg, scanned, "right-colinear", "left-colinear")
     if spec.has_left():
-        rows, scanned = check_h_balance(mutant, spec, 2), scan_h_balance(mutant, spec, 2)
-        _assert_rows_match(rows, scanned, "h-balance")
+        scanned = scan_h_balance(mutant, spec, 2)
+        _assert_rows_match(rows, leg, scanned, "h-balance")
         # the suite reports the equivalence as a lemma; the scan must agree
         rows = _second_connection_rows(tower, mutant, spec, 2)
         want = _row(scanned, "h-balance-equivalence")
@@ -234,14 +229,11 @@ def test_coinvariants_certificate_matches_the_scan(ex1, ex2):
 
 # -- the lemma rows on random gradings -----------------------------------------------
 
-# the rows that ``cli.suites._lemmas`` proves, outside the entwining suite
-# (which is all lemmas); generators-balanced is one too, but no scan judges it
+# the (suite, id) of every lemma row of the table but generators-balanced,
+# which no scan judges; the grading suites emit 26 of them on each preset
 GRADING_LEMMAS = {
-    "closure-product",
-    "coinvariants-match",
-    "second-bicomodule-commute",
-    "second-unit-covariant",
-}
+    (row.suite, row.id(leg)) for row in ROWS if row.kind == LEMMA for leg in row.legs
+} - {("cotensor", "generators-balanced")}
 
 
 def _all_pass(results):
@@ -257,11 +249,8 @@ def test_lemma_rows_hold_on_random_gradings(data):
         assume(False)
     cot, p_spec = tower.cot, tower.p_spec
     suites = SuiteConfig(("algebra", "cotensor", "entwining"))
-    lemmas = [
-        r
-        for r in run_suites(tower, suites).results
-        if r.suite == "entwining" or r.check_id in GRADING_LEMMAS
-    ]
+    results = run_suites(tower, suites).results
+    lemmas = [r for r in results if (r.suite, r.check_id) in GRADING_LEMMAS]
     assert len(lemmas) == 26 and _all_pass(lemmas)
 
     # the scans pass too: each entwining on its algebra, the lifted one on

@@ -12,7 +12,7 @@ from qpbundle.cli.parser import (
     load_preset,
     parse_expression,
 )
-from qpbundle.cli.suites import SuiteConfig, run_suites
+from qpbundle.cli.suites import RESERVED, SuiteConfig, run_suites
 from qpbundle.comodule import TensorElement
 from qpbundle.scalar import ONE, LaurentScalar as S
 from qpbundle.skewalg import AlgebraElement
@@ -361,6 +361,8 @@ def test_coinvariant_lines_need_a_right_grading_on_the_second_factor():
         pytest.param("reduce b b' = 1 - a a'\n", "reduce b b' = 1 - a q\n", 21, id="rule-rhs"),
         pytest.param("reduce b b' = 1 - a a'\n", "reduce b c = 1 - a a'\n", 10, id="rule-lhs"),
         pytest.param("q b a = L^-1\n", "q b a = L^-1 Q\n", 14, id="q-entry"),
+        # a q entry is read with no algebra in scope, so no tensor can form
+        pytest.param("q b a = L^-1\n", "q b a = (1 | 1)\n", 9, id="q-tensor"),
         pytest.param(
             "rel-alpha-normal: alpha alpha' = alpha' alpha\n",
             "rel-alpha-normal: alpha alpha' = alpha' omega\n",
@@ -379,6 +381,17 @@ def test_expression_errors_count_columns_from_the_line_start(old, new, col):
     with pytest.raises(ParseError) as err:
         load_preset(text.replace(old, new))
     assert (err.value.line, err.value.col) == (lineno, col)
+
+
+@pytest.mark.parametrize("check_id", sorted(RESERVED))
+@pytest.mark.parametrize("scope", ["", " A", " P"])
+def test_identity_ids_may_not_take_an_examples_row(check_id, scope):
+    # translation-closed-form is the examples suite's own row: an identity
+    # line under its id would report a second row with the same id
+    text = preset_text("matsumoto-ex1") + "[identities%s]\n%s: 1 = 1\n" % (scope, check_id)
+    with pytest.raises(ParseError, match="names a row of the examples suite") as err:
+        load_preset(text)
+    assert (err.value.line, err.value.col) == (text.count("\n"), 1)
 
 
 def test_identity_rows_report_columns_of_the_preset_line():

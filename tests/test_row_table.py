@@ -1,0 +1,58 @@
+"""The row table: every row a report holds belongs to one entry of
+``cli.suites.ROWS``, which names its anchor.
+
+The reports of both bundled presets and of every one-line edit of them
+that the tests use are read whole, at small bounds (a row's id does not
+depend on the bounds), and each row must match exactly one entry: an
+entry's ids are its name after each of its legs, and the identity entry
+takes every id of the examples suite that no other entry of the suite
+reserves.  Every entry matches some row, so the table has no dead entry.
+"""
+
+import pytest
+
+import conftest as c
+from qpbundle.cli.parser import load_preset
+from qpbundle.cli.suites import RESERVED, ROWS, SuiteConfig, run_suites
+
+EX2_EDITS = ("DOCTORED_Q", "ENTRY_MUTANT", "IDENTITY_MUTANT", "RULELESS", "RADIUS_TWO")
+EX1_EDITS = ("EX1_ENTRY_MUTANT", "EX1_EXTRA_ENTRY")
+TOWERS = [("matsumoto-ex1", ()), ("matsumoto-ex2", ())]
+TOWERS += [("matsumoto-ex2", (edit,)) for edit in EX2_EDITS]
+TOWERS += [("matsumoto-ex1", (edit,)) for edit in EX1_EDITS]
+
+
+def entries(suite, check_id):
+    """The table entries whose ids include ``check_id`` in ``suite``."""
+    return [
+        row
+        for row in ROWS
+        if row.suite == suite
+        and (check_id not in RESERVED if row.legs is None else check_id in map(row.id, row.legs))
+    ]
+
+
+def report_rows(preset, edits):
+    variant = {"matsumoto-ex1": c.ex1_variant_text, "matsumoto-ex2": c.ex2_variant_text}[preset]
+    text = variant(*(getattr(c, edit) for edit in edits))
+    report = run_suites(load_preset(text), SuiteConfig(n_bound=1, degree_bound=2))
+    return report.results
+
+
+@pytest.fixture(scope="module")
+def reported():
+    return {(preset, edits): report_rows(preset, edits) for preset, edits in TOWERS}
+
+
+@pytest.mark.parametrize("preset, edits", TOWERS, ids=["-".join((p,) + e) for p, e in TOWERS])
+def test_every_row_matches_one_entry_and_its_anchor(reported, preset, edits):
+    for r in reported[preset, edits]:
+        matched = entries(r.suite, r.check_id)
+        assert len(matched) == 1, (r.suite, r.check_id, matched)
+        assert r.anchor == (matched[0].anchor or r.check_id), (r.suite, r.check_id)
+
+
+def test_every_entry_is_reported(reported):
+    rows = [r for results in reported.values() for r in results]
+    hit = {id(entry) for r in rows for entry in entries(r.suite, r.check_id)}
+    assert [(row.suite, row.name) for row in ROWS if id(row) not in hit] == []

@@ -488,29 +488,15 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
     except PresentationError as exc:
         raise ParseError("invalid presentation: %s" % exc, at, 1)
 
-    tables: dict[str, dict[str, int] | None] = {}
-    for side in ("right", "left"):
-        declared = gradings[side]
-        if not declared:
-            tables[side] = None
-            continue
+    for side, declared in gradings.items():
         for g in declared:
             if g not in index:
                 msg = "unknown generator %r in %s grading" % (g, side)
                 raise ParseError(msg, seen[(side, g)], 1)
-        table = dict(declared)
-        for g in generators:
-            if g in table:
-                continue
-            partner = presentation.star_map[g]
-            if partner in table:
-                table[g] = -table[partner]
-            else:
-                raise ParseError("no %s grading for %r or its star partner" % (side, g), at, 1)
-        tables[side] = table
-
     try:
-        return CoactionSpec(presentation, right=tables["right"], left=tables["left"])
+        return CoactionSpec(
+            presentation, right=gradings["right"] or None, left=gradings["left"] or None
+        )
     except PresentationError as exc:
         raise ParseError("invalid gradings: %s" % exc, at, 1)
 
@@ -559,8 +545,9 @@ def parse_identity_lines(lines, scope: str, ctx: ExpressionContext, identities: 
     id to its lines as (scope, line number, lhs, its column, rhs, its
     column): ``lhs = rhs`` in the scope's algebra, or, with rhs and its
     column None, ``lhs`` names a coinvariant of the balanced subalgebra.
-    Only shape, names and that the id is not one of the examples suite's
-    own rows are checked here; ``Tower.identity_holds`` evaluates a line."""
+    Only shape (no side may hold a tensor), names and that the id is not
+    one of the examples suite's own rows are checked here;
+    ``Tower.identity_holds`` evaluates a line."""
     known = set(_SCALAR_NAMES) | set(ctx.aliases) | set(ctx.presentation.index)
     for lineno, line in lines:
         check_id, _, claim = line.partition(":")
@@ -578,6 +565,10 @@ def parse_identity_lines(lines, scope: str, ctx: ExpressionContext, identities: 
             raise ParseError("expected id: lhs = rhs, or id: coinvariant name ...", lineno, 1)
         if check_id in RESERVED:
             raise ParseError("id %s names a row of the examples suite" % check_id, lineno, 1)
+        tensor = re.search(r"[|⊗]", line[at:])
+        if tensor:
+            msg = "an identity side is an algebra element, not a tensor"
+            raise ParseError(msg, lineno, at + tensor.start() + 1)
         for name in re.finditer(r"[^\W\d]\w*", line[at:]):
             if name[0] not in known:
                 raise ParseError("unknown name %r" % name[0], lineno, at + name.start() + 1)

@@ -77,9 +77,11 @@ class SuiteConfig:
 
     def __init__(self, suites=SUITE_NAMES, n_bound: int = 4, degree_bound: int = 6):
         suites = tuple(suites)
-        for s in suites:
+        for i, s in enumerate(suites):
             if s not in SUITE_NAMES:
                 raise ConfigError("unknown suite %r" % s)
+            if s in suites[:i]:
+                raise ConfigError("suite %r given twice" % s)
         if n_bound < 1:
             raise ConfigError("n_bound must be at least 1")
         if degree_bound < 2:

@@ -9,7 +9,8 @@ A coaction by this Hopf algebra on a presented algebra is the same
 thing as an integer grading on its generators, extended additively to
 monomials.  Right and left coactions are stored together in a
 ``CoactionSpec``; star generators must carry opposite degrees since the
-grouplike generator is unitary, and every rewrite rule must be
+grouplike generator is unitary, so ``CoactionSpec`` fills in the negated
+degree of a star partner that has none, and every rewrite rule must be
 homogeneous.  Nothing else needs checking: the two coactions commute,
 and 1 is covariant, for any pair of integer gradings (the bicomodule
 rows of ``qpbundle.cli.suites`` are lemmas).
@@ -61,13 +62,30 @@ def _vec_degree(vec: tuple[int, ...], m: Monomial) -> int:
     return sum(map(mul, vec, m))
 
 
-def _require_homogeneous(p: AlgebraPresentation, vec: tuple[int, ...], label: str):
-    """Raise unless ``vec`` grades every generator of ``p`` and every
-    rewrite rule of ``p`` is homogeneous for it."""
-    if len(vec) != len(p.generators):
-        raise PresentationError(
-            "%s grading has %d entries for %d generators" % (label, len(vec), len(p.generators))
-        )
+def _grading(p: AlgebraPresentation, given: Mapping[str, int] | None, label: str):
+    """The completed table of ``given`` and its degree vector in
+    generator order, or (None, None) without a table.  A generator
+    missing from ``given`` gets its star partner's degree, negated.
+    Raise on a name that is not a generator, a star pair with no degree,
+    partners whose degrees are not opposite, or a rewrite rule that is
+    not homogeneous."""
+    if given is None:
+        return None, None
+    for g in given:
+        if g not in p.index:
+            raise PresentationError("%s degree for %r, which is not a generator" % (label, g))
+    table = {}
+    for g in p.generators:
+        partner = p.star_map[g]
+        if g in given:
+            table[g] = given[g]
+        elif partner in given:
+            table[g] = -given[partner]
+        else:
+            raise PresentationError("no %s degree for %r or its star partner" % (label, g))
+        if partner in given and table[g] != -given[partner]:
+            raise PresentationError("%s degrees of %r and its star are not opposite" % (label, g))
+    vec = tuple(table[g] for g in p.generators)
     for lhs, rhs in p.reductions:
         d = _vec_degree(vec, lhs)
         if any(_vec_degree(vec, m) != d for m in rhs):
@@ -75,6 +93,7 @@ def _require_homogeneous(p: AlgebraPresentation, vec: tuple[int, ...], label: st
                 "rewrite rule %s is not homogeneous for the %s grading"
                 % (p.render_monomial(lhs), label)
             )
+    return table, vec
 
 
 class CoactionSpec:
@@ -86,9 +105,14 @@ class CoactionSpec:
     degrees, so coactions are automatically algebra maps; the
     generator-level data must satisfy two laws checked here:
 
-    * star partners carry opposite degrees (unitarity of u);
+    * star partners carry opposite degrees (unitarity of u), so a
+      generator without a degree gets its star partner's, negated;
     * every rewrite rule is homogeneous, otherwise the grading would
       not descend to the quotient.
+
+    A table must name generators only, and give a degree to at least
+    one of each star pair; ``right`` and ``left`` hold the completed
+    tables.
     """
 
     def __init__(
@@ -98,26 +122,8 @@ class CoactionSpec:
         left: Mapping[str, int] | None = None,
     ):
         self.presentation = presentation
-        self.right = dict(right) if right is not None else None
-        self.left = dict(left) if left is not None else None
-        # per-generator degree vectors in generator order, fixed here
-        vectors = {}
-        for table, label in ((self.right, "right"), (self.left, "left")):
-            if table is None:
-                vectors[label] = None
-                continue
-            missing = [g for g in presentation.generators if g not in table]
-            if missing:
-                raise PresentationError("%s degree missing for %r" % (label, missing[0]))
-            for g in presentation.generators:
-                if table[g] != -table[presentation.star_map[g]]:
-                    raise PresentationError(
-                        "%s degrees of %r and its star are not opposite" % (label, g)
-                    )
-            vec = vectors[label] = tuple(table[g] for g in presentation.generators)
-            _require_homogeneous(presentation, vec, label)
-        self._right_vec = vectors["right"]
-        self._left_vec = vectors["left"]
+        self.right, self._right_vec = _grading(presentation, right, "right")
+        self.left, self._left_vec = _grading(presentation, left, "left")
 
     def right_degree(self, m: Monomial) -> int:
         if self._right_vec is None:

@@ -10,6 +10,7 @@ import pytest
 
 import qpbundle
 from conftest import run_qpb
+from qpbundle.cli.suites import ConfigError, SuiteConfig
 from qpbundle.comodule import render_tensor
 
 FAST = ("--n-bound", "2", "--degree-bound", "3")
@@ -160,6 +161,16 @@ def test_unknown_suite_is_rejected(runner):
     assert res.exit_code == 2
 
 
+def test_a_repeated_suite_runs_once(runner):
+    # the command line merges a repeated --suite; the library refuses one,
+    # which would otherwise report each of its rows twice
+    res = invoke(runner, "verify", "--suite", "algebra", "--suite", "algebra", *FAST)
+    assert res.exit_code == 0
+    assert "\n12 passed, 0 failed" in res.output
+    with pytest.raises(ConfigError, match="suite 'algebra' given twice"):
+        SuiteConfig(("algebra", "algebra"))
+
+
 def test_bounds_are_validated(runner):
     res = invoke(runner, "verify", "--degree-bound", "1", *FAST[:2])
     assert res.exit_code == 2
@@ -206,6 +217,18 @@ def test_rejected_values_exit_two(runner, tmp_path):
         ("identities A", "other-factor: a x = x a", "unknown name 'x'"),
         # a coinvariant line belongs to the balanced subalgebra
         ("identities P", "scoped: coinvariant x", "expected id: lhs = rhs"),
+        # a tensor is not an element of the scope's algebra, so it is
+        # refused at its character instead of failing as a false identity
+        (
+            "identities",
+            "rel-alpha-normal: alpha alpha' = (alpha | alpha')",
+            "column 41: an identity side is an algebra element, not a tensor",
+        ),
+        (
+            "identities A",
+            "tensor: a ⊗ b = b ⊗ a",
+            "column 11: an identity side is an algebra element, not a tensor",
+        ),
     ],
 )
 def test_bad_identity_lines_exit_two(runner, tmp_path, section, line, message):

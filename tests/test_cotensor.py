@@ -222,9 +222,15 @@ def test_entwining_data_must_be_homogeneous(ex1, ex2, data):
 
 
 def test_entwining_vectors_grade_every_generator(ex2):
+    # a star partner without a degree gets the negated one; a pair with
+    # neither, or a name that is not a generator, is refused
     p = ex2.p_spec.presentation
-    with pytest.raises(PresentationError, match="right degree missing for \"y'\""):
-        CoactionSpec(p, right={"x": 1, "x'": -1, "y": 0})
+    full = {"x": 1, "x'": -1, "y": 2, "y'": -2}
+    with pytest.raises(PresentationError, match="right degree for 'zz', which is not a generator"):
+        CoactionSpec(p, right=dict(full, zz=7))
+    assert CoactionSpec(p, right={"x": 1, "y": 2}).right == full
+    with pytest.raises(PresentationError, match="no right degree for 'y' or its star partner"):
+        CoactionSpec(p, right={"x": 1, "x'": -1})
 
 
 def test_entwine_at_and_multiply_adjacent(ex2):

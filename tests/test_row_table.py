@@ -7,6 +7,8 @@ depend on the bounds), and each row must match exactly one entry: an
 entry's ids are its name after each of its legs, and the identity entry
 takes every id of the examples suite that no other entry of the suite
 reserves.  Every entry matches some row, so the table has no dead entry.
+The cotensor and entwining rows are lemmas of the checks made when a
+preset loads, so every edit reports them as its bundled preset does.
 """
 
 import pytest
@@ -19,7 +21,13 @@ EX2_EDITS = ("DOCTORED_Q", "ENTRY_MUTANT", "IDENTITY_MUTANT", "RULELESS", "RADIU
 EX1_EDITS = ("EX1_ENTRY_MUTANT", "EX1_EXTRA_ENTRY")
 TOWERS = [("matsumoto-ex1", ()), ("matsumoto-ex2", ())]
 TOWERS += [("matsumoto-ex2", (edit,)) for edit in EX2_EDITS]
+TOWERS += [("matsumoto-ex2", ("RULELESS", "RADIUS_TWO"))]
 TOWERS += [("matsumoto-ex1", (edit,)) for edit in EX1_EDITS]
+EDITED = [(preset, edits) for preset, edits in TOWERS if edits]
+
+
+def ids(towers):
+    return ["-".join((preset,) + edits) for preset, edits in towers]
 
 
 def entries(suite, check_id):
@@ -44,12 +52,20 @@ def reported():
     return {(preset, edits): report_rows(preset, edits) for preset, edits in TOWERS}
 
 
-@pytest.mark.parametrize("preset, edits", TOWERS, ids=["-".join((p,) + e) for p, e in TOWERS])
+@pytest.mark.parametrize("preset, edits", TOWERS, ids=ids(TOWERS))
 def test_every_row_matches_one_entry_and_its_anchor(reported, preset, edits):
     for r in reported[preset, edits]:
         matched = entries(r.suite, r.check_id)
         assert len(matched) == 1, (r.suite, r.check_id, matched)
         assert r.anchor == (matched[0].anchor or r.check_id), (r.suite, r.check_id)
+
+
+@pytest.mark.parametrize("preset, edits", EDITED, ids=ids(EDITED))
+def test_every_edit_reports_the_lemma_suites_as_its_preset_does(reported, preset, edits):
+    def lemma_rows(results):
+        return [r.as_dict() for r in results if r.suite in ("cotensor", "entwining")]
+
+    assert lemma_rows(reported[preset, edits]) == lemma_rows(reported[preset, ()])
 
 
 def test_every_entry_is_reported(reported):

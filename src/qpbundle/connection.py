@@ -13,6 +13,13 @@ algebra of two bundles out of forms on the factors, and evaluates the
 closed forms (word, generator and translation form) that the composed
 connection admits for the deformed-sphere towers, each a sum of letter
 words, so the ways of computing the same element compare exactly.
+
+The composed form's lifted canonical image is assembled from the
+factors' stored data: the first factor's leg products on the left
+degrees D(n) of the second factor's image, times the second factor's
+lifted canonical image at n (``compose_connection``).  That is exact,
+since letters of the two factors commute with q = 1, the rules act
+slot by slot and the induced right grading reads only the second slot.
 """
 
 from __future__ import annotations
@@ -49,7 +56,8 @@ class ConnectionForm:
     ``overrides`` pin explicit tensors for chosen indices (as loaded
     from a preset file) and take precedence over the rule, so that a
     doctored table shows up in the verification output rather than
-    being silently recomputed.
+    being silently recomputed.  ``lift``, when given, returns C(n)
+    from data stored elsewhere (``canonical``).
     """
 
     def __init__(
@@ -58,6 +66,7 @@ class ConnectionForm:
         rule: Callable[[int], TensorElement] | None,
         overrides: dict[int, TensorElement] | None = None,
         name: str = "",
+        lift: Callable[[int], TensorElement] | None = None,
     ):
         if not spec.has_right():
             raise PresentationError("connection form needs a right grading")
@@ -65,7 +74,9 @@ class ConnectionForm:
         self.presentation = spec.presentation
         self._rule = rule
         self._memo: dict[int, TensorElement] = {}
+        self._lift = lift
         self._canonical: dict[int, TensorElement] = {}
+        self._leg_products: dict[int, dict[Monomial, LaurentScalar]] = {}
         self._colifts: dict[int, bool] = {}
         self.overrides = dict(overrides) if overrides else {}
         self.name = name
@@ -91,10 +102,28 @@ class ConnectionForm:
 
     def canonical(self, n: int) -> TensorElement:
         """C(n) = can(l(u^n)), the lifted canonical image of ``self(n)``
-        (an override where there is one), computed once per index."""
+        (an override where there is one), computed once per index.
+        ``self(n)`` is evaluated first, so an index without an image
+        raises its own error.  The composed form's ``lift`` assembles
+        C(n) exactly from its factors' stored data (``compose_connection``);
+        every other form runs ``lifted_canonical_map``."""
         if n not in self._canonical:
-            self._canonical[n] = lifted_canonical_map(self.spec, self(n))
+            t = self(n)
+            lift = self._lift
+            self._canonical[n] = lifted_canonical_map(self.spec, t) if lift is None else lift(n)
         return self._canonical[n]
+
+    def leg_product(self, n: int) -> dict[Monomial, LaurentScalar]:
+        """mul(l(u^n)), the legs multiplied, as a map from normal
+        monomials to coefficients; computed once per index.  Read off
+        C(n), since mul = (id (x) eps) o can: normal-forming is linear,
+        so summing the terms of C(n) onto their monomials is exact."""
+        if n not in self._leg_products:
+            legs: dict[Monomial, LaurentScalar] = {}
+            for (m, _), c in self.canonical(n).terms.items():
+                accumulate(legs, m, c)
+            self._leg_products[n] = legs
+        return self._leg_products[n]
 
     # -- the axioms, one index at a time -------------------------------------
 
@@ -119,13 +148,8 @@ class ConnectionForm:
         return all(self.spec.right_degree(x) == -n for x, _ in self(n).terms)
 
     def mul_counit(self, n: int) -> bool:
-        """The legs multiply to 1.  Read off C(n), since mul = (id (x) eps)
-        o can; normal-forming is linear, so summing the terms of C(n)
-        onto their monomials is exact."""
-        legs: dict[Monomial, LaurentScalar] = {}
-        for (m, _), c in self.canonical(n).terms.items():
-            accumulate(legs, m, c)
-        return legs == {self.presentation.one_monomial(): ONE}
+        """The legs multiply to 1 (``leg_product``)."""
+        return self.leg_product(n) == {self.presentation.one_monomial(): ONE}
 
     def balanced(self, n: int) -> bool:
         """Balance of the left grading L of the form's algebra across the
@@ -201,14 +225,30 @@ def _sphere_letters(spec: CoactionSpec) -> tuple[str, str] | None:
 
 def _word_sum(p: AlgebraPresentation, terms) -> TensorElement:
     """The sum of c NF(w) (x) NF(w') over triples (c, w, w') of words in
-    the letters of ``p``: every closed form below is such a sum.  The
-    presentation keeps NF of each monomial it is handed alone, as each
-    word is here, so a word seen before costs one q-sort and a lookup;
-    c scales the first leg, so each output term takes one product."""
+    the letters of ``p``: every closed form below is such a sum.
+
+    Each distinct word is q-sorted and normal-formed once per call, and
+    the legs' term maps are multiplied directly, c c1 c2 per output
+    term.  That is the term-by-term sum exactly: NF is linear, so
+    NF(c w) = c NF(w).
+    """
+    forms: dict[tuple, dict[Monomial, LaurentScalar]] = {}
+
+    def nf(word):
+        key = tuple(word)
+        got = forms.get(key)
+        if got is None:
+            f, v = p._sort_word(key)
+            got = forms[key] = p.reduce_terms({v: f})
+        return got
+
     out: dict[tuple, LaurentScalar] = {}
     for c, w, w2 in terms:
-        for k, x in tensor_of([p.normal_form(w, c), p.normal_form(w2)]).terms.items():
-            accumulate(out, k, x)
+        first, second = nf(w), nf(w2)
+        for m1, c1 in first.items():
+            c1 = c1 * c
+            for m2, c2 in second.items():
+                accumulate(out, (m1, m2), c1 * c2)
     return _trusted_tensor((alg_slot(p), alg_slot(p)), out)
 
 
@@ -290,6 +330,19 @@ def compose_connection(
 
     Both output legs must land in the cotensor algebra; a violation
     means the inputs were not colinear and raises.
+
+    Its lifted canonical image is assembled from the factors' stored
+    data, not multiplied out in the ambient algebra.  Letters of A and P
+    commute with q = 1, so (s (x) x)(t (x) y) q-sorts to st (x) xy with
+    the factors' own sort factors; the ambient rules act slot by slot,
+    so its normal form is NF_A(st) (x) NF_P(xy); and the induced right
+    grading reads only the P slot.  Hence, exactly,
+
+        C(n) = sum over d of mul(l_A(u^d)) (x) C_P^(d)(n),
+
+    where C_P^(d)(n) is P's lifted canonical image of the terms x (x) y
+    of l_P(u^n) with L(y) = d.  The d with one leg product share one P
+    image, which is P's stored C(n) when all of D(n) has one.
     """
     if form_a.presentation is not cot.left_spec.presentation:
         raise PresentationError("first form lives on the wrong algebra")
@@ -321,7 +374,25 @@ def compose_connection(
             )
         return result
 
-    return ConnectionForm(cot.induced_right, rule, name=name or "composed")
+    def lift(n: int) -> TensorElement:
+        t = form_p(n)
+        # the terms of l_P(u^n), by the leg product of A at L(y)
+        parts: dict[frozenset, dict[tuple, LaurentScalar]] = {}
+        for (x, y), c in t.terms.items():
+            legs = form_a.leg_product(left_degree(y))
+            parts.setdefault(frozenset(legs.items()), {})[x, y] = c
+        out: dict[tuple, LaurentScalar] = {}
+        for legs, part in parts.items():
+            if len(parts) == 1:
+                image = form_p.canonical(n)
+            else:
+                image = lifted_canonical_map(form_p.spec, _trusted_tensor(t.shape, part))
+            for (mp, k), c in image.terms.items():
+                for ma, ca in legs:
+                    accumulate(out, (ma + mp, k), ca * c)
+        return _trusted_tensor((alg_slot(amb), coalg_slot()), out)
+
+    return ConnectionForm(cot.induced_right, rule, name=name or "composed", lift=lift)
 
 
 def _tower_letters(cot: CotensorAlgebra, left: tuple[int, int]) -> tuple[str, ...] | None:

@@ -84,6 +84,12 @@ def ex2_variant_text(*edits):
     return _variant_text("matsumoto-ex2", edits)
 
 
+def load_variant(name, edit_names):
+    """The bundled preset ``name`` with the edits of this module named in
+    ``edit_names`` applied, loaded."""
+    return load_preset(_variant_text(name, [globals()[edit] for edit in edit_names]))
+
+
 def without_sections(text, *kinds):
     """The preset text without the sections whose title starts with one
     of ``kinds``."""

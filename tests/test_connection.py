@@ -3,13 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     ENTRY_MUTANT,
     EX1_ENTRY_MUTANT,
     EX1_EXTRA_ENTRY,
     ex1_variant_text,
+    load_bundled,
     load_ex2_variant,
+    load_variant,
     preset_text,
 )
 from oracles import (
@@ -36,6 +39,7 @@ from qpbundle.comodule import (
 )
 from qpbundle.connection import (
     ConnectionForm,
+    _word_sum,
     balance_total_holds,
     compose_connection,
     composed_closed_form,
@@ -45,7 +49,15 @@ from qpbundle.connection import (
     matsumoto_connection,
 )
 from qpbundle.scalar import ONE, ZERO, LaurentScalar as S
-from qpbundle.skewalg import AlgebraPresentation, PresentationError
+from qpbundle.skewalg import (
+    AlgebraPresentation,
+    PackageError,
+    PresentationError,
+    tensor_presentation,
+)
+from test_row_table import TOWERS, ids as tower_ids
+
+PRESETS = ("matsumoto-ex1", "matsumoto-ex2")
 
 
 def test_connection_matches_word_oracle(ex2):
@@ -86,18 +98,23 @@ def test_canonical_map_collapses_the_form(ex2):
 
 
 
-def test_lifted_canonical_map_is_the_slot_composite(ex1, ex2):
-    # the one-pass map equals coacting on the second slot and then
-    # multiplying the two algebra slots, the generic reference
-    def reference(spec, t):
-        p = spec.presentation
-        coact = lambda m: right_coact(spec, p.element({m: ONE}))
-        return multiply_adjacent(tensor_apply(t, 1, coact), 0)
+def _slot_composite(spec, t):
+    """can(t) by the generic route: coact on the second slot, then
+    multiply the two algebra slots."""
+    p = spec.presentation
+    coact = lambda m: right_coact(spec, p.element({m: ONE}))
+    return multiply_adjacent(tensor_apply(t, 1, coact), 0)
 
+
+def test_lifted_canonical_map_is_the_slot_composite(ex1, ex2):
+    # the one-pass map equals the generic reference; the composed form's
+    # C(n) is compared with both by
+    # test_composed_canonical_image_is_assembled_from_the_factors
     for tower in (ex1, ex2):
-        for form in (tower.form_a, tower.form_p, tower.composed()):
+        for form in (tower.form_a, tower.form_p):
             for n in range(-4, 5):
-                assert lifted_canonical_map(form.spec, form(n)) == reference(form.spec, form(n))
+                t = form(n)
+                assert lifted_canonical_map(form.spec, t) == _slot_composite(form.spec, t)
 
     # second legs of right degrees 1, -1, 2 and 0, so C has four grades,
     # with a leg product the sphere rule rewrites (b (x) b' gives 1 - a a')
@@ -111,12 +128,12 @@ def test_lifted_canonical_map_is_the_slot_composite(ex1, ex2):
         - tensor_of([p.one(), a * a_s])
     )
     got = lifted_canonical_map(spec, t)
-    assert got == reference(spec, t)
+    assert got == _slot_composite(spec, t)
     assert {grade for _, grade in got.terms} == {-1, 0, 1, 2}
 
     empty = TensorElement((alg_slot(p), alg_slot(p)))
     got = lifted_canonical_map(spec, empty)
-    assert got == reference(spec, empty)
+    assert got == _slot_composite(spec, empty)
     assert got.is_zero() and got.shape == (alg_slot(p), coalg_slot())
     with pytest.raises(ShapeError):
         lifted_canonical_map(spec, tensor_of([a, a, a]))
@@ -267,6 +284,110 @@ def test_translation_row_reads_indices_up_to_three(edit, want):
     report = run_suites(tower, SuiteConfig(("examples",), n_bound=4))
     (row,) = [r for r in report.results if r.check_id == "translation-closed-form"]
     assert (row.status, row.detail) == want
+
+
+def _outcome(compute):
+    """The value of ``compute()``, or the message of the package error it
+    raises."""
+    try:
+        return compute()
+    except PackageError as err:
+        return "raises: %s" % err
+
+
+@pytest.mark.parametrize("preset, edits", TOWERS, ids=tower_ids(TOWERS))
+def test_composed_canonical_image_is_assembled_from_the_factors(preset, edits):
+    # the composed C(n), built from A's leg products and P's images,
+    # against the lifted canonical map and the slot composite of the
+    # composed image in the ambient algebra; a missing image or one
+    # outside the cotensor algebra raises the same error either way
+    tower = load_variant(preset, edits)
+    composed, spec = tower.composed(), tower.cot.induced_right
+    for n in range(-4, 5):
+        got = _outcome(lambda: composed.canonical(n))
+        assert got == _outcome(lambda: lifted_canonical_map(spec, composed(n))), n
+        assert got == _outcome(lambda: _slot_composite(spec, composed(n))), n
+
+
+def test_a_wrong_leg_product_splits_the_second_image():
+    # ENTRY_MUTANT changes A's leg product at 2 alone, and P's image at 2
+    # has second legs of left degree -2, 0 and 2, so its C(2) splits in
+    # two: taking every leg product to be 1 would give 1 (x) C_P(2)
+    tower = load_ex2_variant(ENTRY_MUTANT)
+    composed, form_p = tower.composed(), tower.form_p
+    one = tower.a_spec.presentation.one_monomial()
+    assert tower.form_a.leg_product(2) != {one: ONE}
+    plain = {(one + m, k): c for (m, k), c in form_p.canonical(2).terms.items()}
+    assert composed.canonical(2).terms != plain
+    assert composed.canonical(2) == lifted_canonical_map(tower.cot.induced_right, composed(2))
+
+
+@st.composite
+def entry_mutants(draw):
+    """A bundled preset with one to three of its connection entry lines
+    (A's and P's) each given one other coefficient, on one term."""
+    lines = preset_text(draw(st.sampled_from(PRESETS))).splitlines(keepends=True)
+    entries = [i for i, line in enumerate(lines) if line.startswith("entry ")]
+    for i in draw(st.lists(st.sampled_from(entries), min_size=1, max_size=3, unique=True)):
+        head, body = lines[i].rstrip("\n").split(" = ", 1)
+        terms = body.split(" + ")
+        j = draw(st.integers(0, len(terms) - 1))
+        coeff = draw(st.sampled_from(("(-1)", "2", "3", "L", "(1 - M)")))
+        terms[j] = "%s %s" % (coeff, terms[j][terms[j].index("(") :])
+        lines[i] = "%s = %s\n" % (head, " + ".join(terms))
+    return "".join(lines)
+
+
+@settings(max_examples=120, deadline=None)
+@given(entry_mutants())
+def test_composed_canonical_image_of_entry_mutants(text):
+    tower = load_preset(text)
+    composed, spec = tower.composed(), tower.cot.induced_right
+    for n in range(-4, 5):
+        assert composed.canonical(n) == lifted_canonical_map(spec, composed(n)), n
+
+
+def _term_by_term(p, terms):
+    """The definition of ``_word_sum``: one tensor per triple."""
+    out = TensorElement((alg_slot(p), alg_slot(p)))
+    for c, w, w2 in terms:
+        out = out + tensor_of([p.normal_form(w, c), p.normal_form(w2)])
+    return out
+
+
+@st.composite
+def word_triples(draw, letters):
+    """(c, w, w') triples over a few words, so that words repeat, with
+    integer and Laurent coefficients, and a cancelling pair c, -c."""
+    pool = draw(st.lists(st.lists(st.sampled_from(letters), max_size=5), min_size=1, max_size=4))
+    words = st.sampled_from(pool)
+    exponents = st.integers(-2, 2)
+    laurent = st.builds(S.monomial, st.sampled_from((-2, -1, 1, 3)), exponents, exponents)
+    coeffs = st.one_of(st.integers(-3, 3), laurent)
+    c, w, w2 = draw(coeffs), draw(words), draw(words)
+    cancelling = [(c, w, w2), (-c, w, w2)]
+    return draw(st.lists(st.tuples(coeffs, words, words), max_size=6)), cancelling
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.data())
+def test_word_sum_is_the_term_by_term_sum(ambient, data):
+    # on a factor or the ambient presentation, first with no normal form
+    # stored, then with every word's stored; the reference runs on a
+    # presentation of its own
+    def fresh():
+        tower = load_bundled("matsumoto-ex2")
+        a, b = tower.a_spec.presentation, tower.p_spec.presentation
+        return tensor_presentation(a, b) if ambient else a
+
+    p, reference = fresh(), fresh()
+    assert not p._normal_forms
+    triples, cancelling = data.draw(word_triples(p.generators))
+    terms = triples[:1] + cancelling + triples[1:]
+    want = _term_by_term(reference, terms).terms
+    assert _word_sum(p, terms).terms == want  # fresh
+    assert _word_sum(p, terms).terms == want  # every word's normal form stored
+    assert _word_sum(p, cancelling).terms == {}
 
 
 def test_composed_legs_stay_balanced(ex2):

@@ -14,7 +14,6 @@ preset loads, so every edit reports them as its bundled preset does.
 import pytest
 
 import conftest as c
-from qpbundle.cli.parser import load_preset
 from qpbundle.cli.suites import RESERVED, ROWS, SuiteConfig, run_suites
 
 EX2_EDITS = ("DOCTORED_Q", "ENTRY_MUTANT", "IDENTITY_MUTANT", "RULELESS", "RADIUS_TWO")
@@ -41,9 +40,7 @@ def entries(suite, check_id):
 
 
 def report_rows(preset, edits):
-    variant = {"matsumoto-ex1": c.ex1_variant_text, "matsumoto-ex2": c.ex2_variant_text}[preset]
-    text = variant(*(getattr(c, edit) for edit in edits))
-    report = run_suites(load_preset(text), SuiteConfig(n_bound=1, degree_bound=2))
+    report = run_suites(c.load_variant(preset, edits), SuiteConfig(n_bound=1, degree_bound=2))
     return report.results
 
 

@@ -531,7 +531,10 @@ def parse_connection_section(lines, spec: CoactionSpec, label: str) -> Connectio
             raise ParseError("unknown directive %r" % parts[0], lineno, 1)
 
     if rule_name == "sphere":
-        return matsumoto_connection(spec, name=label, overrides=entries)
+        try:
+            return matsumoto_connection(spec, name=label, overrides=entries)
+        except PresentationError as exc:
+            raise ParseError(str(exc), seen["rule"], 1)
     if rule_name is None:
         return ConnectionForm(spec, None, overrides=entries, name=label)
     raise ParseError("unknown connection rule %r" % rule_name, lines[0][0], 1)

@@ -447,6 +447,29 @@ def composed_closed_form(cot: CotensorAlgebra, n: int) -> TensorElement:
     return _word_sum(cot.ambient, terms())
 
 
+def _generator_form_terms(cot: CotensorAlgebra, nn: int):
+    """The triples (c, x, y) of the generator form at nn >= 0, each leg a
+    word in letters (``composed_generator_form``)."""
+    (ga, gb, pa, pb), star = _expansion_letters(cot, (-1, 1))
+    gens = (ga, star[pa]), (gb, pb), (ga, pb), (gb, star[pa])
+    alpha, beta, gamma, delta = gens
+    alpha_s, beta_s, gamma_s, delta_s = (tuple(star[g] for g in w) for w in gens)
+    for m in range(nn // 2 + 1):
+        j = nn - 2 * m
+        for k, t, s in product(range(j + 1), range(m + 1), range(m + 1)):
+            c = binomial(nn, m) * binomial(j, k) * binomial(m, t) * binomial(m, s)
+            x = beta_s * (m - t) + gamma_s * t + delta * (k + m - t) + alpha * (j - k + t)
+            y = alpha_s * (j - k + s) + delta_s * (k + m - s) + gamma * s + beta * (m - s)
+            yield LaurentScalar.monomial(c, (k + m) * (t - s) - t * t + s * s), x, y
+    for m in range(nn // 2 + 1, nn + 1):
+        j, r = 2 * m - nn, nn - m
+        for k, t, s in product(range(j + 1), range(r + 1), range(r + 1)):
+            c = binomial(nn, m) * binomial(j, k) * binomial(r, t) * binomial(r, s)
+            x = gamma_s * (j - k + t) + beta_s * (r + k - t) + delta * (r - t) + alpha * t
+            y = alpha_s * s + delta_s * (r - s) + beta * (r - s + k) + gamma * (j - k + s)
+            yield LaurentScalar.monomial(c, -k * (t - s)), x, y
+
+
 def composed_generator_form(cot: CotensorAlgebra, n: int) -> TensorElement:
     """Quadruple-sum expansion of the composed connection in the four
     cotensor generators, normal-formed in the ambient algebra.
@@ -458,32 +481,22 @@ def composed_generator_form(cot: CotensorAlgebra, n: int) -> TensorElement:
     deformation parameter only; the binomial weights of the second
     double sum run to the complementary index r = nn - m (the printed
     source of this expansion carries a typo there, see
-    test_composition_closed_forms_agree).  Negative indices swap the legs.
+    test_composition_closed_forms_agree).
+
+    The image at each n >= 0 is built once per cotensor algebra and
+    stored on it.  A negative index is the stored image at -n with its
+    legs swapped, x (x) y -> y (x) x: the expansion at -n is the sum of
+    the same triples with the legs swapped, and swapping the legs of
+    each triple swaps those of their sum.
     """
-    (ga, gb, pa, pb), star = _expansion_letters(cot, (-1, 1))
-    gens = (ga, star[pa]), (gb, pb), (ga, pb), (gb, star[pa])
-    alpha, beta, gamma, delta = gens
-    alpha_s, beta_s, gamma_s, delta_s = (tuple(star[g] for g in w) for w in gens)
     nn = abs(n)
-
-    def terms():
-        for m in range(nn // 2 + 1):
-            j = nn - 2 * m
-            for k, t, s in product(range(j + 1), range(m + 1), range(m + 1)):
-                c = binomial(nn, m) * binomial(j, k) * binomial(m, t) * binomial(m, s)
-                x = beta_s * (m - t) + gamma_s * t + delta * (k + m - t) + alpha * (j - k + t)
-                y = alpha_s * (j - k + s) + delta_s * (k + m - s) + gamma * s + beta * (m - s)
-                yield LaurentScalar.monomial(c, (k + m) * (t - s) - t * t + s * s), x, y
-        for m in range(nn // 2 + 1, nn + 1):
-            j, r = 2 * m - nn, nn - m
-            for k, t, s in product(range(j + 1), range(r + 1), range(r + 1)):
-                c = binomial(nn, m) * binomial(j, k) * binomial(r, t) * binomial(r, s)
-                x = gamma_s * (j - k + t) + beta_s * (r + k - t) + delta * (r - t) + alpha * t
-                y = alpha_s * s + delta_s * (r - s) + beta * (r - s + k) + gamma * (j - k + s)
-                yield LaurentScalar.monomial(c, -k * (t - s)), x, y
-
-    flipped = ((c, y, x) for c, x, y in terms())
-    return _word_sum(cot.ambient, terms() if n >= 0 else flipped)
+    image = cot._generator_forms.get(nn)
+    if image is None:
+        terms = _generator_form_terms(cot, nn)
+        image = cot._generator_forms[nn] = _word_sum(cot.ambient, terms)
+    if n >= 0:
+        return image
+    return _trusted_tensor(image.shape, {(y, x): c for (x, y), c in image.terms.items()})
 
 
 def composed_translation_form(cot: CotensorAlgebra, n: int) -> TensorElement:

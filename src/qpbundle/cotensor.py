@@ -29,7 +29,7 @@ from .skewalg import (
     PresentationError,
     tensor_presentation,
 )
-from .comodule import CoactionSpec
+from .comodule import CoactionSpec, TensorElement
 
 
 class CotensorAlgebra:
@@ -38,7 +38,9 @@ class CotensorAlgebra:
     ``left_spec`` grades A on the right, ``right_spec`` grades P on the
     left (both by the same structure group); ``right_spec`` may also
     carry a second, right grading, which then induces the right
-    coaction of the cotensor algebra through its P slot.
+    coaction of the cotensor algebra through its P slot.  It keeps the
+    images ``connection.composed_generator_form`` builds, one per |n|,
+    so that they live and die with it.
     """
 
     def __init__(self, left_spec: CoactionSpec, right_spec: CoactionSpec, name: str = ""):
@@ -60,6 +62,8 @@ class CotensorAlgebra:
             self.induced_right = CoactionSpec(self.ambient, right=table)
         else:
             self.induced_right = None
+        # |n| -> the generator-form image at |n|
+        self._generator_forms: dict[int, TensorElement] = {}
 
     # -- monomial plumbing -------------------------------------------------
 

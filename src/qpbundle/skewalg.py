@@ -84,12 +84,13 @@ class PresentationError(PackageError):
 class AlgebraPresentation:
     """Generators, q-commutation table, star pairing and rewrite rules.
 
-    Its defining data is immutable after construction.  The one thing
-    that changes is a private store of normal forms, monomial to NF(m),
+    Its defining data is immutable after construction.  What changes
+    are two private stores.  One holds normal forms, monomial to NF(m),
     that ``reduce_terms`` fills and reads: rewriting fires a fixed rule
     per monomial, so normal-forming is linear and a stored NF(m) is
-    exact in every later call, confluent rules or not.  The store lives
-    and dies with the presentation.  All element arithmetic is routed
+    exact in every later call, confluent rules or not.  The other holds
+    the element of each generator that ``gen`` has built.  Both live
+    and die with the presentation.  All element arithmetic is routed
     through this object so elements of different presentations can
     never be silently mixed.
     """
@@ -177,6 +178,8 @@ class AlgebraPresentation:
         self.reductions = tuple(rules)
         # monomial -> normal form, filled by reduce_terms
         self._normal_forms: dict[Monomial, dict[Monomial, LaurentScalar]] = {}
+        # generator name -> its element, filled by gen
+        self._generator_elements: dict[str, AlgebraElement] = {}
         # (generator index, exponent) pairs each rule left side needs
         self._rule_supports = tuple(
             tuple((i, e) for i, e in enumerate(lhs) if e) for lhs, _ in rules
@@ -375,7 +378,14 @@ class AlgebraPresentation:
         return AlgebraElement(self, {self.one_monomial(): ONE})
 
     def gen(self, name: str) -> "AlgebraElement":
-        return self.normal_form([name])
+        """The generator ``name`` as an element, built on first use and
+        stored.  Sharing it is exact: its normal form reads only the
+        presentation's immutable data, and no element's terms are ever
+        changed after it is built."""
+        got = self._generator_elements.get(name)
+        if got is None:
+            got = self._generator_elements[name] = self.normal_form([name])
+        return got
 
     def element(self, terms: Mapping[Monomial, LaurentScalar]) -> "AlgebraElement":
         return AlgebraElement(self, self.reduce_terms(terms))
@@ -492,10 +502,18 @@ class AlgebraElement:
         return NotImplemented
 
     def __pow__(self, power: int) -> "AlgebraElement":
+        """The product x x ... x of ``power`` factors, taken left to
+        right; ``one()`` for power 0.  The product starts from x rather
+        than from one(): x is normal, as every element the package
+        builds is, so one() x is x exactly (its sort factor is 1 and
+        normal monomials pass through ``reduce_terms``), with no
+        associativity needed."""
         if power < 0:
             raise ValueError("negative powers are not defined here")
-        out = self.presentation.one()
-        for _ in range(power):
+        if power == 0:
+            return self.presentation.one()
+        out = self
+        for _ in range(power - 1):
             out = out * self
         return out
 

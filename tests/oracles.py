@@ -40,7 +40,11 @@ algebra scans judge the confluence and star certificates of
 ``qpbundle.skewalg``: they compare the rewrites that apply to each
 exponent vector, evaluate both star laws on normal monomials and pairs
 of them, and multiply monomial triples both ways, all up to a degree
-bound.
+bound.  ``generator_form_afresh`` sums the package's own generator-form
+triples with its own ``_word_sum``, at a negative index over the triples
+with their legs swapped, on every call: it checks only that
+``composed_generator_form`` stores its images per cotensor algebra and
+swaps the legs exactly.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from qpbundle.comodule import (
     grouplike,
     tensor_of,
 )
-from qpbundle.connection import lifted_canonical_map
+from qpbundle.connection import _generator_form_terms, _word_sum, lifted_canonical_map
 from qpbundle.cotensor import coinvariants_basis
 from qpbundle.report import check, verdict
 from qpbundle.scalar import ONE, LaurentScalar, accumulate
@@ -1048,3 +1052,12 @@ def assert_canonical(t):
     assert t == TensorElement(t.shape, t.terms)
     assert not any(c.is_zero() for c in t.terms.values())
     assert all(isinstance(k, tuple) and len(k) == len(t.shape) for k in t.terms)
+
+
+def generator_form_afresh(cot, n):
+    """The generator form at n, evaluated with nothing stored: ``_word_sum``
+    over its triples at |n|, each with its legs swapped when n < 0."""
+    triples = _generator_form_terms(cot, abs(n))
+    if n < 0:
+        triples = ((c, y, x) for c, x, y in triples)
+    return _word_sum(cot.ambient, triples)

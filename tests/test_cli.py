@@ -460,6 +460,23 @@ def test_a_malformed_connection_line_exits_two_at_its_line(runner, tmp_path, bel
     assert res.stderr == "error: line %d, column 1: %s\n" % (at, message)
 
 
+def test_a_sphere_rule_on_another_algebra_exits_two_at_its_line(runner, tmp_path):
+    text = (
+        "[algebra A]\ngenerators = a a'\nstar a a'\nright a = 1\n\n"
+        "[algebra P]\ngenerators = x x'\nstar x x'\nright x = 1\nleft x = 1\n\n"
+        "[connection A]\nrule = sphere\n"
+    )
+    at = text.splitlines().index("rule = sphere") + 1
+    bad = tmp_path / "bad.preset"
+    bad.write_text(text)
+    res = invoke(runner, "verify", "--file", str(bad), *FAST)
+    assert res.exit_code == 2
+    assert res.stderr == (
+        "error: line %d, column 1: expected a deformed sphere: four generators of "
+        "right degree +1/-1, two of them +1\n" % at
+    )
+
+
 def test_identity_sections_may_repeat(runner, tmp_path):
     from conftest import preset_text
 

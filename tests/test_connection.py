@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    DOCTORED_Q,
     ENTRY_MUTANT,
     EX1_ENTRY_MUTANT,
     EX1_EXTRA_ENTRY,
@@ -17,6 +18,7 @@ from conftest import (
 )
 from oracles import (
     WordSphere,
+    generator_form_afresh,
     lifted_roundtrip,
     multiply_adjacent,
     per_leg_balance,
@@ -266,6 +268,38 @@ def test_closed_forms_take_no_ambient_products(ex1, ex2, monkeypatch):
         assert composed_translation_form(ex1.cot, n) == want[ex1, n], n
     with pytest.raises(PresentationError):
         composed_translation_form(ex2.cot, 1)
+
+
+@pytest.mark.parametrize("preset, edits", TOWERS, ids=tower_ids(TOWERS))
+def test_generator_form_at_minus_n_swaps_the_stored_image(preset, edits):
+    # against the oracle on a tower of its own, for |n| <= 6: first on a
+    # fresh tower, each negative index before its positive one, so that
+    # the swap reads an image it has just stored; then on a tower the
+    # connection suite has run on, whose row stored the images up to its
+    # cap.  A tower of another shape raises the same error either way
+    reference = load_variant(preset, edits).cot
+    indices = sorted(range(-6, 7), key=lambda n: (abs(n), n))
+    want = {n: _outcome(lambda: generator_form_afresh(reference, n).terms) for n in indices}
+    fresh, ran = load_variant(preset, edits), load_variant(preset, edits)
+    run_suites(ran, SuiteConfig(("connection",)))
+    for tower in (fresh, ran):
+        for n in indices:
+            assert _outcome(lambda: composed_generator_form(tower.cot, n).terms) == want[n], n
+
+
+def test_generator_form_images_are_stored_per_cotensor_algebra():
+    # ex2 and its doctored q-table have different generator forms, and
+    # calls on the two interleave: each must match its own oracle, which
+    # an image store shared between cotensor algebras would not
+    variants = (lambda: load_bundled("matsumoto-ex2"), lambda: load_ex2_variant(DOCTORED_Q))
+    towers = [load() for load in variants]
+    want = [
+        {n: generator_form_afresh(load().cot, n).terms for n in range(-4, 5)} for load in variants
+    ]
+    assert [n for n in range(-4, 5) if want[0][n] != want[1][n]] == [-4, -3, 3, 4]
+    for n in (2, -2, -3, 3, 1, 0, -1, 4, -4):
+        for tower, expected in zip(towers, want):
+            assert composed_generator_form(tower.cot, n).terms == expected[n], n
 
 
 @pytest.mark.parametrize(

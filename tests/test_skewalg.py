@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import load_bundled
 from oracles import (
     WordSphere,
     assert_canonical,
@@ -12,6 +13,7 @@ from oracles import (
     s_canon,
     s_mul,
 )
+from qpbundle.cli.suites import SuiteConfig, run_suites
 from qpbundle.comodule import TensorElement, alg_slot, coalg_slot, tensor_mul
 from qpbundle.scalar import ONE, LaurentScalar as S
 from qpbundle.skewalg import (
@@ -422,3 +424,49 @@ def test_stored_normal_forms_are_exact(ex2, doctored, data):
         got = tensor_mul(left, right)
         assert_canonical(got)
         assert got == per_term_tensor_mul(left, right)
+
+
+# -- stored generators and powers -----------------------------------------------
+
+
+def test_generators_are_stored_and_never_changed():
+    tower = load_bundled("matsumoto-ex2")
+    presentations = (tower.a_spec.presentation, tower.p_spec.presentation, tower.cot.ambient)
+    for p in presentations:
+        for g in p.generators:
+            assert p.gen(g) is p.gen(g)
+            assert p.gen(g) == p.normal_form([g])
+    # every suite reads the stored elements, and no caller may change one
+    assert run_suites(tower, SuiteConfig()).ok
+    for p in presentations:
+        stored = p._generator_elements
+        assert sorted(stored) == sorted(p.generators)
+        for g, x in stored.items():
+            assert x == p.normal_form([g]), g
+
+
+def left_to_right_power(x, k):
+    """x multiplied onto one() k times, left to right."""
+    out = x.presentation.one()
+    for _ in range(k):
+        out = out * x
+    return out
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_power_is_the_product_from_one(ex2, doctored, data):
+    # the doctored q-table breaks associativity, so both sides must
+    # multiply in the same order; they differ only in the factor one()
+    presentations = [
+        p
+        for tower in (ex2, doctored)
+        for p in (tower.a_spec.presentation, tower.p_spec.presentation, tower.cot.ambient)
+    ]
+    p = data.draw(st.sampled_from(presentations))
+    words = st.lists(st.sampled_from(p.generators), max_size=2)
+    x = p.zero()
+    for c, w in data.draw(st.lists(st.tuples(scalars, words), min_size=1, max_size=3)):
+        x = x + p.normal_form(w, c)
+    for k in range(5):
+        assert x**k == left_to_right_power(x, k), k

@@ -30,6 +30,7 @@ Both parsers report errors with line and column numbers.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 
 from ..scalar import LaurentScalar
 from ..skewalg import AlgebraElement, AlgebraPresentation, PackageError, PresentationError
@@ -192,8 +193,8 @@ class _ExprParser:
     def _add(self, a, b, tok):
         if _is_scalar(a) and _is_scalar(b):
             return a + b
-        a = self._promote_like(a, b, tok)
-        b = self._promote_like(b, a, tok)
+        a = self._promote_like(a, b)
+        b = self._promote_like(b, a)
         if isinstance(a, AlgebraElement) and isinstance(b, AlgebraElement):
             return a + b
         if isinstance(a, TensorElement) and isinstance(b, TensorElement):
@@ -202,19 +203,15 @@ class _ExprParser:
             return a + b
         raise _err(tok, "cannot add these operands")
 
-    def _promote_like(self, v, template, tok):
+    def _promote_like(self, v, template):
         """Lift a scalar to the shape of the other summand."""
         if not _is_scalar(v):
             return v
         if isinstance(template, AlgebraElement):
             return template.presentation.one().scale(v)
         if isinstance(template, TensorElement):
-            unit = []
-            for kind, pres in template.shape:
-                if kind != "alg":
-                    raise _err(tok, "cannot promote a scalar into this tensor shape")
-                unit.append(pres.one())
-            return tensor_of(unit).scale(v)
+            # the grammar builds tensors with algebra slots only
+            return tensor_of([pres.one() for _, pres in template.shape]).scale(v)
         return v
 
     def _as_element(self, v, tok) -> AlgebraElement:
@@ -378,6 +375,17 @@ def _keyval(line: str, lineno: int):
     return key.strip(), value.strip(), _col(line, len(key) + 1)
 
 
+@contextmanager
+def _reported_at(lineno: int, prefix: str = ""):
+    """Turn a ``PresentationError`` that an engine constructor raises in
+    the block into a ``ParseError`` at ``lineno``, its message after
+    ``prefix``."""
+    try:
+        yield
+    except PresentationError as exc:
+        raise ParseError(prefix + str(exc), lineno, 1)
+
+
 def _once(seen: dict, key, what: str, lineno: int):
     """Record the line of ``key``; a second line for it is an error that
     names the first, so a repeated key never silently replaces one."""
@@ -468,10 +476,8 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
             raise ParseError("unknown generator in q entry", lineno, 1)
         commutation[(g, h)] = parse_expression(scalar_ctx, value, lineno, col)
 
-    try:
+    with _reported_at(at, "invalid presentation: "):
         bare = AlgebraPresentation(generators, star_pairs, commutation, (), name=label)
-    except PresentationError as exc:
-        raise ParseError("invalid presentation: %s" % exc, at, 1)
     reductions = []
     bare_ctx = ExpressionContext(bare)
     for lineno, lhs, value, col in reduce_lines:
@@ -481,27 +487,25 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
             raise ParseError("rule right side must be an algebra element", lineno, 1)
         reductions.append((word, dict(rhs.terms)))
 
-    try:
+    with _reported_at(at, "invalid presentation: "):
         presentation = AlgebraPresentation(
             generators, star_pairs, commutation, reductions, name=label
         )
-    except PresentationError as exc:
-        raise ParseError("invalid presentation: %s" % exc, at, 1)
 
     for side, declared in gradings.items():
         for g in declared:
             if g not in index:
                 msg = "unknown generator %r in %s grading" % (g, side)
                 raise ParseError(msg, seen[(side, g)], 1)
-    try:
+    with _reported_at(at, "invalid gradings: "):
         return CoactionSpec(
             presentation, right=gradings["right"] or None, left=gradings["left"] or None
         )
-    except PresentationError as exc:
-        raise ParseError("invalid gradings: %s" % exc, at, 1)
 
 
-def parse_connection_section(lines, spec: CoactionSpec, label: str) -> ConnectionForm:
+def parse_connection_section(lines, spec: CoactionSpec, label: str, at: int) -> ConnectionForm:
+    """One [connection X] body over the algebra ``spec`` grades; ``at`` is
+    the line a section-level error points at."""
     rule_name = None
     entries: dict[int, TensorElement] = {}
     ctx = ExpressionContext(spec.presentation)
@@ -531,13 +535,12 @@ def parse_connection_section(lines, spec: CoactionSpec, label: str) -> Connectio
             raise ParseError("unknown directive %r" % parts[0], lineno, 1)
 
     if rule_name == "sphere":
-        try:
+        with _reported_at(seen["rule"]):
             return matsumoto_connection(spec, name=label, overrides=entries)
-        except PresentationError as exc:
-            raise ParseError(str(exc), seen["rule"], 1)
     if rule_name is None:
-        return ConnectionForm(spec, None, overrides=entries, name=label)
-    raise ParseError("unknown connection rule %r" % rule_name, lines[0][0], 1)
+        with _reported_at(at):
+            return ConnectionForm(spec, None, overrides=entries, name=label)
+    raise ParseError("unknown connection rule %r" % rule_name, at, 1)
 
 
 _IDENTITY_SCOPES = {"identities": "ambient", "identities A": "A", "identities P": "P"}
@@ -665,18 +668,23 @@ def load_preset(text: str, fallback_name: str = "preset") -> Tower:
 
     if "A" not in algebra_bodies or "P" not in algebra_bodies:
         raise ParseError("preset must declare [algebra A] and [algebra P]", 1, 1)
+    # a section-level error points at the section's first line, or at its
+    # header when it has none
+    first = lambda title, body: body[0][0] if body else seen[title]
     a_spec = parse_algebra_section(algebra_bodies["A"], "A")
     p_spec = parse_algebra_section(algebra_bodies["P"], "P")
+    # reading the pair completes at the second factor
+    with _reported_at(first("algebra P", algebra_bodies["P"]), "invalid cotensor algebra: "):
+        cot = CotensorAlgebra(a_spec, p_spec, name=name)
 
-    cot = CotensorAlgebra(a_spec, p_spec, name=name)
+    forms = {}
+    for label, spec in (("A", a_spec), ("P", p_spec)):
+        if label in connection_bodies:
+            body = connection_bodies[label]
+            at = first("connection " + label, body)
+            forms[label] = parse_connection_section(body, spec, label, at)
 
-    form_a = form_p = None
-    if "A" in connection_bodies:
-        form_a = parse_connection_section(connection_bodies["A"], a_spec, "A")
-    if "P" in connection_bodies:
-        form_p = parse_connection_section(connection_bodies["P"], p_spec, "P")
-
-    tower = Tower(name, a_spec, p_spec, cot, form_a, form_p, {})
+    tower = Tower(name, a_spec, p_spec, cot, forms.get("A"), forms.get("P"), {})
     ctx = tower.context("ambient")
     defined: dict[str, int] = {}
     for lineno, line in alias_body:

@@ -329,20 +329,6 @@ def _reduce_slot(terms: dict, slot: int, pres: AlgebraPresentation) -> dict:
     return out
 
 
-def _add_scaled(out: dict, t: TensorElement, c) -> None:
-    """Accumulate c times the terms of t into the term map ``out``."""
-    for k, x in t.terms.items():
-        accumulate(out, k, x * c)
-
-
-# -- coactions ---------------------------------------------------------------
-
-
-def _coact_monomial(spec: CoactionSpec, m: Monomial) -> TensorElement:
-    """Right coaction of a normal monomial, m (x) u^deg, without reducing m."""
-    return _trusted_tensor((alg_slot(spec.presentation), _COALG), {(m, spec.right_degree(m)): ONE})
-
-
 def render_tensor(t: TensorElement) -> str:
     """Deterministic text form: terms like ``c (x | y | u^n)``."""
 

@@ -37,8 +37,6 @@ from .comodule import (
     CoactionSpec,
     ShapeError,
     TensorElement,
-    _add_scaled,
-    _coact_monomial,
     _reduce_slot,
     _trusted_tensor,
     alg_slot,
@@ -172,9 +170,9 @@ class ConnectionForm:
     # case whose hypothesis fails is multiplied out, so a failing row
     # names the same first witness either way.
 
-    def _base(self, m: Monomial) -> TensorElement:
-        """m (x) u^0."""
-        return _trusted_tensor((alg_slot(self.presentation), coalg_slot()), {(m, 0): ONE})
+    def _at(self, m: Monomial, k: int = 0) -> TensorElement:
+        """m (x) u^k."""
+        return _trusted_tensor((alg_slot(self.presentation), coalg_slot()), {(m, k): ONE})
 
     def reproduces(self, m: Monomial) -> bool:
         """can((m (x) 1) l(u^d)) = can(1 (x) m), the coaction of m of right
@@ -182,14 +180,14 @@ class ConnectionForm:
         d = self.spec.right_degree(m)
         if self.colifts(d):
             return True
-        return self._base(m) * self.canonical(d) == _coact_monomial(self.spec, m)
+        return self._at(m) * self.canonical(d) == self._at(m, d)
 
     def commutes(self, n: int, m: Monomial) -> bool:
         """A coinvariant m slides across the two legs of l(u^n), over the
         base: if C(n) colifts, both sides are m (x) u^n."""
         if self.colifts(n):
             return True
-        return self._base(m) * self.canonical(n) == self.canonical(n) * self._base(m)
+        return self._at(m) * self.canonical(n) == self.canonical(n) * self._at(m)
 
     def multiplicative(self, n1: int, n2: int) -> bool:
         """Images multiply in P^op (x) P, the inner legs collapsing over the
@@ -201,7 +199,9 @@ class ConnectionForm:
             return self.colifts(n1)
         out: dict[tuple, LaurentScalar] = {}
         for (s, t), c in self(n1).terms.items():
-            _add_scaled(out, self._base(s) * self.canonical(n2) * _coact_monomial(self.spec, t), c)
+            product = self._at(s) * self.canonical(n2) * self._at(t, self.spec.right_degree(t))
+            for k, x in product.terms.items():
+                accumulate(out, k, x * c)
         return out == {(self.presentation.one_monomial(), n1 + n2): ONE}  # 1 (x) u^(n1+n2)
 
     def __repr__(self) -> str:

@@ -11,12 +11,14 @@ The entwining of each graded algebra is the degree shift
 u^n (x) p -> p (x) u^{n + deg p}.  Its axioms, closure of the balanced
 monomials under products and the factor-wise coinvariant basis follow
 from the invariants that ``CoactionSpec``, ``tensor_presentation`` and
-``CotensorAlgebra`` check on construction; ``qpbundle.cli.suites``
-proves each such row once, so nothing here decides them again.
+``CotensorAlgebra`` check on construction, and membership of a letter
+pair is the balance equation itself; ``qpbundle.cli.suites`` proves
+each such row once, so nothing here decides them again.
 
 What is left to build here is the balanced subalgebra itself
 (``CotensorAlgebra``: membership, pairs a (x) p) and its coinvariant
-basis.  Its products are products of the ambient algebra, so it needs
+basis, which the connection suite, the identity lines and ``qpb coinv``
+read.  Its products are products of the ambient algebra, so it needs
 no tensor operation of its own.
 """
 

@@ -60,6 +60,20 @@ RULELESS = ("[connection A]\nrule = sphere\n", "[connection A]\n")
 # composed connection with its expansions
 RADIUS_TWO = ("reduce b b' = 1 - a a'\n", "reduce b b' = 2 - a a'\n")
 
+# edits of the second factor, and of either connection's index-0 image, in
+# both bundled presets
+P_DOCTORED_Q = ("q y' x = M\n", "q y' x = M^-1\n")  # P's q-table breaks associativity
+P_RADIUS_TWO = ("reduce y y' = 1 - x x'\n", "reduce y y' = 2 - x x'\n")
+P_ENTRY_MUTANT = ("+ 2 (y' x' | x y)", "+ 3 (y' x' | x y)")
+UNIT_MUTANT = ("entry 0 = (1 | 1)\nentry 1 = (a'", "entry 0 = 2 (1 | 1)\nentry 1 = (a'")
+P_UNIT_MUTANT = ("entry 0 = (1 | 1)\nentry 1 = (x'", "entry 0 = 2 (1 | 1)\nentry 1 = (x'")
+# P's entry 1 with one leg of one term swapped: a term whose left degrees
+# do not cancel on ex2, a first leg of the wrong right degree, a second one
+_P_ENTRY_1 = "entry 1 = (x' | x) + (y' | y)\n"
+P_UNBALANCED = (_P_ENTRY_1, "entry 1 = (x' | x) + (x' | y)\n")
+P_LEFT_SKEW = (_P_ENTRY_1, "entry 1 = (x | x) + (y' | y)\n")
+P_RIGHT_SKEW = (_P_ENTRY_1, "entry 1 = (x' | x') + (y' | y)\n")
+
 
 # edits of ex1, the only bundled tower whose second factor's letters both
 # have left degree -1, so the only one with a translation-closed-form row

@@ -121,8 +121,8 @@ def test_algebra_suite_ignores_the_degree_bound(runner, preset, tmp_path):
 
 @pytest.mark.parametrize("preset", ["matsumoto-ex1", "matsumoto-ex2", "doctored-q"])
 def test_cotensor_suite_ignores_the_degree_bound(runner, preset, tmp_path):
-    # closure and the coinvariant basis are lemmas, and membership is
-    # decided on two fixed pairs
+    # every cotensor row is a lemma of the gradings, which the degree
+    # bound does not touch
     from conftest import DOCTORED_Q, ex2_variant_text
 
     source = ("--preset", preset)
@@ -290,6 +290,70 @@ def test_a_section_for_another_algebra_exits_two_at_its_header(runner, tmp_path,
     at = text.count("\n") + 1
     header = section.splitlines()[0]
     assert res.stderr == "error: line %d, column 1: unknown section %s\n" % (at, header)
+
+
+# small towers on two-letter algebras, which the cotensor algebra or a
+# connection form rejects once their sections are read
+_A = "[algebra A]\ngenerators = a a'\nstar a a'\n"
+_P = "[algebra P]\ngenerators = x x'\nstar x x'\n"
+_PAIR = _A + "right a = 1\n\n" + _P + "left x = 1\n\n"  # lines 1-9, then a blank
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(
+            _A + "\n" + _P + "left x = 1\n",
+            "line 6, column 1: invalid cotensor algebra: left factor needs a right grading",
+            id="A-without-right",
+        ),
+        pytest.param(
+            _A + "right a = 1\n\n" + _P + "right x = 1\n",
+            "line 7, column 1: invalid cotensor algebra: right factor needs a left grading",
+            id="P-without-left",
+        ),
+        pytest.param(
+            _A + "right a = 1\n\n" + _A.replace("A]", "P]") + "left a = 1\n",
+            "line 7, column 1: invalid cotensor algebra: generator name collision: ['a', \"a'\"]",
+            id="shared-generators",
+        ),
+        pytest.param(
+            _PAIR + "[connection P]\nentry 0 = (1 | 1)\n",
+            "line 12, column 1: connection form needs a right grading",
+            id="ruleless-form",
+        ),
+        pytest.param(
+            _PAIR + "[connection P]\n",
+            "line 11, column 1: connection form needs a right grading",
+            id="empty-form",
+        ),
+    ],
+)
+def test_an_engine_error_on_load_exits_two_at_a_line(runner, tmp_path, text, message):
+    # the pair is read once [algebra P] is, so its errors point at that
+    # section's first line; a form's at its section's, or at its header
+    bad = tmp_path / "bad.preset"
+    bad.write_text(text)
+    res = invoke(runner, "verify", "--file", str(bad), *FAST)
+    assert res.exit_code == 2
+    assert res.stderr == "error: %s\n" % message
+
+
+def test_a_letter_that_reduces_to_zero_passes_the_membership_rows(runner, tmp_path):
+    # a and a' normal-form to 0, so a (x) y = 0 is in the cotensor algebra
+    # though a and y are not balanced; the membership rows are lemmas of
+    # the gradings and speak of monomials, so they appear and pass
+    path = tmp_path / "zero.preset"
+    path.write_text(
+        _A
+        + "reduce a = 0\nreduce a' = 0\nright a = 1\n\n"
+        + "[algebra P]\ngenerators = x x' y y'\nstar x x'\nstar y y'\n"
+        + "right x = 1\nright y = 1\nleft x = 1\nleft y = 2\n"
+    )
+    res = invoke(runner, "verify", "--file", str(path), "--suite", "cotensor", "--format", "json")
+    assert res.exit_code == 0, res.output
+    rows = {r["check_id"]: r["status"] for r in json.loads(res.stdout)["results"]}
+    assert rows["membership-accepts"] == rows["membership-detects-imbalance"] == "pass"
 
 
 # the rows of the composed connection and those that read it

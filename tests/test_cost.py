@@ -10,10 +10,11 @@ index bounds, each twice the last, with a stated growth from one to the
 next: at most 2^3 for the connection suite, whose factor images C(n)
 cost about n^3 products (the composed C(n) is assembled from them and
 takes none of its own), and none for the other suites, which read no
-index above their caps.  A change that computes C(n) again, multiplies
-the composed image out in the ambient algebra, builds a generator-form
-image at -n instead of swapping the legs of the stored one at n, or
-decides any certificate twice, raises a count.
+index above their caps.  The cotensor and entwining suites are lemma
+rows alone and make none of the four calls.  A change that computes
+C(n) again, multiplies the composed image out in the ambient algebra,
+builds a generator-form image at -n instead of swapping the legs of the
+stored one at n, or decides any certificate twice, raises a count.
 Every counted run must pass, so a count is never read off a broken
 report.
 """
@@ -46,7 +47,7 @@ CEILINGS = {
 }
 for _preset in ("matsumoto-ex1", "matsumoto-ex2"):
     CEILINGS[_preset, "algebra"] = dict.fromkeys(BOUNDS, (24, 2, 52, 34))
-    CEILINGS[_preset, "cotensor"] = dict.fromkeys(BOUNDS, (0, 0, 3, 1))
+    CEILINGS[_preset, "cotensor"] = dict.fromkeys(BOUNDS, (0, 0, 0, 0))
     CEILINGS[_preset, "entwining"] = dict.fromkeys(BOUNDS, (0, 0, 0, 0))
 
 # the largest ratio of a count at one n-bound to the count at half of it

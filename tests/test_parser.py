@@ -213,6 +213,35 @@ def test_load_preset_requires_both_algebras():
         load_preset(MINIMAL)
 
 
+def _one_line_edits(text):
+    """Every single-line deletion and duplication of a preset, and the
+    preset without the right or the left lines of each [algebra X]."""
+    lines = text.splitlines(keepends=True)
+    for i in range(len(lines)):
+        yield "".join(lines[:i] + lines[i + 1 :])
+        yield "".join(lines[: i + 1] + lines[i:])
+    for label in "AP":
+        for side in ("right", "left"):
+            kept, inside = [], False
+            for line in lines:
+                if line.startswith("["):
+                    inside = line.startswith("[algebra %s]" % label)
+                if not (inside and line.split()[:1] == [side]):
+                    kept.append(line)
+            yield "".join(kept)
+
+
+@pytest.mark.parametrize("name", ["matsumoto-ex1", "matsumoto-ex2"])
+def test_every_one_line_edit_loads_or_fails_at_a_line(name):
+    # an engine constructor's error, too, is reported at a line of the
+    # preset, never bare
+    for text in _one_line_edits(preset_text(name)):
+        try:
+            load_preset(text)
+        except ParseError as err:
+            assert err.line, str(err)
+
+
 def test_render_parse_round_trip(ex2):
     ctx = ex2.context("ambient")
     samples = [

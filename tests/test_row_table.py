@@ -9,12 +9,18 @@ takes every id of the examples suite that no other entry of the suite
 reserves.  Every entry matches some row, so the table has no dead entry.
 The cotensor and entwining rows are lemmas of the checks made when a
 preset loads, so every edit reports them as its bundled preset does.
+
+Every computed row can fail: a table of preset edits, run at the bounds
+of the benchmark's verify workload, fails each computed row that either
+bundled preset reports under at least one edit.  A lemma row, or a row
+that repeats another's verdict, is exempt; its entry says why it holds.
 """
 
 import pytest
 
 import conftest as c
-from qpbundle.cli.suites import RESERVED, ROWS, SuiteConfig, run_suites
+from qpbundle.cli.parser import load_preset
+from qpbundle.cli.suites import COMPUTED, RESERVED, ROWS, SuiteConfig, run_suites
 
 EX2_EDITS = ("DOCTORED_Q", "ENTRY_MUTANT", "IDENTITY_MUTANT", "RULELESS", "RADIUS_TWO")
 EX1_EDITS = ("EX1_ENTRY_MUTANT", "EX1_EXTRA_ENTRY")
@@ -69,3 +75,51 @@ def test_every_entry_is_reported(reported):
     rows = [r for results in reported.values() for r in results]
     hit = {id(entry) for r in rows for entry in entries(r.suite, r.check_id)}
     assert [(row.suite, row.name) for row in ROWS if id(row) not in hit] == []
+
+
+PRESETS = ("matsumoto-ex1", "matsumoto-ex2")
+# edits of either preset, each failing rows that the edits above leave passing
+BOTH_EDITS = (
+    "P_DOCTORED_Q",
+    "P_RADIUS_TWO",
+    "P_ENTRY_MUTANT",
+    "UNIT_MUTANT",
+    "P_UNIT_MUTANT",
+    "P_UNBALANCED",
+    "P_LEFT_SKEW",
+    "P_RIGHT_SKEW",
+)
+FAILING = EDITED + [(preset, (edit,)) for preset in PRESETS for edit in BOTH_EDITS]
+
+
+def false_identities(text):
+    """The preset with the first line of every identity id made false:
+    ``+ 1`` on its right side, or ``alpha``, which is not of degree zero,
+    added to a coinvariant line."""
+    lines, seen, inside = [], set(), False
+    for line in text.splitlines():
+        if line.startswith("["):
+            inside = line.startswith("[identities")
+        check_id, colon, claim = line.partition(":")
+        if inside and colon and not line.startswith("#") and check_id not in seen:
+            seen.add(check_id)
+            line += " alpha" if claim.split()[:1] == ["coinvariant"] else " + 1"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def test_every_computed_row_fails_under_some_edit():
+    # rows are keyed on their suite too: entwining/first-unit is a lemma,
+    # connection/first-unit a computed row
+    config = SuiteConfig(n_bound=3, degree_bound=4)
+    rows = lambda tower: run_suites(tower, config).results
+    computed = {
+        (r.suite, r.check_id)
+        for preset in PRESETS
+        for r in rows(c.load_bundled(preset))
+        if entries(r.suite, r.check_id)[0].kind == COMPUTED
+    }
+    edited = [c.load_variant(preset, edits) for preset, edits in FAILING]
+    edited += [load_preset(false_identities(c.preset_text(preset))) for preset in PRESETS]
+    failed = {(r.suite, r.check_id) for tower in edited for r in rows(tower) if not r.ok}
+    assert sorted("/".join(key) for key in computed - failed) == []

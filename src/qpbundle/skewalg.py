@@ -26,16 +26,16 @@ parity and two integer exponents per pair.  The factor of any q-sort is
 then a bilinear form in the two exponent vectors, built as one scalar.
 
 Rewriting follows the ordered reduction of Bergman's diamond lemma
-(G. M. Bergman, Adv. Math. 29 (1978)): pending reducible monomials are
-merged by monomial and expanded largest first.  An expansion only feeds
-monomials smaller than the one it expands, so when a monomial is the
-largest one pending, every contribution to it has already been merged
-and it is expanded exactly once.  ``b^k b*^k`` then takes k(k+1)/2
-rule firings, one per reducible a^i a*^i b^j b*^j below it, instead of
-following each of the 2^k rewrite paths that reach its normal form.
-Each presentation also stores the normal form of every monomial that
-``reduce_terms`` was once handed alone and reuses it exactly, since
-normal-forming is linear (see ``reduce_terms``).
+(G. M. Bergman, Adv. Math. 29 (1978)): a reducible monomial m fires its
+first rule once, and NF(m) is the sum of c NF(m') over the terms c m'
+of that firing.  Each presentation stores NF(m) for every reducible
+monomial that rewriting reaches and reuses it exactly, since one fixed
+rule fires per monomial (see ``reduce_terms``), so each reducible
+monomial fires once in the presentation's lifetime.  A cold
+``b^k b*^k`` takes k(k+1)/2 rule firings, one per reducible
+a^i a*^i b^j b*^j below it, instead of following each of the 2^k
+rewrite paths that reach its normal form; it stores as many forms, of
+up to k+1 terms each, so O(k^3) terms in total.
 
 The monomial order: compare total degree first, then the *reversed*
 exponent tuple lexicographically.  Reversal puts weight on the later
@@ -45,8 +45,6 @@ outranks a a* and the sphere rule is a valid reduction.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from operator import neg
 from typing import Iterable, Mapping, Sequence
 
 from .scalar import LaurentScalar, ONE, accumulate, render_scalar
@@ -57,11 +55,6 @@ Monomial = tuple[int, ...]
 def monomial_key(m: Monomial) -> tuple:
     """Sort key realizing the graded order described in the module doc."""
     return (sum(m), tuple(reversed(m)))
-
-
-def _max_first(m: Monomial) -> tuple:
-    """Heap key under which the largest monomial in the order pops first."""
-    return (-sum(m), tuple(map(neg, reversed(m))))
 
 
 def _unit_exponents(q: LaurentScalar) -> tuple[int, int, int]:
@@ -86,9 +79,10 @@ class AlgebraPresentation:
 
     Its defining data is immutable after construction.  What changes
     are two private stores.  One holds normal forms, monomial to NF(m),
-    that ``reduce_terms`` fills and reads: rewriting fires a fixed rule
-    per monomial, so normal-forming is linear and a stored NF(m) is
-    exact in every later call, confluent rules or not.  The other holds
+    for every reducible monomial that rewriting has reached:
+    ``reduce_terms`` fills and reads it, and a stored NF(m) is exact in
+    every later call, confluent rules or not, since rewriting fires a
+    fixed rule per monomial.  The other holds
     the element of each generator that ``gen`` has built.  Both live
     and die with the presentation.  All element arithmetic is routed
     through this object so elements of different presentations can
@@ -245,15 +239,15 @@ class AlgebraPresentation:
                 return idx
         return None
 
-    def _rewrite(self, ridx: int, m: Monomial, c: LaurentScalar):
-        """One firing of rule ``ridx`` on c*m: the (monomial, coefficient)
+    def _rewrite(self, ridx: int, m: Monomial):
+        """One firing of rule ``ridx`` on m: the (monomial, coefficient)
         pairs that replace it."""
         lhs, rhs = self.reductions[ridx]
         rest = tuple(e - l for e, l in zip(m, lhs))
         # m, as an ordered word, equals sort_factor(lhs, rest)^-1 times
         # the concatenation lhs*rest, so rewriting lhs gives that inverse
         # factor times rhs*rest.
-        base = c * self.sort_factor(lhs, rest).inverse()
+        base = self.sort_factor(lhs, rest).inverse()
         out = []
         for rm, rc in rhs.items():
             f, prod = self.mono_mul(rm, rest)
@@ -267,80 +261,65 @@ class AlgebraPresentation:
 
         Rewriting fires a fixed rule per monomial, so normal-forming is
         linear and NF(m) is well defined monomial by monomial, confluent
-        rules or not.  The presentation keeps NF(m) for every reducible
-        monomial that was once a call's only reducible input with no
-        stored form, and reuses it exactly in every later call: a stored
-        form is copied and scaled, a normal monomial passes through.  A
-        single missing monomial is expanded alone and stored; several
-        are expanded together by ``_expand`` and nothing is stored, so
-        the store never holds more than the whole inputs it was handed.
-        It lives and dies with the presentation.  The returned dict is
-        always new.
+        rules or not.  A normal monomial passes through; a reducible one
+        takes its stored form, copied and scaled, which ``_store`` builds
+        on first need together with the form of every reducible monomial
+        below it.  The store lives and dies with the presentation, and
+        the returned dict is always new.
         """
         out: dict[Monomial, LaurentScalar] = {}
-        missed: dict[Monomial, LaurentScalar] = {}
         memo, first_rule = self._normal_forms, self._first_rule
         for m, c in terms.items():
             if not c:
                 continue
             known = memo.get(m)
-            if known is not None:
-                for n, x in known.items():
-                    accumulate(out, n, x * c)
-            elif first_rule(m) is None:
-                accumulate(out, m, c)
-            else:
-                missed[m] = c
-        if len(missed) == 1:
-            ((m, c),) = missed.items()
-            known = memo[m] = self._expand({m: ONE})
+            if known is None:
+                ridx = first_rule(m)
+                if ridx is None:
+                    accumulate(out, m, c)
+                    continue
+                known = self._store(m, ridx)
             for n, x in known.items():
                 accumulate(out, n, x * c)
-        elif missed:
-            for n, x in self._expand(missed).items():
-                accumulate(out, n, x)
         return out
 
-    def _expand(self, terms: dict[Monomial, LaurentScalar]) -> dict[Monomial, LaurentScalar]:
-        """Normal form of reducible terms by ordered reduction.
+    def _store(self, m: Monomial, ridx: int) -> dict[Monomial, LaurentScalar]:
+        """Store and return NF(m) for m reducible by rule ``ridx``, with the
+        form of every reducible monomial its firing reaches.
 
-        Reducible monomials are merged by monomial in ``pending`` and
-        expanded largest first in the monomial order, popped from a heap;
-        a popped monomial with a stored normal form takes that instead.
-        The order is multiplicative and every rule right side is smaller
-        than its left side, so an expansion only adds to monomials below
-        the one expanded; each reducible monomial is therefore expanded
-        once, with its fully merged coefficient, or dropped if that is
-        zero.  Nothing is stored.
+        An explicit stack, not recursion, walks down from m, so a deep
+        monomial cannot exhaust the interpreter's frames.  A monomial is
+        fired when first met, and its form summed once every reducible
+        monomial of its firing has one.  Firings only reach monomials
+        smaller in the order, so none is reached again while its form is
+        being summed, and each fires once.
         """
-        out: dict[Monomial, LaurentScalar] = {}
-        pending: dict[Monomial, LaurentScalar] = {}
-        heap: list[tuple[tuple, Monomial]] = []
         memo, first_rule = self._normal_forms, self._first_rule
-
-        def merge(items):
-            for m, c in items:
-                if first_rule(m) is None:
-                    acc = out
-                else:
-                    acc = pending
-                    if m not in pending:
-                        heappush(heap, (_max_first(m), m))
-                prev = acc.get(m)
-                acc[m] = c if prev is None else prev + c
-
-        merge(terms.items())
-        while heap:
-            m = heappop(heap)[1]
-            c = pending.pop(m)
-            if not c:
+        # (monomial, its rule index, its firing once fired)
+        stack: list[tuple] = [(m, ridx, None)]
+        while stack:
+            n, r, firing = stack.pop()
+            if firing is None:
+                if n in memo:
+                    continue
+                firing = self._rewrite(r, n)
+                stack.append((n, r, firing))
+                for t, _ in firing:
+                    if t not in memo:
+                        rt = first_rule(t)
+                        if rt is not None:
+                            stack.append((t, rt, None))
                 continue
-            known = memo.get(m)
-            if known is None:
-                merge(self._rewrite(first_rule(m), m, c))
-            else:
-                merge((n, x * c) for n, x in known.items())
-        return {m: c for m, c in out.items() if c}
+            nf: dict[Monomial, LaurentScalar] = {}
+            for t, x in firing:
+                known = memo.get(t)
+                if known is None:
+                    accumulate(nf, t, x)
+                else:
+                    for u, y in known.items():
+                        accumulate(nf, u, y * x)
+            memo[n] = nf
+        return memo[m]
 
     def _sort_word(self, word: Sequence[str]) -> tuple[LaurentScalar, Monomial]:
         """q-sort a word: (factor picked up, exponent vector)."""
@@ -649,7 +628,7 @@ def _confluence_conditions(p: AlgebraPresentation):
     for i, (lhs, _) in enumerate(p.reductions):
         for j in range(i + 1, len(p.reductions)):
             lcm = tuple(map(max, lhs, p.reductions[j][0]))
-            x, y = (p.element(dict(p._rewrite(r, lcm, ONE))) for r in (i, j))
+            x, y = (p.element(dict(p._rewrite(r, lcm))) for r in (i, j))
             rendered = (p.render_monomial(lcm), render_element(x), render_element(y))
             yield x == y, "diverges at %s: %s vs %s" % rendered
 

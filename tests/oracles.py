@@ -729,7 +729,7 @@ def scan_confluence(p, degree_bound=4):
 
     def joins(m):
         results = [
-            p.element(dict(p._rewrite(r, m, ONE)))
+            p.element(dict(p._rewrite(r, m)))
             for r, (lhs, _) in enumerate(p.reductions)
             if all(l <= e for l, e in zip(lhs, m))
         ]

@@ -1,9 +1,12 @@
 """Rewriting engine against the independent word-rewriting oracle."""
 
+import sys
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_bundled
+from conftest import load_bundled, run_qpb
 from oracles import (
     WordSphere,
     assert_canonical,
@@ -22,6 +25,7 @@ from qpbundle.skewalg import (
     PresentationError,
     check_local_confluence,
     monomial_key,
+    render_element,
 )
 
 GENS = ("a", "a'", "b", "b'")
@@ -303,17 +307,57 @@ def test_ordered_reduction_fires_polynomially_many_rules(monkeypatch):
     k = 16
     el = sphere.normal_form(["b"] * k + ["b'"] * k)
     # a firing makes one monomial product per right-side term; each of
-    # the k(k+1)/2 reducible a^i a'^i b^j b'^j is expanded once, where
+    # the k(k+1)/2 reducible a^i a'^i b^j b'^j fires once, where
     # rewriting every path separately would fire about 2^k times
     assert len(firings) <= (k + 1) ** 2
     assert len(el.terms) == k + 1
 
-    # the sum of b^j b'^j over j <= k shares those expansions: reducing
-    # each summand on its own would fire about k^3/3 times
+    # the sum of b^j b'^j over j <= k shares those firings: reducing
+    # each summand on a fresh presentation would fire about k^3/3 times
     firings.clear()
     out = sphere_presentation().reduce_terms({(0, 0, j, j): ONE for j in range(k + 1)})
     assert len(firings) <= (k + 1) ** 2
     assert len(out) == k + 1
+
+    # a cold normal form stores the form of every reducible monomial it
+    # reaches, and no later call fires a rule on one of them again
+    sphere, k = sphere_presentation(), 12
+    sphere.normal_form(["b"] * k + ["b'"] * k)
+    reached = {(i, i, j, j) for j in range(1, k + 1) for i in range(k + 1 - j)}
+    assert len(reached) == k * (k + 1) // 2
+    assert set(sphere._normal_forms) == reached
+    firings.clear()
+    for m in reached:
+        sphere.reduce_terms({m: ONE})
+    assert firings == []
+
+
+@contextmanager
+def frames_to_spare(n):
+    """Set the recursion limit n frames above the current depth, and
+    restore it on leaving."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + n)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_deep_normal_forms_take_no_recursion():
+    # the store walks down from a monomial with a stack of its own; a
+    # recursive walk down b^60 b'^60 would need a frame per level of the
+    # 60 that lie below it, far more than are spared here
+    sphere, k = sphere_presentation(), 60
+    with frames_to_spare(50):
+        el = sphere.normal_form(["b"] * k + ["b'"] * k)
+        res = run_qpb(["nf", "--algebra", "A", "b^%d b'^%d" % (k, k)])
+    assert len(el.terms) == k + 1
+    assert (res.exit_code, res.stderr) == (0, "")
+    assert res.stdout == render_element(el) + "\n"
 
 
 term_maps = st.dictionaries(
@@ -385,8 +429,14 @@ def test_stored_normal_forms_are_exact(ex2, doctored, data):
     fresh = rebuilt(p)
 
     # store the normal forms of some single monomials, then reduce the
-    # map on the warm presentation, its fresh copy and the oracle
+    # map on the warm presentation, its fresh copy and the oracle; a
+    # compared monomial times rule left sides stores the compared one as
+    # an intermediate of its rewriting
     warm = data.draw(st.lists(st.sampled_from(list(terms)) | monos, max_size=4)) if terms else []
+    if terms:
+        lefts = st.lists(st.sampled_from([lhs for lhs, _ in p.reductions]), min_size=1, max_size=2)
+        for m, extra in data.draw(st.lists(st.tuples(st.sampled_from(list(terms)), lefts), max_size=3)):
+            warm.append(tuple(map(sum, zip(m, *extra))))
     singles = [p.reduce_terms({m: ONE}) for m in warm]
     got = p.reduce_terms(terms)
     assert got == fresh.reduce_terms(terms)

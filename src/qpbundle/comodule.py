@@ -268,22 +268,18 @@ def tensor_of(factors: Sequence) -> TensorElement:
     so no product of nonzero coefficients is zero.
     """
     shape: tuple = ()
-    terms = None
+    terms = {(): ONE}
     for f in factors:
         if isinstance(f, AlgebraElement):
             shape += (alg_slot(f.presentation),)
             entries = {(m,): c for m, c in f.terms.items()}
         elif isinstance(f, TensorElement):
             shape += f.shape
-            entries = dict(f.terms)
+            entries = f.terms
         else:
             raise ShapeError("cannot place %r in a tensor slot" % type(f))
-        # the first factor's coefficients are taken as they are, not times 1
-        if terms is None:
-            terms = entries
-        else:
-            terms = {k + kk: c * cc for k, c in terms.items() for kk, cc in entries.items()}
-    return _trusted_tensor(shape, {(): ONE} if terms is None else terms)
+        terms = {k + kk: c * cc for k, c in terms.items() for kk, cc in entries.items()}
+    return _trusted_tensor(shape, terms)
 
 
 def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:

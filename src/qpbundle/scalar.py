@@ -10,11 +10,18 @@ Scalars are integer-coefficient Laurent polynomials in (L, M), stored
 as a canonical map from exponent pairs to nonzero integers.  No
 division is ever performed; anything that would need rational
 coefficients is rejected by construction.
+
+Most coefficients are 1, so the unit is one shared object, ``ONE``:
+the named constructors and the product of two scalars return it for 1,
+and ``x * ONE`` is ``x``, with no scalar built.  Identity is only a
+fast path, since the public constructor still builds new 1s; equality
+of term maps stays the definition.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import math
+from typing import Mapping
 
 
 class LaurentScalar:
@@ -36,10 +43,12 @@ class LaurentScalar:
             return
         clean: dict[tuple[int, int], int] = {}
         if terms:
-            for exps, coeff in terms.items():
+            for (e_l, e_m), coeff in terms.items():
+                if not type(e_l) is type(e_m) is type(coeff) is int:
+                    raise TypeError("exponents and coefficients must be int: %r" % (terms,))
                 if coeff:
-                    e = (int(exps[0]), int(exps[1]))
-                    c = clean.get(e, 0) + int(coeff)
+                    e = (e_l, e_m)
+                    c = clean.get(e, 0) + coeff
                     if c:
                         clean[e] = c
                     elif e in clean:
@@ -54,25 +63,27 @@ class LaurentScalar:
 
     @classmethod
     def one(cls) -> "LaurentScalar":
-        return cls({(0, 0): 1})
+        return ONE
 
     @classmethod
     def integer(cls, n: int) -> "LaurentScalar":
-        return cls({(0, 0): n})
+        return cls.monomial(n)
 
     @classmethod
     def monomial(cls, coeff: int = 1, e_l: int = 0, e_m: int = 0) -> "LaurentScalar":
+        if coeff == 1 and not (e_l or e_m):
+            return ONE
         return cls({(e_l, e_m): coeff})
 
     @classmethod
     def lam(cls, power: int = 1) -> "LaurentScalar":
         """The first deformation symbol L raised to an integer power."""
-        return cls({(power, 0): 1})
+        return cls.monomial(1, power)
 
     @classmethod
     def lam2(cls, power: int = 1) -> "LaurentScalar":
         """The second deformation symbol M raised to an integer power."""
-        return cls({(0, power): 1})
+        return cls.monomial(1, 0, power)
 
     # -- queries -----------------------------------------------------
 
@@ -123,17 +134,25 @@ class LaurentScalar:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is not LaurentScalar:
+            if not isinstance(other, int):
+                return NotImplemented
+            if other == 1:
+                return self
             if not other:
                 return LaurentScalar()
             return LaurentScalar({e: c * other for e, c in self._terms.items()}, True)
-        if not isinstance(other, LaurentScalar):
-            return NotImplemented
+        # scalars are immutable: a product with the unit is the other factor
+        if other is ONE:
+            return self
+        if self is ONE:
+            return other
         if len(self._terms) == 1 and len(other._terms) == 1:
             # unit-monomial q-factors make this the common case
             (((l1, m1), c1),) = self._terms.items()
             (((l2, m2), c2),) = other._terms.items()
-            return LaurentScalar({(l1 + l2, m1 + m2): c1 * c2}, True)
+            e, c = (l1 + l2, m1 + m2), c1 * c2
+            return ONE if c == 1 and e == (0, 0) else LaurentScalar({e: c}, True)
         out: dict[tuple[int, int], int] = {}
         for (l1, m1), c1 in self._terms.items():
             for (l2, m2), c2 in other._terms.items():
@@ -145,15 +164,12 @@ class LaurentScalar:
                     del out[e]
         return LaurentScalar(out, True)
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "LaurentScalar":
         if power < 0:
             return self.inverse() ** (-power)
-        out = LaurentScalar.one()
+        out = ONE
         base = self
         p = power
         while p:
@@ -168,10 +184,12 @@ class LaurentScalar:
         if not self.is_unit_monomial():
             raise ValueError("only unit monomials are invertible: %r" % self)
         ((e_l, e_m), c), = self._terms.items()
-        return LaurentScalar({(-e_l, -e_m): c}, True)
+        return self if self is ONE else LaurentScalar({(-e_l, -e_m): c}, True)
 
     def star(self) -> "LaurentScalar":
         """Conjugation: exponents negate, integer coefficients stay."""
+        if self is ONE:
+            return self
         return LaurentScalar({(-l, -m): c for (l, m), c in self._terms.items()}, True)
 
     # -- protocol ----------------------------------------------------
@@ -196,8 +214,7 @@ def render_scalar(x: LaurentScalar) -> str:
     if x.is_zero():
         return "0"
     pieces = []
-    for (e_l, e_m) in sorted(x.terms, reverse=True):
-        c = x.terms[(e_l, e_m)]
+    for (e_l, e_m), c in sorted(x._terms.items(), reverse=True):
         factors = []
         if e_l:
             factors.append("L" if e_l == 1 else "L^%d" % e_l)
@@ -217,7 +234,7 @@ def render_scalar(x: LaurentScalar) -> str:
 
 
 ZERO = LaurentScalar.zero()
-ONE = LaurentScalar.one()
+ONE = LaurentScalar({(0, 0): 1})
 
 
 def accumulate(out: dict, key, c: LaurentScalar) -> None:
@@ -243,6 +260,4 @@ def binomial(n: int, k: int) -> int:
     """Binomial coefficient as an exact integer (0 outside range)."""
     if k < 0 or k > n:
         return 0
-    import math
-
     return math.comb(n, k)

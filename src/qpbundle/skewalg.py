@@ -45,6 +45,7 @@ outranks a a* and the sphere rule is a valid reduction.
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 from .scalar import LaurentScalar, ONE, accumulate, render_scalar
@@ -225,10 +226,10 @@ class AlgebraPresentation:
                         parity += s * n
                         e_l += l * n
                         e_m += m * n
-        return LaurentScalar({(e_l, e_m): -1 if parity & 1 else 1}, True)
+        return _sort_scalar(parity, e_l, e_m)
 
     def mono_mul(self, a: Monomial, b: Monomial) -> tuple[LaurentScalar, Monomial]:
-        return self.sort_factor(a, b), tuple(x + y for x, y in zip(a, b))
+        return self.sort_factor(a, b), tuple(map(add, a, b))
 
     def _first_rule(self, m: Monomial):
         for idx, support in enumerate(self._rule_supports):
@@ -243,7 +244,7 @@ class AlgebraPresentation:
         """One firing of rule ``ridx`` on m: the (monomial, coefficient)
         pairs that replace it."""
         lhs, rhs = self.reductions[ridx]
-        rest = tuple(e - l for e, l in zip(m, lhs))
+        rest = tuple(map(sub, m, lhs))
         # m, as an ordered word, equals sort_factor(lhs, rest)^-1 times
         # the concatenation lhs*rest, so rewriting lhs gives that inverse
         # factor times rhs*rest.
@@ -341,20 +342,20 @@ class AlgebraPresentation:
                     e_l += l * n
                     e_m += m * n
             v[i] += 1
-        return LaurentScalar({(e_l, e_m): -1 if parity & 1 else 1}, True), tuple(v)
+        return _sort_scalar(parity, e_l, e_m), tuple(v)
 
     def normal_form(self, word: Sequence[str], coeff: LaurentScalar = ONE) -> "AlgebraElement":
         """Normal form of a single coefficient*word product."""
         f, v = self._sort_word(word)
-        return AlgebraElement(self, self.reduce_terms({v: coeff * f}))
+        return _trusted_element(self, self.reduce_terms({v: coeff * f}))
 
     # -- element constructors ---------------------------------------------
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
+        return _trusted_element(self, {})
 
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, {self.one_monomial(): ONE})
+        return _trusted_element(self, {self.one_monomial(): ONE})
 
     def gen(self, name: str) -> "AlgebraElement":
         """The generator ``name`` as an element, built on first use and
@@ -367,7 +368,7 @@ class AlgebraPresentation:
         return got
 
     def element(self, terms: Mapping[Monomial, LaurentScalar]) -> "AlgebraElement":
-        return AlgebraElement(self, self.reduce_terms(terms))
+        return _trusted_element(self, self.reduce_terms(terms))
 
     # -- operations on elements ---------------------------------------------
 
@@ -382,7 +383,7 @@ class AlgebraPresentation:
                 prev = raw.get(prod)
                 # zero sums are dropped by reduce_terms
                 raw[prod] = c if prev is None else prev + c
-        return AlgebraElement(self, self.reduce_terms(raw))
+        return _trusted_element(self, self.reduce_terms(raw))
 
     def star(self, x: "AlgebraElement") -> "AlgebraElement":
         if x.presentation is not self:
@@ -393,7 +394,7 @@ class AlgebraPresentation:
             t = c.star() * f
             prev = raw.get(v)
             raw[v] = t if prev is None else prev + t
-        return AlgebraElement(self, self.reduce_terms(raw))
+        return _trusted_element(self, self.reduce_terms(raw))
 
     # -- enumeration --------------------------------------------------------
 
@@ -460,10 +461,10 @@ class AlgebraElement:
         out = dict(self.terms)
         for m, c in other.terms.items():
             accumulate(out, m, c)
-        return AlgebraElement(self.presentation, out)
+        return _trusted_element(self.presentation, out)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.presentation, {m: -c for m, c in self.terms.items()})
+        return _trusted_element(self.presentation, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
@@ -497,9 +498,10 @@ class AlgebraElement:
         return out
 
     def scale(self, c) -> "AlgebraElement":
-        if isinstance(c, int):
-            c = LaurentScalar.integer(c)
-        return AlgebraElement(self.presentation, {m: x * c for m, x in self.terms.items()})
+        if not c:
+            return self.presentation.zero()
+        # Z[L^+-1, M^+-1] has no zero divisors: no product is zero
+        return _trusted_element(self.presentation, {m: x * c for m, x in self.terms.items()})
 
     def star(self) -> "AlgebraElement":
         return self.presentation.star(self)
@@ -514,6 +516,22 @@ class AlgebraElement:
 
     def __repr__(self) -> str:
         return "<%s>" % render_element(self)
+
+
+def _trusted_element(presentation: AlgebraPresentation, terms: dict) -> AlgebraElement:
+    """Package-private: stores a zero-free normal term map that nothing
+    else holds, such as a ``reduce_terms`` result, without filtering."""
+    x = object.__new__(AlgebraElement)
+    x.presentation = presentation
+    x.terms = terms
+    return x
+
+
+def _sort_scalar(parity: int, e_l: int, e_m: int) -> LaurentScalar:
+    """The factor (-1)^parity L^e_l M^e_m of a q-sort, ``ONE`` when 1."""
+    if e_l or e_m or parity & 1:
+        return LaurentScalar({(e_l, e_m): -1 if parity & 1 else 1}, True)
+    return ONE
 
 
 def render_element(x: AlgebraElement) -> str:
@@ -531,12 +549,13 @@ def _render_sum(terms, unit: str = "") -> str:
     parentheses; a body equal to ``unit`` is left out after a coefficient."""
     pieces = []
     for c, body in terms:
-        neg = len(c.terms) == 1 and next(iter(c.terms.values())) < 0
+        coeffs = c.terms.values()
+        neg = len(coeffs) == 1 and next(iter(coeffs)) < 0
         if neg:
             c = -c
         if not c.is_one():
             cs = render_scalar(c)
-            if len(c.terms) > 1:
+            if len(coeffs) > 1:
                 cs = "(%s)" % cs
             body = cs if body == unit else "%s %s" % (cs, body)
         if not pieces:

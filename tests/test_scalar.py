@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpbundle.scalar import ONE, ZERO, LaurentScalar, binomial, render_scalar
+from qpbundle.skewalg import AlgebraPresentation
 
 scalars = st.dictionaries(
     st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
@@ -107,3 +108,45 @@ def test_inverse_is_canonical(sign, i, j):
     m = LaurentScalar.monomial(sign, i, j)
     assert_canonical(m.inverse())
     assert_canonical(m.inverse().star())
+
+
+@pytest.mark.parametrize(
+    "terms", [{(0, 0): 2.5}, {(1.7, 0): 1}, {(0, 0): 0.5}, {(0, True): 1}, {(0, 0): "1"}]
+)
+def test_constructor_rejects_non_int_terms(terms):
+    # int() would truncate these to 2, L and 0 without a word
+    with pytest.raises(TypeError):
+        LaurentScalar(terms)
+
+
+@given(scalars, st.integers(-4, 4), st.sampled_from([1, -1]), st.integers(-5, 5), st.integers(-5, 5))
+@settings(max_examples=80)
+def test_the_unit_is_one_shared_object(x, n, sign, i, j):
+    # ONE is a fast path, never a different value: each result is the
+    # shared unit or the other factor itself, and canonical
+    for got, want in ((x * ONE, x), (ONE * x, x), (LaurentScalar.integer(1), ONE)):
+        assert got is want
+        assert_canonical(got)
+    # an int factor still gives a scalar, which accumulate can add
+    product = ONE * n
+    assert type(product) is LaurentScalar and product == LaurentScalar.integer(n)
+    assert_canonical(product)
+    m = LaurentScalar.monomial(sign, i, j)
+    for unit in (m * m.inverse(), m.inverse() * m, ONE.star(), ONE.inverse(), ONE**3):
+        assert unit is ONE
+        assert_canonical(unit)
+
+
+def test_commuting_letters_sort_to_the_shared_unit():
+    # a b = b a, and x y = L y x: only a crossing of x past y picks up a factor
+    p = AlgebraPresentation(
+        ["a", "b", "x", "y"],
+        {"a": "b", "x": "y"},
+        {("y", "x"): LaurentScalar.lam(1)},
+    )
+    for left, right in (((1, 1, 0, 0), (2, 1, 0, 0)), ((0, 0, 1, 0), (1, 1, 1, 0))):
+        assert p.sort_factor(left, right) is ONE
+        assert p.mono_mul(left, right)[0] is ONE
+    assert p._sort_word(["b", "a", "x", "x"])[0] is ONE
+    assert p._sort_word(["y", "x", "y", "x"])[0] == LaurentScalar.lam(3)
+    assert p.sort_factor((0, 0, 0, 1), (0, 0, 1, 0)) == LaurentScalar.lam(1)

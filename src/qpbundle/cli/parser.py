@@ -24,7 +24,8 @@ Presets are line-oriented documents with [section] headers:
 The algebras are A and P: a label other than those in an [algebra X] or
 [connection X] header is an unknown section.
 
-Both parsers report errors with line and column numbers.
+Tokens are plain (kind, text, line, col) tuples, and both parsers report
+errors with line and column numbers.
 """
 
 from __future__ import annotations
@@ -64,62 +65,45 @@ _SINGLE = {
 }
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return "Token(%s, %r)" % (self.kind, self.text)
-
-
-def tokenize(text: str, line_offset: int = 1, col_offset: int = 1):
+def tokenize(text: str, line_offset: int = 1, col_offset: int = 1) -> list[tuple]:
+    """The tokens of ``text``, whose first character is at the given line
+    and column: (kind, text, line, col) tuples, the last ("eof", "", ...)."""
     tokens = []
-    line = line_offset
-    col = col_offset
-    i = 0
-    while i < len(text):
+    append, single, n = tokens.append, _SINGLE, len(text)
+    line, col, i = line_offset, col_offset, 0
+    while i < n:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
         if ch in " \t\r":
             i += 1
             col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _SINGLE:
-            tokens.append(Token(_SINGLE[ch], ch, line, col))
+        elif ch in single:
+            append((single[ch], ch, line, col))
             i += 1
             col += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(Token("int", text[i:j], line, col))
+            append(("ident", text[i:j], line, col))
             col += j - i
             i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+        elif ch.isdecimal():
+            j = i + 1
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
+            append(("int", text[i:j], line, col))
             col += j - i
             i = j
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(Token("eof", "", line, col))
+        elif ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        else:
+            raise ParseError("unexpected character %r" % ch, line, col)
+    append(("eof", "", line, col))
     return tokens
 
 
@@ -139,14 +123,14 @@ class ExpressionContext:
         self.presentation = presentation
         self.aliases = aliases if aliases is not None else {}
 
-    def resolve(self, name: str, tok: Token):
+    def resolve(self, name: str, tok: tuple):
         if name in _SCALAR_NAMES:
             return _SCALAR_NAMES[name]
         if self.presentation is not None and name in self.presentation.index:
             return self.presentation.gen(name)
         if name in self.aliases:
             return self.aliases[name]
-        raise ParseError("unknown name %r" % name, tok.line, tok.col)
+        raise _err(tok, "unknown name %r" % name)
 
 
 def _is_scalar(v):
@@ -154,7 +138,7 @@ def _is_scalar(v):
 
 
 def _err(tok, msg):
-    return ParseError(msg, tok.line, tok.col)
+    return ParseError(msg, tok[2], tok[3])
 
 
 class _ExprParser:
@@ -228,30 +212,30 @@ class _ExprParser:
     def parse(self):
         value = self.expr()
         tok = self.peek()
-        if tok.kind != "eof":
-            raise _err(tok, "unexpected %r" % tok.text)
+        if tok[0] != "eof":
+            raise _err(tok, "unexpected %r" % tok[1])
         return value
 
     def expr(self):
         tok = self.peek()
         negate = False
-        if tok.kind == "minus":
+        if tok[0] == "minus":
             self.next()
             negate = True
         value = self.tensor_term()
         if negate:
             value = self._mul(LaurentScalar.integer(-1), value, tok)
-        while self.peek().kind in ("plus", "minus"):
+        while self.peek()[0] in ("plus", "minus"):
             op = self.next()
             rhs = self.tensor_term()
-            if op.kind == "minus":
+            if op[0] == "minus":
                 rhs = self._mul(LaurentScalar.integer(-1), rhs, op)
             value = self._add(value, rhs, op)
         return value
 
     def tensor_term(self):
         value = self.term()
-        while self.peek().kind == "tensor":
+        while self.peek()[0] == "tensor":
             op = self.next()
             rhs = self.term()
             value = tensor_of([self._tensor_factor(value, op), self._tensor_factor(rhs, op)])
@@ -264,10 +248,10 @@ class _ExprParser:
         value = self.factor()
         while True:
             tok = self.peek()
-            if tok.kind == "times":
+            if tok[0] == "times":
                 self.next()
                 value = self._mul(value, self.factor(), tok)
-            elif tok.kind in ("ident", "int", "lparen"):
+            elif tok[0] in ("ident", "int", "lparen"):
                 value = self._mul(value, self.factor(), tok)
             else:
                 return value
@@ -276,13 +260,13 @@ class _ExprParser:
         value = self.atom()
         while True:
             tok = self.peek()
-            if tok.kind == "prime":
+            if tok[0] == "prime":
                 self.next()
                 if isinstance(value, (LaurentScalar, AlgebraElement)):
                     value = value.star()
                 else:
                     raise _err(tok, "cannot star a tensor expression")
-            elif tok.kind == "caret":
+            elif tok[0] == "caret":
                 self.next()
                 value = self._pow(value, self._exponent(), tok)
             else:
@@ -291,13 +275,13 @@ class _ExprParser:
     def _exponent(self) -> int:
         sign = 1
         tok = self.peek()
-        if tok.kind == "minus":
+        if tok[0] == "minus":
             self.next()
             sign = -1
         tok = self.next()
-        if tok.kind != "int":
+        if tok[0] != "int":
             raise _err(tok, "expected an integer exponent")
-        return sign * int(tok.text)
+        return sign * int(tok[1])
 
     def _pow(self, v, k, tok):
         if isinstance(v, TensorElement):
@@ -308,31 +292,33 @@ class _ExprParser:
 
     def atom(self):
         tok = self.next()
-        if tok.kind == "int":
-            return LaurentScalar.integer(int(tok.text))
-        if tok.kind == "ident":
-            return self.ctx.resolve(tok.text, tok)
-        if tok.kind == "lparen":
+        if tok[0] == "int":
+            return LaurentScalar.integer(int(tok[1]))
+        if tok[0] == "ident":
+            return self.ctx.resolve(tok[1], tok)
+        if tok[0] == "lparen":
             slots = [self.expr()]
-            while self.peek().kind == "bar":
+            while self.peek()[0] == "bar":
                 self.next()
                 slots.append(self.expr())
             closing = self.next()
-            if closing.kind != "rparen":
+            if closing[0] != "rparen":
                 raise _err(closing, "expected a closing parenthesis")
             if len(slots) == 1:
                 return slots[0]
             return tensor_of([self._as_element(s, tok) for s in slots])
-        raise _err(tok, "unexpected %r" % (tok.text or "end of input"))
+        raise _err(tok, "unexpected %r" % (tok[1] or "end of input"))
 
 
-def parse_expression(ctx: ExpressionContext, text: str, line_offset: int = 1, col_offset: int = 1):
+def parse_expression(ctx: ExpressionContext, text, line_offset: int = 1, col_offset: int = 1):
     """Parse and evaluate one expression starting at the given line and
-    column; the result is a scalar, an algebra element, or a tensor."""
-    return _ExprParser(tokenize(text, line_offset, col_offset), ctx).parse()
+    column; the result is a scalar, an algebra element, or a tensor.
+    ``text`` may also be the list ``tokenize`` made of it."""
+    tokens = text if isinstance(text, list) else tokenize(text, line_offset, col_offset)
+    return _ExprParser(tokens, ctx).parse()
 
 
-def parse_value(ctx: ExpressionContext, text: str, line_offset: int = 1, col_offset: int = 1):
+def parse_value(ctx: ExpressionContext, text, line_offset: int = 1, col_offset: int = 1):
     """``parse_expression``, with a scalar promoted to that multiple of
     the unit of the context's algebra."""
     v = parse_expression(ctx, text, line_offset, col_offset)
@@ -400,23 +386,23 @@ def _parse_word(text: str, presentation: AlgebraPresentation, lineno: int) -> li
     tokens = tokenize(text, lineno)[1:]
     word: list[str] = []
     i = 0
-    while tokens[i].kind != "eof":
+    while tokens[i][0] != "eof":
         tok = tokens[i]
-        if tok.kind != "ident":
+        if tok[0] != "ident":
             raise _err(tok, "rule left side must be a product of generators")
-        name = tok.text
+        name = tok[1]
         i += 1
-        if tokens[i].kind == "prime":
+        if tokens[i][0] == "prime":
             name = name + "'"
             i += 1
         if name not in presentation.index:
             raise _err(tok, "unknown generator %r" % name)
         count = 1
-        if tokens[i].kind == "caret":
+        if tokens[i][0] == "caret":
             i += 1
-            if tokens[i].kind != "int":
+            if tokens[i][0] != "int":
                 raise _err(tokens[i], "expected an integer exponent")
-            count = int(tokens[i].text)
+            count = int(tokens[i][1])
             i += 1
         word.extend([name] * count)
     return word
@@ -548,12 +534,12 @@ _IDENTITY_SCOPES = {"identities": "ambient", "identities A": "A", "identities P"
 
 def parse_identity_lines(lines, scope: str, ctx: ExpressionContext, identities: dict):
     """Add one [identities] section to ``identities``, which maps a check
-    id to its lines as (scope, line number, lhs, its column, rhs, its
-    column): ``lhs = rhs`` in the scope's algebra, or, with rhs and its
-    column None, ``lhs`` names a coinvariant of the balanced subalgebra.
-    Only shape (no side may hold a tensor), names and that the id is not
-    one of the examples suite's own rows are checked here;
-    ``Tower.identity_holds`` evaluates a line."""
+    id to its lines as (scope, lhs, its tokens, rhs, its tokens): ``lhs =
+    rhs`` in the scope's algebra, or, with rhs and its tokens None, ``lhs``
+    names a coinvariant of the balanced subalgebra.  Each side is tokenized
+    here, once: loading checks the line's shape, that its id is not an
+    examples suite row, its characters, that no side holds a tensor, and its
+    names; ``Tower.identity_holds`` parses and evaluates the stored tokens."""
     known = set(_SCALAR_NAMES) | set(ctx.aliases) | set(ctx.presentation.index)
     for lineno, line in lines:
         check_id, _, claim = line.partition(":")
@@ -571,14 +557,19 @@ def parse_identity_lines(lines, scope: str, ctx: ExpressionContext, identities: 
             raise ParseError("expected id: lhs = rhs, or id: coinvariant name ...", lineno, 1)
         if check_id in RESERVED:
             raise ParseError("id %s names a row of the examples suite" % check_id, lineno, 1)
-        tensor = re.search(r"[|⊗]", line[at:])
-        if tensor:
-            msg = "an identity side is an algebra element, not a tensor"
-            raise ParseError(msg, lineno, at + tensor.start() + 1)
-        for name in re.finditer(r"[^\W\d]\w*", line[at:]):
-            if name[0] not in known:
-                raise ParseError("unknown name %r" % name[0], lineno, at + name.start() + 1)
-        identities.setdefault(check_id, []).extend((scope, lineno) + side for side in sides)
+        stored, tokens = [], []
+        for lhs, lcol, rhs, rcol in sides:
+            ltokens = tokenize(lhs, lineno, lcol)
+            rtokens = None if rhs is None else tokenize(rhs, lineno, rcol)
+            tokens += ltokens + (rtokens or [])
+            stored.append((scope, lhs, ltokens, rhs, rtokens))
+        for tok in tokens:
+            if tok[0] in ("bar", "tensor"):
+                raise _err(tok, "an identity side is an algebra element, not a tensor")
+        for tok in tokens:
+            if tok[0] == "ident" and tok[1] not in known:
+                raise _err(tok, "unknown name %r" % tok[1])
+        identities.setdefault(check_id, []).extend(stored)
 
 
 class Tower:
@@ -607,22 +598,22 @@ class Tower:
             self._composed = compose_connection(self.form_a, self.form_p, self.cot)
         return self._composed
 
-    def identity_holds(self, scope, lineno, lhs, lcol, rhs, rcol) -> bool:
+    def identity_holds(self, scope, lhs, ltokens, rhs, rtokens) -> bool:
         """Whether one identity line (see ``parse_identity_lines``) holds."""
-        value = parse_value(self.context(scope), lhs, lineno, lcol)
+        value = parse_value(self.context(scope), ltokens)
         if rhs is not None:
-            return value == parse_value(self.context(scope), rhs, lineno, rcol)
+            return value == parse_value(self.context(scope), rtokens)
         if self.cot.induced_right is None:
             raise PresentationError("no right grading on the second factor")
         return self.cot.membership(value) and all(
             self.cot.induced_right.right_degree(m) == 0 for m in value.terms
         )
 
-    def identity_failure(self, scope, lineno, lhs, lcol, rhs, rcol) -> str:
+    def identity_failure(self, scope, lhs, ltokens, rhs, rtokens) -> str:
         """What a failing identity line gets wrong."""
         if rhs is not None:
             return "%s differs from %s" % (lhs, rhs)
-        balanced = self.cot.membership(parse_value(self.context(scope), lhs, lineno, lcol))
+        balanced = self.cot.membership(parse_value(self.context(scope), ltokens))
         return "%s not %s" % (lhs, "of degree zero" if balanced else "balanced")
 
     def context(self, which: str) -> ExpressionContext:

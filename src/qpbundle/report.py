@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quoted
 from typing import Callable, Iterable
 
 from .skewalg import PackageError
@@ -83,6 +83,13 @@ def check(
     return verdict(suite, check_id, True, anchor=anchor)
 
 
+_REPORT_JSON = '{\n  "ok": %s,\n  "passed": %d,\n  "failed": %d,\n  "results": %s\n}'
+_ROW_JSON = (
+    '    {\n      "suite": %s,\n      "check_id": %s,\n      "anchor": %s,\n'
+    '      "status": %s,\n      "detail": %s\n    }'
+)
+
+
 class Report:
     """Ordered collection of check results with JSON rendering."""
 
@@ -107,15 +114,17 @@ class Report:
         return len(self.results) - bad, bad
 
     def to_json(self) -> str:
-        """Deterministic JSON: results sorted by (suite, check_id)."""
+        """Deterministic JSON: results sorted by (suite, check_id).  The text
+        is ``json.dumps(doc, indent=2)``'s, filled into a template: with an
+        ``indent``, ``json.dumps`` falls back to its pure-Python encoder."""
         rows = sorted(self.results, key=lambda r: (r.suite, r.check_id))
-        doc = {
-            "ok": self.ok,
-            "passed": self.counts()[0],
-            "failed": self.counts()[1],
-            "results": [r.as_dict() for r in rows],
-        }
-        return json.dumps(doc, indent=2, sort_keys=False)
+        passed, failed = self.counts()
+        body = ",\n".join(
+            _ROW_JSON % tuple(map(_quoted, (r.suite, r.check_id, r.anchor, r.status, r.detail)))
+            for r in rows
+        )
+        results = "[\n%s\n  ]" % body if rows else "[]"
+        return _REPORT_JSON % ("false" if failed else "true", passed, failed, results)
 
     def to_text(self) -> str:
         rows = sorted(self.results, key=lambda r: (r.suite, r.check_id))

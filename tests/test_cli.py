@@ -229,6 +229,16 @@ def test_rejected_values_exit_two(runner, tmp_path):
             "tensor: a ⊗ b = b ⊗ a",
             "column 11: an identity side is an algebra element, not a tensor",
         ),
+        # a tensor anywhere in the line is named before an unknown name
+        (
+            "identities",
+            "x: omega = (alpha | beta)",
+            "column 19: an identity side is an algebra element, not a tensor",
+        ),
+        # loading tokenizes each side, so a character the grammar does not
+        # know is refused at its column
+        ("identities", "rel: alpha @ beta = beta", "column 12: unexpected character '@'"),
+        ("identities A", "sq: a^² = a a", "column 7: unexpected character '²'"),
     ],
 )
 def test_bad_identity_lines_exit_two(runner, tmp_path, section, line, message):

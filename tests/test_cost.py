@@ -28,6 +28,10 @@ change that builds a fresh 1 there, or multiplies by one, raises the
 count: before the unit was shared, the algebra, connection and
 examples suites built 308, 2,025 and 1,034 scalars at n-bound 4,
 against 20, 696 and 151 now.
+
+Loading tokenizes each identity side once and stores its tokens, so the
+examples suite makes no ``tokenize`` call: a change that tokenizes a
+side again when it evaluates the line makes one per side.
 """
 
 from unittest.mock import patch
@@ -35,6 +39,7 @@ from unittest.mock import patch
 import pytest
 
 from conftest import load_bundled
+from qpbundle.cli import parser
 from qpbundle.cli.suites import SUITE_NAMES, SuiteConfig, run_suites
 from qpbundle.scalar import LaurentScalar
 from qpbundle.skewalg import AlgebraPresentation
@@ -131,3 +136,21 @@ def test_scalar_builds_stay_within_their_ceilings(suite):
     for n, cap in SCALAR_BUILDS[suite].items():
         got = counted_calls("matsumoto-ex2", suite, n)["scalars"]
         assert got <= cap, "n-bound %d: %d scalars built > %d" % (n, got, cap)
+
+
+@pytest.mark.parametrize("preset", ["matsumoto-ex1", "matsumoto-ex2"])
+def test_the_examples_suite_tokenizes_nothing(preset):
+    calls = []
+    tokenize = parser.tokenize
+
+    def counted(*args):
+        calls.append(args)
+        return tokenize(*args)
+
+    with patch.object(parser, "tokenize", counted):
+        tower = load_bundled(preset)
+        loaded = len(calls)
+        report = run_suites(tower, SuiteConfig(("examples",)))
+    assert report.ok, report.failures()
+    assert loaded > len(tower.identities) > 0
+    assert calls[loaded:] == []

@@ -1,5 +1,7 @@
 """Expression grammar and preset document parsing."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from qpbundle.cli.parser import (
     ParseError,
     load_preset,
     parse_expression,
+    tokenize,
 )
 from qpbundle.cli.suites import RESERVED, SuiteConfig, run_suites
 from qpbundle.comodule import TensorElement
@@ -110,6 +113,31 @@ def test_parse_errors_carry_position(ctx):
     for bad in ("", "a (", "(a", "a)", "q^2", "a^x", "a^-1", "2^a"):
         with pytest.raises(ParseError):
             parse_expression(ctx, bad)
+
+
+# token texts, and blanks and comments the tokenizer skips
+TOKEN_TEXTS = ["a", "b'", "alpha", "x_1", "_y", "λ2", "12", "3"] + list("^*+-()|⊗")
+SKIPPED = [" ", "  ", "\t", "\r", "\n", "# a (b | c) ⊗ 2\n", "# note"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(TOKEN_TEXTS + SKIPPED), max_size=30),
+    st.integers(1, 50),
+    st.integers(1, 80),
+)
+def test_tokens_point_at_their_own_text(parts, line_offset, col_offset):
+    text = "".join(parts)
+    tokens = tokenize(text, line_offset, col_offset)
+    lines = text.split("\n")
+    for kind, tok, line, col in tokens:
+        row = line - line_offset
+        start = col - (col_offset if row == 0 else 1)
+        assert 0 <= start <= len(lines[row]) and lines[row][start : start + len(tok)] == tok
+    # the end of input is after the last line, or at its comment
+    end = len(re.sub("#.*", "", lines[-1])) + (col_offset if len(lines) == 1 else 1)
+    assert tokens[-1] == ("eof", "", line_offset + len(lines) - 1, end)
+    assert "".join(tok for _, tok, _, _ in tokens) == re.sub(r"#[^\n]*|[ \t\r\n]", "", text)
 
 
 def test_unknown_names_are_rejected(ctx):
@@ -304,9 +332,13 @@ def test_identity_sections_are_stored_by_scope():
         + "[identities]\nc: coinvariant z1 z2\n"
     )
     at = EX2_PLAIN.count("\n") + 2
+    sphere = ("P", "x x' + y y'", tokenize("x x' + y y'", at, 9), "1", tokenize("1", at, 23))
     assert tower.identities == {
-        "sphere": [("P", at, "x x' + y y'", 9, "1", 23)],
-        "c": [("ambient", at + 2, "z1", 16, None, None), ("ambient", at + 2, "z2", 19, None, None)],
+        "sphere": [sphere],
+        "c": [
+            ("ambient", "z1", tokenize("z1", at + 2, 16), None, None),
+            ("ambient", "z2", tokenize("z2", at + 2, 19), None, None),
+        ],
     }
 
 

@@ -85,12 +85,12 @@ def compose(args) -> int:
 def coinv(args) -> int:
     tower = _load_tower(args)
     if args.space == "second":
-        basis = coinvariants_basis(tower.p_spec, args.degree)
+        basis = coinvariants_basis([tower.p_spec], args.degree)
     else:
         cot = tower.cot
         if cot.induced_right is None:
             raise PresentationError("no right grading on the second factor")
-        basis = coinvariants_basis(cot.induced_right, args.degree, cot.is_member_monomial)
+        basis = coinvariants_basis([cot.balance, cot.induced_right], args.degree)
         basis.sort(key=lambda el: monomial_key(*el.terms))
     for el in basis:
         print(render_element(el))
@@ -147,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--degree-bound",
         type=int,
-        default=6,
+        default=4,
         metavar="INTEGER",
         help="Degree cap of the translation samples (above 4 acts as 4); "
         "no other row reads it. [default: %(default)s]",

@@ -113,7 +113,10 @@ _SCALAR_NAMES = {"L": LaurentScalar.lam(1), "M": LaurentScalar.lam2(1)}
 
 
 class ExpressionContext:
-    """Name resolution for one algebra: generators, aliases, scalars.
+    """The name scope of one algebra: ``names`` maps every name an
+    expression may use to its value: the ``aliases`` given, the
+    generators and the scalar letters L and M, each winning over the
+    ones before it.  The preset loader adds each alias it defines.
 
     With presentation None only scalar expressions are accepted, which
     is what the q-table values in preset files need.
@@ -121,16 +124,16 @@ class ExpressionContext:
 
     def __init__(self, presentation: AlgebraPresentation | None, aliases=None):
         self.presentation = presentation
-        self.aliases = aliases if aliases is not None else {}
+        self.names = dict(aliases or {})
+        if presentation is not None:
+            self.names.update((g, presentation.gen(g)) for g in presentation.generators)
+        self.names.update(_SCALAR_NAMES)
 
     def resolve(self, name: str, tok: tuple):
-        if name in _SCALAR_NAMES:
-            return _SCALAR_NAMES[name]
-        if self.presentation is not None and name in self.presentation.index:
-            return self.presentation.gen(name)
-        if name in self.aliases:
-            return self.aliases[name]
-        raise _err(tok, "unknown name %r" % name)
+        value = self.names.get(name)
+        if value is None:
+            raise _err(tok, "unknown name %r" % name)
+        return value
 
 
 def _is_scalar(v):
@@ -489,12 +492,14 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
         )
 
 
-def parse_connection_section(lines, spec: CoactionSpec, label: str, at: int) -> ConnectionForm:
-    """One [connection X] body over the algebra ``spec`` grades; ``at`` is
-    the line a section-level error points at."""
+def parse_connection_section(
+    lines, spec: CoactionSpec, ctx: ExpressionContext, label: str, at: int
+) -> ConnectionForm:
+    """One [connection X] body over the algebra ``spec`` grades, whose
+    entries are read in that algebra's scope ``ctx``; ``at`` is the line
+    a section-level error points at."""
     rule_name = None
     entries: dict[int, TensorElement] = {}
-    ctx = ExpressionContext(spec.presentation)
     p = spec.presentation
     seen: dict = {}
     for lineno, line in lines:
@@ -540,7 +545,6 @@ def parse_identity_lines(lines, scope: str, ctx: ExpressionContext, identities: 
     here, once: loading checks the line's shape, that its id is not an
     examples suite row, its characters, that no side holds a tensor, and its
     names; ``Tower.identity_holds`` parses and evaluates the stored tokens."""
-    known = set(_SCALAR_NAMES) | set(ctx.aliases) | set(ctx.presentation.index)
     for lineno, line in lines:
         check_id, _, claim = line.partition(":")
         at, check_id, words = len(check_id) + 1, check_id.strip(), claim.split()
@@ -567,7 +571,7 @@ def parse_identity_lines(lines, scope: str, ctx: ExpressionContext, identities: 
             if tok[0] in ("bar", "tensor"):
                 raise _err(tok, "an identity side is an algebra element, not a tensor")
         for tok in tokens:
-            if tok[0] == "ident" and tok[1] not in known:
+            if tok[0] == "ident" and tok[1] not in ctx.names:
                 raise _err(tok, "unknown name %r" % tok[1])
         identities.setdefault(check_id, []).extend(stored)
 
@@ -585,6 +589,11 @@ class Tower:
         self.form_a = form_a
         self.form_p = form_p
         self.aliases = aliases
+        self._scopes = {
+            "A": ExpressionContext(a_spec.presentation),
+            "P": ExpressionContext(p_spec.presentation),
+            "ambient": ExpressionContext(cot.ambient, aliases),
+        }
         # check id -> its identity lines, filled by parse_identity_lines
         self.identities: dict[str, list] = {}
         self._composed = None
@@ -617,13 +626,10 @@ class Tower:
         return "%s not %s" % (lhs, "of degree zero" if balanced else "balanced")
 
     def context(self, which: str) -> ExpressionContext:
-        if which == "A":
-            return ExpressionContext(self.a_spec.presentation)
-        if which == "P":
-            return ExpressionContext(self.p_spec.presentation)
-        if which == "ambient":
-            return ExpressionContext(self.cot.ambient, aliases=self.aliases)
-        raise ConfigError("unknown algebra %r" % which)
+        """The name scope of A, P or the ambient algebra, built once."""
+        if which not in self._scopes:
+            raise ConfigError("unknown algebra %r" % which)
+        return self._scopes[which]
 
 
 def load_preset(text: str, fallback_name: str = "preset") -> Tower:
@@ -641,11 +647,13 @@ def load_preset(text: str, fallback_name: str = "preset") -> Tower:
         if scope is None:
             _once(seen, title, "section [%s]" % title, lineno)
         if title == "meta":
+            keys: dict[str, int] = {}
             for ln, line in body:
                 key, name, _ = _keyval(line, ln)
                 if key != "name":
                     msg = "[meta] holds only name, not %r; example rows go in [identities]"
                     raise ParseError(msg % key, ln, 1)
+                _once(keys, key, key, ln)
         elif title in ("algebra A", "algebra P"):
             algebra_bodies[parts[1]] = body
         elif title in ("connection A", "connection P"):
@@ -668,14 +676,15 @@ def load_preset(text: str, fallback_name: str = "preset") -> Tower:
     with _reported_at(first("algebra P", algebra_bodies["P"]), "invalid cotensor algebra: "):
         cot = CotensorAlgebra(a_spec, p_spec, name=name)
 
+    tower = Tower(name, a_spec, p_spec, cot, None, None, {})
     forms = {}
     for label, spec in (("A", a_spec), ("P", p_spec)):
         if label in connection_bodies:
             body = connection_bodies[label]
             at = first("connection " + label, body)
-            forms[label] = parse_connection_section(body, spec, label, at)
+            forms[label] = parse_connection_section(body, spec, tower.context(label), label, at)
+    tower.form_a, tower.form_p = forms.get("A"), forms.get("P")
 
-    tower = Tower(name, a_spec, p_spec, cot, forms.get("A"), forms.get("P"), {})
     ctx = tower.context("ambient")
     defined: dict[str, int] = {}
     for lineno, line in alias_body:
@@ -683,13 +692,13 @@ def load_preset(text: str, fallback_name: str = "preset") -> Tower:
         if not alias.isidentifier():
             raise ParseError("alias name %r is not an identifier" % alias, lineno, 1)
         _once(defined, alias, "alias %s" % alias, lineno)
-        if alias in _SCALAR_NAMES or alias in ctx.presentation.index:
-            kind = "scalar" if alias in _SCALAR_NAMES else "generator"
+        if alias in ctx.names:
+            kind = "scalar" if isinstance(ctx.names[alias], LaurentScalar) else "generator"
             raise ParseError("alias %s reuses a %s name" % (alias, kind), lineno, 1)
         v = parse_value(ctx, value, lineno, col)
         if not isinstance(v, AlgebraElement):
             raise ParseError("alias must name an algebra element", lineno, 1)
-        tower.aliases[alias] = v
+        tower.aliases[alias] = ctx.names[alias] = v
 
     for scope, body in identity_bodies:
         parse_identity_lines(body, scope, tower.context(scope), tower.identities)

@@ -26,8 +26,11 @@ one of the suite's own (``RESERVED``).  The kind says who decides a row:
 
   computed          the suite's function below evaluates it on the tower;
   lemma             it holds on every tower that loads (``_table_rows``
-                    proves it) and passes wherever it applies;
-  same as <id>      it repeats the verdict of row <id> of its suite.
+                    proves it) and passes wherever it applies.
+
+The first factor's translation form restates four axioms, so those
+axiom rows have a ``first-translation`` leg, which ``form_rows``
+evaluates from the same stored verdicts as the ``first`` leg.
 
 The three expansion rows are entries too.  On a sphere tower, the left
 degrees of P's sphere letters select them: (-1, 1) the two connection
@@ -72,11 +75,11 @@ class SuiteConfig:
 
     ``n_bound`` caps the grouplike index (|n| <= n_bound, at least 1);
     ``degree_bound`` caps monomial degrees in the translation samples of
-    the connection suite (at least 2, used up to 4).  Every other row
-    holds or fails for all degrees and does not read it.
+    the connection suite (at least 2; a larger value than 4 acts as 4).
+    Every other row holds or fails for all degrees and does not read it.
     """
 
-    def __init__(self, suites=SUITE_NAMES, n_bound: int = 4, degree_bound: int = 6):
+    def __init__(self, suites=SUITE_NAMES, n_bound: int = 4, degree_bound: int = 4):
         suites = tuple(suites)
         for i, s in enumerate(suites):
             if s not in SUITE_NAMES:
@@ -154,7 +157,8 @@ def _letter_pairs(tower, leg) -> bool:
 FACTORS = ("first", "second")
 FORMS = FACTORS + ("composed",)
 GRADED = FACTORS + ("lifted",)
-_AXIOMS = ("unit", "colift", "right-colinear", "left-colinear", "mul-counit")
+# the axioms besides unit, which the first factor's translation form restates
+_AXIOMS = ("colift", "right-colinear", "left-colinear", "mul-counit")
 _TRANSLATION = ("reproduce-coaction", "coinvariant-commute", "multiplicative")
 
 ROWS = (
@@ -176,8 +180,8 @@ ROWS = (
     Row("entwining", "h-colinear", FACTORS, LEMMA, when=_bigraded),
     *(Row("entwining", x, GRADED, LEMMA, when=_graded) for x in ("module-law", "copointed")),
     Row("connection", "closed-form-match", FACTORS),
-    *(Row("connection", x, FORMS) for x in _AXIOMS),
-    *(Row("connection", x, ("first-translation",), "same as first-" + x) for x in _AXIOMS[1:]),
+    Row("connection", "unit", FORMS),
+    *(Row("connection", x, FORMS + ("first-translation",)) for x in _AXIOMS),
     *(Row("connection", x, ("first-translation",)) for x in _TRANSLATION),
     Row("connection", "h-balance", ("second",)),
     Row("connection", "h-balance-equivalence", ("second",), LEMMA, when=_balanced_form),
@@ -222,9 +226,7 @@ def run_suites(tower, config: SuiteConfig) -> Report:
 
 
 def _table_rows(tower, suite: str, report: Report):
-    """The suite's rows that its entries decide alone: each lemma row
-    where it applies, as a passing row, and each repeated verdict whose
-    row the suite reported.
+    """The suite's lemma rows, each where it applies, as passing rows.
 
     The lemmas are facts that hold on every tower that loads.  Loading a
     preset checks these invariants:
@@ -236,8 +238,10 @@ def _table_rows(tower, suite: str, report: Report):
     * the ambient algebra's rules are the factors' rules, each in its
       own slot, and letters of different slots commute
       (``tensor_presentation``);
-    * the induced right grading is 0 on A and P's own on P
-      (``CotensorAlgebra``), a ``CoactionSpec`` like the others.
+    * the cotensor algebra's two gradings of the ambient algebra
+      (``CotensorAlgebra``) are ``CoactionSpec``s like the others: the
+      balance, R_A on A's letters and -L_P on P's, and the induced right
+      grading, 0 on A and P's own on P.
 
     q-sorting keeps exponent vectors and every rewrite keeps every
     degree, so each monomial of xy has degree deg x + deg y, for every
@@ -253,34 +257,29 @@ def _table_rows(tower, suite: str, report: Report):
       subalgebra too.
     * ``bicomodule-commute``: both composites send m to
       u^L(m) (x) m (x) u^R(m).  ``unit-covariant``: L(1) = 0.
-    * ``closure-product``: the balance defect R_A(ma) - L_P(mp) grades
-      the ambient algebra, with every rule homogeneous, so products of
-      balanced monomials are balanced.
+    * ``closure-product``: the cotensor algebra is the degree-zero part
+      of the balance, a grading like any other, so products of balanced
+      monomials are balanced.
     * ``generators-balanced``, ``membership-accepts`` and
-      ``membership-detects-imbalance``: the cotensor algebra is the span
-      of the balanced monomials, as ``membership`` defines it, so the
-      monomial g h of a letter g of A and a letter h of P is a member
-      exactly when R_A(g) = L_P(h).
+      ``membership-detects-imbalance``: ``membership`` reads the balance,
+      whose degree on the monomial g h of a letter g of A and a letter h
+      of P is R_A(g) - L_P(h), so g h is a member exactly when
+      R_A(g) = L_P(h).
     * ``coinvariants-match``: an ambient monomial is normal exactly when
-      both slots are, and its induced degree is R_P of its P slot.  So in
-      every degree the balanced normal monomials of induced degree 0 are
+      both slots are, its balance is R_A of its A slot minus L_P of its P
+      slot, and its induced degree is R_P of its P slot.  So in every
+      degree the normal monomials of balance 0 and induced degree 0 are
       the balanced products ma mp of normal monomials with R_P(mp) = 0.
     * ``h-balance-equivalence``, for any connection form: on a term
       x (x) y, the per-leg balance u^L(x) (x) x (x) y = u^(-L(y)) (x) x
       (x) y asks for L(x) = -L(y), the combined u^(L(x)+L(y)) (x) x (x) y
       = u^0 (x) x (x) y for L(x) + L(y) = 0: the same integer equation.
     """
-    reported = {r.check_id: r for r in report.results if r.suite == suite}
     for row in ROWS:
-        if row.suite != suite or row.kind == COMPUTED:
-            continue
-        source = reported.get(row.kind.removeprefix("same as "))
-        for leg in row.legs:
-            if row.kind == LEMMA:
+        if row.suite == suite and row.kind == LEMMA:
+            for leg in row.legs:
                 if row.when is None or row.when(tower, leg):
                     report.add(row.verdict(leg, True))
-            elif source is not None:
-                report.add(row.verdict(leg, source.ok, source.detail))
 
 
 # -- algebra suite ----------------------------------------------------------------
@@ -327,10 +326,17 @@ def form_rows(form, leg: str, n_bound: int, degree_bound: int = 4) -> list[Check
     h-balance where the form's algebra has a left grading, and the
     translation rows, whose element arguments range over the normal
     monomials up to ``degree_bound``.  Every row reads the form's stored
-    C(n) through its per-index predicates."""
+    C(n) through its per-index predicates.  An axiom row the table also
+    gives the leg's translation form is evaluated there too, from the
+    same stored verdicts."""
     row = lambda name: _ROW["connection", name]
     indices = list(zip(range(-n_bound, n_bound + 1)))
-    scan = lambda name, holds, detail: row(name).check(leg, indices, holds, lambda n: detail % n)
+    translation = leg + "-translation"
+    scan = lambda name, holds, detail: [
+        row(name).check(at, indices, holds, lambda n: detail % n)
+        for at in (leg, translation)
+        if at in row(name).legs
+    ]
     rows = []
     if leg in row("closed-form-match").legs:
         # explicit preset entries must reproduce the closed rule; a rule
@@ -345,16 +351,15 @@ def form_rows(form, leg: str, n_bound: int, degree_bound: int = 4) -> list[Check
         )
     rows += [
         row("unit").check(leg, [()], form.unital, lambda: "index 0 image is not 1 (x) 1"),
-        scan("colift", form.colifts, "colifting fails at index %d"),
-        scan("right-colinear", form.right_colinear, "second leg not colinear at index %d"),
-        scan(
+        *scan("colift", form.colifts, "colifting fails at index %d"),
+        *scan("right-colinear", form.right_colinear, "second leg not colinear at index %d"),
+        *scan(
             "left-colinear", form.left_colinear, "first leg degree is not the negated index at %d"
         ),
-        scan("mul-counit", form.mul_counit, "legs do not multiply to 1 at index %d"),
+        *scan("mul-counit", form.mul_counit, "legs do not multiply to 1 at index %d"),
     ]
     if leg in row("h-balance").legs and form.spec.has_left():
-        rows.append(scan("h-balance", form.balanced, "combined balance fails at index %d"))
-    translation = leg + "-translation"
+        rows += scan("h-balance", form.balanced, "combined balance fails at index %d")
     if translation in row("reproduce-coaction").legs:
         p, span = form.presentation, range(-n_bound, n_bound + 1)
         monos = p.monomials_up_to(degree_bound)

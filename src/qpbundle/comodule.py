@@ -53,6 +53,7 @@ from .skewalg import (
     Monomial,
     PackageError,
     PresentationError,
+    _check_arity,
     _render_sum,
     monomial_key,
 )
@@ -167,7 +168,8 @@ class TensorElement:
     tuples with one entry per slot: a monomial for an algebra slot, an
     integer grouplike index for a coalgebra slot.  Algebra-slot entries
     are required to be irreducible, which all constructors below
-    guarantee by building through the presentation's normal form.
+    guarantee by building through the presentation's normal form; the
+    public constructor checks that each has one exponent per generator.
     """
 
     __slots__ = ("shape", "terms")
@@ -183,6 +185,9 @@ class TensorElement:
                 if len(k) != len(self.shape):
                     raise ShapeError("key arity does not match shape")
                 accumulate(self.terms, k, c)
+        for i, (kind, pres) in enumerate(self.shape):
+            if kind == "alg":
+                _check_arity(pres, (k[i] for k in self.terms), ShapeError)
 
     def is_zero(self) -> bool:
         return not self.terms

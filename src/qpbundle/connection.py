@@ -328,8 +328,8 @@ def compose_connection(
 
         sum over (x, y) and (s, t) of (s (x) x)  (x)  (t (x) y).
 
-    Both output legs must land in the cotensor algebra; a violation
-    means the inputs were not colinear and raises.
+    Both output legs must land in the cotensor algebra, of balance 0; a
+    violation means the inputs were not colinear and raises.
 
     Its lifted canonical image is assembled from the factors' stored
     data, not multiplied out in the ambient algebra.  Letters of A and P
@@ -350,7 +350,7 @@ def compose_connection(
         raise PresentationError("second form lives on the wrong algebra")
     if cot.induced_right is None:
         raise PresentationError("cotensor algebra has no right grading")
-    left_degree = cot.right_spec.left_degree
+    left_degree, balance = cot.right_spec.left_degree, cot.balance.right_degree
     amb = cot.ambient
     shape = (alg_slot(amb), alg_slot(amb))
 
@@ -361,11 +361,7 @@ def compose_connection(
             for (s, t), ca in form_a(d).terms.items():
                 accumulate(out, (s + x, t + y), c * ca)
         result = _trusted_tensor(shape, out)
-        bad = [
-            key
-            for key in result.terms
-            if not (cot.is_member_monomial(key[0]) and cot.is_member_monomial(key[1]))
-        ]
+        bad = [(x, y) for x, y in result.terms if balance(x) or balance(y)]
         if bad:
             first, second = bad[0]
             raise PresentationError(

@@ -1,36 +1,26 @@
 """Cotensor products of graded comodule algebras.
 
-Given an algebra A with a right grading by the structure group and an
-algebra P with a matching left grading, the cotensor product lives
-inside the slot-wise tensor algebra A(x)P as the span of the balanced
-monomials: right degree of the A-part equal to left degree of the
-P-part.  Because both coactions are diagonal on monomials this is a
-per-monomial predicate.
-
-The entwining of each graded algebra is the degree shift
-u^n (x) p -> p (x) u^{n + deg p}.  Its axioms, closure of the balanced
-monomials under products and the factor-wise coinvariant basis follow
-from the invariants that ``CoactionSpec``, ``tensor_presentation`` and
-``CotensorAlgebra`` check on construction, and membership of a letter
-pair is the balance equation itself; ``qpbundle.cli.suites`` proves
-each such row once, so nothing here decides them again.
-
-What is left to build here is the balanced subalgebra itself
-(``CotensorAlgebra``: membership, pairs a (x) p) and its coinvariant
-basis, which the connection suite, the identity lines and ``qpb coinv``
-read.  Its products are products of the ambient algebra, so it needs
-no tensor operation of its own.
+Given an algebra A with a right grading R_A by the structure group and
+an algebra P with a matching left grading L_P, the cotensor product
+A []_H P is the equalizer of rho_A (x) id and id (x) lambda_P in the
+slot-wise tensor algebra A(x)P.  Both coactions are gradings, so it is
+the degree-zero part of one grading of A(x)P, the balance: R_A on the
+letters of A, -L_P on those of P.  The balance is a ``CoactionSpec``
+like any other grading, checked as it is built, so the entwining
+axioms of the degree shift u^n (x) p -> p (x) u^{n + deg p}, closure
+under products, membership of letter pairs and the factor-wise
+coinvariant basis are lemmas, which ``qpbundle.cli.suites`` proves
+once; nothing here decides them again.  Products in the cotensor
+algebra are products of the ambient algebra, so it needs no tensor
+operation of its own.
 """
 
 from __future__ import annotations
 
+from typing import Mapping, Sequence
+
 from .scalar import ONE
-from .skewalg import (
-    AlgebraElement,
-    Monomial,
-    PresentationError,
-    tensor_presentation,
-)
+from .skewalg import AlgebraElement, Monomial, PresentationError, tensor_presentation
 from .comodule import CoactionSpec, TensorElement
 
 
@@ -38,11 +28,11 @@ class CotensorAlgebra:
     """The balanced subalgebra of A(x)P for one shared circle grading.
 
     ``left_spec`` grades A on the right, ``right_spec`` grades P on the
-    left (both by the same structure group); ``right_spec`` may also
-    carry a second, right grading, which then induces the right
-    coaction of the cotensor algebra through its P slot.  It keeps the
-    images ``connection.composed_generator_form`` builds, one per |n|,
-    so that they live and die with it.
+    left; the cotensor algebra is the degree-zero part of ``balance``.
+    A right grading of P induces the right coaction ``induced_right``
+    (0 on A), or None without one.  It keeps the images
+    ``connection.composed_generator_form`` builds, one per |n|, so that
+    they live and die with it.
     """
 
     def __init__(self, left_spec: CoactionSpec, right_spec: CoactionSpec, name: str = ""):
@@ -52,33 +42,23 @@ class CotensorAlgebra:
             raise PresentationError("right factor needs a left grading")
         self.left_spec = left_spec
         self.right_spec = right_spec
-        self.ambient = tensor_presentation(
-            left_spec.presentation, right_spec.presentation, name=name
-        )
-        self.split_at = len(left_spec.presentation.generators)
+        self.ambient = tensor_presentation(left_spec.presentation, right_spec.presentation, name)
+        self.balance = self._grading(left_spec.right, {h: -d for h, d in right_spec.left.items()})
         if right_spec.has_right():
-            table = {g: 0 for g in left_spec.presentation.generators}
-            table.update(
-                {g: right_spec.right[g] for g in right_spec.presentation.generators}
-            )
-            self.induced_right = CoactionSpec(self.ambient, right=table)
+            a_zero = dict.fromkeys(left_spec.presentation.generators, 0)
+            self.induced_right = self._grading(a_zero, right_spec.right)
         else:
             self.induced_right = None
         # |n| -> the generator-form image at |n|
         self._generator_forms: dict[int, TensorElement] = {}
 
-    # -- monomial plumbing -------------------------------------------------
-
-    def split(self, m: Monomial) -> tuple[Monomial, Monomial]:
-        return m[: self.split_at], m[self.split_at :]
-
-    def balance_defect(self, m: Monomial) -> int:
-        """Right degree of the A-part minus left degree of the P-part."""
-        ma, mp = self.split(m)
-        return self.left_spec.right_degree(ma) - self.right_spec.left_degree(mp)
+    def _grading(self, on_a: Mapping[str, int], on_p: Mapping[str, int]) -> CoactionSpec:
+        """The right grading of the ambient algebra with the degrees
+        ``on_a`` on A's letters and ``on_p`` on P's."""
+        return CoactionSpec(self.ambient, right={**on_a, **on_p})
 
     def is_member_monomial(self, m: Monomial) -> bool:
-        return self.balance_defect(m) == 0
+        return self.balance.right_degree(m) == 0
 
     def membership(self, x: AlgebraElement) -> bool:
         """True iff every monomial of x is balanced."""
@@ -86,30 +66,16 @@ class CotensorAlgebra:
             raise PresentationError("element is not in the ambient tensor algebra")
         return all(self.is_member_monomial(m) for m in x.terms)
 
-    # -- element builders ----------------------------------------------------
 
-    def pair(self, a: AlgebraElement, p: AlgebraElement) -> AlgebraElement:
-        """The element a(x)p of the ambient algebra."""
-        if a.presentation is not self.left_spec.presentation:
-            raise PresentationError("first factor from the wrong algebra")
-        if p.presentation is not self.right_spec.presentation:
-            raise PresentationError("second factor from the wrong algebra")
-        raw = {}
-        for ma, ca in a.terms.items():
-            for mp, cp in p.terms.items():
-                raw[ma + mp] = ca * cp
-        return self.ambient.element(raw)
-
-
-def coinvariants_basis(spec: CoactionSpec, degree: int, keep=None) -> list[AlgebraElement]:
-    """The normal monomials of right degree zero and total degree at most
-    ``degree``, in the order of ``monomials_up_to``; with ``keep``, only
-    those it accepts, such as the balanced ones of a cotensor algebra."""
+def coinvariants_basis(gradings: Sequence[CoactionSpec], degree: int) -> list[AlgebraElement]:
+    """The normal monomials of total degree at most ``degree`` on which
+    every right grading of ``gradings``, all of one algebra, vanishes, in
+    the order of ``monomials_up_to``."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    p = spec.presentation
+    p = gradings[0].presentation
     return [
         p.element({m: ONE})
         for m in p.monomials_up_to(degree)
-        if spec.right_degree(m) == 0 and (keep is None or keep(m))
+        if all(spec.right_degree(m) == 0 for spec in gradings)
     ]

@@ -400,8 +400,11 @@ class AlgebraPresentation:
 
     def monomials_up_to(self, degree: int) -> list[Monomial]:
         """The normal exponent vectors (divisible by no rule left side)
-        of total degree <= degree, smallest first: the monomial basis of
-        the quotient up to that degree."""
+        of total degree <= degree: the monomial basis of the quotient up
+        to that degree.  Degrees ascend, and within one the vectors
+        ascend as tuples (b' before a, b'^2 before b^2), not in
+        ``monomial_key`` order.  The translation rows name the first
+        failing sample, so their witnesses (``fails on b'^2``) need it."""
         k = len(self.generators)
         return [
             m
@@ -444,6 +447,8 @@ class AlgebraElement:
     """A normal-form linear combination of monomials.
 
     Value-semantic; arithmetic delegates to the owning presentation.
+    The public constructor checks each monomial's length but does not
+    reduce it, so that a certificate can star a rule's left side.
     """
 
     __slots__ = ("presentation", "terms")
@@ -451,6 +456,7 @@ class AlgebraElement:
     def __init__(self, presentation: AlgebraPresentation, terms: dict[Monomial, LaurentScalar]):
         self.presentation = presentation
         self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
+        _check_arity(presentation, self.terms, PresentationError)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -516,6 +522,15 @@ class AlgebraElement:
 
     def __repr__(self) -> str:
         return "<%s>" % render_element(self)
+
+
+def _check_arity(presentation: AlgebraPresentation, monomials: Iterable, error: type):
+    """Raise ``error`` on a monomial without one exponent per generator."""
+    k = len(presentation.generators)
+    for m in monomials:
+        if len(m) != k:
+            msg = "monomial %r has %d exponents, but %s has %d generators"
+            raise error(msg % (m, len(m), presentation.name, k))
 
 
 def _trusted_element(presentation: AlgebraPresentation, terms: dict) -> AlgebraElement:

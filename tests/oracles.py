@@ -15,7 +15,11 @@ build engine values: the package reads these structures off integer
 gradings and never builds them, and the tests state the laws through
 them.  So do the generic slot operations ``tensor_apply`` and
 ``multiply_adjacent``, the reference for the package's one-pass lifted
-canonical map.
+canonical map.  ``split``, ``balance_defect`` and ``pair`` treat an
+ambient monomial of the cotensor algebra slot by slot, reading its
+balance off the factors' gradings where the package reads one degree
+vector on the ambient algebra (``CotensorAlgebra.balance``); the scans
+below decide membership through them.
 
 The scans at the end are the exceptions.  The entwining scans judge
 the entwining rows, which ``qpbundle.cli.suites`` emits as lemmas of the
@@ -364,11 +368,43 @@ def left_coact(spec, x):
     return TensorElement(shape, {(spec.left_degree(m), m): c for m, c in x.terms.items()})
 
 
+# -- the cotensor algebra, slot by slot ---------------------------------------------
+
+
+def split(cot, m):
+    """The A slot and the P slot of an ambient monomial."""
+    k = len(cot.left_spec.presentation.generators)
+    return m[:k], m[k:]
+
+
+def balance_defect(cot, m):
+    """R_A of the A slot of m minus L_P of its P slot: 0 exactly when m
+    lies in the cotensor algebra."""
+    ma, mp = split(cot, m)
+    return cot.left_spec.right_degree(ma) - cot.right_spec.left_degree(mp)
+
+
+def balanced(cot, x):
+    """Whether every monomial of the ambient element x is balanced."""
+    return all(balance_defect(cot, m) == 0 for m in x.terms)
+
+
+def pair(cot, a, p):
+    """The element a (x) p of the ambient algebra."""
+    if a.presentation is not cot.left_spec.presentation:
+        raise PresentationError("first factor from the wrong algebra")
+    if p.presentation is not cot.right_spec.presentation:
+        raise PresentationError("second factor from the wrong algebra")
+    return cot.ambient.element(
+        {ma + mp: ca * cp for ma, ca in a.terms.items() for mp, cp in p.terms.items()}
+    )
+
+
 def violations(cot, x):
     """The monomials of an ambient element x that are not balanced."""
     if x.presentation is not cot.ambient:
         raise PresentationError("element is not in the ambient tensor algebra")
-    return [m for m in x.terms if not cot.is_member_monomial(m)]
+    return [m for m in x.terms if balance_defect(cot, m)]
 
 
 def parse_presentation(text):
@@ -797,14 +833,16 @@ def scan_associativity(p, degree_bound=3):
 
 def scan_closure_product(cot, degree=4):
     """The ``closure-product`` row, decided by multiplying every pair of
-    balanced normal monomials of total degree up to ``degree``."""
+    balanced normal monomials of total degree up to ``degree``, balance
+    read off the factors' gradings (``balance_defect``)."""
     amb = cot.ambient
-    gens = [amb.element({m: ONE}) for m in amb.monomials_up_to(degree) if cot.is_member_monomial(m)]
+    members = [m for m in amb.monomials_up_to(degree) if not balance_defect(cot, m)]
+    gens = [amb.element({m: ONE}) for m in members]
     return check(
         "cotensor",
         "closure-product",
         ((x, y) for x in gens for y in gens),
-        lambda x, y: cot.membership(x * y),
+        lambda x, y: balanced(cot, x * y),
         lambda x, y: "product of two members leaves the subalgebra",
         anchor="closure",
     )
@@ -952,7 +990,7 @@ def scan_roundtrip(tower, n_bound):
     bound = min(n_bound, 2)
 
     def roundtrip(k, x, i):
-        if not cot.membership(x):
+        if not balanced(cot, x):
             raise PresentationError("element is not in the cotensor algebra")
         return lifted_roundtrip(composed, x, i) == tensor_of([x, grouplike(i)])
 
@@ -977,9 +1015,9 @@ def scan_coinvariants(cot, bound):
     direct = set(
         m
         for m in cot.ambient.monomials_up_to(bound)
-        if cot.is_member_monomial(m) and cot.induced_right.right_degree(m) == 0
+        if not balance_defect(cot, m) and cot.induced_right.right_degree(m) == 0
     )
-    p_monos = [next(iter(x.terms)) for x in coinvariants_basis(cot.right_spec, bound)]
+    p_monos = [next(iter(x.terms)) for x in coinvariants_basis([cot.right_spec], bound)]
     built = set(
         ma + mp
         for ma in cot.left_spec.presentation.monomials_up_to(bound)

@@ -448,6 +448,7 @@ REPEATED_KEYS = [
     ("right a = 1", "right a = 2", "right a"),
     ("left y = 1", "left y = -1", "left y"),
     ("beta = b y", "beta = a y", "alias beta"),
+    ("name = matsumoto-ex2", "name = one", "name"),
 ]
 
 

@@ -6,20 +6,25 @@ judge the rows.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import graded_presets
 from oracles import (
     Shift,
+    balance_defect,
     canonical_shift,
     entwine,
     entwine_at,
     entwine_inverse,
     multiply_adjacent,
+    pair,
     right_coact,
     scan_entwined_module,
     scan_entwining_axioms,
+    split,
     violations,
 )
+from qpbundle.cli.parser import load_preset
 from qpbundle.cli.suites import SuiteConfig, run_suites
 from qpbundle.comodule import (
     CoactionSpec,
@@ -31,7 +36,7 @@ from qpbundle.comodule import (
 )
 from qpbundle.cotensor import coinvariants_basis
 from qpbundle.scalar import ONE
-from qpbundle.skewalg import PresentationError
+from qpbundle.skewalg import PackageError, PresentationError
 
 
 def _balanced(cot, degree):
@@ -56,16 +61,16 @@ def test_membership_is_balance(ex2):
     x, y = p_spec.presentation.gen("x"), p_spec.presentation.gen("y")
 
     # a has right degree 1, y has left degree 1: balanced
-    assert cot.membership(cot.pair(a, y))
+    assert cot.membership(pair(cot, a, y))
     # x has left degree -1: defect 2
-    el = cot.pair(a, x)
+    el = pair(cot, a, x)
     assert not cot.membership(el)
     assert violations(cot, el) == list(el.terms)
     (m,) = el.terms
-    assert cot.balance_defect(m) == 2
+    assert cot.balance.right_degree(m) == balance_defect(cot, m) == 2
 
     # sums are monomial-wise
-    mixed = cot.pair(a, y) + cot.pair(a, x)
+    mixed = pair(cot, a, y) + pair(cot, a, x)
     assert not cot.membership(mixed)
     assert len(violations(cot, mixed)) == 1
 
@@ -91,7 +96,7 @@ def test_split_concatenates_back(ex2):
     cot = ex2.cot
     for el in _balanced(cot, 4):
         (m,) = el.terms
-        ma, mp = cot.split(m)
+        ma, mp = split(cot, m)
         assert ma + mp == m
 
 
@@ -100,13 +105,28 @@ def test_embeddings_multiply_slotwise(ex2):
     a = ex2.a_spec.presentation.gen("a")
     y = ex2.p_spec.presentation.gen("y")
     one_a, one_p = ex2.a_spec.presentation.one(), ex2.p_spec.presentation.one()
-    assert cot.pair(a, one_p) * cot.pair(one_a, y) == cot.pair(a, y)
+    assert pair(cot, a, one_p) * pair(cot, one_a, y) == pair(cot, a, y)
     with pytest.raises(PresentationError):
-        cot.pair(y, a)
+        pair(cot, y, a)
+
+
+@given(graded_presets())
+@settings(max_examples=40, deadline=None)
+def test_balance_is_the_factor_degrees_slot_by_slot(text):
+    # the balance grading is R_A on the A slot minus L_P on the P slot, and
+    # membership is its degree-zero part, on every drawn grading that loads
+    try:
+        cot = load_preset(text, fallback_name="graded").cot
+    except PackageError:
+        assume(False)
+    for m in cot.ambient.monomials_up_to(2):
+        defect = balance_defect(cot, m)
+        assert cot.balance.right_degree(m) == defect
+        assert cot.is_member_monomial(m) == (defect == 0)
 
 
 def test_coinvariants_of_the_second_factor(ex2):
-    basis = coinvariants_basis(ex2.p_spec, 2)
+    basis = coinvariants_basis([ex2.p_spec], 2)
     p = ex2.p_spec.presentation
     rendered = {tuple(el.terms) for el in basis}
     # degree-0 monomials under the structure grading: 1, x'y, xy', xx'
@@ -123,7 +143,7 @@ def test_coinvariants_of_the_second_factor(ex2):
 
 def test_coinvariants_degree_must_be_nonnegative(ex2):
     with pytest.raises(ValueError):
-        coinvariants_basis(ex2.p_spec, -1)
+        coinvariants_basis([ex2.p_spec], -1)
 
 
 def test_entwining_is_a_degree_shift(ex2):

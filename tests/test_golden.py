@@ -8,7 +8,7 @@ purpose regenerates them with
         > tests/golden/<name>.json
 
 and says why in CHANGES.md.  The ``<name>-default.json`` goldens are the
-same reports at the default bounds (``--n-bound 4 --degree-bound 6``),
+same reports at the default bounds (``--n-bound 4 --degree-bound 4``),
 captured before the entwining rows became grading certificates; they are
 regenerated the same way, without the bound options.
 

@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import OffsetCoaction, graded_presets, offset_tower
 from oracles import (
     Shift,
+    balance_defect,
     canonical_shift,
     scan_bicomodule,
     scan_closure_product,
@@ -28,6 +29,7 @@ from oracles import (
     scan_entwined_module,
     scan_entwining_axioms,
     scan_h_balance,
+    split,
 )
 from qpbundle.cli.parser import Tower, load_preset
 from qpbundle.cli.suites import LEMMA, ROWS, SuiteConfig, form_rows, run_suites
@@ -67,7 +69,7 @@ def _with_cross_rule(cot):
         for m in amb.monomials_up_to(4)
         if cot.is_member_monomial(m)
         and cot.induced_right.right_degree(m) == 0
-        and all(map(any, cot.split(m)))
+        and all(map(any, split(cot, m)))
     )
     gens = amb.generators
     word = lambda m: [g for g, e in zip(gens, m) for _ in range(e)]
@@ -75,6 +77,7 @@ def _with_cross_rule(cot):
     rules = [(word(l), rhs) for l, rhs in amb.reductions] + [(word(lhs), {})]
     out = copy.copy(cot)
     out.ambient = AlgebraPresentation(gens, amb.star_map, comm, rules)
+    out.balance = CoactionSpec(out.ambient, right=cot.balance.right)
     out.induced_right = CoactionSpec(out.ambient, right=cot.induced_right.right)
     return out
 
@@ -283,7 +286,7 @@ def test_lemma_rows_hold_on_random_gradings(data):
     assert not _all_pass(scan_entwined_module(off, p_spec, 1))
     # an offset that balances an unbalanced letter g; g g is then unbalanced
     # (with every letter balanced, no offset leaves a member to multiply)
-    defects = [d for d in map(cot.balance_defect, cot.ambient.monomials_up_to(1)) if d]
+    defects = [d for m in cot.ambient.monomials_up_to(1) if (d := balance_defect(cot, m))]
     if defects:
         shift = -data.draw(st.sampled_from(defects))
         assert not scan_closure_product(offset_tower(tower, right_offset=shift).cot, 2).ok

@@ -12,8 +12,8 @@ preset loads, so every edit reports them as its bundled preset does.
 
 Every computed row can fail: a table of preset edits, run at the bounds
 of the benchmark's verify workload, fails each computed row that either
-bundled preset reports under at least one edit.  A lemma row, or a row
-that repeats another's verdict, is exempt; its entry says why it holds.
+bundled preset reports under at least one edit.  A lemma row is exempt;
+its entry says why it holds.
 """
 
 import pytest

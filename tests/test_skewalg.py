@@ -17,7 +17,7 @@ from oracles import (
     s_mul,
 )
 from qpbundle.cli.suites import SuiteConfig, run_suites
-from qpbundle.comodule import TensorElement, alg_slot, coalg_slot, tensor_mul
+from qpbundle.comodule import ShapeError, TensorElement, alg_slot, coalg_slot, tensor_mul
 from qpbundle.scalar import ONE, LaurentScalar as S
 from qpbundle.skewalg import (
     AlgebraElement,
@@ -204,6 +204,34 @@ def test_elements_of_different_presentations_do_not_mix(sphere):
     other = sphere_presentation()
     with pytest.raises(PresentationError):
         sphere.one() * other.one()
+
+
+def test_public_constructors_check_the_monomial_length(sphere):
+    # a monomial of another length would render as some other monomial:
+    # (1,) as a, and (0, 0, 1) as b
+    with pytest.raises(PresentationError, match="has 1 exponents, but .* has 4 generators"):
+        AlgebraElement(sphere, {(1,): ONE})
+    shape = (alg_slot(sphere), alg_slot(sphere))
+    with pytest.raises(ShapeError, match="has 3 exponents, but .* has 4 generators"):
+        TensorElement(shape, {((1, 0, 0, 0), (0, 0, 1)): ONE})
+    with pytest.raises(ShapeError, match="has 1 exponents"):
+        TensorElement(shape, {((1,), (0, 0, 1, 0)): ONE})
+    # a reducible monomial of the right length is kept as written, which
+    # the star certificate relies on to star a rule's left side
+    ((lhs, _),) = sphere.reductions
+    assert AlgebraElement(sphere, {lhs: ONE}).terms == {lhs: ONE}
+    assert TensorElement(shape, {(lhs, lhs): ONE}).terms == {(lhs, lhs): ONE}
+
+
+def test_monomials_up_to_ascends_by_degree_then_as_tuples(sphere):
+    # total degrees ascend; within one, the exponent vectors ascend as
+    # tuples, so b' before a and b'^2 before b^2, which is not monomial_key
+    # order: the translation rows name the first failing sample in this one
+    monos = sphere.monomials_up_to(3)
+    assert monos[:5] == [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
+    assert monos.index((0, 0, 0, 2)) < monos.index((0, 0, 2, 0))
+    assert monos != sorted(monos, key=monomial_key)
+    assert monos == sorted(monos, key=lambda m: (sum(m), m))
 
 
 # -- q-sorting factors against the product-of-powers definition ---------------

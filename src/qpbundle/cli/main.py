@@ -23,7 +23,7 @@ from ..comodule import render_tensor
 from ..cotensor import coinvariants_basis
 from ..report import Report
 from ..scalar import LaurentScalar, render_scalar
-from ..skewalg import AlgebraElement, PackageError, PresentationError, monomial_key, render_element
+from ..skewalg import AlgebraElement, PackageError, monomial_key, render_element
 from .parser import Tower, load_preset, parse_expression
 from .suites import SUITE_NAMES, SuiteConfig, run_suites
 
@@ -88,8 +88,6 @@ def coinv(args) -> int:
         basis = coinvariants_basis([tower.p_spec], args.degree)
     else:
         cot = tower.cot
-        if cot.induced_right is None:
-            raise PresentationError("no right grading on the second factor")
         basis = coinvariants_basis([cot.balance, cot.induced_right], args.degree)
         basis.sort(key=lambda el: monomial_key(*el.terms))
     for el in basis:

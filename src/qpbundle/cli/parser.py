@@ -11,7 +11,8 @@ Presets are line-oriented documents with [section] headers:
     [meta]              name = ...
     [algebra A]         generators, star pairs, q table (as written:
                         AlgebraPresentation orients and checks it),
-                        reduce rules, right/left gradings
+                        reduce rules, and the gradings its factor takes:
+                        right for A, right and left for P (``_GRADINGS``)
     [connection A]      rule = sphere, plus explicit entry lines
     [aliases]           named elements of the joint tensor algebra; an
                         alias may use the aliases above it, and its
@@ -411,14 +412,21 @@ def _parse_word(text: str, presentation: AlgebraPresentation, lineno: int) -> li
     return word
 
 
+# the grading lines each factor's section takes: A is a right comodule
+# algebra, P an (H, C)-bicomodule with its left coaction by H
+_GRADINGS = {"A": ("right",), "P": ("right", "left")}
+
+
 def parse_algebra_section(lines, label: str) -> CoactionSpec:
     """One [algebra X] body: returns the coaction spec wrapping the
-    validated presentation."""
+    validated presentation.  Every generator needs a degree, on its own
+    line or its star partner's, in each grading ``_GRADINGS`` gives the
+    factor; a line for any other grading is an error at that line."""
     generators: list[str] = []
     star_pairs: dict[str, str] = {}
     q_lines: list[tuple[int, str, str, str, int]] = []
     reduce_lines: list[tuple[int, str, str, int]] = []
-    gradings: dict[str, dict[str, int]] = {"right": {}, "left": {}}
+    gradings: dict[str, dict[str, int]] = {side: {} for side in _GRADINGS[label]}
     at = lines[0][0] if lines else 1  # section-level errors point at its first line
     seen: dict = {}
 
@@ -444,6 +452,8 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
             _, value, col = _keyval(line, lineno)
             reduce_lines.append((lineno, line[: line.index("=")], value, col))
         elif head in ("right", "left"):
+            if head not in gradings:
+                raise ParseError("[algebra %s] takes no %s grading" % (label, head), lineno, 1)
             lhs, value, _ = _keyval(line, lineno)
             gen = lhs[len(head) :].strip()
             _once(seen, (head, gen), "%s %s" % (head, gen), lineno)
@@ -487,17 +497,14 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
                 msg = "unknown generator %r in %s grading" % (g, side)
                 raise ParseError(msg, seen[(side, g)], 1)
     with _reported_at(at, "invalid gradings: "):
-        return CoactionSpec(
-            presentation, right=gradings["right"] or None, left=gradings["left"] or None
-        )
+        return CoactionSpec(presentation, **gradings)
 
 
 def parse_connection_section(
-    lines, spec: CoactionSpec, ctx: ExpressionContext, label: str, at: int
+    lines, spec: CoactionSpec, ctx: ExpressionContext, label: str
 ) -> ConnectionForm:
     """One [connection X] body over the algebra ``spec`` grades, whose
-    entries are read in that algebra's scope ``ctx``; ``at`` is the line
-    a section-level error points at."""
+    entries are read in that algebra's scope ``ctx``."""
     rule_name = None
     entries: dict[int, TensorElement] = {}
     p = spec.presentation
@@ -529,9 +536,8 @@ def parse_connection_section(
         with _reported_at(seen["rule"]):
             return matsumoto_connection(spec, name=label, overrides=entries)
     if rule_name is None:
-        with _reported_at(at):
-            return ConnectionForm(spec, None, overrides=entries, name=label)
-    raise ParseError("unknown connection rule %r" % rule_name, at, 1)
+        return ConnectionForm(spec, None, overrides=entries, name=label)
+    raise ParseError("unknown connection rule %r" % rule_name, seen["rule"], 1)
 
 
 _IDENTITY_SCOPES = {"identities": "ambient", "identities A": "A", "identities P": "P"}
@@ -612,8 +618,6 @@ class Tower:
         value = parse_value(self.context(scope), ltokens)
         if rhs is not None:
             return value == parse_value(self.context(scope), rtokens)
-        if self.cot.induced_right is None:
-            raise PresentationError("no right grading on the second factor")
         return self.cot.membership(value) and all(
             self.cot.induced_right.right_degree(m) == 0 for m in value.terms
         )
@@ -667,13 +671,12 @@ def load_preset(text: str, fallback_name: str = "preset") -> Tower:
 
     if "A" not in algebra_bodies or "P" not in algebra_bodies:
         raise ParseError("preset must declare [algebra A] and [algebra P]", 1, 1)
-    # a section-level error points at the section's first line, or at its
-    # header when it has none
-    first = lambda title, body: body[0][0] if body else seen[title]
     a_spec = parse_algebra_section(algebra_bodies["A"], "A")
-    p_spec = parse_algebra_section(algebra_bodies["P"], "P")
-    # reading the pair completes at the second factor
-    with _reported_at(first("algebra P", algebra_bodies["P"]), "invalid cotensor algebra: "):
+    p_body = algebra_bodies["P"]
+    p_spec = parse_algebra_section(p_body, "P")
+    # reading the pair completes at the second factor, so its error points
+    # at that section's first line, or at its header when it has none
+    with _reported_at(p_body[0][0] if p_body else seen["algebra P"], "invalid cotensor algebra: "):
         cot = CotensorAlgebra(a_spec, p_spec, name=name)
 
     tower = Tower(name, a_spec, p_spec, cot, None, None, {})
@@ -681,8 +684,7 @@ def load_preset(text: str, fallback_name: str = "preset") -> Tower:
     for label, spec in (("A", a_spec), ("P", p_spec)):
         if label in connection_bodies:
             body = connection_bodies[label]
-            at = first("connection " + label, body)
-            forms[label] = parse_connection_section(body, spec, tower.context(label), label, at)
+            forms[label] = parse_connection_section(body, spec, tower.context(label), label)
     tower.form_a, tower.form_p = forms.get("A"), forms.get("P")
 
     ctx = tower.context("ambient")

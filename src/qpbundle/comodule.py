@@ -65,8 +65,8 @@ def _vec_degree(vec: tuple[int, ...], m: Monomial) -> int:
 
 def _grading(p: AlgebraPresentation, given: Mapping[str, int] | None, label: str):
     """The completed table of ``given`` and its degree vector in
-    generator order, or (None, None) without a table.  A generator
-    missing from ``given`` gets its star partner's degree, negated.
+    generator order, or (None, None) for an absent left table.  A
+    generator missing from ``given`` gets its star partner's degree, negated.
     Raise on a name that is not a generator, a star pair with no degree,
     partners whose degrees are not opposite, or a rewrite rule that is
     not homogeneous."""
@@ -101,8 +101,10 @@ class CoactionSpec:
     """Integer gradings on the generators of one presented algebra.
 
     ``right`` holds the degrees of the right coaction (m -> m (x)
-    u^deg), ``left`` those of the left coaction (m -> u^deg (x) m);
-    either may be absent.  Monomial degrees are sums of generator
+    u^deg), which every graded algebra has; ``left`` those of the left
+    coaction (m -> u^deg (x) m), which only a bicomodule has: the second
+    factor of a tower, and not its first factor or the gradings of its
+    cotensor algebra.  Monomial degrees are sums of generator
     degrees, so coactions are automatically algebra maps; the
     generator-level data must satisfy two laws checked here:
 
@@ -119,7 +121,7 @@ class CoactionSpec:
     def __init__(
         self,
         presentation: AlgebraPresentation,
-        right: Mapping[str, int] | None = None,
+        right: Mapping[str, int],
         left: Mapping[str, int] | None = None,
     ):
         self.presentation = presentation
@@ -127,17 +129,12 @@ class CoactionSpec:
         self.left, self._left_vec = _grading(presentation, left, "left")
 
     def right_degree(self, m: Monomial) -> int:
-        if self._right_vec is None:
-            raise PresentationError("no right coaction declared")
         return _vec_degree(self._right_vec, m)
 
     def left_degree(self, m: Monomial) -> int:
         if self._left_vec is None:
             raise PresentationError("no left coaction declared")
         return _vec_degree(self._left_vec, m)
-
-    def has_right(self) -> bool:
-        return self.right is not None
 
     def has_left(self) -> bool:
         return self.left is not None

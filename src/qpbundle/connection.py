@@ -66,8 +66,6 @@ class ConnectionForm:
         name: str = "",
         lift: Callable[[int], TensorElement] | None = None,
     ):
-        if not spec.has_right():
-            raise PresentationError("connection form needs a right grading")
         self.spec = spec
         self.presentation = spec.presentation
         self._rule = rule
@@ -215,7 +213,7 @@ def _sphere_letters(spec: CoactionSpec) -> tuple[str, str] | None:
     ``CoactionSpec`` gives star partners opposite degrees, so the degree
     -1 generators are the stars of the other two."""
     p = spec.presentation
-    if not spec.has_right() or len(p.generators) != 4:
+    if len(p.generators) != 4:
         return None
     if any(spec.right[g] not in (1, -1) for g in p.generators):
         return None
@@ -348,8 +346,6 @@ def compose_connection(
         raise PresentationError("first form lives on the wrong algebra")
     if form_p.presentation is not cot.right_spec.presentation:
         raise PresentationError("second form lives on the wrong algebra")
-    if cot.induced_right is None:
-        raise PresentationError("cotensor algebra has no right grading")
     left_degree, balance = cot.right_spec.left_degree, cot.balance.right_degree
     amb = cot.ambient
     shape = (alg_slot(amb), alg_slot(amb))

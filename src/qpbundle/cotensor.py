@@ -29,26 +29,20 @@ class CotensorAlgebra:
 
     ``left_spec`` grades A on the right, ``right_spec`` grades P on the
     left; the cotensor algebra is the degree-zero part of ``balance``.
-    A right grading of P induces the right coaction ``induced_right``
-    (0 on A), or None without one.  It keeps the images
-    ``connection.composed_generator_form`` builds, one per |n|, so that
-    they live and die with it.
+    P's right grading induces the right coaction ``induced_right``, 0 on
+    A.  It keeps the images ``connection.composed_generator_form``
+    builds, one per |n|, so that they live and die with it.
     """
 
     def __init__(self, left_spec: CoactionSpec, right_spec: CoactionSpec, name: str = ""):
-        if not left_spec.has_right():
-            raise PresentationError("left factor needs a right grading")
         if not right_spec.has_left():
             raise PresentationError("right factor needs a left grading")
         self.left_spec = left_spec
         self.right_spec = right_spec
         self.ambient = tensor_presentation(left_spec.presentation, right_spec.presentation, name)
         self.balance = self._grading(left_spec.right, {h: -d for h, d in right_spec.left.items()})
-        if right_spec.has_right():
-            a_zero = dict.fromkeys(left_spec.presentation.generators, 0)
-            self.induced_right = self._grading(a_zero, right_spec.right)
-        else:
-            self.induced_right = None
+        a_zero = dict.fromkeys(left_spec.presentation.generators, 0)
+        self.induced_right = self._grading(a_zero, right_spec.right)
         # |n| -> the generator-form image at |n|
         self._generator_forms: dict[int, TensorElement] = {}
 

@@ -159,6 +159,9 @@ class AlgebraPresentation:
         rules: list[tuple[Monomial, dict[Monomial, LaurentScalar]]] = []
         for lhs_word, rhs in reductions:
             lhs = self._word_vector(lhs_word)
+            if not any(lhs):
+                # 1 would rewrite every monomial, the stored unit included
+                raise PresentationError("rule left side is 1")
             rhs_terms = {tuple(m): c for m, c in rhs.items() if not c.is_zero()}
             lk = monomial_key(lhs)
             for m in rhs_terms:

@@ -145,7 +145,7 @@ class OffsetCoaction(CoactionSpec):
     every monomial, the unit included: a comodule that breaks the unit
     law, for tests that the checkers catch it."""
 
-    def __init__(self, presentation, right=None, left=None, right_offset=0, left_offset=0):
+    def __init__(self, presentation, right, left=None, right_offset=0, left_offset=0):
         super().__init__(presentation, right=right, left=left)
         self.right_offset = right_offset
         self.left_offset = left_offset

@@ -159,6 +159,8 @@ def test_suite_none_cannot_be_combined(runner):
 def test_unknown_suite_is_rejected(runner):
     res = invoke(runner, "verify", "--suite", "bogus", *FAST)
     assert res.exit_code == 2
+    with pytest.raises(ConfigError, match="unknown suite 'bogus'"):
+        SuiteConfig(("bogus",))
 
 
 def test_a_repeated_suite_runs_once(runner):
@@ -302,46 +304,58 @@ def test_a_section_for_another_algebra_exits_two_at_its_header(runner, tmp_path,
     assert res.stderr == "error: line %d, column 1: unknown section %s\n" % (at, header)
 
 
-# small towers on two-letter algebras, which the cotensor algebra or a
-# connection form rejects once their sections are read
+# small towers on two-letter algebras, which their gradings, their
+# presentations or the cotensor algebra reject once their sections are read
 _A = "[algebra A]\ngenerators = a a'\nstar a a'\n"
 _P = "[algebra P]\ngenerators = x x'\nstar x x'\n"
-_PAIR = _A + "right a = 1\n\n" + _P + "left x = 1\n\n"  # lines 1-9, then a blank
 
 
 @pytest.mark.parametrize(
     "text, message",
     [
         pytest.param(
-            _A + "\n" + _P + "left x = 1\n",
-            "line 6, column 1: invalid cotensor algebra: left factor needs a right grading",
+            _A + "\n" + _P + "right x = 1\nleft x = 1\n",
+            "line 2, column 1: invalid gradings: no right degree for 'a' or its star partner",
             id="A-without-right",
         ),
         pytest.param(
-            _A + "right a = 1\n\n" + _P + "right x = 1\n",
-            "line 7, column 1: invalid cotensor algebra: right factor needs a left grading",
-            id="P-without-left",
+            _A + "right a = 1\n\n" + _P + "left x = 1\n",
+            "line 7, column 1: invalid gradings: no right degree for 'x' or its star partner",
+            id="P-without-right",
         ),
         pytest.param(
-            _A + "right a = 1\n\n" + _A.replace("A]", "P]") + "left a = 1\n",
+            _A + "right a = 1\n\n" + _P + "right x = 1\n",
+            "line 7, column 1: invalid gradings: no left degree for 'x' or its star partner",
+            id="P-without-left",
+        ),
+        # A is a right comodule algebra only, so a left line is refused
+        # at that line
+        pytest.param(
+            _A + "right a = 1\nleft a = 1\n\n" + _P + "right x = 1\nleft x = 1\n",
+            "line 5, column 1: [algebra A] takes no left grading",
+            id="A-with-left",
+        ),
+        pytest.param(
+            _A + "right a = 1\n\n" + _A.replace("A]", "P]") + "right a = 1\nleft a = 1\n",
             "line 7, column 1: invalid cotensor algebra: generator name collision: ['a', \"a'\"]",
             id="shared-generators",
         ),
+        # a rule that rewrites 1 would leave the stored unit unreduced
         pytest.param(
-            _PAIR + "[connection P]\nentry 0 = (1 | 1)\n",
-            "line 12, column 1: connection form needs a right grading",
-            id="ruleless-form",
+            _A + "reduce = 0\nright a = 1\n\n" + _P + "right x = 1\nleft x = 1\n",
+            "line 2, column 1: invalid presentation: rule left side is 1",
+            id="empty-rule",
         ),
         pytest.param(
-            _PAIR + "[connection P]\n",
-            "line 11, column 1: connection form needs a right grading",
-            id="empty-form",
+            _A + "reduce a^0 = 0\nright a = 1\n\n" + _P + "right x = 1\nleft x = 1\n",
+            "line 2, column 1: invalid presentation: rule left side is 1",
+            id="zeroth-power-rule",
         ),
     ],
 )
 def test_an_engine_error_on_load_exits_two_at_a_line(runner, tmp_path, text, message):
-    # the pair is read once [algebra P] is, so its errors point at that
-    # section's first line; a form's at its section's, or at its header
+    # a section's gradings and presentation are checked at its first line,
+    # and the pair once [algebra P] is read, at that section's first line
     bad = tmp_path / "bad.preset"
     bad.write_text(text)
     res = invoke(runner, "verify", "--file", str(bad), *FAST)
@@ -518,6 +532,8 @@ MALFORMED_ENTRIES = [
     ("weight 1 = (1 | 1)", "unknown directive 'weight'"),
     ("entry = (1 | 1)", "expected: entry <n> = <tensor>"),
     ("entry x = (1 | 1)", "entry index must be an integer"),
+    ("entry 5 = a", "entry must be a two-slot tensor"),
+    ("entry 5 = (a | a | a)", "entry must have exactly two algebra slots"),
 ]
 
 
@@ -550,6 +566,20 @@ def test_a_sphere_rule_on_another_algebra_exits_two_at_its_line(runner, tmp_path
         "error: line %d, column 1: expected a deformed sphere: four generators of "
         "right degree +1/-1, two of them +1\n" % at
     )
+
+
+def test_an_unknown_rule_exits_two_at_its_line(runner, tmp_path):
+    # the rule line, not the section's first line, is named
+    from conftest import preset_text
+
+    text = preset_text("matsumoto-ex2")
+    head = "[connection A]\nrule = sphere\nentry 0 = (1 | 1)\n"
+    at = text.splitlines().index("rule = sphere") + 2
+    bad = tmp_path / "bad.preset"
+    bad.write_text(text.replace(head, "[connection A]\nentry 0 = (1 | 1)\nrule = power\n", 1))
+    res = invoke(runner, "verify", "--file", str(bad), *FAST)
+    assert res.exit_code == 2
+    assert res.stderr == "error: line %d, column 1: unknown connection rule 'power'\n" % at
 
 
 def test_identity_sections_may_repeat(runner, tmp_path):

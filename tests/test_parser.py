@@ -222,6 +222,14 @@ def test_reduce_left_side_must_be_normal():
         parse_presentation(bad)
 
 
+def test_a_rule_left_side_may_take_powers():
+    # a^2 is the word a a, and a^1 the letter a
+    powers = parse_presentation(MINIMAL + "reduce a^2 b^1 = 0\n").presentation
+    words = parse_presentation(MINIMAL + "reduce a a b = 0\n").presentation
+    assert powers.reductions == words.reductions
+    assert len(powers.reductions) == 2
+
+
 def test_bundled_presets_load():
     for name in ("matsumoto-ex1", "matsumoto-ex2"):
         tower = load_bundled(name)
@@ -401,47 +409,117 @@ def test_coinvariant_lines_name_the_failing_element():
 
 
 def test_coinvariant_lines_need_a_right_grading_on_the_second_factor():
-    # without it the balanced subalgebra has no right degree to read
+    # every factor has one once it loads, so a preset without it is
+    # refused at the section's first line
     text = EX2_PLAIN.replace("right x = 1\nright y = 1\n", "")
-    text = text[: text.index("[connection P]")] + text[text.index("[aliases]") :]
-    rows = example_rows_of(text + "[identities]\nc: coinvariant z1\n")
-    assert rows["c"].detail == "no right grading on the second factor"
+    at = text.splitlines().index("generators = x x' y y'") + 1
+    with pytest.raises(ParseError) as err:
+        load_preset(text + "[identities]\nc: coinvariant z1\n")
+    assert str(err.value) == (
+        "line %d, column 1: invalid gradings: no right degree for 'x' or its star partner" % at
+    )
 
 
 # -- error positions ---------------------------------------------------------------
 
 
+# (a line of the ex2 preset, its replacement, the column and message of
+# the error there)
 @pytest.mark.parametrize(
-    "old, new, col",
+    "old, new, col, message",
     [
-        pytest.param("alpha = a x'\n", "alpha = a q\n", 11, id="alias"),
-        pytest.param("alpha = a x'\n", "    alpha = a q\n", 15, id="indented-alias"),
+        pytest.param("alpha = a x'\n", "alpha = a q\n", 11, "unknown name 'q'", id="alias"),
         pytest.param(
-            "entry 1 = (a' | a) + (b' | b)\n", "entry 1 = (a' | a) + (b' | q)\n", 28, id="entry"
+            "alpha = a x'\n", "    alpha = a q\n", 15, "unknown name 'q'", id="indented-alias"
         ),
-        pytest.param("reduce b b' = 1 - a a'\n", "reduce b b' = 1 - a q\n", 21, id="rule-rhs"),
-        pytest.param("reduce b b' = 1 - a a'\n", "reduce b c = 1 - a a'\n", 10, id="rule-lhs"),
-        pytest.param("q b a = L^-1\n", "q b a = L^-1 Q\n", 14, id="q-entry"),
+        pytest.param(
+            "entry 1 = (a' | a) + (b' | b)\n",
+            "entry 1 = (a' | a) + (b' | q)\n",
+            28,
+            "unknown name 'q'",
+            id="entry",
+        ),
+        pytest.param(
+            "reduce b b' = 1 - a a'\n",
+            "reduce b b' = 1 - a q\n",
+            21,
+            "unknown name 'q'",
+            id="rule-rhs",
+        ),
+        pytest.param(
+            "reduce b b' = 1 - a a'\n",
+            "reduce b c = 1 - a a'\n",
+            10,
+            "unknown generator 'c'",
+            id="rule-lhs",
+        ),
+        pytest.param(
+            "reduce b b' = 1 - a a'\n",
+            "reduce b^x b' = 1 - a a'\n",
+            10,
+            "expected an integer exponent",
+            id="rule-lhs-power",
+        ),
+        pytest.param(
+            "reduce b b' = 1 - a a'\n",
+            "reduce 2 b b' = 1 - a a'\n",
+            8,
+            "rule left side must be a product of generators",
+            id="rule-lhs-scalar",
+        ),
+        pytest.param("q b a = L^-1\n", "q b a = L^-1 Q\n", 14, "unknown name 'Q'", id="q-entry"),
         # a q entry is read with no algebra in scope, so no tensor can form
-        pytest.param("q b a = L^-1\n", "q b a = (1 | 1)\n", 9, id="q-tensor"),
+        pytest.param(
+            "q b a = L^-1\n", "q b a = (1 | 1)\n", 9, "no algebra in scope", id="q-tensor"
+        ),
         pytest.param(
             "rel-alpha-normal: alpha alpha' = alpha' alpha\n",
             "rel-alpha-normal: alpha alpha' = alpha' omega\n",
             41,
+            "unknown name 'omega'",
             id="identity",
         ),
         pytest.param(
-            "membership: coinvariant z1 ", "membership: coinvariant z1 omega ", 34, id="coinvariant"
+            "membership: coinvariant z1 ",
+            "membership: coinvariant z1 omega ",
+            34,
+            "unknown name 'omega'",
+            id="coinvariant",
+        ),
+        # a line whose shape is wrong is refused at its first column
+        pytest.param("[aliases]\n", "[aliases\n", 1, "unterminated section header", id="header"),
+        pytest.param("name = matsumoto-ex2\n", "name\n", 1, "expected key = value", id="no-value"),
+        pytest.param("star b b'\n", "star b\n", 1, "expected: star <g> <h>", id="star-shape"),
+        pytest.param(
+            "q b a = L^-1\n", "q b = L^-1\n", 1, "expected: q <g> <h> = <scalar>", id="q-shape"
+        ),
+        pytest.param(
+            "right a = 1\n", "right a = one\n", 1, "grading must be an integer", id="grading"
+        ),
+        pytest.param(
+            "reduce b b' = 1 - a a'\n",
+            "reduce b b' = (a | a)\n",
+            1,
+            "rule right side must be an algebra element",
+            id="rule-tensor",
+        ),
+        pytest.param(
+            "alpha = a x'\n",
+            "alpha = (a | x)\n",
+            1,
+            "alias must name an algebra element",
+            id="alias-tensor",
         ),
     ],
 )
-def test_expression_errors_count_columns_from_the_line_start(old, new, col):
+def test_expression_errors_count_columns_from_the_line_start(old, new, col, message):
     text = preset_text("matsumoto-ex2")
     assert text.count(old) == 1
     lineno = text[: text.index(old)].count("\n") + 1
     with pytest.raises(ParseError) as err:
         load_preset(text.replace(old, new))
     assert (err.value.line, err.value.col) == (lineno, col)
+    assert str(err.value) == "line %d, column %d: %s" % (lineno, col, message)
 
 
 @pytest.mark.parametrize("check_id", sorted(RESERVED))

@@ -190,6 +190,9 @@ def test_presentation_validation():
     with pytest.raises(PresentationError, match="'c', which is not a generator"):
         # every star name must be a generator, not only the partners of generators
         AlgebraPresentation(("a", "a'"), {"a": "a'", "c": "c'"}, {})
+    with pytest.raises(PresentationError, match="rule left side is 1"):
+        # a rule for 1 would rewrite every monomial, the stored unit too
+        AlgebraPresentation(("a", "a'"), {"a": "a'"}, {}, reductions=[((), {})])
     with pytest.raises(PresentationError):
         # rules must decrease the graded order
         AlgebraPresentation(

@@ -308,6 +308,7 @@ def test_a_section_for_another_algebra_exits_two_at_its_header(runner, tmp_path,
 # presentations or the cotensor algebra reject once their sections are read
 _A = "[algebra A]\ngenerators = a a'\nstar a a'\n"
 _P = "[algebra P]\ngenerators = x x'\nstar x x'\n"
+_PAIR = _A + "right a = 1\n\n" + _P + "left x = 1\n\n"  # lines 1-9, then a blank
 
 
 @pytest.mark.parametrize(
@@ -350,6 +351,18 @@ _P = "[algebra P]\ngenerators = x x'\nstar x x'\n"
             _A + "reduce a^0 = 0\nright a = 1\n\n" + _P + "right x = 1\nleft x = 1\n",
             "line 2, column 1: invalid presentation: rule left side is 1",
             id="zeroth-power-rule",
+        ),
+        # a form over a P without right lines is refused at [algebra P],
+        # before its own section is read, whether it has entries or not
+        pytest.param(
+            _PAIR + "[connection P]\nentry 0 = (1 | 1)\n",
+            "line 7, column 1: invalid gradings: no right degree for 'x' or its star partner",
+            id="ruleless-form",
+        ),
+        pytest.param(
+            _PAIR + "[connection P]\n",
+            "line 7, column 1: invalid gradings: no right degree for 'x' or its star partner",
+            id="empty-form",
         ),
     ],
 )

@@ -2,9 +2,10 @@
 
 Expressions: identifiers name generators, aliases, or the scalar
 letters L and M; postfix ' is the star, ^k an integer power;
-juxtaposition or * multiplies; + and - add; (e1 | e2 | ...) builds a
-tensor with one slot per bar-separated entry, and a (x) b (the
-circled-times character) tensors two factors.
+juxtaposition or * multiplies; + and - add.  (e1 | e2 | ...) builds a
+tensor with one slot per bar-separated entry, and that is the only way
+to write one: a tensor expression is a sum or difference of scalar
+multiples of such tuples of one shape.
 
 Presets are line-oriented documents with [section] headers:
 
@@ -62,7 +63,6 @@ _SINGLE = {
     "(": "lparen",
     ")": "rparen",
     "|": "bar",
-    "⊗": "tensor",
 }
 
 
@@ -161,8 +161,10 @@ class _ExprParser:
 
     # value algebra ----------------------------------------------------
 
-    # the elements of one context share its presentation, so only kinds
-    # and tensor shapes can disagree
+    # the elements of one context share its presentation, and a tensor is
+    # a sum of scaled ( | ) tuples of them, so only kinds and tensor shapes
+    # can disagree.  Tensors are not multiplied: an entry lives in
+    # P^op (x) P, whose product is not the slot-wise one
     def _mul(self, a, b, tok):
         if _is_scalar(a) and _is_scalar(b):
             return a * b
@@ -172,35 +174,18 @@ class _ExprParser:
             return a.scale(b)
         if isinstance(a, AlgebraElement) and isinstance(b, AlgebraElement):
             return a * b
-        if isinstance(a, TensorElement) and isinstance(b, TensorElement):
-            if a.shape != b.shape:
-                raise _err(tok, "tensor factors of different shapes")
-            return a * b
         raise _err(tok, "cannot multiply these operands")
 
     def _add(self, a, b, tok):
         if _is_scalar(a) and _is_scalar(b):
             return a + b
-        a = self._promote_like(a, b)
-        b = self._promote_like(b, a)
-        if isinstance(a, AlgebraElement) and isinstance(b, AlgebraElement):
-            return a + b
-        if isinstance(a, TensorElement) and isinstance(b, TensorElement):
+        if isinstance(a, TensorElement) != isinstance(b, TensorElement):
+            raise _err(tok, "cannot add these operands")
+        if isinstance(a, TensorElement):
             if a.shape != b.shape:
                 raise _err(tok, "tensor terms of different shapes")
             return a + b
-        raise _err(tok, "cannot add these operands")
-
-    def _promote_like(self, v, template):
-        """Lift a scalar to the shape of the other summand."""
-        if not _is_scalar(v):
-            return v
-        if isinstance(template, AlgebraElement):
-            return template.presentation.one().scale(v)
-        if isinstance(template, TensorElement):
-            # the grammar builds tensors with algebra slots only
-            return tensor_of([pres.one() for _, pres in template.shape]).scale(v)
-        return v
+        return self._as_element(a, tok) + self._as_element(b, tok)
 
     def _as_element(self, v, tok) -> AlgebraElement:
         if isinstance(v, AlgebraElement):
@@ -226,39 +211,26 @@ class _ExprParser:
         if tok[0] == "minus":
             self.next()
             negate = True
-        value = self.tensor_term()
+        value = self.term()
         if negate:
             value = self._mul(LaurentScalar.integer(-1), value, tok)
         while self.peek()[0] in ("plus", "minus"):
             op = self.next()
-            rhs = self.tensor_term()
+            rhs = self.term()
             if op[0] == "minus":
                 rhs = self._mul(LaurentScalar.integer(-1), rhs, op)
             value = self._add(value, rhs, op)
         return value
 
-    def tensor_term(self):
-        value = self.term()
-        while self.peek()[0] == "tensor":
-            op = self.next()
-            rhs = self.term()
-            value = tensor_of([self._tensor_factor(value, op), self._tensor_factor(rhs, op)])
-        return value
-
-    def _tensor_factor(self, v, tok):
-        return v if isinstance(v, TensorElement) else self._as_element(v, tok)
-
     def term(self):
         value = self.factor()
         while True:
             tok = self.peek()
+            if tok[0] not in ("times", "ident", "int", "lparen"):
+                return value
             if tok[0] == "times":
                 self.next()
-                value = self._mul(value, self.factor(), tok)
-            elif tok[0] in ("ident", "int", "lparen"):
-                value = self._mul(value, self.factor(), tok)
-            else:
-                return value
+            value = self._mul(value, self.factor(), tok)
 
     def factor(self):
         value = self.atom()
@@ -574,7 +546,7 @@ def parse_identity_lines(lines, scope: str, ctx: ExpressionContext, identities: 
             tokens += ltokens + (rtokens or [])
             stored.append((scope, lhs, ltokens, rhs, rtokens))
         for tok in tokens:
-            if tok[0] in ("bar", "tensor"):
+            if tok[0] == "bar":
                 raise _err(tok, "an identity side is an algebra element, not a tensor")
         for tok in tokens:
             if tok[0] == "ident" and tok[1] not in ctx.names:
@@ -606,10 +578,13 @@ class Tower:
 
     def composed(self) -> ConnectionForm:
         if self._composed is None:
-            if self.form_a is None or self.form_p is None:
-                raise PresentationError(
-                    "preset declares no connection for one of the factors"
-                )
+            missing = [
+                "[connection %s]" % label
+                for label, form in (("A", self.form_a), ("P", self.form_p))
+                if form is None
+            ]
+            if missing:
+                raise PresentationError("preset declares no %s" % " or ".join(missing))
             self._composed = compose_connection(self.form_a, self.form_p, self.cot)
         return self._composed
 

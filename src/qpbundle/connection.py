@@ -316,7 +316,7 @@ def balance_total_holds(left_degree: Callable[[Monomial], int], t: TensorElement
 
 
 def compose_connection(
-    form_a: ConnectionForm, form_p: ConnectionForm, cot: CotensorAlgebra, name: str = ""
+    form_a: ConnectionForm, form_p: ConnectionForm, cot: CotensorAlgebra
 ) -> ConnectionForm:
     """Connection form of the composite bundle.
 
@@ -384,7 +384,7 @@ def compose_connection(
                     accumulate(out, (ma + mp, k), ca * c)
         return _trusted_tensor((alg_slot(amb), coalg_slot()), out)
 
-    return ConnectionForm(cot.induced_right, rule, name=name or "composed", lift=lift)
+    return ConnectionForm(cot.induced_right, rule, name="composed", lift=lift)
 
 
 def _tower_letters(cot: CotensorAlgebra, left: tuple[int, int]) -> tuple[str, ...] | None:

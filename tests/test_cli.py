@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qpbundle
-from conftest import run_qpb
+from conftest import ex2_variant_text, run_qpb
 from qpbundle.cli.suites import ConfigError, SuiteConfig
 from qpbundle.comodule import render_tensor
 
@@ -156,6 +156,27 @@ def test_suite_none_cannot_be_combined(runner):
     assert res.exit_code == 2
 
 
+def test_suite_none_still_loads_the_preset_and_checks_the_bounds(runner, tmp_path):
+    missing = tmp_path / "missing.preset"
+    res = invoke(runner, "verify", "--suite", "none", "--file", str(missing), *FAST)
+    assert res.exit_code == 2
+    assert res.stderr == "error: [Errno 2] No such file or directory: %r\n" % str(missing)
+    bad = tmp_path / "bad.preset"
+    bad.write_text(ex2_variant_text(("alpha = a x'\n", "alpha = a q\n")))
+    res = invoke(runner, "verify", "--suite", "none", "--file", str(bad), *FAST)
+    assert res.exit_code == 2
+    assert res.stderr.endswith("column 11: unknown name 'q'\n")
+    res = invoke(runner, "verify", "--suite", "none", "--n-bound", "0")
+    assert res.exit_code == 2
+    assert res.stderr == "error: n_bound must be at least 1\n"
+
+
+def test_every_suite_runs_by_default_and_has_no_name(runner):
+    res = invoke(runner, "verify", "--suite", "all", *FAST)
+    assert res.exit_code == 2
+    assert "invalid choice: 'all'" in res.stderr
+
+
 def test_unknown_suite_is_rejected(runner):
     res = invoke(runner, "verify", "--suite", "bogus", *FAST)
     assert res.exit_code == 2
@@ -229,7 +250,7 @@ def test_rejected_values_exit_two(runner, tmp_path):
         (
             "identities A",
             "tensor: a ⊗ b = b ⊗ a",
-            "column 11: an identity side is an algebra element, not a tensor",
+            "column 11: unexpected character '⊗'",
         ),
         # a tensor anywhere in the line is named before an unknown name
         (
@@ -309,6 +330,7 @@ def test_a_section_for_another_algebra_exits_two_at_its_header(runner, tmp_path,
 _A = "[algebra A]\ngenerators = a a'\nstar a a'\n"
 _P = "[algebra P]\ngenerators = x x'\nstar x x'\n"
 _PAIR = _A + "right a = 1\n\n" + _P + "left x = 1\n\n"  # lines 1-9, then a blank
+_SPHERE_RULE = "reduce b b' = 1 - a a'\n"
 
 
 @pytest.mark.parametrize(
@@ -363,6 +385,24 @@ _PAIR = _A + "right a = 1\n\n" + _P + "left x = 1\n\n"  # lines 1-9, then a blan
             _PAIR + "[connection P]\n",
             "line 7, column 1: invalid gradings: no right degree for 'x' or its star partner",
             id="empty-form",
+        ),
+        # the engine's own checks on a presentation and its gradings, on ex2,
+        # whose [algebra A] starts at line 11
+        pytest.param(
+            ex2_variant_text(("star b b'\n", "star b b'\nstar a' b\n")),
+            "line 11, column 1: invalid presentation: star pairing is not an involution at 'a'",
+            id="star-not-involution",
+        ),
+        pytest.param(
+            ex2_variant_text((_SPHERE_RULE, _SPHERE_RULE + "reduce a a' = 0\n")),
+            "line 11, column 1: invalid presentation: rule right side a a' is itself reducible",
+            id="reducible-right-side",
+        ),
+        pytest.param(
+            ex2_variant_text((_SPHERE_RULE, "reduce b b' = 1 - a\n")),
+            "line 11, column 1: invalid gradings: rewrite rule b b' is not homogeneous"
+            " for the right grading",
+            id="inhomogeneous-rule",
         ),
     ],
 )
@@ -785,6 +825,45 @@ def test_compose_takes_a_negative_index(runner, ex2):
     assert res.exit_code == 0
     assert res.output == render_tensor(ex2.composed()(-2)) + "\n"
     assert res.output == invoke(runner, "compose", "--", "-2").output
+
+
+@pytest.mark.parametrize(
+    "kinds, named",
+    [
+        (("connection A",), "[connection A]"),
+        (("connection P",), "[connection P]"),
+        (("connection",), "[connection A] or [connection P]"),
+    ],
+    ids=["no-A-form", "no-P-form", "no-form"],
+)
+def test_compose_names_each_missing_connection_section(runner, tmp_path, kinds, named):
+    from conftest import preset_text, without_sections
+
+    path = tmp_path / "formless.preset"
+    path.write_text(without_sections(preset_text("matsumoto-ex2"), *kinds))
+    res = invoke(runner, "compose", "--file", str(path), "1")
+    assert res.exit_code == 2
+    assert res.stderr == "error: preset declares no %s\n" % named
+
+
+# a tensor is written only as a sum of scaled ( | ) tuples: no other
+# product, sum or symbol forms one
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("a ⊗ b", "column 13: unexpected character '⊗'"),
+        ("(a' | a)(b' | b)", "column 19: cannot multiply these operands"),
+        ("(a' | a) + 1", "column 20: cannot add these operands"),
+    ],
+    ids=["circled-times", "tensor-product", "scalar-sum"],
+)
+def test_a_tensor_written_another_way_exits_two_at_its_column(runner, tmp_path, entry, message):
+    old = "entry 1 = (a' | a) + (b' | b)\n"
+    path = tmp_path / "spelled.preset"
+    path.write_text(ex2_variant_text((old, "entry 1 = %s\n" % entry)))
+    res = invoke(runner, "verify", "--file", str(path), *FAST)
+    assert res.exit_code == 2
+    assert res.stderr == "error: line 43, %s\n" % message
 
 
 def test_start_up_imports_only_the_standard_library():

@@ -92,13 +92,17 @@ def test_tensor_expressions(ctx, spec):
     t = parse_expression(ctx, "(a | b)")
     assert isinstance(t, TensorElement)
     assert len(t.shape) == 2
-    assert parse_expression(ctx, "a ⊗ b") == t
+    # ( | ) is the only tensor spelling
+    with pytest.raises(ParseError, match="column 3: unexpected character '⊗'"):
+        parse_expression(ctx, "a ⊗ b")
     assert parse_expression(ctx, "(a | b) + (b | a)") == t + parse_expression(
         ctx, "(b | a)"
     )
     # scalar slots promote to multiples of the unit
     u = parse_expression(ctx, "(1 | 1)")
     assert u == parse_expression(ctx, "(1 | 1) + (0 | a)")
+    # a scalar factor may follow the tuple it scales
+    assert parse_expression(ctx, "(a' | a) 2") == parse_expression(ctx, "2 (a' | a)")
     with pytest.raises(ParseError):
         parse_expression(ctx, "(a | b) + a")  # mixed arity
 
@@ -116,7 +120,7 @@ def test_parse_errors_carry_position(ctx):
 
 
 # token texts, and blanks and comments the tokenizer skips
-TOKEN_TEXTS = ["a", "b'", "alpha", "x_1", "_y", "λ2", "12", "3"] + list("^*+-()|⊗")
+TOKEN_TEXTS = ["a", "b'", "alpha", "x_1", "_y", "λ2", "12", "3"] + list("^*+-()|")
 SKIPPED = [" ", "  ", "\t", "\r", "\n", "# a (b | c) ⊗ 2\n", "# note"]
 
 
@@ -509,6 +513,29 @@ def test_coinvariant_lines_need_a_right_grading_on_the_second_factor():
             1,
             "alias must name an algebra element",
             id="alias-tensor",
+        ),
+        # a tensor is a sum of scaled ( | ) tuples of one shape, each slot
+        # an algebra element
+        pytest.param(
+            "entry 1 = (a' | a) + (b' | b)\n",
+            "entry 1 = (a' | a)'\n",
+            19,
+            "cannot star a tensor expression",
+            id="starred-tensor",
+        ),
+        pytest.param(
+            "entry 1 = (a' | a) + (b' | b)\n",
+            "entry 1 = ((a' | a) | a)\n",
+            11,
+            "expected an algebra element",
+            id="tensor-slot",
+        ),
+        pytest.param(
+            "entry 1 = (a' | a) + (b' | b)\n",
+            "entry 1 = (a' | a | b) + (b' | b)\n",
+            24,
+            "tensor terms of different shapes",
+            id="tensor-shapes",
         ),
     ],
 )

@@ -43,7 +43,7 @@ def _load_tower(args) -> Tower:
 
 def verify(args) -> int:
     suites = args.suites or SUITE_NAMES
-    if "none" in suites and len(suites) > 1:
+    if "none" in suites and len(set(suites)) > 1:
         args.usage_error("--suite none cannot be combined with other suites")
     tower = _load_tower(args)
     selected = tuple(s for s in SUITE_NAMES if s in suites)

@@ -6,16 +6,20 @@ integer combination of monomials in two formal unimodular symbols
 circle).  Conjugation of a unimodular number is inversion, so the star
 operation on coefficients simply negates all exponents.
 
-Scalars are integer-coefficient Laurent polynomials in (L, M), stored
-as a canonical map from exponent pairs to nonzero integers.  No
-division is ever performed; anything that would need rational
-coefficients is rejected by construction.
+Scalars are integer-coefficient Laurent polynomials in (L, M).  The
+monomial L^l M^m is the int key l W + m, W = 2^32 (packed exponents, as
+in M. Monagan and R. Pearce, CASC 2007), whose exponents lie in
+[-2^30, 2^30): a result outside raises ``PackageError``.  A single term,
+nearly every scalar the verifier meets, is an int coefficient and a key,
+so its products and same-key sums are int operations; only a scalar of
+two or more terms keeps a map from keys to nonzero ints.
 
 Most coefficients are 1, so the unit is one shared object, ``ONE``:
 the named constructors and the product of two scalars return it for 1,
 and ``x * ONE`` is ``x``, with no scalar built.  Identity is only a
 fast path, since the public constructor still builds new 1s; equality
-of term maps stays the definition.
+of terms stays the definition.  A sum that cancels is the shared
+``ZERO``, and every other result is built through ``__init__``.
 """
 
 from __future__ import annotations
@@ -24,36 +28,63 @@ import math
 from typing import Mapping
 
 
+class PackageError(ValueError):
+    """Base of the errors the package raises on its input: presentation,
+    tensor shape, preset parse, run setting and scalar exponent range.
+    A row that meets one fails with its message
+    (``qpbundle.report.check``), and the command line exits 2 on one met
+    outside a row; any other exception is a bug."""
+
+
+# a key plus _BIAS holds each exponent plus _B in a field of its own; the
+# sum of two keys in range has a bit of _INVALID set iff an exponent of it
+# is out of range
+_W, _B = 1 << 32, 1 << 30
+_BIAS = _B * _W + _B
+_INVALID = ~((2 * _B - 1) * (_W + 1))
+_RANGE = "a scalar exponent left [-2^30, 2^30)"
+
+
+def _checked(k: int) -> int:
+    if (k + _BIAS) & _INVALID:
+        raise PackageError(_RANGE)
+    return k
+
+
 class LaurentScalar:
     """An integer-coefficient Laurent polynomial in the symbols L and M.
 
-    Immutable and canonical: zero coefficients are never stored, so two
-    scalars are equal iff their term maps are equal.
+    Immutable and canonical: a single term is the nonzero coefficient
+    ``_c`` at key ``_k`` with ``_terms`` None, and any other scalar has
+    ``_c`` 0 and a map ``_terms`` without zeros, so two scalars are
+    equal iff their three fields are.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_c", "_k", "_terms")
 
-    def __init__(
-        self, terms: Mapping[tuple[int, int], int] | None = None, _canonical: bool = False
-    ):
-        if _canonical:
-            # private: this module's own results, built without zero
-            # coefficients on (int, int) keys, are stored as they are
-            self._terms = terms
+    def __init__(self, terms: Mapping[tuple[int, int], int] | None = None, _c=0, _k=0, _map=None):
+        # private: this module's results, a nonzero int _c at a key _k in
+        # range or a zero-free key map _map, are stored as they are
+        if _c:
+            self._c, self._k, self._terms = _c, _k, None
             return
-        clean: dict[tuple[int, int], int] = {}
-        if terms:
-            for (e_l, e_m), coeff in terms.items():
+        if _map is None:
+            _map = {}
+            for (e_l, e_m), coeff in (terms or {}).items():
                 if not type(e_l) is type(e_m) is type(coeff) is int:
                     raise TypeError("exponents and coefficients must be int: %r" % (terms,))
-                if coeff:
-                    e = (e_l, e_m)
-                    c = clean.get(e, 0) + coeff
-                    if c:
-                        clean[e] = c
-                    elif e in clean:
-                        del clean[e]
-        self._terms = clean
+                if not (-_B <= e_l < _B and -_B <= e_m < _B):
+                    raise PackageError("scalar exponents %d, %d leave [-2^30, 2^30)" % (e_l, e_m))
+                k = e_l * _W + e_m
+                _map[k] = _map.get(k, 0) + coeff
+            _map = {k: c for k, c in _map.items() if c}
+        self._c, self._k, self._terms = 0, 0, _map
+        if len(_map) == 1:
+            ((self._k, self._c),) = _map.items()
+            self._terms = None
+
+    def _items(self):
+        return ((self._k, self._c),) if self._c else self._terms.items()
 
     # -- constructors ------------------------------------------------
 
@@ -89,13 +120,14 @@ class LaurentScalar:
 
     @property
     def terms(self) -> dict[tuple[int, int], int]:
-        return dict(self._terms)
+        """The map (L exponent, M exponent) -> nonzero coefficient."""
+        return {tuple(e - _B for e in divmod(k + _BIAS, _W)): c for k, c in self._items()}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not (self._c or self._terms)
 
     def is_one(self) -> bool:
-        return self._terms == {(0, 0): 1}
+        return self._c == 1 and not self._k
 
     def is_unit_monomial(self) -> bool:
         """True iff the scalar is a single term with coefficient +-1.
@@ -104,31 +136,31 @@ class LaurentScalar:
         coefficients, since they are invertible in the integer Laurent
         ring.
         """
-        if len(self._terms) != 1:
-            return False
-        return abs(next(iter(self._terms.values()))) == 1
+        return self._c in (1, -1)
 
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other: "LaurentScalar") -> "LaurentScalar":
         if not isinstance(other, LaurentScalar):
             return NotImplemented
+        c1, c2 = self._c, other._c
+        if c1 and c2 and self._k == other._k:
+            c, k = c1 + c2, self._k
+            return ONE if c == 1 and not k else LaurentScalar(None, c, k) if c else ZERO
         # scalars are immutable, so a sum with zero is the other operand
-        if not self._terms:
+        if not (c1 or self._terms):
             return other
-        if not other._terms:
+        if not (c2 or other._terms):
             return self
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
+        out = dict(self._items())
+        for k, c in other._items():
+            s = out.pop(k, 0) + c
             if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return LaurentScalar(out, True)
+                out[k] = s
+        return LaurentScalar(_map=out)
 
     def __neg__(self) -> "LaurentScalar":
-        return LaurentScalar({e: -c for e, c in self._terms.items()}, True)
+        return self * -1
 
     def __sub__(self, other: "LaurentScalar") -> "LaurentScalar":
         return self + (-other)
@@ -140,29 +172,32 @@ class LaurentScalar:
             if other == 1:
                 return self
             if not other:
-                return LaurentScalar()
-            return LaurentScalar({e: c * other for e, c in self._terms.items()}, True)
+                return ZERO
+            if self._c:
+                return LaurentScalar(None, self._c * other, self._k)
+            return LaurentScalar(_map={k: c * other for k, c in self._terms.items()})
         # scalars are immutable: a product with the unit is the other factor
         if other is ONE:
             return self
         if self is ONE:
             return other
-        if len(self._terms) == 1 and len(other._terms) == 1:
-            # unit-monomial q-factors make this the common case
-            (((l1, m1), c1),) = self._terms.items()
-            (((l2, m2), c2),) = other._terms.items()
-            e, c = (l1 + l2, m1 + m2), c1 * c2
-            return ONE if c == 1 and e == (0, 0) else LaurentScalar({e: c}, True)
-        out: dict[tuple[int, int], int] = {}
-        for (l1, m1), c1 in self._terms.items():
-            for (l2, m2), c2 in other._terms.items():
-                e = (l1 + l2, m1 + m2)
-                s = out.get(e, 0) + c1 * c2
+        c = self._c * other._c
+        if c:
+            # unit-monomial q-factors make two single terms the common case
+            k = self._k + other._k
+            if k:
+                return LaurentScalar(None, c, _checked(k))
+            return ONE if c == 1 else LaurentScalar(None, c, 0)
+        out: dict[int, int] = {}
+        for k1, c1 in self._items():
+            for k2, c2 in other._items():
+                k = k1 + k2
+                if (k + _BIAS) & _INVALID:
+                    raise PackageError(_RANGE)
+                s = out.pop(k, 0) + c1 * c2
                 if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return LaurentScalar(out, True)
+                    out[k] = s
+        return LaurentScalar(_map=out)
 
     __rmul__ = __mul__
 
@@ -183,30 +218,46 @@ class LaurentScalar:
         """Inverse of a unit monomial; anything else has none."""
         if not self.is_unit_monomial():
             raise ValueError("only unit monomials are invertible: %r" % self)
-        ((e_l, e_m), c), = self._terms.items()
-        return self if self is ONE else LaurentScalar({(-e_l, -e_m): c}, True)
+        return self.star()
 
     def star(self) -> "LaurentScalar":
         """Conjugation: exponents negate, integer coefficients stay."""
         if self is ONE:
             return self
-        return LaurentScalar({(-l, -m): c for (l, m), c in self._terms.items()}, True)
+        if self._c:
+            return LaurentScalar(None, self._c, _checked(-self._k))
+        return LaurentScalar(_map={_checked(-k): c for k, c in self._terms.items()})
 
     # -- protocol ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentScalar):
             return NotImplemented
-        return self._terms == other._terms
+        return self._c == other._c and self._k == other._k and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._c, self._k) if self._c else frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._c or self._terms)
 
     def __repr__(self) -> str:
         return "LaurentScalar(%s)" % render_scalar(self)
+
+
+def unit_log(q: LaurentScalar) -> int:
+    """The unit monomial q as an int that adds as q multiplies: its key
+    times W, plus 1 if q is negative.  ``unit_exp`` reads back a sum of
+    fewer than 2^32 of them exactly while its exponents stay below 2^31."""
+    return q._k * _W + (q._c < 0)
+
+
+def unit_exp(log: int) -> LaurentScalar:
+    """The unit monomial of a sum of ``unit_log`` values, ``ONE`` when 1."""
+    k, odd = log // _W, log & 1
+    if k or odd:
+        return LaurentScalar(None, -1 if odd else 1, _checked(k))
+    return ONE
 
 
 def render_scalar(x: LaurentScalar) -> str:
@@ -214,7 +265,7 @@ def render_scalar(x: LaurentScalar) -> str:
     if x.is_zero():
         return "0"
     pieces = []
-    for (e_l, e_m), c in sorted(x._terms.items(), reverse=True):
+    for (e_l, e_m), c in sorted(x.terms.items(), reverse=True):
         factors = []
         if e_l:
             factors.append("L" if e_l == 1 else "L^%d" % e_l)
@@ -246,11 +297,11 @@ def accumulate(out: dict, key, c: LaurentScalar) -> None:
     """
     old = out.get(key)
     if old is None:
-        if c._terms:
+        if c._c or c._terms:
             out[key] = c
         return
     s = old + c
-    if s._terms:
+    if s._c or s._terms:
         out[key] = s
     else:
         del out[key]

@@ -21,9 +21,10 @@ order that is invariant under multiplication, which makes the
 rewriting terminate.  ``check_local_confluence`` and ``check_star_compatible``
 prove confluence and star-compatibility from finitely many checks.
 
-Every q_ij is a unit monomial +-L^l M^m, so the table is kept as a sign
-parity and two integer exponents per pair.  The factor of any q-sort is
-then a bilinear form in the two exponent vectors, built as one scalar.
+Every q_ij is a unit monomial +-L^l M^m, so the table is kept as one
+packed int per pair (``scalar.unit_log``), which adds as q_ij
+multiplies.  The factor of any q-sort is then a bilinear form in the
+two exponent vectors, summed as one int and built as one scalar.
 
 Rewriting follows the ordered reduction of Bergman's diamond lemma
 (G. M. Bergman, Adv. Math. 29 (1978)): a reducible monomial m fires its
@@ -48,7 +49,7 @@ from __future__ import annotations
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
-from .scalar import LaurentScalar, ONE, accumulate, render_scalar
+from .scalar import LaurentScalar, ONE, PackageError, accumulate, render_scalar, unit_exp, unit_log
 
 Monomial = tuple[int, ...]
 
@@ -56,19 +57,6 @@ Monomial = tuple[int, ...]
 def monomial_key(m: Monomial) -> tuple:
     """Sort key realizing the graded order described in the module doc."""
     return (sum(m), tuple(reversed(m)))
-
-
-def _unit_exponents(q: LaurentScalar) -> tuple[int, int, int]:
-    """(sign parity, L exponent, M exponent) of a unit monomial."""
-    (((e_l, e_m), c),) = q.terms.items()
-    return (0 if c == 1 else 1, e_l, e_m)
-
-
-class PackageError(ValueError):
-    """Base of the errors the package raises on its input: presentation,
-    tensor shape, preset parse and run setting.  A row that meets one
-    fails with its message (``qpbundle.report.check``), and the command
-    line exits 2 on one met outside a row; any other exception is a bug."""
 
 
 class PresentationError(PackageError):
@@ -148,10 +136,10 @@ class AlgebraPresentation:
             q[i][j] = val
             q[j][i] = val.inverse()
         self.q = tuple(tuple(row) for row in q)
-        # the entries q_ij != 1 with i > j as exponents (j, sign parity, L,
-        # M), by row i; sort_factor and _sort_word read them
+        # the entries q_ij != 1 with i > j as (j, unit_log q_ij), by row i;
+        # sort_factor and _sort_word read them
         self._crossings = tuple(
-            tuple((j,) + _unit_exponents(q[i][j]) for j in range(i) if not q[i][j].is_one())
+            tuple((j, unit_log(q[i][j])) for j in range(i) if not q[i][j].is_one())
             for i in range(k)
         )
 
@@ -188,6 +176,9 @@ class AlgebraPresentation:
                     raise PresentationError(
                         "rule right side %s is itself reducible" % self.render_monomial(m)
                     )
+        # the generators that are normal, with a normal star partner
+        bare = {self.generators[lhs.index(1)] for lhs, _ in rules if sum(lhs) == 1}
+        self.normal_letters = frozenset(g for g in self.generators if not {g, star[g]} & bare)
 
     # -- basic helpers -------------------------------------------------
 
@@ -216,20 +207,18 @@ class AlgebraPresentation:
 
         Every letter g_j from the right block moves past every letter
         g_i of the left block with i > j, contributing q_ij once per
-        crossing pair, so the sign parity and the L and M exponents of
-        the factor are sums over those pairs.
+        crossing pair, so the factor's ``unit_log`` is a sum over those
+        pairs.
         """
-        parity = e_l = e_m = 0
+        log = 0
         crossings = self._crossings
         for i, a in enumerate(left):
             if a:
-                for j, s, l, m in crossings[i]:
-                    n = a * right[j]
+                for j, d in crossings[i]:
+                    n = right[j]
                     if n:
-                        parity += s * n
-                        e_l += l * n
-                        e_m += m * n
-        return _sort_scalar(parity, e_l, e_m)
+                        log += a * n * d
+        return unit_exp(log)
 
     def mono_mul(self, a: Monomial, b: Monomial) -> tuple[LaurentScalar, Monomial]:
         return self.sort_factor(a, b), tuple(map(add, a, b))
@@ -284,7 +273,7 @@ class AlgebraPresentation:
                     continue
                 known = self._store(m, ridx)
             for n, x in known.items():
-                accumulate(out, n, x * c)
+                accumulate(out, n, x if c is ONE else x * c)
         return out
 
     def _store(self, m: Monomial, ridx: int) -> dict[Monomial, LaurentScalar]:
@@ -328,7 +317,7 @@ class AlgebraPresentation:
     def _sort_word(self, word: Sequence[str]) -> tuple[LaurentScalar, Monomial]:
         """q-sort a word: (factor picked up, exponent vector)."""
         v = [0] * len(self.generators)
-        parity = e_l = e_m = 0
+        log = 0
         # place letters right to left; each new letter g_i crosses the
         # letters g_j already placed with j < i, picking up q_ij once per
         # letter crossed
@@ -338,14 +327,19 @@ class AlgebraPresentation:
                     "unknown generator %r (algebra %s)" % (g, self.name)
                 )
             i = self.index[g]
-            for j, s, l, m in self._crossings[i]:
+            for j, d in self._crossings[i]:
                 n = v[j]
                 if n:
-                    parity += s * n
-                    e_l += l * n
-                    e_m += m * n
+                    log += n * d
             v[i] += 1
-        return _sort_scalar(parity, e_l, e_m), tuple(v)
+        return unit_exp(log), tuple(v)
+
+    def normal_word(self, word: Sequence[str]) -> "AlgebraElement | None":
+        """The word's q-sorted monomial, None if reducible.  For letters of
+        ``normal_letters`` it is their left-to-right product, every partial
+        product dividing it and so being normal."""
+        f, v = self._sort_word(word)
+        return None if self._first_rule(v) is not None else _trusted_element(self, {v: f})
 
     def normal_form(self, word: Sequence[str], coeff: LaurentScalar = ONE) -> "AlgebraElement":
         """Normal form of a single coefficient*word product."""
@@ -386,6 +380,11 @@ class AlgebraPresentation:
                 prev = raw.get(prod)
                 # zero sums are dropped by reduce_terms
                 raw[prod] = c if prev is None else prev + c
+        if len(raw) == 1:
+            # a single nonzero normal term is its own normal form
+            ((m, c),) = raw.items()
+            if c and self._first_rule(m) is None:
+                return _trusted_element(self, raw)
         return _trusted_element(self, self.reduce_terms(raw))
 
     def star(self, x: "AlgebraElement") -> "AlgebraElement":
@@ -454,7 +453,7 @@ class AlgebraElement:
     reduce it, so that a certificate can star a rule's left side.
     """
 
-    __slots__ = ("presentation", "terms")
+    __slots__ = ("presentation", "terms", "_star")
 
     def __init__(self, presentation: AlgebraPresentation, terms: dict[Monomial, LaurentScalar]):
         self.presentation = presentation
@@ -513,7 +512,12 @@ class AlgebraElement:
         return _trusted_element(self.presentation, {m: x * c for m, x in self.terms.items()})
 
     def star(self) -> "AlgebraElement":
-        return self.presentation.star(self)
+        """The star, computed on first use and kept: elements are immutable."""
+        try:
+            return self._star
+        except AttributeError:
+            self._star = self.presentation.star(self)
+            return self._star
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
@@ -543,13 +547,6 @@ def _trusted_element(presentation: AlgebraPresentation, terms: dict) -> AlgebraE
     x.presentation = presentation
     x.terms = terms
     return x
-
-
-def _sort_scalar(parity: int, e_l: int, e_m: int) -> LaurentScalar:
-    """The factor (-1)^parity L^e_l M^e_m of a q-sort, ``ONE`` when 1."""
-    if e_l or e_m or parity & 1:
-        return LaurentScalar({(e_l, e_m): -1 if parity & 1 else 1}, True)
-    return ONE
 
 
 def render_element(x: AlgebraElement) -> str:

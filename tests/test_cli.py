@@ -156,6 +156,13 @@ def test_suite_none_cannot_be_combined(runner):
     assert res.exit_code == 2
 
 
+def test_a_repeated_suite_none_names_no_other_suite(runner):
+    res = invoke(runner, "verify", "--suite", "none", "--suite", "none", *FAST)
+    assert res.exit_code == 0
+    assert "0 passed" in res.output
+    assert "nothing was checked" in res.stderr
+
+
 def test_suite_none_still_loads_the_preset_and_checks_the_bounds(runner, tmp_path):
     missing = tmp_path / "missing.preset"
     res = invoke(runner, "verify", "--suite", "none", "--file", str(missing), *FAST)

@@ -1,11 +1,19 @@
 """Expression grammar and preset document parsing."""
 
 import re
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_bundled, preset_text, sphere_preset_text, sphere_tables, without_identities
+from conftest import (
+    SPHERE_PAIRS,
+    load_bundled,
+    preset_text,
+    sphere_preset_text,
+    sphere_tables,
+    without_identities,
+)
 from oracles import parse_presentation
 from qpbundle import render_element, render_tensor
 from qpbundle.cli.parser import (
@@ -18,7 +26,7 @@ from qpbundle.cli.parser import (
 from qpbundle.cli.suites import RESERVED, SuiteConfig, run_suites
 from qpbundle.comodule import TensorElement
 from qpbundle.scalar import ONE, LaurentScalar as S
-from qpbundle.skewalg import AlgebraElement
+from qpbundle.skewalg import AlgebraElement, AlgebraPresentation
 
 MINIMAL = """
 [algebra A]
@@ -218,6 +226,75 @@ def test_q_entries_in_any_order_give_the_later_earlier_matrix(case, data):
             written[(g, h)] = (sign, l, m)
     want = load_preset(sphere_preset_text(table, with_rule)).a_spec.presentation.q
     assert load_preset(sphere_preset_text(written, with_rule)).a_spec.presentation.q == want
+
+
+def _sphere_with_a_bare_letter(table, with_rule):
+    """The sphere algebra of a drawn q-table, with or without its rule,
+    and a commuting star pair z, z' whose z is reducible: z = 1."""
+    one = (0,) * 6
+    rules = [(["z"], {one: ONE})]
+    if with_rule:
+        rules.insert(0, (["b", "b'"], {one: ONE, (1, 1, 0, 0, 0, 0): -ONE}))
+    comm = {pair: S.monomial(*unit) for pair, unit in table.items()}
+    stars = {"a": "a'", "b": "b'", "z": "z'"}
+    return AlgebraPresentation(["a", "a'", "b", "b'", "z", "z'"], stars, comm, rules)
+
+
+def _table_of(p):
+    """The q-table of a sphere algebra, as ``sphere_tables`` draws one."""
+    table = {}
+    for g, h in SPHERE_PAIRS:
+        (((l, m), c),) = p.q[p.index[g]][p.index[h]].terms.items()
+        table[g, h] = (c, l, m)
+    return table
+
+
+# a letter, how many times it is starred, its power (None: no ^), and
+# what joins it to the next; a run ends at * and at a second ' or ^
+letter_items = st.tuples(
+    st.sampled_from("aabbz"),
+    st.sampled_from((0, 0, 1, 1, 2)),
+    st.sampled_from((None, None, None, 0, 1, 2, 3)),
+    st.sampled_from((" ", " ", " ", " * ")),
+)
+
+
+@given(st.one_of(st.none(), sphere_tables()), st.lists(letter_items, min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_a_letter_run_is_the_left_to_right_product_of_its_letters(doctored, case, items):
+    # the draws include the doctored [algebra A], whose rewriting is not
+    # confluent, runs whose product is reducible by b b' = 1 - a a', and
+    # z', whose star partner z is reducible, so run and factor paths differ
+    # on each unless a run is read as one word only when it may be
+    table, with_rule = (_table_of(doctored.a_spec.presentation), True) if case is None else case
+    p = _sphere_with_a_bare_letter(table, with_rule)
+    text, want = "", None
+    for name, stars, power, sep in items:
+        power_text = "" if power is None else "^%d" % power
+        text += (sep if text else "") + name + "'" * stars + power_text
+        value = p.gen(name)
+        for _ in range(stars):
+            value = value.star()
+        if power is not None:
+            value = value**power
+        want = value if want is None else want * value
+    assert parse_expression(ExpressionContext(p), text) == want, text
+
+
+def test_a_letter_run_is_one_q_sort_and_no_reduction(ex2):
+    p = ex2.a_spec.presentation
+    ctx = ExpressionContext(p)
+    assert ctx.letters == {"a", "a'", "b", "b'"}
+    calls = []
+    with patch.object(AlgebraPresentation, "reduce_terms", lambda *args: calls.append(args)):
+        value = parse_expression(ctx, "b' a'^2 b^0 a^2")
+    assert calls == []
+    assert value == p.gen("b").star() * p.gen("a").star() ** 2 * p.gen("a") ** 2
+    # a power above the run limit is multiplied out, as letter by letter
+    assert parse_expression(ctx, "b a^1025") == p.gen("b") * p.gen("a") ** 1025
+    # b b' is reducible, so it is read letter by letter
+    assert p.normal_word(["b", "b'"]) is None
+    assert parse_expression(ctx, "b b'") == p.one() - p.gen("a") * p.gen("a").star()
 
 
 def test_reduce_left_side_must_be_normal():

@@ -1,11 +1,12 @@
 """Ring axioms and star structure of the two-parameter Laurent scalars."""
 
 import math
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpbundle.scalar import ONE, ZERO, LaurentScalar, binomial, render_scalar
+from qpbundle.scalar import ONE, ZERO, LaurentScalar, PackageError, binomial, render_scalar
 from qpbundle.skewalg import AlgebraPresentation
 
 scalars = st.dictionaries(
@@ -150,3 +151,85 @@ def test_commuting_letters_sort_to_the_shared_unit():
     assert p._sort_word(["b", "a", "x", "x"])[0] is ONE
     assert p._sort_word(["y", "x", "y", "x"])[0] == LaurentScalar.lam(3)
     assert p.sort_factor((0, 0, 0, 1), (0, 0, 1, 0)) == LaurentScalar.lam(1)
+
+
+EDGE = 2**30  # each exponent lies in [-EDGE, EDGE)
+
+
+@pytest.mark.parametrize("e_l", [-EDGE, -EDGE + 1, -1, 0, EDGE - 1])
+@pytest.mark.parametrize("e_m", [-EDGE, -EDGE + 1, -1, 0, EDGE - 1])
+def test_terms_round_trip_at_the_edges_of_the_exponent_range(e_l, e_m):
+    other = (0, 1) if e_m < 1 else (1, 0)
+    for terms in ({(e_l, e_m): -3}, {(e_l, e_m): 1, other: 2}):
+        x = LaurentScalar(terms)
+        assert x.terms == terms
+        assert LaurentScalar(x.terms) == x
+        assert render_scalar(LaurentScalar(x.terms)) == render_scalar(x)
+        if -EDGE not in (e_l, e_m):
+            assert x.star().terms == {(-l, -m): c for (l, m), c in terms.items()}
+
+
+@pytest.mark.parametrize(
+    "exponents", [(EDGE, 0), (0, EDGE), (-EDGE - 1, 0), (0, -EDGE - 1), (0, 2**32), (2**40, 0)]
+)
+def test_an_exponent_outside_the_range_is_refused(exponents):
+    with pytest.raises(PackageError, match="leave"):
+        LaurentScalar({exponents: 1})
+
+
+def test_arithmetic_leaving_the_range_raises_instead_of_aliasing():
+    top_l, top_m = LaurentScalar.lam(EDGE - 1), LaurentScalar.lam2(EDGE - 1)
+    low_l, low_m = LaurentScalar.lam(-EDGE), LaurentScalar.lam2(-EDGE)
+    for overflow in (
+        lambda: top_m * LaurentScalar.lam2(1),  # would carry into L
+        lambda: low_m * LaurentScalar.lam2(-1),  # would borrow from L
+        lambda: top_l * LaurentScalar.lam(1),
+        lambda: low_l * low_l,
+        lambda: low_m.star(),
+        lambda: low_l.inverse(),
+        lambda: (ONE + top_m) * LaurentScalar.lam2(2),
+        lambda: (ONE + low_m).star(),
+        lambda: LaurentScalar.lam2(2**29) ** 2,
+    ):
+        with pytest.raises(PackageError, match="left"):
+            overflow()
+    # sums inside the range are exact next to its edges
+    assert top_m * low_m == LaurentScalar.lam2(-1)
+    assert (top_l * top_m * LaurentScalar.monomial(1, -1, -1)).terms == {(EDGE - 2, EDGE - 2): 1}
+    assert (low_l * low_m * LaurentScalar.monomial(1, 1, 1)).star() == top_l * top_m
+
+
+def test_a_q_sort_leaving_the_range_raises():
+    # y x = M^(2^29) x y: y^2 x^2 crosses four pairs, M^(2^31) in all
+    q = {("y", "x"): LaurentScalar.lam2(2**29)}
+    p = AlgebraPresentation(["x", "y"], {"x": "x", "y": "y"}, q)
+    assert p._sort_word(["y", "x"])[0] == LaurentScalar.lam2(2**29)
+    with pytest.raises(PackageError, match="left"):
+        p._sort_word(["y", "y", "x", "x"])
+    with pytest.raises(PackageError, match="left"):
+        p.sort_factor((0, 2), (2, 0))
+
+
+@given(scalars, scalars, st.integers(-4, 4), st.sampled_from([1, -1]), st.integers(-5, 5))
+@settings(max_examples=80)
+def test_every_arithmetic_result_is_built_through_the_constructor(x, y, n, sign, i):
+    # a scalar made without __init__ would escape the scalar counts of
+    # test_cost and of the benchmark's tracer
+    built = []
+    init = LaurentScalar.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    p = AlgebraPresentation(["a", "b"], {"a": "b"}, {("b", "a"): LaurentScalar.monomial(sign, i)})
+    with patch.object(LaurentScalar, "__init__", recording):
+        unit = LaurentScalar.monomial(sign, i, -i)
+        results = [x + y, x - y, x * y, y * x, x * n, n * x, -x, x.star(), x**2, x**3]
+        results += [unit, unit.inverse(), unit**-3, unit * unit.inverse()]
+        results += [p._sort_word(["b", "a", "b"])[0], p.sort_factor((0, 2), (3, 0))]
+    shared = (x, y, ONE, ZERO)
+    for r in results:
+        assert type(r) is LaurentScalar
+        assert any(r is b for b in built + list(shared)), r
+        assert_canonical(r)

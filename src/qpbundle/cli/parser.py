@@ -111,9 +111,6 @@ def tokenize(text: str, line_offset: int = 1, col_offset: int = 1) -> list[tuple
 # -- expression evaluation -------------------------------------------------------
 
 _SCALAR_NAMES = {"L": LaurentScalar.lam(1), "M": LaurentScalar.lam2(1)}
-# the largest power a letter run spells out as a word; a larger one is
-# multiplied out, which needs no word in memory
-_RUN_POWER = 1024
 
 
 class ExpressionContext:
@@ -121,7 +118,6 @@ class ExpressionContext:
     expression may use to its value: the ``aliases`` given, the
     generators and the scalar letters L and M, each winning over the
     ones before it.  The preset loader adds each alias it defines.
-    ``_ExprParser.letter_run`` reads the generators of ``letters`` as one word.
 
     With presentation None only scalar expressions are accepted, which
     is what the q-table values in preset files need.
@@ -130,9 +126,7 @@ class ExpressionContext:
     def __init__(self, presentation: AlgebraPresentation | None, aliases=None):
         self.presentation = presentation
         self.names = dict(aliases or {})
-        self.letters = frozenset()
         if presentation is not None:
-            self.letters = presentation.normal_letters.difference(_SCALAR_NAMES)
             self.names.update((g, presentation.gen(g)) for g in presentation.generators)
         self.names.update(_SCALAR_NAMES)
 
@@ -229,7 +223,7 @@ class _ExprParser:
         return value
 
     def term(self):
-        value = self.letter_run() or self.factor()
+        value = self.factor()
         while True:
             tok = self.peek()
             if tok[0] not in ("times", "ident", "int", "lparen"):
@@ -237,27 +231,6 @@ class _ExprParser:
             if tok[0] == "times":
                 self.next()
             value = self._mul(value, self.factor(), tok)
-
-    def letter_run(self):
-        """Two or more letters of ``ctx.letters``, each with an optional '
-        and then ^k, 0 <= k <= _RUN_POWER, read as one word by ``normal_word``;
-        None, with nothing read, when no such run starts here or its word's
-        monomial is reducible."""
-        t, p, word, i = self.tokens, self.ctx.presentation, [], self.pos
-        while t[i][0] == "ident" and t[i][1] in self.ctx.letters:
-            g, j, k = t[i][1], i + 1, 1
-            if t[j][0] == "prime":
-                g, j = p.star_map[g], j + 1
-            if t[j][0] == "caret" and t[j + 1][0] == "int":
-                k, j = int(t[j + 1][1]), j + 2
-            if t[j][0] in ("prime", "caret") or k > _RUN_POWER:
-                break
-            word += [g] * k
-            i = j
-        value = p.normal_word(word) if len(word) > 1 else None
-        if value is not None:
-            self.pos = i
-        return value
 
     def factor(self):
         value = self.atom()

@@ -6,13 +6,12 @@ integer combination of monomials in two formal unimodular symbols
 circle).  Conjugation of a unimodular number is inversion, so the star
 operation on coefficients simply negates all exponents.
 
-Scalars are integer-coefficient Laurent polynomials in (L, M).  The
-monomial L^l M^m is the int key l W + m, W = 2^32 (packed exponents, as
-in M. Monagan and R. Pearce, CASC 2007), whose exponents lie in
-[-2^30, 2^30): a result outside raises ``PackageError``.  A single term,
-nearly every scalar the verifier meets, is an int coefficient and a key,
-so its products and same-key sums are int operations; only a scalar of
-two or more terms keeps a map from keys to nonzero ints.
+Scalars are integer-coefficient Laurent polynomials in (L, M), each
+monomial L^l M^m an int key l 2^32 + m (packed exponents, M. Monagan and
+R. Pearce, CASC 2007) with l and m in [-2^30, 2^30): a result outside
+raises ``PackageError``.  A single term, nearly every scalar the verifier
+meets, is an int coefficient and a key, so its products and same-key sums
+are int operations; only two or more terms keep a map from keys to ints.
 
 Most coefficients are 1, so the unit is one shared object, ``ONE``:
 the named constructors and the product of two scalars return it for 1,
@@ -36,9 +35,8 @@ class PackageError(ValueError):
     outside a row; any other exception is a bug."""
 
 
-# a key plus _BIAS holds each exponent plus _B in a field of its own; the
-# sum of two keys in range has a bit of _INVALID set iff an exponent of it
-# is out of range
+# a key plus _BIAS holds each exponent plus _B in a field of its own; a sum
+# of two keys in range has a bit of _INVALID set iff it leaves the range
 _W, _B = 1 << 32, 1 << 30
 _BIAS = _B * _W + _B
 _INVALID = ~((2 * _B - 1) * (_W + 1))
@@ -78,10 +76,8 @@ class LaurentScalar:
                 k = e_l * _W + e_m
                 _map[k] = _map.get(k, 0) + coeff
             _map = {k: c for k, c in _map.items() if c}
-        self._c, self._k, self._terms = 0, 0, _map
-        if len(_map) == 1:
-            ((self._k, self._c),) = _map.items()
-            self._terms = None
+        ((self._k, self._c),) = _map.items() if len(_map) == 1 else ((0, 0),)
+        self._terms = None if self._c else _map
 
     def _items(self):
         return ((self._k, self._c),) if self._c else self._terms.items()
@@ -191,9 +187,7 @@ class LaurentScalar:
         out: dict[int, int] = {}
         for k1, c1 in self._items():
             for k2, c2 in other._items():
-                k = k1 + k2
-                if (k + _BIAS) & _INVALID:
-                    raise PackageError(_RANGE)
+                k = _checked(k1 + k2)
                 s = out.pop(k, 0) + c1 * c2
                 if s:
                     out[k] = s
@@ -204,14 +198,13 @@ class LaurentScalar:
     def __pow__(self, power: int) -> "LaurentScalar":
         if power < 0:
             return self.inverse() ** (-power)
-        out = ONE
-        base = self
-        p = power
+        out, base, p = ONE, self, power
         while p:
             if p & 1:
                 out = out * base
-            base = base * base
             p >>= 1
+            if p:
+                base = base * base
         return out
 
     def inverse(self) -> "LaurentScalar":
@@ -245,19 +238,31 @@ class LaurentScalar:
         return "LaurentScalar(%s)" % render_scalar(self)
 
 
+# the log of +-L^l M^m holds, from the top, a count of 1, l + 2^30, m + 2^30
+# and 1 if negative, in fields of _F bits; a field of a sum of logs gains at
+# most 2^31 per crossing, so none carries into the next below 2^(_F - 31)
+# crossings, and unit_exp refuses more
+_F, _FIELD = 96, (1 << 96) - 1
+
+
 def unit_log(q: LaurentScalar) -> int:
-    """The unit monomial q as an int that adds as q multiplies: its key
-    times W, plus 1 if q is negative.  ``unit_exp`` reads back a sum of
-    fewer than 2^32 of them exactly while its exponents stay below 2^31."""
-    return q._k * _W + (q._c < 0)
+    """The unit monomial q as an int that adds as q multiplies."""
+    e_l, e_m = divmod(q._k + _BIAS, _W)
+    return (((1 << _F | e_l) << _F | e_m) << _F) + (q._c < 0)
 
 
 def unit_exp(log: int) -> LaurentScalar:
     """The unit monomial of a sum of ``unit_log`` values, ``ONE`` when 1."""
-    k, odd = log // _W, log & 1
-    if k or odd:
-        return LaurentScalar(None, -1 if odd else 1, _checked(k))
-    return ONE
+    if not log:
+        return ONE
+    n = log >> 3 * _F
+    if n >> _F - 31:
+        raise PackageError("a q-sort crossed 2^%d letter pairs or more" % (_F - 31))
+    e_l, e_m = (log >> 2 * _F & _FIELD) - n * _B, (log >> _F & _FIELD) - n * _B
+    if not (-_B <= e_l < _B and -_B <= e_m < _B):
+        raise PackageError(_RANGE)
+    odd = log & 1
+    return LaurentScalar(None, 1 - 2 * odd, e_l * _W + e_m) if e_l or e_m or odd else ONE
 
 
 def render_scalar(x: LaurentScalar) -> str:

@@ -21,10 +21,9 @@ order that is invariant under multiplication, which makes the
 rewriting terminate.  ``check_local_confluence`` and ``check_star_compatible``
 prove confluence and star-compatibility from finitely many checks.
 
-Every q_ij is a unit monomial +-L^l M^m, so the table is kept as one
-packed int per pair (``scalar.unit_log``), which adds as q_ij
-multiplies.  The factor of any q-sort is then a bilinear form in the
-two exponent vectors, summed as one int and built as one scalar.
+Every q_ij is a unit monomial +-L^l M^m, kept as one int (``scalar.unit_log``)
+that adds as q_ij multiplies, so the factor of any q-sort is a bilinear
+form in the two exponent vectors, summed as one int and built as one scalar.
 
 Rewriting follows the ordered reduction of Bergman's diamond lemma
 (G. M. Bergman, Adv. Math. 29 (1978)): a reducible monomial m fires its
@@ -176,9 +175,6 @@ class AlgebraPresentation:
                     raise PresentationError(
                         "rule right side %s is itself reducible" % self.render_monomial(m)
                     )
-        # the generators that are normal, with a normal star partner
-        bare = {self.generators[lhs.index(1)] for lhs, _ in rules if sum(lhs) == 1}
-        self.normal_letters = frozenset(g for g in self.generators if not {g, star[g]} & bare)
 
     # -- basic helpers -------------------------------------------------
 
@@ -333,13 +329,6 @@ class AlgebraPresentation:
                     log += n * d
             v[i] += 1
         return unit_exp(log), tuple(v)
-
-    def normal_word(self, word: Sequence[str]) -> "AlgebraElement | None":
-        """The word's q-sorted monomial, None if reducible.  For letters of
-        ``normal_letters`` it is their left-to-right product, every partial
-        product dividing it and so being normal."""
-        f, v = self._sort_word(word)
-        return None if self._first_rule(v) is not None else _trusted_element(self, {v: f})
 
     def normal_form(self, word: Sequence[str], coeff: LaurentScalar = ONE) -> "AlgebraElement":
         """Normal form of a single coefficient*word product."""
@@ -513,11 +502,9 @@ class AlgebraElement:
 
     def star(self) -> "AlgebraElement":
         """The star, computed on first use and kept: elements are immutable."""
-        try:
-            return self._star
-        except AttributeError:
+        if not hasattr(self, "_star"):
             self._star = self.presentation.star(self)
-            return self._star
+        return self._star
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):

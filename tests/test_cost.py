@@ -18,12 +18,9 @@ builds a generator-form image at -n instead of swapping the legs of the
 stored one at n, fires a rule twice on one monomial, or decides any
 certificate twice, raises a count.  So does a lost single-term path:
 ``mul`` returns a product that is a single nonzero normal term without
-calling ``reduce_terms``, ``AlgebraElement.star`` computes each star
-once, and the parser reads a run of generator letters whose product is
-normal as one word, one ``_sort_word`` and no product.  Before those
-paths, the ex2 examples suite made 192 ``mono_mul``, 210
-``reduce_terms`` and 60 ``_sort_word`` calls, against 162, 40 and 18
-now.
+calling ``reduce_terms``, and ``AlgebraElement.star`` computes each
+star once.  Before those paths, the ex2 examples suite made 210
+``reduce_terms`` and 60 ``_sort_word`` calls, against 43 and 3 now.
 Every counted run must pass, so a count is never read off a broken
 report.
 
@@ -36,7 +33,7 @@ is ``ONE``.  A change that builds a fresh 0 or 1 there, or multiplies
 by one, raises the count: before the unit was shared, the algebra,
 connection and examples suites built 308, 2,025 and 1,034 scalars at
 n-bound 4; with the unit shared, 20, 696 and 151; and with the shared
-zero, 18, 594 and 138 now.
+zero and the single-term paths, 18, 594 and 120 now.
 
 Loading tokenizes each identity side once and stores its tokens, so the
 examples suite makes no ``tokenize`` call: a change that tokenizes a
@@ -70,8 +67,8 @@ CEILINGS = {
         16: (1210, 300, 1552, 1486),
         32: (4410, 1084, 4880, 4750),
     },
-    ("matsumoto-ex1", "examples"): dict.fromkeys(BOUNDS, (74, 10, 158, 151)),
-    ("matsumoto-ex2", "examples"): dict.fromkeys(BOUNDS, (162, 15, 40, 18)),
+    ("matsumoto-ex1", "examples"): dict.fromkeys(BOUNDS, (88, 10, 160, 139)),
+    ("matsumoto-ex2", "examples"): dict.fromkeys(BOUNDS, (192, 15, 43, 3)),
 }
 for _preset in ("matsumoto-ex1", "matsumoto-ex2"):
     CEILINGS[_preset, "algebra"] = dict.fromkeys(BOUNDS, (24, 2, 30, 30))
@@ -87,7 +84,7 @@ SCALAR_BUILDS = {
     "cotensor": dict.fromkeys((4, 8), 0),
     "entwining": dict.fromkeys((4, 8), 0),
     "connection": {4: 594, 8: 1826},
-    "examples": dict.fromkeys((4, 8), 138),
+    "examples": dict.fromkeys((4, 8), 120),
 }
 
 

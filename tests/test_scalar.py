@@ -190,9 +190,16 @@ def test_arithmetic_leaving_the_range_raises_instead_of_aliasing():
         lambda: (ONE + top_m) * LaurentScalar.lam2(2),
         lambda: (ONE + low_m).star(),
         lambda: LaurentScalar.lam2(2**29) ** 2,
+        lambda: LaurentScalar.lam2(2**29) ** 3,
+        lambda: LaurentScalar.lam(-(2**29)) ** 3,
     ):
         with pytest.raises(PackageError, match="left"):
             overflow()
+    # a power inside the range never squares past its last bit
+    for power in (1, 2**29, 2**30 - 1):
+        assert LaurentScalar.lam2(power) ** 1 == LaurentScalar.lam2(power)
+    assert LaurentScalar.lam2(2**28) ** 3 == LaurentScalar.lam2(3 * 2**28)
+    assert LaurentScalar.lam(-(2**29)) ** 2 == LaurentScalar.lam(-EDGE)
     # sums inside the range are exact next to its edges
     assert top_m * low_m == LaurentScalar.lam2(-1)
     assert (top_l * top_m * LaurentScalar.monomial(1, -1, -1)).terms == {(EDGE - 2, EDGE - 2): 1}
@@ -200,14 +207,36 @@ def test_arithmetic_leaving_the_range_raises_instead_of_aliasing():
 
 
 def test_a_q_sort_leaving_the_range_raises():
-    # y x = M^(2^29) x y: y^2 x^2 crosses four pairs, M^(2^31) in all
+    # y x = M^(2^29) x y: y^2 x^2 crosses four pairs, M^(2^31) in all,
+    # and y^4 x^2 eight, M^(2^32), which must not carry into L
     q = {("y", "x"): LaurentScalar.lam2(2**29)}
     p = AlgebraPresentation(["x", "y"], {"x": "x", "y": "y"}, q)
     assert p._sort_word(["y", "x"])[0] == LaurentScalar.lam2(2**29)
-    with pytest.raises(PackageError, match="left"):
-        p._sort_word(["y", "y", "x", "x"])
-    with pytest.raises(PackageError, match="left"):
-        p.sort_factor((0, 2), (2, 0))
+    for word in (["y"] * 2 + ["x"] * 2, ["y"] * 4 + ["x"] * 2, ["y"] * 8 + ["x"] * 4):
+        with pytest.raises(PackageError, match="left"):
+            p._sort_word(word)
+    for left, right in (((0, 2), (2, 0)), ((0, 4), (2, 0)), ((0, 2**20), (2**20, 0))):
+        with pytest.raises(PackageError, match="left"):
+            p.sort_factor(left, right)
+
+
+def test_a_q_sort_over_many_crossings_is_exact():
+    # y x = -x y, z x = M^-1 x z and z y = M y z
+    q = {
+        ("y", "x"): LaurentScalar.integer(-1),
+        ("z", "x"): LaurentScalar.lam2(-1),
+        ("z", "y"): LaurentScalar.lam2(1),
+    }
+    p = AlgebraPresentation(["x", "y", "z"], {g: g for g in "xyz"}, q)
+    assert p.sort_factor((0, 2**16, 0), (2**16, 0, 0)) is ONE
+    assert p.sort_factor((0, 2**32 + 1, 0), (1, 0, 0)) == LaurentScalar.integer(-1)
+    assert p.sort_factor((0, 2**40, 0), (2**24 + 1, 0, 0)) is ONE
+    assert p._sort_word(["y"] * 2**8 + ["x"] * 2**8)[0] is ONE
+    # 2^62 crossings of M^-1 and as many of M cancel
+    assert p.sort_factor((0, 0, 2**31), (2**31, 2**31, 0)) is ONE
+    assert p.sort_factor((0, 0, 3), (2**40 + 5, 2**40, 0)) == LaurentScalar.lam2(-15)
+    with pytest.raises(PackageError, match="crossed 2\\^65"):
+        p.sort_factor((0, 2**33, 0), (2**33, 0, 0))
 
 
 @given(scalars, scalars, st.integers(-4, 4), st.sampled_from([1, -1]), st.integers(-5, 5))

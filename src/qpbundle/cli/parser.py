@@ -1,19 +1,23 @@
 """Expression grammar and the preset file format.
 
 Expressions: identifiers name generators, aliases, or the scalar
-letters L and M; postfix ' is the star, ^k an integer power;
-juxtaposition or * multiplies; + and - add.  (e1 | e2 | ...) builds a
-tensor with one slot per bar-separated entry, and that is the only way
-to write one: a tensor expression is a sum or difference of scalar
-multiples of such tuples of one shape.
+letters L and M; postfix ' is the star, ^k an integer power (one q-sort
+for a single term, however large k is); juxtaposition or * multiplies;
++ and - add.  (e1 | e2 | ...) builds a tensor with one slot per
+bar-separated entry, and that is the only way to write one: a tensor
+expression is a sum or difference of scalar multiples of such tuples of
+one shape.
 
 Presets are line-oriented documents with [section] headers:
 
     [meta]              name = ...
     [algebra A]         generators, star pairs, q table (as written:
                         AlgebraPresentation orients and checks it),
-                        reduce rules, and the gradings its factor takes:
-                        right for A, right and left for P (``_GRADINGS``)
+                        rules "reduce lhs = rhs", both sides read in the
+                        algebra without rules and lhs one monomial with
+                        coefficient 1 (b' b is b b' where they commute),
+                        and the gradings its factor takes: right for A,
+                        right and left for P (``_GRADINGS``)
     [connection A]      rule = sphere, plus explicit entry lines
     [aliases]           named elements of the joint tensor algebra; an
                         alias may use the aliases above it, and its
@@ -26,8 +30,8 @@ Presets are line-oriented documents with [section] headers:
 The algebras are A and P: a label other than those in an [algebra X] or
 [connection X] header is an unknown section.
 
-Tokens are plain (kind, text, line, col) tuples, and both parsers report
-errors with line and column numbers.
+Tokens are plain (kind, text, line, col) tuples, and errors in
+expressions and in preset lines carry line and column numbers.
 """
 
 from __future__ import annotations
@@ -356,34 +360,6 @@ def _once(seen: dict, key, what: str, lineno: int):
     seen[key] = lineno
 
 
-def _parse_word(text: str, presentation: AlgebraPresentation, lineno: int) -> list[str]:
-    """A product of generator letters with optional ' and ^k, as a flat
-    letter list: a rule line's left side, after its directive."""
-    tokens = tokenize(text, lineno)[1:]
-    word: list[str] = []
-    i = 0
-    while tokens[i][0] != "eof":
-        tok = tokens[i]
-        if tok[0] != "ident":
-            raise _err(tok, "rule left side must be a product of generators")
-        name = tok[1]
-        i += 1
-        if tokens[i][0] == "prime":
-            name = name + "'"
-            i += 1
-        if name not in presentation.index:
-            raise _err(tok, "unknown generator %r" % name)
-        count = 1
-        if tokens[i][0] == "caret":
-            i += 1
-            if tokens[i][0] != "int":
-                raise _err(tokens[i], "expected an integer exponent")
-            count = int(tokens[i][1])
-            i += 1
-        word.extend([name] * count)
-    return word
-
-
 # the grading lines each factor's section takes: A is a right comodule
 # algebra, P an (H, C)-bicomodule with its left coaction by H
 _GRADINGS = {"A": ("right",), "P": ("right", "left")}
@@ -397,7 +373,7 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
     generators: list[str] = []
     star_pairs: dict[str, str] = {}
     q_lines: list[tuple[int, str, str, str, int]] = []
-    reduce_lines: list[tuple[int, str, str, int]] = []
+    reduce_lines: list[tuple[int, str, int, str, int]] = []
     gradings: dict[str, dict[str, int]] = {side: {} for side in _GRADINGS[label]}
     at = lines[0][0] if lines else 1  # section-level errors point at its first line
     seen: dict = {}
@@ -421,8 +397,9 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
             _once(seen, ("q", frozenset(parts[1:])), " ".join(parts), lineno)
             q_lines.append((lineno, parts[1], parts[2], value, col))
         elif head == "reduce":
-            _, value, col = _keyval(line, lineno)
-            reduce_lines.append((lineno, line[: line.index("=")], value, col))
+            lhs, value, col = _keyval(line, lineno)
+            start = line.index(head) + len(head)
+            reduce_lines.append((lineno, lhs[len(head) :].strip(), _col(line, start), value, col))
         elif head in ("right", "left"):
             if head not in gradings:
                 raise ParseError("[algebra %s] takes no %s grading" % (label, head), lineno, 1)
@@ -451,12 +428,15 @@ def parse_algebra_section(lines, label: str) -> CoactionSpec:
         bare = AlgebraPresentation(generators, star_pairs, commutation, (), name=label)
     reductions = []
     bare_ctx = ExpressionContext(bare)
-    for lineno, lhs, value, col in reduce_lines:
-        word = _parse_word(lhs, bare, lineno)
+    for lineno, lhs, lcol, value, col in reduce_lines:
+        lhs = parse_value(bare_ctx, lhs, lineno, lcol)
+        terms = list(lhs.terms.items()) if isinstance(lhs, AlgebraElement) else []
+        if len(terms) != 1 or not terms[0][1].is_one():
+            raise ParseError("rule left side must be one monomial with coefficient 1", lineno, lcol)
         rhs = parse_value(bare_ctx, value, lineno, col)
         if not isinstance(rhs, AlgebraElement):
             raise ParseError("rule right side must be an algebra element", lineno, 1)
-        reductions.append((word, dict(rhs.terms)))
+        reductions.append((terms[0][0], dict(rhs.terms)))
 
     with _reported_at(at, "invalid presentation: "):
         presentation = AlgebraPresentation(

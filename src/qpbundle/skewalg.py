@@ -6,8 +6,8 @@ a table of unit-monomial coefficients q_ij (i > j) encoding
     g_i g_j = q_ij g_j g_i,
 
 an involutive star pairing on generators, and finitely many oriented
-inhomogeneous rewrite rules whose left sides are normal-ordered
-monomials (for the deformed 3-sphere: b b* -> 1 - a a*).
+inhomogeneous rewrite rules, both sides given by exponent vectors (for
+the deformed 3-sphere, b b* -> 1 - a a* is (0,0,1,1) -> 1 - (1,1,0,0)).
 
 ``AlgebraPresentation`` alone checks the table: an entry may name a pair
 in either order (one for g_j g_i gives q_ij^-1), once or consistently,
@@ -23,7 +23,8 @@ prove confluence and star-compatibility from finitely many checks.
 
 Every q_ij is a unit monomial +-L^l M^m, kept as one int (``scalar.unit_log``)
 that adds as q_ij multiplies, so the factor of any q-sort is a bilinear
-form in the two exponent vectors, summed as one int and built as one scalar.
+form in the two exponent vectors, summed as one int and built as one
+scalar; the power of a single term is then one q-sort too.
 
 Rewriting follows the ordered reduction of Bergman's diamond lemma
 (G. M. Bergman, Adv. Math. 29 (1978)): a reducible monomial m fires its
@@ -82,7 +83,7 @@ class AlgebraPresentation:
         generators: Sequence[str],
         star_pairs: Mapping[str, str],
         commutation: Mapping[tuple[str, str], LaurentScalar],
-        reductions: Sequence[tuple[Sequence[str], Mapping[Monomial, LaurentScalar]]] = (),
+        reductions: Sequence[tuple[Sequence[int], Mapping[Monomial, LaurentScalar]]] = (),
         name: str = "",
     ):
         self.generators = tuple(generators)
@@ -136,24 +137,25 @@ class AlgebraPresentation:
             q[j][i] = val.inverse()
         self.q = tuple(tuple(row) for row in q)
         # the entries q_ij != 1 with i > j as (j, unit_log q_ij), by row i;
-        # sort_factor and _sort_word read them
+        # sort_factor, _sort_word and star read them
         self._crossings = tuple(
             tuple((j, unit_log(q[i][j])) for j in range(i) if not q[i][j].is_one())
             for i in range(k)
         )
 
-        # oriented rewrite rules
+        # oriented rewrite rules, each side given by exponent vectors
         rules: list[tuple[Monomial, dict[Monomial, LaurentScalar]]] = []
-        for lhs_word, rhs in reductions:
-            lhs = self._word_vector(lhs_word)
+        for lhs, rhs in reductions:
+            lhs = tuple(lhs)
+            rhs_terms = {tuple(m): c for m, c in rhs.items() if not c.is_zero()}
+            _check_arity(self, [lhs, *rhs_terms], PresentationError)
+            if not all(isinstance(e, int) and e >= 0 for e in lhs):
+                raise PresentationError("rule left side %r is not a vector of ints >= 0" % (lhs,))
             if not any(lhs):
                 # 1 would rewrite every monomial, the stored unit included
                 raise PresentationError("rule left side is 1")
-            rhs_terms = {tuple(m): c for m, c in rhs.items() if not c.is_zero()}
             lk = monomial_key(lhs)
             for m in rhs_terms:
-                if len(m) != k:
-                    raise PresentationError("rule right side has wrong arity")
                 if monomial_key(m) >= lk:
                     raise PresentationError(
                         "rule %s is not decreasing: right-side monomial %s is not smaller"
@@ -177,22 +179,6 @@ class AlgebraPresentation:
                     )
 
     # -- basic helpers -------------------------------------------------
-
-    def _word_vector(self, word: Sequence[str]) -> Monomial:
-        """Exponent vector of a word that is already normal-ordered."""
-        v = [0] * len(self.generators)
-        last = -1
-        for g in word:
-            if g not in self.index:
-                raise PresentationError("unknown generator %r" % g)
-            i = self.index[g]
-            if i < last:
-                raise PresentationError(
-                    "rule left side %r is not normal-ordered" % (tuple(word),)
-                )
-            last = i
-            v[i] += 1
-        return tuple(v)
 
     def one_monomial(self) -> Monomial:
         return (0,) * len(self.generators)
@@ -381,10 +367,18 @@ class AlgebraPresentation:
             raise PresentationError("element of a different presentation")
         raw: dict[Monomial, LaurentScalar] = {}
         for m, c in x.terms.items():
-            f, v = self._sort_word([self.star_map[g] for g in reversed(_vector_word(self, m))])
-            t = c.star() * f
-            prev = raw.get(v)
-            raw[v] = t if prev is None else prev + t
+            # star(m) is a block star(g)^e per power g^e of m, in reversed
+            # order: q-sort it block by block from the right
+            v = [0] * len(m)
+            log = 0
+            for g, e in zip(self.generators, m):
+                if e:
+                    i = self.index[self.star_map[g]]
+                    for j, d in self._crossings[i]:
+                        log += e * v[j] * d
+                    v[i] += e
+            # starring permutes monomials, so no two terms meet in raw
+            raw[tuple(v)] = c.star() * unit_exp(log)
         return _trusted_element(self, self.reduce_terms(raw))
 
     # -- enumeration --------------------------------------------------------
@@ -480,15 +474,24 @@ class AlgebraElement:
 
     def __pow__(self, power: int) -> "AlgebraElement":
         """The product x x ... x of ``power`` factors, taken left to
-        right; ``one()`` for power 0.  The product starts from x rather
-        than from one(): x is normal, as every element the package
-        builds is, so one() x is x exactly (its sort factor is 1 and
-        normal monomials pass through ``reduce_terms``), with no
-        associativity needed."""
+        right; ``one()`` for power 0.  For a single term x = c m with k m
+        normal, every j m is normal and the q-sort factor is bilinear, so
+        the product is c^k sort_factor(m, m)^(k(k-1)/2) at k m.  Any
+        other x is multiplied out from x rather than from one(): x is
+        normal, as every element the package builds is, so one() x is x
+        exactly (its sort factor is 1 and normal monomials pass through
+        ``reduce_terms``), with no associativity needed."""
         if power < 0:
             raise ValueError("negative powers are not defined here")
+        p = self.presentation
         if power == 0:
-            return self.presentation.one()
+            return p.one()
+        if len(self.terms) == 1:
+            ((m, c),) = self.terms.items()
+            top = tuple(power * e for e in m)
+            if p._first_rule(top) is None:
+                f = p.sort_factor(m, m) ** (power * (power - 1) // 2)
+                return _trusted_element(p, {top: c**power * f})
         out = self
         for _ in range(power - 1):
             out = out * self
@@ -585,21 +588,13 @@ def tensor_presentation(
         for i, g in enumerate(p.generators):
             for j in range(i):
                 comm[(g, p.generators[j])] = p.q[i][j]
-        for lhs, rhs in p.reductions:
-            rhs_ext = {(0,) * before + m + (0,) * after: c for m, c in rhs.items()}
-            reductions.append((_vector_word(p, lhs), rhs_ext))
+        pad = lambda m: (0,) * before + m + (0,) * after
+        reductions += [(pad(lhs), {pad(m): c for m, c in rhs.items()}) for lhs, rhs in p.reductions]
     gens = p1.generators + p2.generators
     star = {**p1.star_map, **p2.star_map}
     return AlgebraPresentation(
         gens, star, comm, reductions, name=name or "%s(x)%s" % (p1.name, p2.name)
     )
-
-
-def _vector_word(p: AlgebraPresentation, m: Monomial) -> list[str]:
-    word: list[str] = []
-    for g, e in zip(p.generators, m):
-        word.extend([g] * e)
-    return word
 
 
 class ConfluenceReport:

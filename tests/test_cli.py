@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -370,10 +371,11 @@ _SPHERE_RULE = "reduce b b' = 1 - a a'\n"
             "line 7, column 1: invalid cotensor algebra: generator name collision: ['a', \"a'\"]",
             id="shared-generators",
         ),
-        # a rule that rewrites 1 would leave the stored unit unreduced
+        # an empty left side is refused where it should stand, and a rule
+        # that rewrites 1 would leave the stored unit unreduced
         pytest.param(
             _A + "reduce = 0\nright a = 1\n\n" + _P + "right x = 1\nleft x = 1\n",
-            "line 2, column 1: invalid presentation: rule left side is 1",
+            "line 4, column 8: unexpected 'end of input'",
             id="empty-rule",
         ),
         pytest.param(
@@ -753,6 +755,19 @@ def test_nf_contract_examples(runner):
         res = invoke(runner, "nf", "--algebra", "A", expr)
         assert res.exit_code == 0
         assert res.output.strip() == want, expr
+
+
+def test_a_power_of_one_term_takes_one_q_sort(runner):
+    # the closed form's time does not grow with the exponent
+    start = time.perf_counter()
+    res = invoke(runner, "nf", "--algebra", "A", "a^2000000000")
+    assert (res.exit_code, res.output) == (0, "a^2000000000\n")
+    assert time.perf_counter() - start < 1
+    # (a b)^k picks up L^(-k(k-1)/2), out of range long before k = 100000
+    start = time.perf_counter()
+    res = invoke(runner, "nf", "--algebra", "A", "(a b)^100000")
+    assert (res.exit_code, res.stderr) == (2, "error: a scalar exponent left [-2^30, 2^30)\n")
+    assert time.perf_counter() - start < 1
 
 
 def test_nf_other_contexts(runner):

@@ -72,9 +72,8 @@ def _with_cross_rule(cot):
         and all(map(any, split(cot, m)))
     )
     gens = amb.generators
-    word = lambda m: [g for g, e in zip(gens, m) for _ in range(e)]
     comm = {(g, h): amb.q[i][j] for i, g in enumerate(gens) for j, h in enumerate(gens[:i])}
-    rules = [(word(l), rhs) for l, rhs in amb.reductions] + [(word(lhs), {})]
+    rules = [*amb.reductions, (lhs, {})]
     out = copy.copy(cot)
     out.ambient = AlgebraPresentation(gens, amb.star_map, comm, rules)
     out.balance = CoactionSpec(out.ambient, right=cot.balance.right)

@@ -231,9 +231,9 @@ def _sphere_with_a_bare_letter(table, with_rule):
     """The sphere algebra of a drawn q-table, with or without its rule,
     and a commuting star pair z, z' whose z is reducible: z = 1."""
     one = (0,) * 6
-    rules = [(["z"], {one: ONE})]
+    rules = [((0, 0, 0, 0, 1, 0), {one: ONE})]
     if with_rule:
-        rules.insert(0, (["b", "b'"], {one: ONE, (1, 1, 0, 0, 0, 0): -ONE}))
+        rules.insert(0, ((0, 0, 1, 1, 0, 0), {one: ONE, (1, 1, 0, 0, 0, 0): -ONE}))
     comm = {pair: S.monomial(*unit) for pair, unit in table.items()}
     stars = {"a": "a'", "b": "b'", "z": "z'"}
     return AlgebraPresentation(["a", "a'", "b", "b'", "z", "z'"], stars, comm, rules)
@@ -280,10 +280,15 @@ def test_a_letter_run_is_the_left_to_right_product_of_its_letters(doctored, case
     assert parse_expression(ExpressionContext(p), text) == want, text
 
 
-def test_reduce_left_side_must_be_normal():
-    bad = MINIMAL.replace("reduce b b' = 1 - a a'", "reduce b' b = 1 - a a'")
-    with pytest.raises(ParseError):
-        parse_presentation(bad)
+def test_a_rule_left_side_is_read_as_an_expression():
+    # b' b is b b' where q b' b = 1, so it is the same rule
+    swapped = MINIMAL.replace("reduce b b' = 1 - a a'", "reduce b' b = 1 - a a'")
+    want = parse_presentation(MINIMAL).presentation.reductions
+    assert parse_presentation(swapped).presentation.reductions == want
+    # b a is L^-1 a b, a monomial with another coefficient
+    unordered = MINIMAL.replace("reduce b b' = 1 - a a'", "reduce b a = 0")
+    with pytest.raises(ParseError, match="line 12, column 8: " + LHS_NOT_MONOMIAL):
+        parse_presentation(unordered)
 
 
 def test_a_rule_left_side_may_take_powers():
@@ -487,6 +492,9 @@ def test_coinvariant_lines_need_a_right_grading_on_the_second_factor():
 # -- error positions ---------------------------------------------------------------
 
 
+LHS_NOT_MONOMIAL = "rule left side must be one monomial with coefficient 1"
+
+
 # (a line of the ex2 preset, its replacement, the column and message of
 # the error there)
 @pytest.mark.parametrize(
@@ -510,11 +518,14 @@ def test_coinvariant_lines_need_a_right_grading_on_the_second_factor():
             "unknown name 'q'",
             id="rule-rhs",
         ),
+        # a rule's left side is an expression of the bare algebra that must
+        # come to one monomial with coefficient 1, and is refused at its
+        # first column otherwise
         pytest.param(
             "reduce b b' = 1 - a a'\n",
             "reduce b c = 1 - a a'\n",
             10,
-            "unknown generator 'c'",
+            "unknown name 'c'",
             id="rule-lhs",
         ),
         pytest.param(
@@ -528,8 +539,37 @@ def test_coinvariant_lines_need_a_right_grading_on_the_second_factor():
             "reduce b b' = 1 - a a'\n",
             "reduce 2 b b' = 1 - a a'\n",
             8,
-            "rule left side must be a product of generators",
+            LHS_NOT_MONOMIAL,
             id="rule-lhs-scalar",
+        ),
+        pytest.param(
+            "reduce b b' = 1 - a a'\n",
+            "reduce = 1 - a a'\n",
+            8,
+            "unexpected 'end of input'",
+            id="rule-lhs-empty",
+        ),
+        # b a is L^-1 a b on ex2's A
+        pytest.param(
+            "reduce b b' = 1 - a a'\n",
+            "reduce b a = 1 - a a'\n",
+            8,
+            LHS_NOT_MONOMIAL,
+            id="rule-lhs-unordered",
+        ),
+        pytest.param(
+            "reduce b b' = 1 - a a'\n",
+            "reduce  a + b = 1 - a a'\n",
+            9,
+            LHS_NOT_MONOMIAL,
+            id="rule-lhs-sum",
+        ),
+        pytest.param(
+            "reduce b b' = 1 - a a'\n",
+            "reduce (b | b') = 1 - a a'\n",
+            8,
+            LHS_NOT_MONOMIAL,
+            id="rule-lhs-tensor",
         ),
         pytest.param("q b a = L^-1\n", "q b a = L^-1 Q\n", 14, "unknown name 'Q'", id="q-entry"),
         # a q entry is read with no algebra in scope, so no tensor can form

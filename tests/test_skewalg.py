@@ -44,7 +44,7 @@ def sphere_presentation():
             ("b'", "b"): ONE,
         },
         reductions=[
-            (("b", "b'"), {(0, 0, 0, 0): ONE, (1, 1, 0, 0): S.integer(-1)})
+            ((0, 0, 1, 1), {(0, 0, 0, 0): ONE, (1, 1, 0, 0): S.integer(-1)})
         ],
     )
 
@@ -150,8 +150,8 @@ def test_confluence_detects_broken_rules():
         {"x": "x'"},
         {("x'", "x"): ONE},
         reductions=[
-            (("x", "x"), {(0, 0): ONE}),
-            (("x", "x", "x"), {}),
+            ((2, 0), {(0, 0): ONE}),
+            ((3, 0), {}),
         ],
     )
     report = check_local_confluence(p)
@@ -192,14 +192,27 @@ def test_presentation_validation():
         AlgebraPresentation(("a", "a'"), {"a": "a'", "c": "c'"}, {})
     with pytest.raises(PresentationError, match="rule left side is 1"):
         # a rule for 1 would rewrite every monomial, the stored unit too
-        AlgebraPresentation(("a", "a'"), {"a": "a'"}, {}, reductions=[((), {})])
+        AlgebraPresentation(("a", "a'"), {"a": "a'"}, {}, reductions=[((0, 0), {})])
+    # a left side is an exponent vector, one nonnegative exponent per generator
+    for lhs, message in (
+        ((1,), "has 1 exponents, but a\\+a' has 2 generators"),
+        ((1, 0, 0), "has 3 exponents"),
+        ((2, -1), r"rule left side \(2, -1\) is not a vector of ints >= 0"),
+        # nor is a word of as many letters as there are generators
+        (("a", "a"), "rule left side \\('a', 'a'\\) is not a vector of ints >= 0"),
+    ):
+        with pytest.raises(PresentationError, match=message):
+            AlgebraPresentation(("a", "a'"), {"a": "a'"}, {}, reductions=[(lhs, {})])
+    with pytest.raises(PresentationError, match="has 3 exponents"):
+        # a right side's monomials need one exponent per generator too
+        AlgebraPresentation(("a", "a'"), {"a": "a'"}, {}, reductions=[((2, 0), {(1, 0, 0): ONE})])
     with pytest.raises(PresentationError):
         # rules must decrease the graded order
         AlgebraPresentation(
             ("a", "b"),
             {"a": "a", "b": "b"},
             {("b", "a"): ONE},
-            reductions=[(("a",), {(0, 1): ONE})],
+            reductions=[((1, 0), {(0, 1): ONE})],
         )
 
 
@@ -420,15 +433,12 @@ def test_reduce_terms_drops_cancelled_terms(sphere):
 # -- stored normal forms ------------------------------------------------------
 
 
-def rebuilt(p):
-    """A fresh presentation from the same data, with nothing stored."""
+def rebuilt(p, *rules):
+    """A fresh presentation from the same data and any further ``rules``,
+    with nothing stored."""
     k = len(p.generators)
     comm = {(p.generators[i], p.generators[j]): p.q[i][j] for i in range(k) for j in range(i)}
-    rules = [
-        ([g for g, e in zip(p.generators, lhs) for _ in range(e)], rhs)
-        for lhs, rhs in p.reductions
-    ]
-    return AlgebraPresentation(p.generators, p.star_map, comm, rules, name=p.name)
+    return AlgebraPresentation(p.generators, p.star_map, comm, [*p.reductions, *rules], name=p.name)
 
 
 TENSOR_LAYOUTS = (("alg", "coalg"), ("alg", "alg"), ("coalg", "alg", "alg"))
@@ -551,3 +561,35 @@ def test_a_power_is_the_product_from_one(ex2, doctored, data):
         x = x + p.normal_form(w, c)
     for k in range(5):
         assert x**k == left_to_right_power(x, k), k
+
+
+def sphere_with_a_power_rule():
+    """The sphere with a second rule a^2 b -> 0, whose left side holds a
+    power: (a b)^2 reduces to 0 though a b is normal."""
+    return rebuilt(sphere_presentation(), ((2, 0, 1, 0), {}))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_power_of_one_term_is_the_product_from_one(ex2, doctored, data):
+    # single terms c m, with primes, scalars and q != 1 pairs, take the
+    # closed form where k m is normal and the loop elsewhere
+    presentations = [
+        ex2.a_spec.presentation,
+        ex2.cot.ambient,
+        doctored.a_spec.presentation,
+        sphere_with_a_power_rule(),
+    ]
+    p = data.draw(st.sampled_from(presentations))
+    k = len(p.generators)
+    m = data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k).map(tuple))
+    x = p.element({m: data.draw(scalars.filter(bool))})
+    for n in range(7):
+        assert x**n == left_to_right_power(x, n), n
+
+
+def test_a_power_rule_sends_a_power_of_one_term_through_the_loop():
+    p = sphere_with_a_power_rule()
+    ab = p.gen("a") * p.gen("b")
+    assert list(ab.terms) == [(1, 0, 1, 0)]
+    assert ab**2 == p.zero() == left_to_right_power(ab, 2)

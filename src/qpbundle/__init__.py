@@ -23,8 +23,6 @@ from .comodule import (
     CoactionSpec,
     ShapeError,
     TensorElement,
-    alg_slot,
-    coalg_slot,
     grouplike,
     render_tensor,
     tensor_of,
@@ -57,11 +55,9 @@ __all__ = [
     "Report",
     "ShapeError",
     "TensorElement",
-    "alg_slot",
     "binomial",
     "check_local_confluence",
     "check_star_compatible",
-    "coalg_slot",
     "coinvariants_basis",
     "compose_connection",
     "composed_closed_form",

@@ -39,9 +39,9 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 
-from ..scalar import LaurentScalar
+from ..scalar import MAX_DIGITS, LaurentScalar
 from ..skewalg import AlgebraElement, AlgebraPresentation, PackageError, PresentationError
-from ..comodule import CoactionSpec, TensorElement, alg_slot, tensor_of
+from ..comodule import CoactionSpec, TensorElement, tensor_of
 from ..connection import ConnectionForm, compose_connection, matsumoto_connection
 from ..cotensor import CotensorAlgebra
 from .suites import RESERVED, ConfigError
@@ -147,6 +147,12 @@ def _is_scalar(v):
 
 def _err(tok, msg):
     return ParseError(msg, tok[2], tok[3])
+
+
+def _int(tok) -> int:
+    if len(tok[1]) > MAX_DIGITS:
+        raise _err(tok, "an integer of more than %d digits" % MAX_DIGITS)
+    return int(tok[1])
 
 
 class _ExprParser:
@@ -261,7 +267,7 @@ class _ExprParser:
         tok = self.next()
         if tok[0] != "int":
             raise _err(tok, "expected an integer exponent")
-        return sign * int(tok[1])
+        return sign * _int(tok)
 
     def _pow(self, v, k, tok):
         if isinstance(v, TensorElement):
@@ -273,7 +279,7 @@ class _ExprParser:
     def atom(self):
         tok = self.next()
         if tok[0] == "int":
-            return LaurentScalar.integer(int(tok[1]))
+            return LaurentScalar.integer(_int(tok))
         if tok[0] == "ident":
             return self.ctx.resolve(tok[1], tok)
         if tok[0] == "lparen":
@@ -478,7 +484,7 @@ def parse_connection_section(
             tensor = parse_expression(ctx, value, lineno, col)
             if isinstance(tensor, (LaurentScalar, AlgebraElement)):
                 raise ParseError("entry must be a two-slot tensor", lineno, 1)
-            if tensor.shape != (alg_slot(p), alg_slot(p)):
+            if tensor.shape != (p, p):
                 raise ParseError("entry must have exactly two algebra slots", lineno, 1)
             entries[n] = tensor
         else:

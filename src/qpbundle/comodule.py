@@ -15,28 +15,31 @@ homogeneous.  Nothing else needs checking: the two coactions commute,
 and 1 is covariant, for any pair of integer gradings (the bicomodule
 rows of ``qpbundle.cli.suites`` are lemmas).
 
-An element of the coalgebra is a one-slot ``TensorElement`` of shape
-``(coalg_slot(),)``: ``grouplike(n)`` builds u^n, the tensor ``+`` adds
+An element of the coalgebra is a one-slot ``TensorElement`` whose slot
+is ``None``: ``grouplike(n)`` builds u^n, the tensor ``+`` adds
 coalgebra elements and ``tensor_mul`` multiplies them by adding
 grouplike indices.
 
 ``TensorElement`` holds everything tensor-shaped in the verification
 suites: connection images in P(x)P, their lifted canonical images in
-P(x)C, and the same over the ambient algebra A(x)P.  Algebra slots hold
-normal-form monomials of a named presentation, coalgebra slots hold
-grouplike indices.  The operations are sums, scaling, ``tensor_of``
-(tensor product of factors) and ``tensor_mul`` (slot-wise product, each
-algebra slot reduced once per group of terms by ``_reduce_slot``).  A
+P(x)C, and the same over the ambient algebra A(x)P.  A shape is the
+tuple of its slots' algebras: an algebra slot is its
+``AlgebraPresentation`` and holds normal-form monomials of it, the
+circle's slot is ``None`` and holds grouplike indices.  The operations
+are sums, scaling, ``tensor_of`` (tensor product of factors) and
+``tensor_mul`` (slot-wise product, each algebra slot reduced once per
+group of terms by ``_reduce_slot``).  A
 map applied to one slot, and the product of two adjacent slots, serve
 no row; the tests keep them as references (``tests/oracles.py``), and
 ``qpbundle.connection`` computes the one such composite a row needs,
 the lifted canonical map, in one pass.  Shapes are explicit and
 checked where data enters: the public ``TensorElement`` constructor
-drops zero coefficients, merges equal keys and checks every key's
-arity, and each operation checks its operands' shapes on entry.  The
-results of those operations are canonical by construction (every sum
-goes through ``accumulate``, and Z[L^+-1, M^+-1] has no zero divisors),
-so they are stored through ``_trusted_tensor``, which assumes a tuple
+refuses a slot that is neither a presentation nor ``None``, drops zero
+coefficients, merges equal keys and checks every key's arity, and each
+operation checks its operands' shapes on entry.  The results of those
+operations are canonical by construction (every sum goes through
+``accumulate``, and Z[L^+-1, M^+-1] has no zero divisors), so they are
+stored through ``_trusted_tensor``, which assumes a tuple
 shape, full-arity tuple keys, no zero coefficient and a dict that no
 one else holds.
 """
@@ -147,23 +150,13 @@ class ShapeError(PackageError):
     """Tensor operands with mismatched or unexpected shapes."""
 
 
-_COALG = ("coalg", None)
-
-
-def coalg_slot():
-    return _COALG
-
-
-def alg_slot(p: AlgebraPresentation):
-    return ("alg", p)
-
-
 class TensorElement:
     """Exact element of a tensor space with explicit slot structure.
 
-    ``shape`` is a tuple of slot descriptors; keys of ``terms`` are
-    tuples with one entry per slot: a monomial for an algebra slot, an
-    integer grouplike index for a coalgebra slot.  Algebra-slot entries
+    ``shape`` is a tuple with one entry per slot: the slot's
+    ``AlgebraPresentation``, or None for the circle.  Keys of ``terms``
+    are tuples with one entry per slot: a monomial for an algebra slot,
+    an integer grouplike index for the circle's.  Algebra-slot entries
     are required to be irreducible, which all constructors below
     guarantee by building through the presentation's normal form; the
     public constructor checks that each has one exponent per generator.
@@ -173,6 +166,11 @@ class TensorElement:
 
     def __init__(self, shape, terms: Mapping[tuple, LaurentScalar] | None = None):
         self.shape = tuple(shape)
+        for pres in self.shape:
+            if pres is not None and not isinstance(pres, AlgebraPresentation):
+                raise ShapeError(
+                    "a tensor slot is an AlgebraPresentation or None, not %s" % type(pres).__name__
+                )
         self.terms: dict[tuple, LaurentScalar] = {}
         if terms:
             for key, c in terms.items():
@@ -182,19 +180,16 @@ class TensorElement:
                 if len(k) != len(self.shape):
                     raise ShapeError("key arity does not match shape")
                 accumulate(self.terms, k, c)
-        for i, (kind, pres) in enumerate(self.shape):
-            if kind == "alg":
+        for i, pres in enumerate(self.shape):
+            if pres is not None:
                 _check_arity(pres, (k[i] for k in self.terms), ShapeError)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _require_same_shape(self, other: "TensorElement"):
+    def __add__(self, other: "TensorElement") -> "TensorElement":
         if self.shape != other.shape:
             raise ShapeError("tensor shapes differ")
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._require_same_shape(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
             accumulate(out, k, c)
@@ -255,7 +250,7 @@ def _trusted_tensor(shape: tuple, terms: dict) -> TensorElement:
 
 def grouplike(n: int) -> TensorElement:
     """The grouplike u^n as a one-slot coalgebra tensor."""
-    return _trusted_tensor((_COALG,), {(n,): ONE})
+    return _trusted_tensor((None,), {(n,): ONE})
 
 
 # -- tensor operations -------------------------------------------------------
@@ -273,7 +268,7 @@ def tensor_of(factors: Sequence) -> TensorElement:
     terms = {(): ONE}
     for f in factors:
         if isinstance(f, AlgebraElement):
-            shape += (alg_slot(f.presentation),)
+            shape += (f.presentation,)
             entries = {(m,): c for m, c in f.terms.items()}
         elif isinstance(f, TensorElement):
             shape += f.shape
@@ -297,16 +292,16 @@ def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
         for ky, cy in y.terms.items():
             c = cx * cy
             key = []
-            for (kind, pres), a, b in zip(x.shape, kx, ky):
-                if kind == "alg":
+            for pres, a, b in zip(x.shape, kx, ky):
+                if pres is None:
+                    key.append(a + b)
+                else:
                     f, prod = pres.mono_mul(a, b)
                     c = c * f
                     key.append(prod)
-                else:
-                    key.append(a + b)
             accumulate(raw, tuple(key), c)
-    for i, (kind, pres) in enumerate(x.shape):
-        if kind == "alg":
+    for i, pres in enumerate(x.shape):
+        if pres is not None:
             raw = _reduce_slot(raw, i, pres)
     return _trusted_tensor(x.shape, raw)
 
@@ -330,20 +325,11 @@ def _reduce_slot(terms: dict, slot: int, pres: AlgebraPresentation) -> dict:
 def render_tensor(t: TensorElement) -> str:
     """Deterministic text form: terms like ``c (x | y | u^n)``."""
 
-    def slot_str(slot, key):
-        kind, pres = slot
-        if kind == "alg":
-            return pres.render_monomial(key)
-        return "u^%d" % key if key else "u^0"
+    def slot_str(pres, key):
+        return "u^%d" % key if pres is None else pres.render_monomial(key)
 
     def key_order(key):
-        bits = []
-        for slot, k in zip(t.shape, key):
-            if slot[0] == "alg":
-                bits.append(monomial_key(k))
-            else:
-                bits.append((k,))
-        return tuple(bits)
+        return tuple((k,) if pres is None else monomial_key(k) for pres, k in zip(t.shape, key))
 
     terms = (
         (t.terms[key], "(" + " | ".join(slot_str(s, k) for s, k in zip(t.shape, key)) + ")")

@@ -39,8 +39,6 @@ from .comodule import (
     TensorElement,
     _reduce_slot,
     _trusted_tensor,
-    alg_slot,
-    coalg_slot,
     tensor_of,
 )
 from .cotensor import CotensorAlgebra
@@ -76,7 +74,7 @@ class ConnectionForm:
         self._colifts: dict[int, bool] = {}
         self.overrides = dict(overrides) if overrides else {}
         self.name = name
-        self._shape = (alg_slot(self.presentation), alg_slot(self.presentation))
+        self._shape = (self.presentation, self.presentation)
 
     def closed(self, n: int) -> TensorElement:
         """The rule's output, bypassing overrides."""
@@ -170,7 +168,7 @@ class ConnectionForm:
 
     def _at(self, m: Monomial, k: int = 0) -> TensorElement:
         """m (x) u^k."""
-        return _trusted_tensor((alg_slot(self.presentation), coalg_slot()), {(m, k): ONE})
+        return _trusted_tensor((self.presentation, None), {(m, k): ONE})
 
     def reproduces(self, m: Monomial) -> bool:
         """can((m (x) 1) l(u^d)) = can(1 (x) m), the coaction of m of right
@@ -247,7 +245,7 @@ def _word_sum(p: AlgebraPresentation, terms) -> TensorElement:
             c1 = c1 * c
             for m2, c2 in second.items():
                 accumulate(out, (m1, m2), c1 * c2)
-    return _trusted_tensor((alg_slot(p), alg_slot(p)), out)
+    return _trusted_tensor((p, p), out)
 
 
 def matsumoto_connection(
@@ -294,13 +292,13 @@ def lifted_canonical_map(spec: CoactionSpec, t: TensorElement) -> TensorElement:
     first slot is reduced once per right degree (``_reduce_slot``).
     """
     p = spec.presentation
-    if t.shape != (alg_slot(p), alg_slot(p)):
+    if t.shape != (p, p):
         raise ShapeError("expected a tensor square of the graded algebra")
     raw: dict[tuple, LaurentScalar] = {}
     for (x, y), c in t.terms.items():
         f, xy = p.mono_mul(x, y)
         accumulate(raw, (xy, spec.right_degree(y)), c * f)
-    return _trusted_tensor((alg_slot(p), coalg_slot()), _reduce_slot(raw, 0, p))
+    return _trusted_tensor((p, None), _reduce_slot(raw, 0, p))
 
 
 # -- balance of a left grading across the two legs ---------------------------
@@ -348,7 +346,7 @@ def compose_connection(
         raise PresentationError("second form lives on the wrong algebra")
     left_degree, balance = cot.right_spec.left_degree, cot.balance.right_degree
     amb = cot.ambient
-    shape = (alg_slot(amb), alg_slot(amb))
+    shape = (amb, amb)
 
     def rule(n: int) -> TensorElement:
         out: dict[tuple, LaurentScalar] = {}
@@ -382,7 +380,7 @@ def compose_connection(
             for (mp, k), c in image.terms.items():
                 for ma, ca in legs:
                     accumulate(out, (ma + mp, k), ca * c)
-        return _trusted_tensor((alg_slot(amb), coalg_slot()), out)
+        return _trusted_tensor((amb, None), out)
 
     return ConnectionForm(cot.induced_right, rule, name="composed", lift=lift)
 

@@ -9,7 +9,9 @@ operation on coefficients simply negates all exponents.
 Scalars are integer-coefficient Laurent polynomials in (L, M), each
 monomial L^l M^m an int key l 2^32 + m (packed exponents, M. Monagan and
 R. Pearce, CASC 2007) with l and m in [-2^30, 2^30): a result outside
-raises ``PackageError``.  A single term, nearly every scalar the verifier
+raises ``PackageError``.  So does a coefficient of more than
+``MAX_DIGITS`` decimal digits where it would be printed, and a power
+that could build one.  A single term, nearly every scalar the verifier
 meets, is an int coefficient and a key, so its products and same-key sums
 are int operations; only two or more terms keep a map from keys to ints.
 
@@ -41,6 +43,12 @@ _W, _B = 1 << 32, 1 << 30
 _BIAS = _B * _W + _B
 _INVALID = ~((2 * _B - 1) * (_W + 1))
 _RANGE = "a scalar exponent left [-2^30, 2^30)"
+
+# the most decimal digits a printed coefficient or a read integer has: the
+# default of CPython's int-to-str limit, fixed here on every interpreter
+MAX_DIGITS = 4300
+_TOO_LONG = 10**MAX_DIGITS
+_DIGITS = "a coefficient of more than %d digits" % MAX_DIGITS
 
 
 def _checked(k: int) -> int:
@@ -198,6 +206,14 @@ class LaurentScalar:
     def __pow__(self, power: int) -> "LaurentScalar":
         if power < 0:
             return self.inverse() ** (-power)
+        if self._c not in (1, -1):
+            # every |coefficient| of self^power is at most s^power, s the
+            # summed |c|: bit lengths refuse a large s^power unbuilt
+            s = sum(abs(c) for _, c in self._items())
+            if s > 1 and (
+                power * (s.bit_length() - 1) >= _TOO_LONG.bit_length() or s**power >= _TOO_LONG
+            ):
+                raise PackageError("a power that may have %s" % _DIGITS)
         out, base, p = ONE, self, power
         while p:
             if p & 1:
@@ -271,6 +287,8 @@ def render_scalar(x: LaurentScalar) -> str:
         return "0"
     pieces = []
     for (e_l, e_m), c in sorted(x.terms.items(), reverse=True):
+        if abs(c) >= _TOO_LONG:
+            raise PackageError("cannot print %s" % _DIGITS)
         factors = []
         if e_l:
             factors.append("L" if e_l == 1 else "L^%d" % e_l)

@@ -61,8 +61,6 @@ from qpbundle.comodule import (
     ShapeError,
     TensorElement,
     _reduce_slot,
-    alg_slot,
-    coalg_slot,
     grouplike,
     tensor_of,
 )
@@ -315,18 +313,15 @@ def plain_tensor2(t):
 
 # -- the circle coalgebra, coactions and membership on engine values -------------
 
-_COALG = coalg_slot()
-
-
 def _require_coalgebra(x, arity=1):
-    if x.shape != (_COALG,) * arity:
+    if x.shape != (None,) * arity:
         raise ShapeError("expected a tensor of %d coalgebra slot(s)" % arity)
 
 
 def comultiply(x):
     """Delta, landing in the coalgebra-coalgebra tensor square."""
     _require_coalgebra(x)
-    return TensorElement((_COALG, _COALG), {(n, n): c for (n,), c in x.terms.items()})
+    return TensorElement((None, None), {(n, n): c for (n,), c in x.terms.items()})
 
 
 def counit(x):
@@ -339,7 +334,7 @@ def counit(x):
 
 def antipode(x):
     _require_coalgebra(x)
-    return TensorElement((_COALG,), {(-n,): c for (n,), c in x.terms.items()})
+    return TensorElement((None,), {(-n,): c for (n,), c in x.terms.items()})
 
 
 def coseparability_retraction(t):
@@ -349,14 +344,14 @@ def coseparability_retraction(t):
     and kills everything off it.
     """
     _require_coalgebra(t, 2)
-    return TensorElement((_COALG,), {(n,): c for (m, n), c in t.terms.items() if m == n})
+    return TensorElement((None,), {(n,): c for (m, n), c in t.terms.items() if m == n})
 
 
 def right_coact(spec, x):
     """m -> m (x) u^deg per monomial, extended linearly."""
     if x.presentation is not spec.presentation:
         raise PresentationError("element does not belong to the coaction's algebra")
-    shape = (alg_slot(spec.presentation), _COALG)
+    shape = (spec.presentation, None)
     return TensorElement(shape, {(m, spec.right_degree(m)): c for m, c in x.terms.items()})
 
 
@@ -364,7 +359,7 @@ def left_coact(spec, x):
     """m -> u^deg (x) m per monomial, extended linearly."""
     if x.presentation is not spec.presentation:
         raise PresentationError("element does not belong to the coaction's algebra")
-    shape = (_COALG, alg_slot(spec.presentation))
+    shape = (None, spec.presentation)
     return TensorElement(shape, {(spec.left_degree(m), m): c for m, c in x.terms.items()})
 
 
@@ -452,8 +447,8 @@ def tensor_apply(t, slot, f):
         for ikey, ic in img.terms.items():
             accumulate(out_terms, head + ikey + tail, c * ic)
     if out_shape is None:
-        kind, pres = t.shape[slot]
-        img = _as_tensor(f(pres.one_monomial() if kind == "alg" else 0))
+        pres = t.shape[slot]
+        img = _as_tensor(f(0 if pres is None else pres.one_monomial()))
         out_shape = t.shape[:slot] + img.shape + t.shape[slot + 1 :]
     return TensorElement(out_shape, out_terms)
 
@@ -471,12 +466,12 @@ def multiply_adjacent(t, slot):
     """
     if not (
         0 <= slot < len(t.shape) - 1
-        and t.shape[slot][0] == "alg"
+        and t.shape[slot] is not None
         and t.shape[slot] == t.shape[slot + 1]
     ):
         raise ShapeError("no matching algebra pair at slot %d" % slot)
-    pres = t.shape[slot][1]
-    shape = t.shape[:slot] + (alg_slot(pres),) + t.shape[slot + 2 :]
+    pres = t.shape[slot]
+    shape = t.shape[:slot] + (pres,) + t.shape[slot + 2 :]
     raw = {}
     for key, c in t.terms.items():
         f, prod = pres.mono_mul(key[slot], key[slot + 1])
@@ -509,10 +504,10 @@ def canonical_shift(spec):
 def entwine_at(emap, t, slot):
     """Entwine the adjacent pair (coalgebra at slot, algebra at slot + 1)
     inside a longer tensor, leaving the other slots alone."""
-    alg = alg_slot(emap.presentation)
-    if slot < 0 or t.shape[slot : slot + 2] != (coalg_slot(), alg):
+    alg = emap.presentation
+    if slot < 0 or t.shape[slot : slot + 2] != (None, alg):
         raise ShapeError("no coalgebra/algebra pair at slot %d" % slot)
-    shape = t.shape[:slot] + (alg, coalg_slot()) + t.shape[slot + 2 :]
+    shape = t.shape[:slot] + (alg, None) + t.shape[slot + 2 :]
     # (n, m) -> (m, n + shift(m)) is one to one, so no two keys merge
     moved = {
         k[:slot] + (k[slot + 1], k[slot] + emap.shift(k[slot + 1])) + k[slot + 2 :]: c
@@ -530,11 +525,11 @@ def entwine(emap, t):
 
 def entwine_inverse(emap, t):
     """Apply the inverse map to an algebra (x) coalgebra tensor."""
-    alg = alg_slot(emap.presentation)
-    if t.shape != (alg, coalg_slot()):
+    alg = emap.presentation
+    if t.shape != (alg, None):
         raise ShapeError("inverse entwining expects an algebra (x) coalgebra tensor")
     moved = {(n - emap.shift(m), m): c for (m, n), c in t.terms.items()}
-    return TensorElement((coalg_slot(), alg), moved)
+    return TensorElement((None, alg), moved)
 
 
 # -- entwining scans -------------------------------------------------------------
@@ -642,13 +637,13 @@ def scan_entwining_axioms(emap, degree_bound, monomial_filter=None):
 
         def colinear(m, n, el):
             coact_first = TensorElement(
-                (coalg_slot(), coalg_slot(), alg_slot(p)),
+                (None, None, p),
                 {(ldeg(mm), n, mm): c for mm, c in el.terms.items()},
             )
             entwine_first = tensor_apply(
                 ent(tensor_of([grouplike(n), el])),
                 0,
-                lambda mm: TensorElement((coalg_slot(), alg_slot(p)), {(ldeg(mm), mm): ONE}),
+                lambda mm: TensorElement((None, p), {(ldeg(mm), mm): ONE}),
             )
             return entwine_at(emap, coact_first, 1) == entwine_first
 
@@ -727,7 +722,7 @@ def scan_translation_identities(form, n_bound, degree_bound=4):
                 f2, ym = p.mono_mul(y2, y1)
                 piece = tensor_of([p.element({sm: f1}), p.element({ym: f2})])
                 total = total + piece.scale(c1 * c2)
-        target = TensorElement((alg_slot(p), coalg_slot()), {(p.one_monomial(), n1 + n2): ONE})
+        target = TensorElement((p, None), {(p.one_monomial(), n1 + n2): ONE})
         return can(total) == target
 
     return [
@@ -859,7 +854,7 @@ def scan_bicomodule(spec, degree_bound=3):
     def commute(m):
         return tensor_apply(left(m), 1, right) == tensor_apply(right(m), 0, left)
 
-    unit = TensorElement((coalg_slot(), alg_slot(p)), {(0, p.one_monomial()): ONE})
+    unit = TensorElement((None, p), {(0, p.one_monomial()): ONE})
     return [
         check(
             "comodule",
@@ -888,7 +883,7 @@ def scan_colinearity(form, n_bound):
     def right_colinear(n):
         t = form(n)
         lhs = TensorElement(
-            (alg_slot(p), alg_slot(p), coalg_slot()),
+            (p, p, None),
             {(x, y, n): c for (x, y), c in t.terms.items()},
         )
         return lhs == tensor_apply(t, 1, coact)
@@ -896,7 +891,7 @@ def scan_colinearity(form, n_bound):
     def left_colinear(n):
         t = form(n)
         rhs = TensorElement(
-            (alg_slot(p), coalg_slot(), alg_slot(p)),
+            (p, None, p),
             {(x, -n, y): c for (x, y), c in t.terms.items()},
         )
         return tensor_apply(t, 0, coact) == rhs
@@ -928,7 +923,7 @@ def scan_h_balance(form, left_spec, n_bound):
     ldeg = left_spec.left_degree
 
     def legs_agree(t, lhs, rhs):
-        shape = (coalg_slot(),) + t.shape
+        shape = (None,) + t.shape
         left, right = (
             TensorElement(shape, {(side(x, y), x, y): c for (x, y), c in t.terms.items()})
             for side in (lhs, rhs)
@@ -1047,7 +1042,7 @@ def scan_coinvariants(cot, bound):
 def per_term_product(t, slot):
     """``multiply_adjacent`` term by term: each term's product reduced on
     its own, the pieces summed through the validating constructor."""
-    pres = t.shape[slot][1]
+    pres = t.shape[slot]
     shape = t.shape[:slot] + t.shape[slot + 1 :]
     total = TensorElement(shape)
     for key, c in t.terms.items():
@@ -1068,16 +1063,16 @@ def per_term_tensor_mul(x, y):
     for kx, cx in x.terms.items():
         for ky, cy in y.terms.items():
             shape, key = [], []
-            for slot, a, b in zip(x.shape, kx, ky):
-                if slot[0] == "alg":
-                    shape += [slot, slot]
-                    key += [a, b]
-                else:
-                    shape.append(slot)
+            for pres, a, b in zip(x.shape, kx, ky):
+                if pres is None:
+                    shape.append(pres)
                     key.append(a + b)
+                else:
+                    shape += [pres, pres]
+                    key += [a, b]
             piece = TensorElement(shape, {tuple(key): cx * cy})
-            for i, slot in enumerate(x.shape):
-                if slot[0] == "alg":
+            for i, pres in enumerate(x.shape):
+                if pres is not None:
                     piece = per_term_product(piece, i)
             total = total + piece
     return total

@@ -30,7 +30,7 @@ from oracles import (
     scan_entwining_axioms,
 )
 from qpbundle.cli.suites import SuiteConfig, form_rows, run_suites
-from qpbundle.comodule import TensorElement, alg_slot, coalg_slot, tensor_of
+from qpbundle.comodule import TensorElement, tensor_of
 from qpbundle.connection import (
     balance_total_holds,
     composed_closed_form,
@@ -82,7 +82,7 @@ def test_composite_canonical_roundtrip(ex2):
     cot = ex2.cot
     composed = ex2.composed()
     spec = cot.induced_right
-    want_shape = (alg_slot(cot.ambient), coalg_slot())
+    want_shape = (cot.ambient, None)
     for n in range(-6, 7):
         got = lifted_canonical_map(spec, composed(n))
         assert got == TensorElement(want_shape, {(cot.ambient.one_monomial(), n): ONE}), n
@@ -253,7 +253,7 @@ def test_balance_formulations_agree(ex2):
             for _ in range(k):
                 pair = (rng.choice(monos), rng.choice(monos))
                 terms[pair] = S.monomial(rng.choice((1, -1, 3)), 0, rng.randrange(-2, 3))
-        t = TensorElement((alg_slot(p), alg_slot(p)), terms)
+        t = TensorElement((p, p), terms)
         total = balance_total_holds(ldeg, t)
         split = per_leg_balance(ldeg, t)
         assert total == split, sorted(terms)

@@ -13,6 +13,7 @@ import qpbundle
 from conftest import ex2_variant_text, run_qpb
 from qpbundle.cli.suites import ConfigError, SuiteConfig
 from qpbundle.comodule import render_tensor
+from qpbundle.scalar import MAX_DIGITS
 
 FAST = ("--n-bound", "2", "--degree-bound", "3")
 
@@ -768,6 +769,50 @@ def test_a_power_of_one_term_takes_one_q_sort(runner):
     res = invoke(runner, "nf", "--algebra", "A", "(a b)^100000")
     assert (res.exit_code, res.stderr) == (2, "error: a scalar exponent left [-2^30, 2^30)\n")
     assert time.perf_counter() - start < 1
+
+
+LONG_LITERAL = "7" * (MAX_DIGITS + 1)
+LONG_ERROR = "error: line 1, column %d: an integer of more than 4300 digits\n"
+POWER_MESSAGE = "a power that may have a coefficient of more than 4300 digits"
+POWER_DIGITS = "error: %s\n" % POWER_MESSAGE
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (("2^20000",), POWER_DIGITS),
+        (("--algebra", "A", "(2 a)^20000"), POWER_DIGITS),
+        # each factor prints, their product does not
+        (("2^14000 2^14000",), "error: cannot print a coefficient of more than 4300 digits\n"),
+        (("1 + " + LONG_LITERAL,), LONG_ERROR % 5),
+        (("a^" + LONG_LITERAL,), LONG_ERROR % 3),
+    ],
+)
+def test_a_number_of_more_than_4300_digits_exits_two(runner, args, error):
+    res = invoke(runner, "nf", *args)
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", error)
+
+
+def test_numbers_of_4300_digits_print(runner):
+    for expr, want in (("2^10000", 2**10000), ("7" * MAX_DIGITS, int("7" * MAX_DIGITS))):
+        res = invoke(runner, "nf", expr)
+        assert (res.exit_code, res.output) == (0, "%d\n" % want)
+
+
+def test_a_huge_power_is_refused_before_it_is_built(runner):
+    start = time.perf_counter()
+    res = invoke(runner, "nf", "2^2000000000")
+    assert (res.exit_code, res.stderr) == (2, POWER_DIGITS)
+    assert time.perf_counter() - start < 1
+
+
+def test_an_identity_line_raising_a_huge_power_fails_its_row(runner, tmp_path):
+    line = "rel-alpha-normal: alpha alpha' = alpha' alpha\n"
+    path = tmp_path / "huge.preset"
+    path.write_text(ex2_variant_text((line, "rel-alpha-normal: 2^20000 = 2^20000\n")))
+    res = invoke(runner, "verify", "--file", str(path), "--suite", "examples")
+    assert res.exit_code == 1
+    assert "FAIL examples/rel-alpha-normal  (%s)\n" % POWER_MESSAGE in res.stdout
 
 
 def test_nf_other_contexts(runner):

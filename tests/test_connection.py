@@ -34,8 +34,6 @@ from qpbundle.cli.suites import SuiteConfig, form_rows, run_suites
 from qpbundle.comodule import (
     ShapeError,
     TensorElement,
-    alg_slot,
-    coalg_slot,
     grouplike,
     tensor_of,
 )
@@ -93,9 +91,7 @@ def test_canonical_map_collapses_the_form(ex2):
     p = spec.presentation
     for n in range(-4, 5):
         got = lifted_canonical_map(spec, form(n))
-        want = TensorElement(
-            (alg_slot(p), coalg_slot()), {(p.one_monomial(), n): ONE}
-        )
+        want = TensorElement((p, None), {(p.one_monomial(), n): ONE})
         assert got == want
 
 
@@ -133,10 +129,10 @@ def test_lifted_canonical_map_is_the_slot_composite(ex1, ex2):
     assert got == _slot_composite(spec, t)
     assert {grade for _, grade in got.terms} == {-1, 0, 1, 2}
 
-    empty = TensorElement((alg_slot(p), alg_slot(p)))
+    empty = TensorElement((p, p))
     got = lifted_canonical_map(spec, empty)
     assert got == _slot_composite(spec, empty)
-    assert got.is_zero() and got.shape == (alg_slot(p), coalg_slot())
+    assert got.is_zero() and got.shape == (p, None)
     with pytest.raises(ShapeError):
         lifted_canonical_map(spec, tensor_of([a, a, a]))
 
@@ -388,7 +384,7 @@ def test_composed_canonical_image_of_entry_mutants(text):
 
 def _term_by_term(p, terms):
     """The definition of ``_word_sum``: one tensor per triple."""
-    out = TensorElement((alg_slot(p), alg_slot(p)))
+    out = TensorElement((p, p))
     for c, w, w2 in terms:
         out = out + tensor_of([p.normal_form(w, c), p.normal_form(w2)])
     return out

@@ -6,7 +6,15 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpbundle.scalar import ONE, ZERO, LaurentScalar, PackageError, binomial, render_scalar
+from qpbundle.scalar import (
+    MAX_DIGITS,
+    ONE,
+    ZERO,
+    LaurentScalar,
+    PackageError,
+    binomial,
+    render_scalar,
+)
 from qpbundle.skewalg import AlgebraPresentation
 
 scalars = st.dictionaries(
@@ -167,6 +175,30 @@ def test_terms_round_trip_at_the_edges_of_the_exponent_range(e_l, e_m):
         assert render_scalar(LaurentScalar(x.terms)) == render_scalar(x)
         if -EDGE not in (e_l, e_m):
             assert x.star().terms == {(-l, -m): c for (l, m), c in terms.items()}
+
+
+def test_a_coefficient_of_more_than_max_digits_is_refused_where_it_is_printed():
+    biggest = 10**MAX_DIGITS - 1
+    assert render_scalar(LaurentScalar.integer(biggest)) == "9" * MAX_DIGITS
+    assert render_scalar(LaurentScalar.monomial(-biggest, 1)) == "-%d*L" % biggest
+    for coeff, e_l in ((biggest + 1, 0), (-(biggest + 1), 2)):
+        with pytest.raises(PackageError, match="cannot print"):
+            render_scalar(ONE + LaurentScalar.monomial(coeff, e_l))
+
+
+def test_a_power_that_may_pass_max_digits_is_refused_before_it_is_built():
+    # 2^14284 has 4300 digits and 2^14285 has 4301, as 10^4299 has 4300
+    two, ten = LaurentScalar.integer(2), LaurentScalar.integer(-10)
+    assert (two**14284).terms == {(0, 0): 2**14284}
+    assert (ten**4299).terms == {(0, 0): -(10**4299)}
+    # the bound reads the summed |c|, so it refuses (1 + L)^14285, whose
+    # largest coefficient is far below 2^14285
+    sums = (ONE + LaurentScalar.lam(1), LaurentScalar.lam2(-1) - ONE)
+    for base, power in ((two, 14285), (ten, 4300), (two, 2**40)) + tuple((x, 14285) for x in sums):
+        with pytest.raises(PackageError, match="a power that may have"):
+            base**power
+    # unit monomials never grow
+    assert (-LaurentScalar.lam(1)) ** (2**29 + 1) == -LaurentScalar.lam(2**29 + 1)
 
 
 @pytest.mark.parametrize(

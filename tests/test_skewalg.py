@@ -17,7 +17,7 @@ from oracles import (
     s_mul,
 )
 from qpbundle.cli.suites import SuiteConfig, run_suites
-from qpbundle.comodule import ShapeError, TensorElement, alg_slot, coalg_slot, tensor_mul
+from qpbundle.comodule import ShapeError, TensorElement, tensor_mul
 from qpbundle.scalar import ONE, LaurentScalar as S
 from qpbundle.skewalg import (
     AlgebraElement,
@@ -227,7 +227,7 @@ def test_public_constructors_check_the_monomial_length(sphere):
     # (1,) as a, and (0, 0, 1) as b
     with pytest.raises(PresentationError, match="has 1 exponents, but .* has 4 generators"):
         AlgebraElement(sphere, {(1,): ONE})
-    shape = (alg_slot(sphere), alg_slot(sphere))
+    shape = (sphere, sphere)
     with pytest.raises(ShapeError, match="has 3 exponents, but .* has 4 generators"):
         TensorElement(shape, {((1, 0, 0, 0), (0, 0, 1)): ONE})
     with pytest.raises(ShapeError, match="has 1 exponents"):
@@ -496,7 +496,7 @@ def test_stored_normal_forms_are_exact(ex2, doctored, data):
     # tensor_mul reduces each slot once per group of terms; it must equal
     # the per-term reduction, also where terms cancel only once reduced
     kinds = data.draw(st.sampled_from(TENSOR_LAYOUTS))
-    shape = tuple(alg_slot(p) if kind == "alg" else coalg_slot() for kind in kinds)
+    shape = tuple(p if kind == "alg" else None for kind in kinds)
     normal = p.monomials_up_to(2)
     entry = {"alg": st.sampled_from(normal), "coalg": st.integers(-3, 3)}
     key = st.tuples(*(entry[kind] for kind in kinds))

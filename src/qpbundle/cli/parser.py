@@ -115,6 +115,7 @@ def tokenize(text: str, line_offset: int = 1, col_offset: int = 1) -> list[tuple
 # -- expression evaluation -------------------------------------------------------
 
 _SCALAR_NAMES = {"L": LaurentScalar.lam(1), "M": LaurentScalar.lam2(1)}
+_MINUS_ONE = LaurentScalar.integer(-1)
 
 
 class ExpressionContext:
@@ -134,16 +135,6 @@ class ExpressionContext:
             self.names.update((g, presentation.gen(g)) for g in presentation.generators)
         self.names.update(_SCALAR_NAMES)
 
-    def resolve(self, name: str, tok: tuple):
-        value = self.names.get(name)
-        if value is None:
-            raise _err(tok, "unknown name %r" % name)
-        return value
-
-
-def _is_scalar(v):
-    return isinstance(v, LaurentScalar)
-
 
 def _err(tok, msg):
     return ParseError(msg, tok[2], tok[3])
@@ -156,18 +147,14 @@ def _int(tok) -> int:
 
 
 class _ExprParser:
+    """expr = ["-"] term {("+" | "-") term}, term = factor {["*"] factor},
+    factor = (name | int | "(" expr {"|" expr} ")") {"'" | "^" ["-"] int},
+    each evaluated as it is read, left to right."""
+
     def __init__(self, tokens, ctx: ExpressionContext):
         self.tokens = tokens
         self.pos = 0
         self.ctx = ctx
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
     # value algebra ----------------------------------------------------
 
@@ -176,18 +163,16 @@ class _ExprParser:
     # can disagree.  Tensors are not multiplied: an entry lives in
     # P^op (x) P, whose product is not the slot-wise one
     def _mul(self, a, b, tok):
-        if _is_scalar(a) and _is_scalar(b):
-            return a * b
-        if _is_scalar(a):
-            return b.scale(a)
-        if _is_scalar(b):
+        if type(a) is LaurentScalar:
+            return a * b if type(b) is LaurentScalar else b.scale(a)
+        if type(b) is LaurentScalar:
             return a.scale(b)
         if isinstance(a, AlgebraElement) and isinstance(b, AlgebraElement):
             return a * b
         raise _err(tok, "cannot multiply these operands")
 
     def _add(self, a, b, tok):
-        if _is_scalar(a) and _is_scalar(b):
+        if type(a) is LaurentScalar and type(b) is LaurentScalar:
             return a + b
         if isinstance(a, TensorElement) != isinstance(b, TensorElement):
             raise _err(tok, "cannot add these operands")
@@ -200,7 +185,7 @@ class _ExprParser:
     def _as_element(self, v, tok) -> AlgebraElement:
         if isinstance(v, AlgebraElement):
             return v
-        if _is_scalar(v):
+        if type(v) is LaurentScalar:
             if self.ctx.presentation is None:
                 raise _err(tok, "no algebra in scope")
             return self.ctx.presentation.one().scale(v)
@@ -208,92 +193,78 @@ class _ExprParser:
 
     # grammar ------------------------------------------------------------
 
-    def parse(self):
-        value = self.expr()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise _err(tok, "unexpected %r" % tok[1])
-        return value
-
     def expr(self):
-        tok = self.peek()
-        negate = False
+        tok = self.tokens[self.pos]
         if tok[0] == "minus":
-            self.next()
-            negate = True
-        value = self.term()
-        if negate:
-            value = self._mul(LaurentScalar.integer(-1), value, tok)
-        while self.peek()[0] in ("plus", "minus"):
-            op = self.next()
+            self.pos += 1
+            value = self._mul(_MINUS_ONE, self.term(), tok)
+        else:
+            value = self.term()
+        while True:
+            op = self.tokens[self.pos]
+            if op[0] not in ("plus", "minus"):
+                return value
+            self.pos += 1
             rhs = self.term()
             if op[0] == "minus":
-                rhs = self._mul(LaurentScalar.integer(-1), rhs, op)
+                rhs = self._mul(_MINUS_ONE, rhs, op)
             value = self._add(value, rhs, op)
-        return value
 
     def term(self):
         value = self.factor()
         while True:
-            tok = self.peek()
-            if tok[0] not in ("times", "ident", "int", "lparen"):
-                return value
+            tok = self.tokens[self.pos]
             if tok[0] == "times":
-                self.next()
+                self.pos += 1
+            elif tok[0] not in ("ident", "int", "lparen"):
+                return value
             value = self._mul(value, self.factor(), tok)
 
     def factor(self):
-        value = self.atom()
-        while True:
-            tok = self.peek()
-            if tok[0] == "prime":
-                self.next()
-                if isinstance(value, (LaurentScalar, AlgebraElement)):
-                    value = value.star()
-                else:
-                    raise _err(tok, "cannot star a tensor expression")
-            elif tok[0] == "caret":
-                self.next()
-                value = self._pow(value, self._exponent(), tok)
-            else:
-                return value
-
-    def _exponent(self) -> int:
-        sign = 1
-        tok = self.peek()
-        if tok[0] == "minus":
-            self.next()
-            sign = -1
-        tok = self.next()
-        if tok[0] != "int":
-            raise _err(tok, "expected an integer exponent")
-        return sign * _int(tok)
-
-    def _pow(self, v, k, tok):
-        if isinstance(v, TensorElement):
-            raise _err(tok, "cannot raise a tensor expression to a power")
-        if k < 0 and not (_is_scalar(v) and v.is_unit_monomial()):
-            raise _err(tok, "negative powers only apply to unit scalars")
-        return v**k
-
-    def atom(self):
-        tok = self.next()
-        if tok[0] == "int":
-            return LaurentScalar.integer(_int(tok))
+        tok = self.tokens[self.pos]
+        self.pos += 1
         if tok[0] == "ident":
-            return self.ctx.resolve(tok[1], tok)
-        if tok[0] == "lparen":
+            value = self.ctx.names.get(tok[1])
+            if value is None:
+                raise _err(tok, "unknown name %r" % tok[1])
+        elif tok[0] == "int":
+            value = LaurentScalar.integer(_int(tok))
+        elif tok[0] == "lparen":
             slots = [self.expr()]
-            while self.peek()[0] == "bar":
-                self.next()
+            while self.tokens[self.pos][0] == "bar":
+                self.pos += 1
                 slots.append(self.expr())
-            closing = self.next()
+            closing = self.tokens[self.pos]
+            self.pos += 1
             if closing[0] != "rparen":
                 raise _err(closing, "expected a closing parenthesis")
-            if len(slots) == 1:
-                return slots[0]
-            return tensor_of([self._as_element(s, tok) for s in slots])
-        raise _err(tok, "unexpected %r" % (tok[1] or "end of input"))
+            value = slots[0]
+            if len(slots) > 1:
+                value = tensor_of([self._as_element(s, tok) for s in slots])
+        else:
+            raise _err(tok, "unexpected %r" % (tok[1] or "end of input"))
+        while True:
+            op = self.tokens[self.pos]
+            if op[0] == "prime":
+                self.pos += 1
+                if isinstance(value, TensorElement):
+                    raise _err(op, "cannot star a tensor expression")
+                value = value.star()
+            elif op[0] == "caret":
+                # the exponent is read before the base is judged
+                negative = self.tokens[self.pos + 1][0] == "minus"
+                tok = self.tokens[self.pos + 1 + negative]
+                self.pos += 2 + negative
+                if tok[0] != "int":
+                    raise _err(tok, "expected an integer exponent")
+                k = -_int(tok) if negative else _int(tok)
+                if isinstance(value, TensorElement):
+                    raise _err(op, "cannot raise a tensor expression to a power")
+                if k < 0 and not (type(value) is LaurentScalar and value.is_unit_monomial()):
+                    raise _err(op, "negative powers only apply to unit scalars")
+                value = value**k
+            else:
+                return value
 
 
 def parse_expression(ctx: ExpressionContext, text, line_offset: int = 1, col_offset: int = 1):
@@ -301,7 +272,12 @@ def parse_expression(ctx: ExpressionContext, text, line_offset: int = 1, col_off
     column; the result is a scalar, an algebra element, or a tensor.
     ``text`` may also be the list ``tokenize`` made of it."""
     tokens = text if isinstance(text, list) else tokenize(text, line_offset, col_offset)
-    return _ExprParser(tokens, ctx).parse()
+    parser = _ExprParser(tokens, ctx)
+    value = parser.expr()
+    tok = tokens[parser.pos]
+    if tok[0] != "eof":
+        raise _err(tok, "unexpected %r" % tok[1])
+    return value
 
 
 def parse_value(ctx: ExpressionContext, text, line_offset: int = 1, col_offset: int = 1):

@@ -50,6 +50,9 @@ MAX_DIGITS = 4300
 _TOO_LONG = 10**MAX_DIGITS
 _DIGITS = "a coefficient of more than %d digits" % MAX_DIGITS
 
+# the most term products the last squaring of a power of a sum may take
+POWER_BUDGET = 100_000
+
 
 def _checked(k: int) -> int:
     if (k + _BIAS) & _INVALID:
@@ -214,6 +217,16 @@ class LaurentScalar:
                 power * (s.bit_length() - 1) >= _TOO_LONG.bit_length() or s**power >= _TOO_LONG
             ):
                 raise PackageError("a power that may have %s" % _DIGITS)
+        if self._terms and power > 1:
+            # the last squaring takes base^j, j the top bit of power // 2, to
+            # base^2j; base^j has at most as many terms as the box j times the
+            # base's L and M exponent spans has keys, and as there are
+            # multisets of j of the base's n terms
+            j, n = 1 << (power.bit_length() - 2), len(self._terms)
+            ls, ms = zip(*(divmod(k + _BIAS, _W) for k in self._terms))
+            box = (j * (max(ls) - min(ls)) + 1) * (j * (max(ms) - min(ms)) + 1)
+            if min(box, math.comb(j + n - 1, n - 1)) ** 2 > POWER_BUDGET:
+                raise PackageError("a power that may take more than %d term products" % POWER_BUDGET)
         out, base, p = ONE, self, power
         while p:
             if p & 1:

@@ -806,6 +806,27 @@ def test_a_huge_power_is_refused_before_it_is_built(runner):
     assert time.perf_counter() - start < 1
 
 
+POWER_TERMS = "error: a power that may take more than 100000 term products\n"
+
+
+@pytest.mark.parametrize("expr", ["(1+L+M)^200", "(1+L)^14284"])
+def test_a_power_of_a_sum_past_the_term_budget_exits_two_at_once(runner, expr):
+    # both pass the digit bound, and each took seconds to minutes to build
+    start = time.perf_counter()
+    res = invoke(runner, "nf", "--preset", "matsumoto-ex2", expr)
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", POWER_TERMS)
+    assert time.perf_counter() - start < 1
+
+
+def test_powers_of_sums_inside_the_term_budget_print(runner):
+    res = invoke(runner, "nf", "--preset", "matsumoto-ex2", "(1+L)^1000")
+    assert res.exit_code == 0
+    assert res.stdout.startswith("L^1000 + 1000*L^999 + 499500*L^998 + ")
+    assert res.stdout.endswith(" + 1000*L + 1\n") and res.stdout.count(" + ") == 1000
+    res = invoke(runner, "nf", "--preset", "matsumoto-ex2", "(1+L+M)^40")
+    assert res.exit_code == 0 and res.stdout.count(" + ") == 860
+
+
 def test_an_identity_line_raising_a_huge_power_fails_its_row(runner, tmp_path):
     line = "rel-alpha-normal: alpha alpha' = alpha' alpha\n"
     path = tmp_path / "huge.preset"

@@ -637,6 +637,60 @@ LHS_NOT_MONOMIAL = "rule left side must be one monomial with coefficient 1"
             "tensor terms of different shapes",
             id="tensor-shapes",
         ),
+        pytest.param(
+            "alpha = a x'\n",
+            "alpha = (a x'\n",
+            14,
+            "expected a closing parenthesis",
+            id="closing-parenthesis",
+        ),
+        pytest.param(
+            "alpha = a x'\n", "alpha = a x' +\n", 15, "unexpected 'end of input'", id="trailing-plus"
+        ),
+        # the exponent is read before its base is judged
+        pytest.param(
+            "entry 1 = (a' | a) + (b' | b)\n",
+            "entry 1 = (a' | a)^-x + (b' | b)\n",
+            21,
+            "expected an integer exponent",
+            id="exponent-sign",
+        ),
+        pytest.param(
+            "entry 1 = (a' | a) + (b' | b)\n",
+            "entry 1 = (a' | a)^ + (b' | b)\n",
+            21,
+            "expected an integer exponent",
+            id="exponent-missing",
+        ),
+        pytest.param(
+            "entry 1 = (a' | a) + (b' | b)\n",
+            "entry 1 = (a' | a)^2 + (b' | b)\n",
+            19,
+            "cannot raise a tensor expression to a power",
+            id="tensor-power",
+        ),
+        pytest.param(
+            "alpha = a x'\n",
+            "alpha = a^-1 x'\n",
+            10,
+            "negative powers only apply to unit scalars",
+            id="negative-power",
+        ),
+        # an alias line reads its expression before it asks for an element
+        pytest.param(
+            "alpha = a x'\n",
+            "alpha = (a | x')'\n",
+            17,
+            "cannot star a tensor expression",
+            id="alias-starred-tensor",
+        ),
+        pytest.param(
+            "alpha = a x'\n",
+            "alpha = ((a | x') | a)\n",
+            9,
+            "expected an algebra element",
+            id="alias-tensor-slot",
+        ),
     ],
 )
 def test_expression_errors_count_columns_from_the_line_start(old, new, col, message):

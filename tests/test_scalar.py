@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qpbundle.scalar import (
     MAX_DIGITS,
     ONE,
+    POWER_BUDGET,
     ZERO,
     LaurentScalar,
     PackageError,
@@ -199,6 +200,27 @@ def test_a_power_that_may_pass_max_digits_is_refused_before_it_is_built():
             base**power
     # unit monomials never grow
     assert (-LaurentScalar.lam(1)) ** (2**29 + 1) == -LaurentScalar.lam(2**29 + 1)
+
+
+def test_a_power_of_a_sum_past_the_term_budget_is_refused_before_it_is_built():
+    L, M = LaurentScalar.lam(1), LaurentScalar.lam2(1)
+    # (1 + L)^1024 squares (1 + L)^512, 513^2 term products; (1 + L + M)^64
+    # squares (1 + L + M)^32, whose 561 terms are a multiset bound
+    for base, power in ((ONE + L, 1024), (ONE + L + M, 64), (ONE + L, 14284), (L - M, 2**10)):
+        with pytest.raises(PackageError, match="more than %d term products" % POWER_BUDGET):
+            base**power
+    assert ((ONE + L) ** 1000).terms == {(k, 0): math.comb(1000, k) for k in range(1001)}
+    trinomial = ((ONE + L + M) ** 40).terms
+    assert trinomial == {
+        (i, j): math.comb(40, i) * math.comb(40 - i, j) for i in range(41) for j in range(41 - i)
+    }
+    # a sparse sum is judged by its count of terms, not by its spans
+    assert ((ONE + LaurentScalar.lam(1000)) ** 4).terms == {
+        (1000 * k, 0): math.comb(4, k) for k in range(5)
+    }
+    assert len(((ONE + LaurentScalar.lam(400) + LaurentScalar.lam2(400)) ** 2).terms) == 6
+    # a single term is one product per bit, however large
+    assert LaurentScalar.monomial(3, 2, -1) ** 4000 == LaurentScalar.monomial(3**4000, 8000, -4000)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ strong connection forms together with the verification machinery for
 their axioms, composition, and closed-form expansions.
 """
 
-from .scalar import LaurentScalar, ONE, binomial, render_scalar
+from .scalar import LaurentScalar, ONE, render_scalar
 from .skewalg import (
     AlgebraElement,
     AlgebraPresentation,
@@ -55,7 +55,6 @@ __all__ = [
     "Report",
     "ShapeError",
     "TensorElement",
-    "binomial",
     "check_local_confluence",
     "check_star_compatible",
     "coinvariants_basis",

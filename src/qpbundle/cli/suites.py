@@ -31,7 +31,7 @@ one of the suite's own (``RESERVED``).  The kind says who decides a row:
 
 The first factor's translation form restates four axioms, so those
 axiom rows have a ``first-translation`` leg, which ``form_rows``
-evaluates from the same stored verdicts as the ``first`` leg.
+copies from the ``first`` leg's verdict.
 
 The three expansion rows are entries too.  On a sphere tower, the left
 degrees of P's sphere letters select them: (-1, 1) the two connection
@@ -314,16 +314,17 @@ def form_rows(form, leg: str, n_bound: int, degree_bound: int = 4) -> list[Check
     translation rows, whose element arguments range over the normal
     monomials up to ``degree_bound``.  Every row reads the form's stored
     C(n) through its per-index predicates.  An axiom row the table also
-    gives the leg's translation form is evaluated there too, from the
-    same stored verdicts."""
+    gives the leg's translation form is scanned once, and its verdict
+    is copied to the translation leg."""
     row = lambda name: _ROW["connection", name]
     indices = list(zip(range(-n_bound, n_bound + 1)))
     translation = leg + "-translation"
-    scan = lambda name, holds, detail: [
-        row(name).check(at, indices, holds, lambda n: detail % n)
-        for at in (leg, translation)
-        if at in row(name).legs
-    ]
+
+    def scan(name, holds, detail):
+        r = row(name).check(leg, indices, holds, lambda n: detail % n)
+        restated = translation in row(name).legs
+        return [r, row(name).verdict(translation, r.ok, r.detail)] if restated else [r]
+
     rows = []
     if leg in row("closed-form-match").legs:
         # explicit preset entries must reproduce the closed rule; a rule

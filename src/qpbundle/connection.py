@@ -25,9 +25,10 @@ slot by slot and the induced right grading reads only the second slot.
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 from typing import Callable
 
-from .scalar import LaurentScalar, ONE, accumulate, binomial
+from .scalar import LaurentScalar, ONE, accumulate
 from .skewalg import (
     AlgebraPresentation,
     Monomial,
@@ -53,7 +54,7 @@ class ConnectionForm:
     from a preset file) and take precedence over the rule, so that a
     doctored table shows up in the verification output rather than
     being silently recomputed.  ``lift``, when given, returns C(n)
-    from data stored elsewhere (``canonical``).
+    from data stored elsewhere (``_lifted_at``).
     """
 
     def __init__(
@@ -69,9 +70,7 @@ class ConnectionForm:
         self._rule = rule
         self._memo: dict[int, TensorElement] = {}
         self._lift = lift
-        self._canonical: dict[int, TensorElement] = {}
-        self._leg_products: dict[int, dict[Monomial, LaurentScalar]] = {}
-        self._colifts: dict[int, bool] = {}
+        self._lifted: dict[int, tuple[TensorElement, dict[Monomial, LaurentScalar], bool]] = {}
         self.overrides = dict(overrides) if overrides else {}
         self.name = name
         self._shape = (self.presentation, self.presentation)
@@ -94,30 +93,33 @@ class ConnectionForm:
             return self.overrides[n]
         return self.closed(n)
 
-    def canonical(self, n: int) -> TensorElement:
-        """C(n) = can(l(u^n)), the lifted canonical image of ``self(n)``
-        (an override where there is one), computed once per index.
-        ``self(n)`` is evaluated first, so an index without an image
-        raises its own error.  The composed form's ``lift`` assembles
-        C(n) exactly from its factors' stored data (``compose_connection``);
-        every other form runs ``lifted_canonical_map``."""
-        if n not in self._canonical:
+    def _lifted_at(self, n: int) -> tuple[TensorElement, dict[Monomial, LaurentScalar], bool]:
+        """(C(n), mul(l(u^n)), whether C(n) = 1 (x) u^n), computed once per
+        index.  C(n) = can(l(u^n)) is the lifted canonical image of
+        ``self(n)`` (an override where there is one), evaluated first, so
+        an index without an image raises its own error; the composed
+        form's ``lift`` assembles it exactly from its factors' stored data
+        (``compose_connection``).  mul = (id (x) eps) o can and NF is
+        linear, so the legs multiply to the terms of C(n) summed onto
+        their monomials: one term on a form that colifts."""
+        got = self._lifted.get(n)
+        if got is None:
             t = self(n)
-            lift = self._lift
-            self._canonical[n] = lifted_canonical_map(self.spec, t) if lift is None else lift(n)
-        return self._canonical[n]
+            image = lifted_canonical_map(self.spec, t) if self._lift is None else self._lift(n)
+            legs: dict[Monomial, LaurentScalar] = {}
+            for (m, _), c in image.terms.items():
+                accumulate(legs, m, c)
+            one = self.presentation.one_monomial()
+            got = self._lifted[n] = image, legs, image.terms == {(one, n): ONE}
+        return got
+
+    def canonical(self, n: int) -> TensorElement:
+        """C(n), the lifted canonical image of u^n (``_lifted_at``)."""
+        return self._lifted_at(n)[0]
 
     def leg_product(self, n: int) -> dict[Monomial, LaurentScalar]:
-        """mul(l(u^n)), the legs multiplied, as a map from normal
-        monomials to coefficients; computed once per index.  Read off
-        C(n), since mul = (id (x) eps) o can: normal-forming is linear,
-        so summing the terms of C(n) onto their monomials is exact."""
-        if n not in self._leg_products:
-            legs: dict[Monomial, LaurentScalar] = {}
-            for (m, _), c in self.canonical(n).terms.items():
-                accumulate(legs, m, c)
-            self._leg_products[n] = legs
-        return self._leg_products[n]
+        """mul(l(u^n)) by normal monomial (``_lifted_at``)."""
+        return self._lifted_at(n)[1]
 
     # -- the axioms, one index at a time -------------------------------------
 
@@ -127,11 +129,8 @@ class ConnectionForm:
         return self(0) == tensor_of([p.one(), p.one()])
 
     def colifts(self, n: int) -> bool:
-        """The colift axiom C(n) = 1 (x) u^n, decided once per index."""
-        if n not in self._colifts:
-            one = self.presentation.one_monomial()
-            self._colifts[n] = self.canonical(n).terms == {(one, n): ONE}
-        return self._colifts[n]
+        """The colift axiom C(n) = 1 (x) u^n (``_lifted_at``)."""
+        return self._lifted_at(n)[2]
 
     def right_colinear(self, n: int) -> bool:
         """Every second leg of the image of u^n has right degree n."""
@@ -273,7 +272,7 @@ def matsumoto_connection(
         a_s, b_s = p.star_map[a], p.star_map[b]
         k = abs(n)
         words = (
-            (binomial(k, m), [b_s] * m + [a_s] * (k - m), [a] * (k - m) + [b] * m)
+            (comb(k, m), [b_s] * m + [a_s] * (k - m), [a] * (k - m) + [b] * m)
             for m in range(k + 1)
         )
         return _word_sum(p, words)
@@ -432,7 +431,7 @@ def composed_closed_form(cot: CotensorAlgebra, n: int) -> TensorElement:
             for k in range(j + 1):
                 first = [b] * k + [a] * (j - k) + [star[pb]] * m + [star[pa]] * (nn - m)
                 second = [star[a]] * (j - k) + [star[b]] * k + [pa] * (nn - m) + [pb] * m
-                yield binomial(nn, m) * binomial(j, k), first, second
+                yield comb(nn, m) * comb(j, k), first, second
 
     return _word_sum(cot.ambient, terms())
 
@@ -447,14 +446,14 @@ def _generator_form_terms(cot: CotensorAlgebra, nn: int):
     for m in range(nn // 2 + 1):
         j = nn - 2 * m
         for k, t, s in product(range(j + 1), range(m + 1), range(m + 1)):
-            c = binomial(nn, m) * binomial(j, k) * binomial(m, t) * binomial(m, s)
+            c = comb(nn, m) * comb(j, k) * comb(m, t) * comb(m, s)
             x = beta_s * (m - t) + gamma_s * t + delta * (k + m - t) + alpha * (j - k + t)
             y = alpha_s * (j - k + s) + delta_s * (k + m - s) + gamma * s + beta * (m - s)
             yield LaurentScalar.monomial(c, (k + m) * (t - s) - t * t + s * s), x, y
     for m in range(nn // 2 + 1, nn + 1):
         j, r = 2 * m - nn, nn - m
         for k, t, s in product(range(j + 1), range(r + 1), range(r + 1)):
-            c = binomial(nn, m) * binomial(j, k) * binomial(r, t) * binomial(r, s)
+            c = comb(nn, m) * comb(j, k) * comb(r, t) * comb(r, s)
             x = gamma_s * (j - k + t) + beta_s * (r + k - t) + delta * (r - t) + alpha * t
             y = alpha_s * s + delta_s * (r - s) + beta * (r - s + k) + gamma * (j - k + s)
             yield LaurentScalar.monomial(c, -k * (t - s)), x, y
@@ -513,6 +512,6 @@ def composed_translation_form(cot: CotensorAlgebra, n: int) -> TensorElement:
                     w = a * (k - p_idx) + d * (p_idx - m) + b * m
                 else:
                     w = a * (k - m) + c * (m - p_idx) + b * p_idx
-                yield binomial(k, p_idx) * binomial(k, m), w, [star[g] for g in reversed(w)]
+                yield comb(k, p_idx) * comb(k, m), w, [star[g] for g in reversed(w)]
 
     return _word_sum(cot.ambient, terms())

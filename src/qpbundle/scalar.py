@@ -10,8 +10,9 @@ Scalars are integer-coefficient Laurent polynomials in (L, M), each
 monomial L^l M^m an int key l 2^32 + m (packed exponents, M. Monagan and
 R. Pearce, CASC 2007) with l and m in [-2^30, 2^30): a result outside
 raises ``PackageError``.  So does a coefficient of more than
-``MAX_DIGITS`` decimal digits where it would be printed, and a power
-that could build one.  A single term, nearly every scalar the verifier
+``MAX_DIGITS`` decimal digits where it would be printed, a power
+that could build one, and a power or a product of sums past its budget
+of term products.  A single term, nearly every scalar the verifier
 meets, is an int coefficient and a key, so its products and same-key sums
 are int operations; only two or more terms keep a map from keys to ints.
 
@@ -52,6 +53,9 @@ _DIGITS = "a coefficient of more than %d digits" % MAX_DIGITS
 
 # the most term products the last squaring of a power of a sum may take
 POWER_BUDGET = 100_000
+# the most term products one product of two sums may take: above the
+# largest inside (1 + L)^1023 and (1 + L + M)^63, 262,656 and 296,208
+PRODUCT_BUDGET = 4 * POWER_BUDGET
 
 
 def _checked(k: int) -> int:
@@ -195,6 +199,8 @@ class LaurentScalar:
             if k:
                 return LaurentScalar(None, c, _checked(k))
             return ONE if c == 1 else LaurentScalar(None, c, 0)
+        if self._terms and other._terms and len(self._terms) * len(other._terms) > PRODUCT_BUDGET:
+            raise PackageError("a product that may take more than %d term products" % PRODUCT_BUDGET)
         out: dict[int, int] = {}
         for k1, c1 in self._items():
             for k2, c2 in other._items():
@@ -341,10 +347,3 @@ def accumulate(out: dict, key, c: LaurentScalar) -> None:
         out[key] = s
     else:
         del out[key]
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient as an exact integer (0 outside range)."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)

@@ -818,6 +818,16 @@ def test_a_power_of_a_sum_past_the_term_budget_exits_two_at_once(runner, expr):
     assert time.perf_counter() - start < 1
 
 
+PRODUCT_TERMS = "error: a product that may take more than 400000 term products\n"
+
+
+@pytest.mark.parametrize("expr", ["(1+L)^1000 (1+L)^1000", "(1+L+M)^63 (1+L+M)^63"])
+def test_a_product_of_powers_past_the_term_budget_exits_two(runner, expr):
+    # each power is inside its budget; their product took seconds
+    res = invoke(runner, "nf", "--preset", "matsumoto-ex2", expr)
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", PRODUCT_TERMS)
+
+
 def test_powers_of_sums_inside_the_term_budget_print(runner):
     res = invoke(runner, "nf", "--preset", "matsumoto-ex2", "(1+L)^1000")
     assert res.exit_code == 0

@@ -20,7 +20,7 @@ certificate twice, raises a count.  So does a lost single-term path:
 ``mul`` returns a product that is a single nonzero normal term without
 calling ``reduce_terms``, and ``AlgebraElement.star`` computes each
 star once.  Before those paths, the ex2 examples suite made 210
-``reduce_terms`` and 60 ``_sort_word`` calls, against 43 and 3 now.
+``reduce_terms`` and 60 ``_sort_word`` calls, against 43 and 0 now.
 Every counted run must pass, so a count is never read off a broken
 report.
 
@@ -33,13 +33,19 @@ is ``ONE``.  A change that builds a fresh 0 or 1 there, or multiplies
 by one, raises the count: before the unit was shared, the algebra,
 connection and examples suites built 308, 2,025 and 1,034 scalars at
 n-bound 4; with the unit shared, 20, 696 and 151; and with the shared
-zero and the single-term paths, 18, 594 and 120 now.
+zero and the single-term paths, 18, 594 and 116 now.
+
+The first factor's translation form restates four axioms, whose
+``first-translation`` rows copy the ``first`` rows' verdicts: each
+colinearity predicate runs once per form and index, where the restated
+rows ran them twice.
 
 Loading tokenizes each identity side once and stores its tokens, so the
 examples suite makes no ``tokenize`` call: a change that tokenizes a
 side again when it evaluates the line makes one per side.
 """
 
+from collections import Counter
 from unittest.mock import patch
 
 import pytest
@@ -47,6 +53,7 @@ import pytest
 from conftest import load_bundled
 from qpbundle.cli import parser
 from qpbundle.cli.suites import SUITE_NAMES, SuiteConfig, run_suites
+from qpbundle.connection import ConnectionForm
 from qpbundle.scalar import LaurentScalar
 from qpbundle.skewalg import AlgebraPresentation
 
@@ -67,11 +74,11 @@ CEILINGS = {
         16: (1210, 300, 1552, 1486),
         32: (4410, 1084, 4880, 4750),
     },
-    ("matsumoto-ex1", "examples"): dict.fromkeys(BOUNDS, (88, 10, 160, 139)),
-    ("matsumoto-ex2", "examples"): dict.fromkeys(BOUNDS, (192, 15, 43, 3)),
+    ("matsumoto-ex1", "examples"): dict.fromkeys(BOUNDS, (86, 10, 160, 133)),
+    ("matsumoto-ex2", "examples"): dict.fromkeys(BOUNDS, (184, 15, 43, 0)),
 }
 for _preset in ("matsumoto-ex1", "matsumoto-ex2"):
-    CEILINGS[_preset, "algebra"] = dict.fromkeys(BOUNDS, (24, 2, 30, 30))
+    CEILINGS[_preset, "algebra"] = dict.fromkeys(BOUNDS, (24, 2, 30, 24))
     CEILINGS[_preset, "cotensor"] = dict.fromkeys(BOUNDS, (0, 0, 0, 0))
     CEILINGS[_preset, "entwining"] = dict.fromkeys(BOUNDS, (0, 0, 0, 0))
 
@@ -84,7 +91,7 @@ SCALAR_BUILDS = {
     "cotensor": dict.fromkeys((4, 8), 0),
     "entwining": dict.fromkeys((4, 8), 0),
     "connection": {4: 594, 8: 1826},
-    "examples": dict.fromkeys((4, 8), 120),
+    "examples": dict.fromkeys((4, 8), 116),
 }
 
 
@@ -142,6 +149,28 @@ def test_scalar_builds_stay_within_their_ceilings(suite):
     for n, cap in SCALAR_BUILDS[suite].items():
         got = counted_calls("matsumoto-ex2", suite, n)["scalars"]
         assert got <= cap, "n-bound %d: %d scalars built > %d" % (n, got, cap)
+
+
+def test_each_colinearity_predicate_runs_once_per_form_and_index():
+    tower = load_bundled("matsumoto-ex2")
+    calls = Counter()
+
+    def counting(name):
+        method = getattr(ConnectionForm, name)
+
+        def counted(form, n):
+            calls[name, form, n] += 1
+            return method(form, n)
+
+        return counted
+
+    names = ("right_colinear", "left_colinear")
+    with patch.multiple(ConnectionForm, **{name: counting(name) for name in names}):
+        report = run_suites(tower, SuiteConfig(("connection",), n_bound=4))
+    assert report.ok, report.failures()
+    forms = (tower.form_a, tower.form_p, tower.composed())
+    assert set(calls) == {(name, f, n) for name in names for f in forms for n in range(-4, 5)}
+    assert max(calls.values()) == 1
 
 
 @pytest.mark.parametrize("preset", ["matsumoto-ex1", "matsumoto-ex2"])

@@ -9,6 +9,8 @@ takes every id of the examples suite that no other entry of the suite
 reserves.  Every entry matches some row, so the table has no dead entry.
 The cotensor and entwining rows are lemmas of the checks made when a
 preset loads, so every edit reports them as its bundled preset does.
+The first factor's translation form restates four axioms, and on every
+tower its four rows read as the first form's, status and detail.
 
 Every computed row can fail: a table of preset edits, run at the bounds
 of the benchmark's verify workload, fails each computed row that either
@@ -20,7 +22,7 @@ import pytest
 
 import conftest as c
 from qpbundle.cli.parser import load_preset
-from qpbundle.cli.suites import COMPUTED, RESERVED, ROWS, SuiteConfig, run_suites
+from qpbundle.cli.suites import _AXIOMS, COMPUTED, RESERVED, ROWS, SuiteConfig, run_suites
 
 EX2_EDITS = ("DOCTORED_Q", "ENTRY_MUTANT", "IDENTITY_MUTANT", "RULELESS", "RADIUS_TWO")
 EX1_EDITS = ("EX1_ENTRY_MUTANT", "EX1_EXTRA_ENTRY")
@@ -69,6 +71,14 @@ def test_every_edit_reports_the_lemma_suites_as_its_preset_does(reported, preset
         return [r.as_dict() for r in results if r.suite in ("cotensor", "entwining")]
 
     assert lemma_rows(reported[preset, edits]) == lemma_rows(reported[preset, ()])
+
+
+@pytest.mark.parametrize("preset, edits", TOWERS, ids=ids(TOWERS))
+def test_restated_axiom_rows_copy_the_first_form_rows(reported, preset, edits):
+    rows = {r.check_id: r for r in reported[preset, edits] if r.suite == "connection"}
+    for axiom in _AXIOMS:
+        copy, first = rows["first-translation-" + axiom], rows["first-" + axiom]
+        assert (copy.status, copy.detail) == (first.status, first.detail), axiom
 
 
 def test_every_entry_is_reported(reported):

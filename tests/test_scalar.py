@@ -10,10 +10,10 @@ from qpbundle.scalar import (
     MAX_DIGITS,
     ONE,
     POWER_BUDGET,
+    PRODUCT_BUDGET,
     ZERO,
     LaurentScalar,
     PackageError,
-    binomial,
     render_scalar,
 )
 from qpbundle.skewalg import AlgebraPresentation
@@ -69,12 +69,6 @@ def test_integer_embedding():
     assert LaurentScalar.integer(0) == ZERO
     assert LaurentScalar.integer(1) == ONE
     assert LaurentScalar.integer(3) + LaurentScalar.integer(-3) == ZERO
-
-
-@pytest.mark.parametrize("n", range(0, 13))
-def test_binomial_matches_comb(n):
-    for k in range(-1, n + 2):
-        assert binomial(n, k) == (math.comb(n, k) if 0 <= k <= n else 0)
 
 
 def test_render_spot_checks():
@@ -221,6 +215,15 @@ def test_a_power_of_a_sum_past_the_term_budget_is_refused_before_it_is_built():
     assert len(((ONE + LaurentScalar.lam(400) + LaurentScalar.lam2(400)) ** 2).terms) == 6
     # a single term is one product per bit, however large
     assert LaurentScalar.monomial(3, 2, -1) ** 4000 == LaurentScalar.monomial(3**4000, 8000, -4000)
+
+
+def test_a_product_of_sums_past_the_term_budget_is_refused_before_any_term_product():
+    assert PRODUCT_BUDGET == 400 * 1000
+    sums = {n: LaurentScalar({(i, 0): 1 for i in range(n)}) for n in (400, 401, 1000)}
+    assert len((sums[400] * sums[1000]).terms) == 1399
+    with patch("qpbundle.scalar._checked", side_effect=AssertionError("a term product")):
+        with pytest.raises(PackageError, match="^a product that may take more than 400000 term"):
+            sums[401] * sums[1000]
 
 
 @pytest.mark.parametrize(

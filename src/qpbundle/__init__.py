@@ -35,7 +35,7 @@ from .connection import (
     composed_generator_form,
     composed_translation_form,
     lifted_canonical_map,
-    matsumoto_connection,
+    power_connection,
 )
 from .report import CheckResult, Report
 
@@ -64,8 +64,8 @@ __all__ = [
     "composed_translation_form",
     "grouplike",
     "lifted_canonical_map",
-    "matsumoto_connection",
     "monomial_key",
+    "power_connection",
     "render_element",
     "render_scalar",
     "render_tensor",

@@ -18,7 +18,7 @@ Presets are line-oriented documents with [section] headers:
                         coefficient 1 (b' b is b b' where they commute),
                         and the gradings its factor takes: right for A,
                         right and left for P (``_GRADINGS``)
-    [connection A]      rule = sphere, plus explicit entry lines
+    [connection A]      rule = power, raising entry 1 and entry -1; entry lines
     [aliases]           named elements of the joint tensor algebra; an
                         alias may use the aliases above it, and its
                         name is not a generator's, L or M
@@ -42,7 +42,7 @@ from contextlib import contextmanager
 from ..scalar import MAX_DIGITS, LaurentScalar
 from ..skewalg import AlgebraElement, AlgebraPresentation, PackageError, PresentationError
 from ..comodule import CoactionSpec, TensorElement, tensor_of
-from ..connection import ConnectionForm, compose_connection, matsumoto_connection
+from ..connection import ConnectionForm, compose_connection, power_connection
 from ..cotensor import CotensorAlgebra
 from .suites import RESERVED, ConfigError
 
@@ -466,9 +466,9 @@ def parse_connection_section(
         else:
             raise ParseError("unknown directive %r" % parts[0], lineno, 1)
 
-    if rule_name == "sphere":
+    if rule_name == "power":
         with _reported_at(seen["rule"]):
-            return matsumoto_connection(spec, name=label, overrides=entries)
+            return power_connection(spec, name=label, overrides=entries)
     if rule_name is None:
         return ConnectionForm(spec, None, overrides=entries, name=label)
     raise ParseError("unknown connection rule %r" % rule_name, seen["rule"], 1)

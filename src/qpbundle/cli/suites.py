@@ -37,7 +37,7 @@ The three expansion rows are entries too.  On a sphere tower, the left
 degrees of P's sphere letters select them: (-1, 1) the two connection
 rows, (-1, -1) the translation row.  Gradings alone decide it.  The
 algebra suite's radius rows alone decide the radius: a sphere of radius
-other than 1 loads, and its sphere rule fails colift.
+other than 1 loads, and its connection fails colift.
 
 Every check lands in a Report as a CheckResult.  Each row that reads a
 connection form, a composed image or an identity line is evaluated by

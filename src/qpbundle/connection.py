@@ -247,37 +247,36 @@ def _word_sum(p: AlgebraPresentation, terms) -> TensorElement:
     return _trusted_tensor((p, p), out)
 
 
-def matsumoto_connection(
+def power_connection(
     spec: CoactionSpec, name: str = "", overrides: dict[int, TensorElement] | None = None
 ) -> ConnectionForm:
-    """The explicit binomial connection form of a deformed 3-sphere.
-
-    For n >= 0 the image of u^n is the sum over m of C(n, m) times
-    (b* to the m)(a* to the n-m) tensored with (a to the n-m)(b to the
-    m); negative indices use the same words with every letter swapped
-    for its star partner.  Only the shape is checked here; the radius
-    a a* + b b* = 1 it needs is decided by the algebra suite's rows.
-    """
-    letters = _sphere_letters(spec)
-    if letters is None:
-        raise PresentationError(
-            "expected a deformed sphere: four generators of right degree +1/-1, "
-            "two of them +1"
-        )
-    ga, gb = letters
+    """The connection form l(u^n) = l(u^(sgn n))^|n| of a U(1) bundle, the
+    power taken in P^op (x) P, where (s (x) t)(a (x) b) = sa (x) bt
+    (Hajac, CMP 182 (1996)): 1 (x) 1 at n = 0, the form's own entries at
+    +-1, and closed(n -+ 1) times that entry at any other n, built from
+    the largest power stored, without recursion.  On a deformed sphere
+    it is the binomial sum of (b*)^m (a*)^(n-m) (x) a^(n-m) b^m."""
     p = spec.presentation
+    powers = {0: tensor_of([p.one(), p.one()])}
+    for n in (1, -1):
+        if n not in (overrides or {}):
+            raise PresentationError("rule power needs entry %d" % n)
+        powers[n] = overrides[n]
 
     def rule(n: int) -> TensorElement:
-        a, b = (ga, gb) if n >= 0 else (p.star_map[ga], p.star_map[gb])
-        a_s, b_s = p.star_map[a], p.star_map[b]
-        k = abs(n)
-        words = (
-            (comb(k, m), [b_s] * m + [a_s] * (k - m), [a] * (k - m) + [b] * m)
-            for m in range(k + 1)
-        )
-        return _word_sum(p, words)
+        step = 1 if n >= 0 else -1
+        start = next(k for k in range(n, -step, -step) if k in powers)
+        for j in range(start, n, step):
+            raw: dict[tuple, LaurentScalar] = {}
+            for (s, t), c in powers[j].terms.items():
+                for (a, b), c2 in powers[step].terms.items():
+                    f1, sa = p.mono_mul(s, a)
+                    f2, bt = p.mono_mul(b, t)
+                    accumulate(raw, (sa, bt), c * c2 * f1 * f2)
+            powers[j + step] = _trusted_tensor((p, p), _reduce_slot(_reduce_slot(raw, 0, p), 1, p))
+        return powers[n]
 
-    return ConnectionForm(spec, rule, overrides, name=name or "sphere")
+    return ConnectionForm(spec, rule, overrides, name=name)
 
 
 def lifted_canonical_map(spec: CoactionSpec, t: TensorElement) -> TensorElement:

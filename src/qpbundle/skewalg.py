@@ -49,7 +49,9 @@ from __future__ import annotations
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
-from .scalar import LaurentScalar, ONE, PackageError, accumulate, render_scalar, unit_exp, unit_log
+from .scalar import (
+    LaurentScalar, ONE, POWER_BUDGET, PackageError, accumulate, render_scalar, unit_exp, unit_log
+)
 
 Monomial = tuple[int, ...]
 
@@ -480,7 +482,9 @@ class AlgebraElement:
         other x is multiplied out from x rather than from one(): x is
         normal, as every element the package builds is, so one() x is x
         exactly (its sort factor is 1 and normal monomials pass through
-        ``reduce_terms``), with no associativity needed."""
+        ``reduce_terms``), with no associativity needed.  Each product
+        takes a term product per pair of coefficient terms, and a power
+        whose products take more than ``POWER_BUDGET`` in all is refused."""
         if power < 0:
             raise ValueError("negative powers are not defined here")
         p = self.presentation
@@ -492,8 +496,12 @@ class AlgebraElement:
             if p._first_rule(top) is None:
                 f = p.sort_factor(m, m) ** (power * (power - 1) // 2)
                 return _trusted_element(p, {top: c**power * f})
-        out = self
+        size = lambda x: sum(len(c._items()) for c in x.terms.values())
+        out, work = self, 0
         for _ in range(power - 1):
+            work += size(out) * size(self)
+            if work > POWER_BUDGET:
+                raise PackageError("a power that may take more than %d term products" % POWER_BUDGET)
             out = out * self
         return out
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qpbundle.cli.main import main
 from qpbundle.cli.parser import Tower, load_preset
 from qpbundle.comodule import CoactionSpec
+from qpbundle.connection import power_connection
 from qpbundle.cotensor import CotensorAlgebra
 
 
@@ -24,6 +25,12 @@ def preset_text(name):
 
 def load_bundled(name):
     return load_preset(preset_text(name), fallback_name=name)
+
+
+def power_form(form):
+    """The power connection on ``form``'s algebra with only its entries at
+    +-1, the two the rule raises, so every other index is the rule's."""
+    return power_connection(form.spec, overrides={n: form(n) for n in (1, -1)})
 
 
 class CliResult(NamedTuple):
@@ -53,9 +60,9 @@ ENTRY_MUTANT = ("+ 2 (b' a' | a b)", "+ 3 (b' a' | a b)")  # one wrong connectio
 IDENTITY_MUTANT = ("= L^4 xpb xpa", "= L^3 xpb xpa")  # one wrong scalar in an example identity
 # A's connection without its closed rule: an index with no entry fails each
 # row that reads it, with the form's message, instead of ending the run
-RULELESS = ("[connection A]\nrule = sphere\n", "[connection A]\n")
+RULELESS = ("[connection A]\nrule = power\n", "[connection A]\n")
 # A keeps the sphere shape but its radius is 2, so the radius rows fail.
-# Alone, the sphere rule still loads and fails to colift; with RULELESS,
+# Alone, the power rule still loads and fails to colift; with RULELESS,
 # the closed-form rows, which read gradings only, still compare the
 # composed connection with its expansions
 RADIUS_TWO = ("reduce b b' = 1 - a a'\n", "reduce b b' = 2 - a a'\n")

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import qpbundle
-from conftest import load_bundled, preset_text, run_qpb
+from conftest import load_bundled, power_form, preset_text, run_qpb
 from oracles import (
     WordSphere,
     canonical_shift,
@@ -36,7 +36,6 @@ from qpbundle.connection import (
     composed_closed_form,
     composed_generator_form,
     lifted_canonical_map,
-    matsumoto_connection,
 )
 from qpbundle.scalar import ONE, LaurentScalar as S
 from qpbundle.skewalg import check_local_confluence
@@ -51,11 +50,11 @@ def all_pass(results):
 def test_sphere_connection_reproduces_reference_forms(ex2):
     started = time.monotonic()
     cases = [
-        ("first", ex2.a_spec, WordSphere(("a", "a'", "b", "b'"), symbol=0)),
-        ("second", ex2.p_spec, WordSphere(("x", "x'", "y", "y'"), symbol=1)),
+        ("first", ex2.form_a, WordSphere(("a", "a'", "b", "b'"), symbol=0)),
+        ("second", ex2.form_p, WordSphere(("x", "x'", "y", "y'"), symbol=1)),
     ]
-    for leg, spec, oracle in cases:
-        form = matsumoto_connection(spec)
+    for leg, loaded, oracle in cases:
+        form = power_form(loaded)
         for n in range(-6, 7):
             engine = plain_tensor2(form.closed(n))
             # the oracle recursion multiplies the two explicit seeds,
@@ -220,7 +219,7 @@ def test_entwining_axioms_to_degree_six(ex2):
 
 
 def test_translation_map_identities(ex2):
-    form = matsumoto_connection(ex2.a_spec)
+    form = power_form(ex2.form_a)
     all_pass(form_rows(form, "first", n_bound=4, degree_bound=4))
     # the suite adds the first form's colift, colinearity and mul-counit
     # rows to the translation rows

@@ -482,8 +482,8 @@ def test_a_connection_without_a_rule_fails_rows_instead_of_the_run(runner, tmp_p
 
 
 def test_a_sphere_whose_radius_is_not_one_loads_and_fails_its_rows(runner, tmp_path):
-    # rule = sphere needs only the sphere shape; the radius is decided by
-    # the radius rows, and the closed rule then fails to colift
+    # rule = power needs only its entries at +-1; the radius is decided
+    # by the radius rows, and the entries then fail to colift
     from conftest import RADIUS_TWO, ex2_variant_text
 
     path = tmp_path / "radius-two.preset"
@@ -517,7 +517,7 @@ def test_a_sphere_tower_whose_radius_fails_keeps_its_expansion_rows(runner, tmp_
 # (a line of the ex2 preset, a line with the same key put above it, the key)
 REPEATED_KEYS = [
     ("entry 1 = (a' | a) + (b' | b)", "entry 1 = (a' | a)", "entry 1"),
-    ("rule = sphere", "rule = nonsense", "rule"),
+    ("rule = power", "rule = nonsense", "rule"),
     ("generators = x x' y y'", "generators = x x'", "generators"),
     ("star x x'", "star x y'", "star x"),
     # a q pair is one key in either order, even when the entries agree
@@ -614,35 +614,37 @@ def test_a_malformed_connection_line_exits_two_at_its_line(runner, tmp_path, bel
     assert res.stderr == "error: line %d, column 1: %s\n" % (at, message)
 
 
-def test_a_sphere_rule_on_another_algebra_exits_two_at_its_line(runner, tmp_path):
-    text = (
-        "[algebra A]\ngenerators = a a'\nstar a a'\nright a = 1\n\n"
-        "[algebra P]\ngenerators = x x'\nstar x x'\nright x = 1\nleft x = 1\n\n"
-        "[connection A]\nrule = sphere\n"
-    )
-    at = text.splitlines().index("rule = sphere") + 1
-    bad = tmp_path / "bad.preset"
-    bad.write_text(text)
-    res = invoke(runner, "verify", "--file", str(bad), *FAST)
-    assert res.exit_code == 2
-    assert res.stderr == (
-        "error: line %d, column 1: expected a deformed sphere: four generators of "
-        "right degree +1/-1, two of them +1\n" % at
-    )
-
-
-def test_an_unknown_rule_exits_two_at_its_line(runner, tmp_path):
-    # the rule line, not the section's first line, is named
+@pytest.mark.parametrize(
+    "entry", ["entry 1 = (a' | a) + (b' | b)", "entry -1 = (a | a') + (b | b')"]
+)
+def test_a_power_rule_without_an_entry_it_raises_exits_two_at_the_rule(runner, tmp_path, entry):
+    # the rule raises the form's own entries at 1 and -1, so a section
+    # without one is refused at load, at the rule line, naming the entry
     from conftest import preset_text
 
     text = preset_text("matsumoto-ex2")
-    head = "[connection A]\nrule = sphere\nentry 0 = (1 | 1)\n"
-    at = text.splitlines().index("rule = sphere") + 2
+    at = text.splitlines().index("rule = power") + 1
     bad = tmp_path / "bad.preset"
-    bad.write_text(text.replace(head, "[connection A]\nentry 0 = (1 | 1)\nrule = power\n", 1))
+    bad.write_text(text.replace(entry + "\n", "", 1))
     res = invoke(runner, "verify", "--file", str(bad), *FAST)
     assert res.exit_code == 2
-    assert res.stderr == "error: line %d, column 1: unknown connection rule 'power'\n" % at
+    index = entry.split()[1]
+    assert res.stderr == "error: line %d, column 1: rule power needs entry %s\n" % (at, index)
+
+
+def test_an_unknown_rule_exits_two_at_its_line(runner, tmp_path):
+    # the rule line, not the section's first line, is named; the binomial
+    # rule = sphere, which rule = power replaced, is unknown
+    from conftest import preset_text
+
+    text = preset_text("matsumoto-ex2")
+    head = "[connection A]\nrule = power\nentry 0 = (1 | 1)\n"
+    at = text.splitlines().index("rule = power") + 2
+    bad = tmp_path / "bad.preset"
+    bad.write_text(text.replace(head, "[connection A]\nentry 0 = (1 | 1)\nrule = sphere\n", 1))
+    res = invoke(runner, "verify", "--file", str(bad), *FAST)
+    assert res.exit_code == 2
+    assert res.stderr == "error: line %d, column 1: unknown connection rule 'sphere'\n" % at
 
 
 def test_identity_sections_may_repeat(runner, tmp_path):
@@ -816,6 +818,27 @@ def test_a_power_of_a_sum_past_the_term_budget_exits_two_at_once(runner, expr):
     res = invoke(runner, "nf", "--preset", "matsumoto-ex2", expr)
     assert (res.exit_code, res.stdout, res.stderr) == (2, "", POWER_TERMS)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("expr", ["(1+a)^1000", "(a+b)^200", "(a+b+a'+b')^24"])
+def test_a_power_of_an_algebra_sum_past_the_term_budget_exits_two_at_once(runner, expr):
+    # multiplied out, these took 2 to 66 s: the coefficients of (a+b)^k
+    # are q-binomials of up to about k^2/4 terms
+    start = time.perf_counter()
+    res = invoke(runner, "nf", "--preset", "matsumoto-ex2", "--algebra", "A", expr)
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", POWER_TERMS)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "expr, last",
+    [("(1+a)^300", " + a^300"), ("(a+b)^30", " + b^30"), ("(a+b+a'+b')^12", " + b'^12")],
+)
+def test_powers_of_algebra_sums_inside_the_term_budget_print(runner, expr, last):
+    # 90,298, 63,858 and 87,020 term products, each under 100,000
+    res = invoke(runner, "nf", "--preset", "matsumoto-ex2", "--algebra", "A", expr)
+    assert (res.exit_code, res.stderr) == (0, "")
+    assert res.stdout.endswith(last + "\n")
 
 
 PRODUCT_TERMS = "error: a product that may take more than 400000 term products\n"

@@ -1,6 +1,7 @@
 """Connection forms, their axioms, composition, and translation maps."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,10 @@ from conftest import (
     load_bundled,
     load_ex2_variant,
     load_variant,
+    power_form,
     preset_text,
+    sphere_preset_text,
+    sphere_tables,
 )
 from oracles import (
     WordSphere,
@@ -46,13 +50,15 @@ from qpbundle.connection import (
     composed_generator_form,
     composed_translation_form,
     lifted_canonical_map,
-    matsumoto_connection,
+    power_connection,
 )
 from qpbundle.scalar import ONE, ZERO, LaurentScalar as S
 from qpbundle.skewalg import (
     AlgebraPresentation,
     PackageError,
     PresentationError,
+    check_local_confluence,
+    check_star_compatible,
     tensor_presentation,
 )
 from test_row_table import TOWERS, ids as tower_ids
@@ -61,33 +67,97 @@ PRESETS = ("matsumoto-ex1", "matsumoto-ex2")
 
 
 def test_connection_matches_word_oracle(ex2):
-    # closed binomial images against the seed-product recursion, both
-    # for the first factor and (with the second symbol) the second
+    # the rule's images against the seed-product recursion on words and
+    # the binomial sums, both for the first factor and (with the second
+    # symbol) the second
     cases = [
-        (matsumoto_connection(ex2.a_spec), WordSphere(("a", "a'", "b", "b'"), 0)),
-        (matsumoto_connection(ex2.p_spec), WordSphere(("x", "x'", "y", "y'"), 1)),
+        (ex2.form_a, WordSphere(("a", "a'", "b", "b'"), 0)),
+        (ex2.form_p, WordSphere(("x", "x'", "y", "y'"), 1)),
     ]
     for form, oracle in cases:
         for n in range(-4, 5):
             assert plain_tensor2(form.closed(n)) == oracle.ell(n), n
+            assert plain_tensor2(form.closed(n)) == oracle.ell_closed(n), n
+
+
+# 300 drawn q-tables, of which about 65 to 85 load and pass both certificates
+@settings(max_examples=300, deadline=None)
+@given(sphere_tables())
+def test_the_power_rule_is_the_binomial_sum_on_every_sound_sphere(case):
+    # on an associative *-algebra of the sphere shape, l(u)^n in P^op (x) P
+    # is the binomial sum of (b*)^m (a*)^(n-m) (x) a^(n-m) b^m over m, with
+    # every letter starred for n < 0; the legs are engine normal forms of
+    # the words.  A power taken slot-wise in P (x) P instead gives
+    # (1 + L^-2) (a' b' | a b) on ex2's A, where 2 L^-1 belongs
+    try:
+        spec = load_preset(sphere_preset_text(*case)).a_spec
+    except PackageError:
+        return
+    p = spec.presentation
+    if not (check_local_confluence(p).ok and check_star_compatible(p).ok):
+        return
+    star = p.star_map
+
+    def word(letters):
+        out = p.one()
+        for g in letters:
+            out = out * p.gen(g)
+        return out
+
+    def binomial(n):
+        a, b, k = ("a", "b", n) if n > 0 else ("a'", "b'", -n)
+        terms = (
+            tensor_of([word([star[b]] * m + [star[a]] * (k - m)), word([a] * (k - m) + [b] * m)])
+            for m in range(k + 1)
+        )
+        return sum((t.scale(comb(k, m)) for m, t in enumerate(terms)), TensorElement((p, p)))
+
+    a, a_s, b, b_s = (p.gen(g) for g in ("a", "a'", "b", "b'"))
+    entries = {
+        1: tensor_of([a_s, a]) + tensor_of([b_s, b]),
+        -1: tensor_of([a, a_s]) + tensor_of([b, b_s]),
+    }
+    form = power_connection(spec, overrides=entries)
+    for n in (2, 3, 4, -2, -3, -4):
+        assert form.closed(n) == binomial(n), n
+
+
+def test_the_power_rule_raises_a_large_index_without_recursion(ex2):
+    # each power is built from the largest one stored, so an index past
+    # the interpreter's frame limit needs no frame per step
+    p = ex2.a_spec.presentation
+    a, a_s = p.gen("a"), p.gen("a'")
+    entries = {1: tensor_of([a_s, a]), -1: tensor_of([a, a_s])}
+    form = power_connection(ex2.a_spec, overrides=entries)
+    assert form.closed(1500) == tensor_of([a_s**1500, a**1500])
+    assert form.closed(-1500) == tensor_of([a**1500, a_s**1500])
+
+
+def test_a_wrong_entry_one_shows_at_entry_two():
+    # at +-1 the rule is the form's own entry, so a skewed entry 1 is not
+    # compared with anything; the rule raises it, and entry 2 differs
+    tower = load_variant("matsumoto-ex2", ("P_LEFT_SKEW",))
+    report = run_suites(tower, SuiteConfig(("connection",), n_bound=3))
+    row = next(r for r in report.results if r.check_id == "second-closed-form-match")
+    assert (row.status, row.detail) == ("fail", "entry 2 differs from the closed rule")
 
 
 def test_connection_normalizes_the_unit(ex2):
-    form = matsumoto_connection(ex2.a_spec)
+    form = power_form(ex2.form_a)
     p = ex2.a_spec.presentation
     assert form(0) == tensor_of([p.one(), p.one()])
 
 
 def test_strong_connection_axioms(ex2):
-    for leg, spec in (("first", ex2.a_spec), ("second", ex2.p_spec)):
-        form = matsumoto_connection(spec)
+    for leg, loaded in (("first", ex2.form_a), ("second", ex2.form_p)):
+        form = power_form(loaded)
         for res in form_rows(form, leg, n_bound=4):
             assert res.status == "pass", (res.check_id, res.detail)
 
 
 def test_canonical_map_collapses_the_form(ex2):
     spec = ex2.a_spec
-    form = matsumoto_connection(spec)
+    form = power_form(ex2.form_a)
     p = spec.presentation
     for n in range(-4, 5):
         got = lifted_canonical_map(spec, form(n))
@@ -184,9 +254,7 @@ def test_overrides_take_precedence(ex2):
     spec = ex2.a_spec
     p = spec.presentation
     doctored = tensor_of([p.one(), p.one()]).scale(S.integer(2))
-    form = ConnectionForm(
-        spec, matsumoto_connection(spec).closed, overrides={1: doctored}
-    )
+    form = ConnectionForm(spec, ex2.form_a.closed, overrides={1: doctored})
     assert form(1) == doctored
     assert form.closed(1) != doctored
     # the doctored entry must surface in the axiom checks
@@ -220,7 +288,7 @@ def test_balance_checkers_spot_cases(ex2):
 
 def test_h_balance_of_the_second_connection(ex1, ex2):
     for tower in (ex1, ex2):
-        form = matsumoto_connection(tower.p_spec)
+        form = power_form(tower.form_p)
         results = form_rows(form, "second", n_bound=3)
         assert "second-h-balance" in [res.check_id for res in results]
         for res in results:
@@ -440,16 +508,16 @@ def test_compose_rejects_uncolinear_input(ex2):
     x = p.gen("x")
     bad = ConnectionForm(
         ex2.p_spec,
-        matsumoto_connection(ex2.p_spec).closed,
+        ex2.form_p.closed,
         overrides={1: tensor_of([x, x])},
     )
-    form_a = matsumoto_connection(ex2.a_spec)
+    form_a = power_form(ex2.form_a)
     with pytest.raises(PresentationError):
         compose_connection(form_a, bad, ex2.cot)(1)
 
 
 def test_translation_identities(ex2):
-    form = matsumoto_connection(ex2.a_spec)
+    form = power_form(ex2.form_a)
     for res in form_rows(form, "first", n_bound=3, degree_bound=3):
         assert res.status == "pass", (res.check_id, res.detail)
 

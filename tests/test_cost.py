@@ -5,13 +5,14 @@ counters on the four engine calls that carry the rewriting cost:
 ``AlgebraPresentation.mono_mul`` (monomial products), ``_rewrite`` (one
 rule application), ``reduce_terms`` (one normal form) and ``_sort_word``
 (one word q-sorted).  Loading the tower is not counted.  The counts
-do not depend on the host, so they are pinned as upper bounds at four
-index bounds, each twice the last, with a stated growth from one to the
-next: at most 2^2 for the connection suite, whose factor images C(n)
-cost about n^2 products, since each reducible monomial fires its rule
-once per presentation (the composed C(n) is assembled from them and
-takes none of its own), and none for the other suites, which read no
-index above their caps.  The cotensor and entwining suites are lemma
+do not depend on the host, so they are pinned as upper bounds, each the
+measured count, at four index bounds, each twice the last, with a
+stated growth from one to the next: at most 2^2 for the connection
+suite, whose factor images C(n) cost about n^2 products, since the
+image at n is the one at n -+ 1 times the image at +-1, of n terms by
+2, and each reducible monomial fires its rule once per presentation
+(the composed C(n) is assembled from them and takes none of its own),
+and none for the other suites, which read no index above their caps.  The cotensor and entwining suites are lemma
 rows alone and make none of the four calls.  A change that computes
 C(n) again, multiplies the composed image out in the ambient algebra,
 builds a generator-form image at -n instead of swapping the legs of the
@@ -33,7 +34,9 @@ is ``ONE``.  A change that builds a fresh 0 or 1 there, or multiplies
 by one, raises the count: before the unit was shared, the algebra,
 connection and examples suites built 308, 2,025 and 1,034 scalars at
 n-bound 4; with the unit shared, 20, 696 and 151; and with the shared
-zero and the single-term paths, 18, 594 and 116 now.
+zero and the single-term paths, 18, 594 and 116.  The connection
+suite builds 642 now: its factor images are products of the images at
++-1 (``power_connection``), where they were sums of q-sorted words.
 
 The first factor's translation form restates four axioms, whose
 ``first-translation`` rows copy the ``first`` rows' verdicts: each
@@ -63,18 +66,18 @@ BOUNDS = (4, 8, 16, 32)
 # (preset, suite) -> {n_bound: (mono_mul, _rewrite, reduce_terms, _sort_word)}
 CEILINGS = {
     ("matsumoto-ex1", "connection"): {
-        4: (98, 20, 132, 114),
-        8: (322, 72, 388, 354),
-        16: (1154, 272, 1284, 1218),
-        32: (4354, 1056, 4612, 4482),
+        4: (242, 20, 114, 0),
+        8: (882, 72, 370, 0),
+        16: (3314, 272, 1266, 0),
+        32: (12786, 1056, 4594, 0),
     },
     ("matsumoto-ex2", "connection"): {
-        4: (154, 48, 400, 382),
-        8: (378, 100, 656, 622),
-        16: (1210, 300, 1552, 1486),
-        32: (4410, 1084, 4880, 4750),
+        4: (298, 48, 382, 268),
+        8: (938, 100, 638, 268),
+        16: (3370, 300, 1534, 268),
+        32: (12842, 1084, 4862, 268),
     },
-    ("matsumoto-ex1", "examples"): dict.fromkeys(BOUNDS, (86, 10, 160, 133)),
+    ("matsumoto-ex1", "examples"): dict.fromkeys(BOUNDS, (126, 10, 172, 117)),
     ("matsumoto-ex2", "examples"): dict.fromkeys(BOUNDS, (184, 15, 43, 0)),
 }
 for _preset in ("matsumoto-ex1", "matsumoto-ex2"):
@@ -90,7 +93,7 @@ SCALAR_BUILDS = {
     "algebra": dict.fromkeys((4, 8), 18),
     "cotensor": dict.fromkeys((4, 8), 0),
     "entwining": dict.fromkeys((4, 8), 0),
-    "connection": {4: 594, 8: 1826},
+    "connection": {4: 642, 8: 2106},
     "examples": dict.fromkeys((4, 8), 116),
 }
 

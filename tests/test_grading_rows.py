@@ -17,7 +17,7 @@ import copy
 
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import OffsetCoaction, graded_presets, offset_tower
+from conftest import OffsetCoaction, graded_presets, offset_tower, power_form
 from oracles import (
     Shift,
     balance_defect,
@@ -34,7 +34,7 @@ from oracles import (
 from qpbundle.cli.parser import Tower, load_preset
 from qpbundle.cli.suites import LEMMA, ROWS, SuiteConfig, form_rows, run_suites
 from qpbundle.comodule import CoactionSpec, TensorElement, tensor_of
-from qpbundle.connection import ConnectionForm, matsumoto_connection
+from qpbundle.connection import ConnectionForm
 from qpbundle.scalar import ZERO, LaurentScalar as S
 from qpbundle.skewalg import AlgebraPresentation, PackageError
 
@@ -96,7 +96,7 @@ def _with_graded_letter(cot):
 
 
 def test_colinearity_rows_name_the_index(ex2):
-    form = matsumoto_connection(ex2.p_spec)
+    form = power_form(ex2.form_p)
     x = ex2.p_spec.presentation.gen("x")
     # both legs of right degree 1: the second fits index 1, the first does not
     results = form_rows(_overridden(form, 1, tensor_of([x, x])), "second", n_bound=1)

@@ -11,13 +11,8 @@ and errors the package raises on its input (printed as ``error: ...``),
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
 from importlib import resources
-
-# die quietly when downstream pipes close early, like grep does
-if hasattr(signal, "SIGPIPE"):
-    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 from ..comodule import render_tensor
 from ..cotensor import coinvariants_basis
@@ -186,7 +181,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None):
     """Run one qpb command on ``argv`` (the process arguments when None)
-    and exit with its status."""
+    and exit with its status.  It dies quietly, like grep, when a
+    downstream pipe closes early; importing this module leaves the
+    process's signal handling alone."""
+    import signal  # here, off the import path of library users
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     args = _build_parser().parse_args(argv)
     try:
         status = args.run(args)

@@ -53,7 +53,9 @@ class ConnectionForm:
     ``overrides`` pin explicit tensors for chosen indices (as loaded
     from a preset file) and take precedence over the rule, so that a
     doctored table shows up in the verification output rather than
-    being silently recomputed.  ``lift``, when given, returns C(n)
+    being silently recomputed; under a rule they are the claims that
+    ``closed-form-match`` compares with it, the rule's own inputs not
+    among them (``power_connection``).  ``lift``, when given, returns C(n)
     from data stored elsewhere (``_lifted_at``).
     """
 
@@ -233,8 +235,7 @@ def _word_sum(p: AlgebraPresentation, terms) -> TensorElement:
         key = tuple(word)
         got = forms.get(key)
         if got is None:
-            f, v = p._sort_word(key)
-            got = forms[key] = p.reduce_terms({v: f})
+            got = forms[key] = p.normal_form(key).terms
         return got
 
     out: dict[tuple, LaurentScalar] = {}
@@ -255,13 +256,18 @@ def power_connection(
     (Hajac, CMP 182 (1996)): 1 (x) 1 at n = 0, the form's own entries at
     +-1, and closed(n -+ 1) times that entry at any other n, built from
     the largest power stored, without recursion.  On a deformed sphere
-    it is the binomial sum of (b*)^m (a*)^(n-m) (x) a^(n-m) b^m."""
+    it is the binomial sum of (b*)^m (a*)^(n-m) (x) a^(n-m) b^m.
+
+    The entries at +-1 are the rule's inputs only: the form's
+    ``overrides`` keep the other entries, the claims the rule is
+    checked against."""
     p = spec.presentation
+    claims = dict(overrides or {})
     powers = {0: tensor_of([p.one(), p.one()])}
     for n in (1, -1):
-        if n not in (overrides or {}):
+        if n not in claims:
             raise PresentationError("rule power needs entry %d" % n)
-        powers[n] = overrides[n]
+        powers[n] = claims.pop(n)
 
     def rule(n: int) -> TensorElement:
         step = 1 if n >= 0 else -1
@@ -276,7 +282,7 @@ def power_connection(
             powers[j + step] = _trusted_tensor((p, p), _reduce_slot(_reduce_slot(raw, 0, p), 1, p))
         return powers[n]
 
-    return ConnectionForm(spec, rule, overrides, name=name)
+    return ConnectionForm(spec, rule, claims, name=name)
 
 
 def lifted_canonical_map(spec: CoactionSpec, t: TensorElement) -> TensorElement:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -987,6 +988,14 @@ def test_a_tensor_written_another_way_exits_two_at_its_column(runner, tmp_path, 
     assert res.stderr == "error: line 43, %s\n" % message
 
 
+def _src_env():
+    """The environment with this package's source first on the path, for
+    a subprocess."""
+    src = str(Path(qpbundle.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_start_up_imports_only_the_standard_library():
     # every module that importing the command line adds is the standard
     # library's or the package's; the snapshot taken first holds what
@@ -997,11 +1006,9 @@ def test_start_up_imports_only_the_standard_library():
         "import qpbundle.cli.main\n"
         "print(*sorted(set(sys.modules) - before))\n"
     )
-    src = str(Path(qpbundle.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     done = subprocess.run(
         [sys.executable, "-c", probe],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_src_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -1011,6 +1018,53 @@ def test_start_up_imports_only_the_standard_library():
     assert "qpbundle.cli.main" in added
     tops = {name.partition(".")[0] for name in added}
     assert tops - sys.stdlib_module_names - {"qpbundle"} == set()
+
+
+needs_sigpipe = pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+
+
+@needs_sigpipe
+def test_importing_the_command_line_leaves_signal_handling_alone():
+    # only a qpb run resets SIGPIPE; a library user importing the module
+    # keeps the interpreter's handler
+    probe = (
+        "import signal\n"
+        "before = signal.getsignal(signal.SIGPIPE)\n"
+        "import qpbundle.cli.main\n"
+        "print(before == signal.getsignal(signal.SIGPIPE))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout == "True\n"
+
+
+@needs_sigpipe
+def test_verify_into_a_closed_pipe_dies_quietly():
+    # a reader that closes after one line, such as `head -n 1`, races the
+    # rest of the report, which fits in the pipe; one that is gone before
+    # qpb writes makes the write fail every time
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "qpbundle.cli.main", "verify", "--preset", "matsumoto-ex2"]
+            + ["--n-bound", "1"],
+            env=_src_env(),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == ""
+    assert done.returncode == -signal.SIGPIPE
 
 
 def test_coinv_lists_bases(runner):

@@ -2,6 +2,7 @@
 
 import random
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,7 @@ from oracles import (
     scan_translation_identities,
     tensor_apply,
 )
+from qpbundle.cli import suites
 from qpbundle.cli.parser import Tower, load_preset
 from qpbundle.cli.suites import SuiteConfig, form_rows, run_suites
 from qpbundle.comodule import (
@@ -140,6 +142,67 @@ def test_a_wrong_entry_one_shows_at_entry_two():
     report = run_suites(tower, SuiteConfig(("connection",), n_bound=3))
     row = next(r for r in report.results if r.check_id == "second-closed-form-match")
     assert (row.status, row.detail) == ("fail", "entry 2 differs from the closed rule")
+
+
+def test_the_power_rule_takes_its_entries_at_one_as_inputs_not_claims(ex2):
+    # the entries at +-1 are what the rule raises, so only the others are
+    # claims; the rule hands the inputs back unchanged at +-1
+    p = ex2.a_spec.presentation
+    a, a_s = p.gen("a"), p.gen("a'")
+    entries = {n: tensor_of([a_s**n, a**n]) for n in (1, 2)}
+    entries[-1] = tensor_of([a, a_s])
+    form = power_connection(ex2.a_spec, overrides=entries)
+    assert set(form.overrides) == {2}
+    assert form(1) is entries[1] and form(-1) is entries[-1]
+    assert set(entries) == {1, 2, -1}
+
+
+def _compared_indices(tower):
+    """The indices at which each factor's closed-form-match row calls
+    ``form.closed``, as a spy on each form records them while that row
+    is checked, in a connection suite run at n-bound 3."""
+    compared = {"first": [], "second": []}
+    checking = []  # the leg whose closed-form-match row is being checked
+    check = suites.check
+
+    def spy_check(suite, check_id, *rest):
+        leg, _, name = check_id.partition("-")
+        checking.append(leg if name == "closed-form-match" else None)
+        try:
+            return check(suite, check_id, *rest)
+        finally:
+            checking.pop()
+
+    for leg, form in (("first", tower.form_a), ("second", tower.form_p)):
+        closed = form.closed
+
+        def spy(n, leg=leg, closed=closed):
+            if checking and checking[-1] == leg:
+                compared[leg].append(n)
+            return closed(n)
+
+        form.closed = spy
+    with patch.object(suites, "check", spy_check):
+        report = run_suites(tower, SuiteConfig(("connection",), n_bound=3))
+    assert report.ok
+    return compared
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_closed_form_match_compares_only_the_claimed_entries(preset):
+    # entry 1 and entry -1 are the rule's inputs, so no row compares them
+    # with the rule, which at +-1 is the entry itself
+    compared = _compared_indices(load_bundled(preset))
+    assert compared == {"first": [-2, 0, 2, 3], "second": [-2, 0, 2, 3]}
+
+
+def test_a_power_table_of_entries_zero_and_one_compares_index_zero_alone():
+    # ex2 without its entries 2, 3 and -2, in both sections
+    lines = preset_text("matsumoto-ex2").splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith(("entry 2 ", "entry 3 ", "entry -2 "))]
+    assert len(lines) - len(kept) == 6
+    compared = _compared_indices(load_preset("".join(kept)))
+    assert compared == {"first": [0], "second": [0]}
 
 
 def test_connection_normalizes_the_unit(ex2):
